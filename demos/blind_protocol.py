@@ -37,7 +37,9 @@ def main():
     dataset, _ = generate_synthetic(
         SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, seed=7)
     )
-    ctx = prepare_blind_context(dataset, SPEC, threads=4)
+    # threads drive the MC null and sweep pools; cross-validation inside
+    # prepare_blind_context always runs on one thread
+    ctx = prepare_blind_context(dataset, SPEC)
     result = score_eval_set(ctx, dataset, threads=4)
 
     print(f"trained on {sorted(SPEC.train_states)}")

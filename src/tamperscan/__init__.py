@@ -52,7 +52,6 @@ from .elastic_net import (
     objective,
     predict,
     save_model,
-    soft_threshold,
 )
 from .errors import (
     ConfigError,

@@ -79,7 +79,7 @@ def _blind_spec(man: RunManifest) -> BlindSpec:
     )
 
 
-def _fit_all(dataset, man: RunManifest, threads: int):
+def _fit_all(dataset, man: RunManifest):
     """CV, final fit, and self-scoring over every county."""
     y = dataset.shares()
     cv = cross_validate(
@@ -92,7 +92,6 @@ def _fit_all(dataset, man: RunManifest, threads: int):
         eps=man.cv.eps,
         tol=man.cv.tol,
         max_iter=man.cv.max_iter,
-        threads=threads,
     )
     Xs, params = standardize(dataset.X, dataset.feature_names)
     model = fit(Xs, y, cv.selected, params, tol=man.cv.tol, max_iter=man.cv.max_iter)
@@ -196,7 +195,7 @@ def cmd_fit(args) -> int:
     man = load_manifest(args.manifest, _overrides(args))
     out = _out_dir(man)
     dataset = _load(man)
-    cv, model = _fit_all(dataset, man, args.threads)
+    cv, model = _fit_all(dataset, man)
     resid = residuals(model, dataset)
     width = fit_width(resid)
     mc = McConfig(n_counties=dataset.n, trials=man.mc_trials, seed=man.mc_seed)
@@ -238,7 +237,7 @@ def cmd_blind(args) -> int:
     out = _out_dir(man)
     dataset = _load(man)
     spec = _blind_spec(man)
-    ctx = prepare_blind_context(dataset, spec, threads=args.threads)
+    ctx = prepare_blind_context(dataset, spec)
     result = score_eval_set(
         ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads
     )
@@ -304,7 +303,7 @@ def cmd_inject(args) -> int:
         k=inj_cfg["k"],
         direction=Direction.parse(inj_cfg["direction"]),
     )
-    ctx = prepare_blind_context(dataset, spec, threads=args.threads)
+    ctx = prepare_blind_context(dataset, spec)
     baseline = score_eval_set(
         ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads
     )
@@ -380,7 +379,7 @@ def cmd_sweep(args) -> int:
     dataset = _load(man)
     spec = _blind_spec(man)
     states = man.require("sweep_states", "[sweep] states")
-    ctx = prepare_blind_context(dataset, spec, threads=args.threads)
+    ctx = prepare_blind_context(dataset, spec)
     all_curves = []
     for state in states:
         curves = sweep(
@@ -487,7 +486,11 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True, help="path to the run manifest (INI)")
         p.add_argument("--out", default=None, help="override the manifest output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results identical at any count)")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="worker threads for the MC null and sweep pools (results identical at "
+            "any count); CV always runs on one thread",
+        )
         p.add_argument("--trials", type=int, default=None, help="override Monte Carlo trial count")
         p.add_argument("--seed", type=int, default=None, help="override every seed in the manifest")
         p.set_defaults(func=func)

@@ -10,13 +10,17 @@ by cyclic coordinate descent with exact univariate updates. The intercept is
 never penalized and the target is never standardized. Regularization paths
 are geometric in alpha with warm starts, and model selection is 5-fold
 cross-validation over an (l1_ratio, alpha) grid.
+
+`fit` and `cross_validate` share one covariance-form kernel (Friedman, Hastie
+& Tibshirani, J. Stat. Softw. 33(1), 2010): G = Xs'Xs/n and c = Xs'(y - ybar)/n
+are formed once per fit or CV fold, so a coordinate update is scalar
+arithmetic plus one length-p update of G.beta when the coefficient moves.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,17 +115,6 @@ class CvResult:
     folds: int
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0), the scalar lasso shrinkage kernel."""
-    if gamma < 0:
-        raise ConfigError(f"threshold must be non-negative, got {gamma}")
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
 def objective(Xs, y, beta, intercept, penalty: PenaltyConfig) -> float:
     """Penalized loss L at the given point."""
     r = y - intercept - Xs @ beta
@@ -131,48 +124,80 @@ def objective(Xs, y, beta, intercept, penalty: PenaltyConfig) -> float:
     return loss
 
 
-def _descend(Xs, y, penalty, tol, max_iter, beta, check_objective):
-    """Run coordinate-descent sweeps in place; returns solver state."""
-    n, p = Xs.shape
-    col_sq = np.einsum("ij,ij->j", Xs, Xs) / n
-    denom = col_sq + penalty.alpha * (1.0 - penalty.l1_ratio)
+def _gram(Xs, y):
+    """Covariance-form statistics G = Xs'Xs/n and c = Xs'(y - mean(y))/n."""
+    n = y.shape[0]
+    return Xs.T @ Xs / n, Xs.T @ (y - y.mean()) / n
+
+
+def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
+    """Coordinate-descent sweeps on `beta` in place; returns (sweeps, converged).
+
+    Keeps q = G.beta, so coordinate j's update soft-thresholds rho = c_j - q_j
+    + G_jj beta_j. Stops when a sweep moves no coefficient by `tol` or more.
+    If `loss` (beta -> penalized loss) is given, a sweep that raises it is a
+    NumericalError.
+    """
+    # deferred so that commands which never solve do not pay the import
+    from scipy.linalg.blas import daxpy
+
+    p = c.shape[0]
+    ridge = penalty.alpha * (1.0 - penalty.l1_ratio)
     gamma = penalty.alpha * penalty.l1_ratio
-    intercept = 0.0
+    diag, c, rows, b = G.diagonal().tolist(), c.tolist(), list(G), beta.tolist()
+    denom = [g + ridge for g in diag]
     prev_obj = np.inf
-    sweeps = 0
-    converged = p == 0
-    for sweep in range(max_iter):
-        # residual rebuilt from scratch every sweep so rounding from the
-        # in-place updates below cannot accumulate across sweeps
-        fitted = Xs @ beta
-        intercept = float(np.mean(y - fitted))
-        r = y - intercept - fitted
+    for sweep in range(1, max_iter + 1):
+        # q rebuilt from scratch every sweep so rounding from the in-place
+        # updates below cannot accumulate across sweeps
+        q = G @ beta
         max_delta = 0.0
         for j in range(p):
-            if denom[j] == 0.0:
+            dj = denom[j]
+            if dj == 0.0:
                 continue
-            xj = Xs[:, j]
-            rho = (xj @ r) / n + col_sq[j] * beta[j]
-            bj = soft_threshold(rho, gamma) / denom[j]
-            d = bj - beta[j]
+            old = b[j]
+            rho = c[j] - float(q[j]) + diag[j] * old
+            if rho > gamma:
+                new = (rho - gamma) / dj
+            elif rho < -gamma:
+                new = (rho + gamma) / dj
+            else:
+                new = 0.0
+            d = new - old
             if d != 0.0:
-                r -= d * xj
-                beta[j] = bj
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        sweeps = sweep + 1
-        if check_objective:
-            obj = objective(Xs, y, beta, float(np.mean(y - Xs @ beta)), penalty)
+                q = daxpy(rows[j], q, a=d)
+                b[j] = new
+                max_delta = max(max_delta, abs(d))
+        beta[:] = b
+        if loss is not None:
+            obj = loss(beta)
             if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
                 raise NumericalError(
-                    f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweeps}"
+                    f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweep}"
                 )
             prev_obj = obj
         if max_delta < tol:
-            converged = True
-            break
-    intercept = float(np.mean(y - Xs @ beta))
-    return intercept, sweeps, converged
+            return sweep, True
+    return max_iter, p == 0
+
+
+def _relative_gap(Xs, y, beta, intercept, penalty, objective_value) -> float:
+    """Duality gap over the primal objective at a solution, from its residual.
+
+    The n-scaled elastic net is read as a lasso on the design augmented with
+    sqrt(l2) I, and the augmented residual is scaled into the dual-feasible
+    box. Informative for l1_ratio > 0.
+    """
+    n = y.shape[0]
+    l1, l2 = n * penalty.alpha * penalty.l1_ratio, n * penalty.alpha * (1.0 - penalty.l1_ratio)
+    r = y - intercept - Xs @ beta
+    dual_norm = float(np.max(np.abs(Xs.T @ r - l2 * beta), initial=0.0))
+    scale = min(1.0, l1 / dual_norm) if dual_norm > 0 else 1.0
+    primal = n * objective_value
+    gap = primal - scale * float(r @ (y - y.mean()))
+    gap += 0.5 * scale**2 * (float(r @ r) + l2 * float(beta @ beta))
+    return gap / primal if primal > 0 else 0.0
 
 
 def fit(
@@ -190,7 +215,8 @@ def fit(
     `Xs` must be the output of `standardize` (or `apply_standardization`)
     under `standardization`; passing raw features silently changes the
     penalty's meaning. Hitting `max_iter` before the tolerance emits a
-    non-fatal ConvergenceWarning and is recorded in training_meta.
+    non-fatal ConvergenceWarning and is recorded in training_meta, as is
+    the solution's relative duality gap (`rel_gap`, reported, not a stop rule).
     """
     Xs = np.asarray(Xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -207,15 +233,20 @@ def fit(
         raise NumericalError("non-finite values in design matrix or target")
 
     beta = np.zeros(Xs.shape[1]) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    intercept, sweeps, converged = _descend(
-        Xs, y, penalty, tol, max_iter, beta, check_objective
-    )
+    G, c = _gram(Xs, y)
+    loss = None
+    if check_objective:
+        def loss(b):
+            return objective(Xs, y, b, float(np.mean(y - Xs @ b)), penalty)
+    sweeps, converged = _descend(G, c, penalty, tol, max_iter, beta, loss)
+    intercept = float(np.mean(y - Xs @ beta))
     if not converged:
         warnings.warn(
             f"coordinate descent hit max_iter={max_iter} before tol={tol}",
             ConvergenceWarning,
         )
     beta.flags.writeable = False
+    obj = objective(Xs, y, beta, intercept, penalty)
     return FitModel(
         coefficients=beta,
         intercept=intercept,
@@ -224,7 +255,8 @@ def fit(
         training_meta={
             "iterations": sweeps,
             "converged": converged,
-            "objective": objective(Xs, y, beta, intercept, penalty),
+            "objective": obj,
+            "rel_gap": _relative_gap(Xs, y, beta, intercept, penalty, obj),
             "tol": tol,
         },
     )
@@ -258,23 +290,6 @@ def alpha_path(
     return np.geomspace(alpha_max, eps * alpha_max, num=n_alphas)
 
 
-def _fold_path_mse(X, y, names, train_idx, val_idx, alphas, l1_ratio, tol, max_iter):
-    """Held-out MSE along one alpha path for one fold. Pure function."""
-    Xs_tr, params = standardize(X[train_idx], names)
-    Xs_val = apply_standardization(params, names, X[val_idx])
-    y_tr = y[train_idx]
-    y_val = y[val_idx]
-    beta = np.zeros(Xs_tr.shape[1])
-    out = np.empty(alphas.shape[0])
-    for a_i, alpha in enumerate(alphas):
-        penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1_ratio)
-        intercept, _, _ = _descend(Xs_tr, y_tr, penalty, tol, max_iter, beta, False)
-        pred = intercept + Xs_val @ beta
-        err = y_val - pred
-        out[a_i] = float(err @ err) / y_val.shape[0]
-    return out
-
-
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -293,12 +308,13 @@ def cross_validate(
     Rows are shuffled by a seeded permutation and split into k near-equal
     folds. Alpha paths are computed once per l1_ratio on the full
     standardized data; each training fold is re-standardized from its own
-    rows so no information leaks from held-out counties. Fold/grid tasks may
-    run in parallel: every task writes its own slot of a preallocated score
-    table, so the selected penalty is independent of thread count.
+    rows so no information leaks from held-out counties, and its G and c
+    serve every l1_ratio's warm-started path. Path points that hit
+    `max_iter` are counted and reported in one ConvergenceWarning.
 
     Pass `alphas` to use one explicit grid for every l1_ratio (required if
-    the grid contains l1_ratio = 0).
+    the grid contains l1_ratio = 0). `threads` is accepted and ignored: the
+    solver holds the GIL, so CV runs on one thread.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -321,38 +337,40 @@ def cross_validate(
         grids = {l1: alpha_path(Xs_full, y, l1, n_alphas, eps) for l1 in l1_grid}
 
     mse = {l1: np.empty((k, grids[l1].shape[0])) for l1 in l1_grid}
-    all_rows = np.arange(n)
-
-    def run(l1, fold_i):
-        val_idx = folds[fold_i]
-        train_idx = np.setdiff1d(all_rows, val_idx, assume_unique=False)
-        mse[l1][fold_i] = _fold_path_mse(
-            X, y, names, train_idx, val_idx, grids[l1], l1, tol, max_iter
+    unconverged = 0
+    for fold_i, val_idx in enumerate(folds):
+        train_idx = np.setdiff1d(perm, val_idx)
+        Xs_tr, params = standardize(X[train_idx], names)
+        Xs_val = apply_standardization(params, names, X[val_idx])
+        y_tr, y_val = y[train_idx], y[val_idx]
+        G, c = _gram(Xs_tr, y_tr)
+        for l1 in l1_grid:
+            beta = np.zeros(Xs_tr.shape[1])
+            for a_i, alpha in enumerate(grids[l1]):
+                penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1)
+                unconverged += not _descend(G, c, penalty, tol, max_iter, beta)[1]
+                pred = float(np.mean(y_tr - Xs_tr @ beta)) + Xs_val @ beta
+                err = y_val - pred
+                mse[l1][fold_i, a_i] = float(err @ err) / y_val.shape[0]
+    if unconverged:
+        total = k * sum(grids[l1].shape[0] for l1 in l1_grid)
+        warnings.warn(
+            f"{unconverged} of {total} CV (l1_ratio, fold, alpha) points hit "
+            f"max_iter={max_iter} before tol={tol}",
+            ConvergenceWarning,
         )
 
-    tasks = [(l1, fold_i) for l1 in l1_grid for fold_i in range(k)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, l1, f) for l1, f in tasks]
-            for fut in futures:
-                fut.result()
-    else:
-        for l1, f in tasks:
-            run(l1, f)
-
-    points = []
-    for l1 in l1_grid:
-        fold_scores = mse[l1]
-        means = fold_scores.mean(axis=0)
-        for a_i, alpha in enumerate(grids[l1]):
-            points.append(
-                CvPoint(
-                    l1_ratio=float(l1),
-                    alpha=float(alpha),
-                    mean_mse=float(means[a_i]),
-                    fold_mses=tuple(float(v) for v in fold_scores[:, a_i]),
-                )
-            )
+    means = {l1: mse[l1].mean(axis=0) for l1 in l1_grid}
+    points = [
+        CvPoint(
+            l1_ratio=float(l1),
+            alpha=float(alpha),
+            mean_mse=float(means[l1][a_i]),
+            fold_mses=tuple(float(v) for v in mse[l1][:, a_i]),
+        )
+        for l1 in l1_grid
+        for a_i, alpha in enumerate(grids[l1])
+    ]
     best = min(points, key=lambda pt: (pt.mean_mse, -pt.alpha, -pt.l1_ratio))
     return CvResult(
         grid=tuple(points),

@@ -162,7 +162,7 @@ class BlindResult:
     scores: tuple[AnomalyScore, ...]  # ranked, most anomalous first
 
 
-def prepare_blind_context(dataset: Dataset, spec: BlindSpec, threads: int = 1) -> BlindContext:
+def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     """Cross-validate and fit on training states only.
 
     Because evaluation states never enter this function's data, the returned
@@ -181,7 +181,6 @@ def prepare_blind_context(dataset: Dataset, spec: BlindSpec, threads: int = 1) -
         eps=spec.cv.eps,
         tol=spec.cv.tol,
         max_iter=spec.cv.max_iter,
-        threads=threads,
     )
     Xs, params = standardize(train.X, train.feature_names)
     model = fit(Xs, y, cv.selected, params, tol=spec.cv.tol, max_iter=spec.cv.max_iter)
@@ -232,7 +231,7 @@ def blind_fit(
     threads: int = 1,
 ) -> BlindResult:
     """Train on the trusted states, score the held-out states."""
-    ctx = prepare_blind_context(dataset, spec, threads=threads)
+    ctx = prepare_blind_context(dataset, spec)
     return score_eval_set(ctx, dataset, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads)
 
 
@@ -308,7 +307,7 @@ def run_injection_experiment(
         raise ConfigError("supplied context was prepared for a different blind spec")
     tampered = inject_flips(dataset, inj)
     if context is None:
-        context = prepare_blind_context(tampered, blind, threads=threads)
+        context = prepare_blind_context(tampered, blind)
     result = score_eval_set(
         context, tampered, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads
     )
@@ -394,7 +393,7 @@ def sweep(
     if margin == 0:
         raise ConfigError(f"state {state} is exactly tied; sweep undefined")
     if context is None:
-        context = prepare_blind_context(dataset, blind, threads=threads)
+        context = prepare_blind_context(dataset, blind)
     elif context.spec != blind:
         raise ConfigError("supplied context was prepared for a different blind spec")
     base = score_eval_set(context, dataset)

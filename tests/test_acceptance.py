@@ -67,9 +67,7 @@ def _pass(label, detail):
 def _fit_and_score(dataset, l1_grid=(0.5, 1.0), n_alphas=20):
     """Small-grid CV, final fit, analytic scoring of every county."""
     y = dataset.shares()
-    cv = cross_validate(
-        dataset.X, y, l1_grid=l1_grid, n_alphas=n_alphas, threads=THREADS
-    )
+    cv = cross_validate(dataset.X, y, l1_grid=l1_grid, n_alphas=n_alphas)
     Xs, params = standardize(dataset.X, dataset.feature_names)
     model = fit(Xs, y, cv.selected, params)
     resid = residuals(model, dataset)
@@ -234,7 +232,7 @@ def test_sweep_monotone_and_injection_reversible():
         train_states=frozenset({"AL", "AZ", "CA", "CO", "MT", "TX", "WY"}),
         eval_states=frozenset({"GA", "MI", "PA", "WI"}),
     )
-    ctx = prepare_blind_context(ds, spec, threads=THREADS)
+    ctx = prepare_blind_context(ds, spec)
     n_curves = 0
     for state in ("GA", "MI"):
         for curve in sweep(ds, spec, state, context=ctx, threads=THREADS):
@@ -301,7 +299,7 @@ def county_data():
 @pytest.fixture(scope="module")
 def full_fit(county_data):
     ds = county_data
-    cv = cross_validate(ds.X, ds.shares(), threads=THREADS)
+    cv = cross_validate(ds.X, ds.shares())
     Xs, params = standardize(ds.X, ds.feature_names)
     model = fit(Xs, ds.shares(), cv.selected, params)
     return cv, model, residuals(model, ds)
@@ -310,7 +308,7 @@ def full_fit(county_data):
 @pytest.fixture(scope="module")
 def blind_setup(county_data):
     spec = BlindSpec(train_states=PLAINTIFF_STATES, eval_states=DEFENDANT_STATES)
-    ctx = prepare_blind_context(county_data, spec, threads=THREADS)
+    ctx = prepare_blind_context(county_data, spec)
     result = score_eval_set(ctx, county_data, threads=THREADS)
     return spec, ctx, result
 

@@ -14,7 +14,6 @@ from tamperscan import (
     objective,
     predict,
     save_model,
-    soft_threshold,
     standardize,
 )
 from tamperscan.data_model import substream
@@ -39,22 +38,31 @@ def _random_problem(seed, n=80, p=6, noise=0.1):
     return X, y
 
 
-class TestSoftThreshold:
-    def test_shrinks_toward_zero(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
-
-    def test_inside_threshold_is_zero(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-        assert soft_threshold(-0.5, 1.0) == 0.0
-        assert soft_threshold(1.0, 1.0) == 0.0
-
-    def test_zero_threshold_is_identity(self):
-        assert soft_threshold(0.7, 0.0) == 0.7
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            soft_threshold(1.0, -0.1)
+def _residual_form_descend(Xs, y, penalty, tol, max_iter, beta):
+    """Reference solver: residual-form coordinate descent, one O(n) pass per
+    coordinate. Same cyclic order and stop rule as the covariance kernel."""
+    n, p = Xs.shape
+    col_sq = np.einsum("ij,ij->j", Xs, Xs) / n
+    denom = col_sq + penalty.alpha * (1.0 - penalty.l1_ratio)
+    gamma = penalty.alpha * penalty.l1_ratio
+    for sweep in range(max_iter):
+        fitted = Xs @ beta
+        r = y - float(np.mean(y - fitted)) - fitted
+        max_delta = 0.0
+        for j in range(p):
+            if denom[j] == 0.0:
+                continue
+            xj = Xs[:, j]
+            rho = (xj @ r) / n + col_sq[j] * beta[j]
+            bj = np.sign(rho) * max(abs(rho) - gamma, 0.0) / denom[j]
+            d = bj - beta[j]
+            if d != 0.0:
+                r -= d * xj
+                beta[j] = bj
+                max_delta = max(max_delta, abs(d))
+        if max_delta < tol:
+            return sweep + 1, True
+    return max_iter, False
 
 
 class TestOlsLimit:
@@ -238,6 +246,63 @@ class TestConvergenceWarning:
         assert model.training_meta["converged"] is False
 
 
+class TestKernelMatchesResidualForm:
+    @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_same_sweeps_and_coefficients(self, l1_ratio, warm):
+        X, y = _random_problem(45, n=90, p=10, noise=0.5)
+        Xs, params = _standardized(X)
+        ref = np.zeros(Xs.shape[1])
+        coefs = None
+        for alpha in np.geomspace(0.5, 0.002, 8):
+            penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1_ratio)
+            if not warm:
+                ref = np.zeros(Xs.shape[1])
+                coefs = None
+            sweeps, converged = _residual_form_descend(Xs, y, penalty, 1e-9, 10_000, ref)
+            model = fit(Xs, y, penalty, params, tol=1e-9, warm_start=coefs)
+            coefs = model.coefficients
+            assert converged and model.training_meta["converged"]
+            assert model.training_meta["iterations"] == sweeps
+            assert np.max(np.abs(coefs - ref)) <= 1e-12
+            assert model.intercept == pytest.approx(float(np.mean(y - Xs @ ref)), abs=1e-12)
+
+
+class TestRelativeGap:
+    @staticmethod
+    def _augmented_lasso_gap(Xs, y, beta, penalty):
+        # elastic net as a lasso on [Xs; sqrt(n*l2) I], scaled by n; the
+        # dual point is the augmented residual shrunk into the feasible box
+        n, p = Xs.shape
+        lam1 = n * penalty.alpha * penalty.l1_ratio
+        lam2 = n * penalty.alpha * (1.0 - penalty.l1_ratio)
+        Xa = np.vstack([Xs, np.sqrt(lam2) * np.eye(p)])
+        ya = np.concatenate([y - y.mean(), np.zeros(p)])
+        ra = ya - Xa @ beta
+        theta = ra * min(1.0, lam1 / np.max(np.abs(Xa.T @ ra)))
+        primal = 0.5 * ra @ ra + lam1 * np.abs(beta).sum()
+        dual = 0.5 * ya @ ya - 0.5 * (ya - theta) @ (ya - theta)
+        return (primal - dual) / primal
+
+    @pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+    def test_matches_augmented_lasso_dual(self, l1_ratio):
+        X, y = _random_problem(47, n=90, p=8, noise=0.5)
+        Xs, params = _standardized(X)
+        penalty = PenaltyConfig(alpha=0.05, l1_ratio=l1_ratio)
+        model = fit(Xs, y, penalty, params, tol=1e-2)
+        expected = self._augmented_lasso_gap(Xs, y, model.coefficients, penalty)
+        assert expected > 1e-6
+        assert model.training_meta["rel_gap"] == pytest.approx(expected, rel=1e-8)
+
+    def test_small_at_tight_tolerance(self):
+        X, y = _random_problem(47, n=90, p=8, noise=0.5)
+        Xs, params = _standardized(X)
+        model = fit(
+            Xs, y, PenaltyConfig(alpha=0.05, l1_ratio=0.5), params, tol=1e-12, max_iter=200_000
+        )
+        assert 0.0 <= model.training_meta["rel_gap"] <= 1e-8
+
+
 class TestPermutationInvariance:
     def test_named_coefficients_survive_column_shuffle(self):
         X, y = _random_problem(25, n=100, p=7)
@@ -322,15 +387,16 @@ class TestCrossValidate:
             best_key[0], best_key[1],
         )
 
-    def test_thread_count_does_not_change_results(self):
+    def test_reports_unconverged_points_once(self):
         X, y = _random_problem(33, n=80, p=5)
-        a = cross_validate(X, y, l1_grid=(0.3, 1.0), k=5, seed=2020, n_alphas=10, threads=1)
-        b = cross_validate(X, y, l1_grid=(0.3, 1.0), k=5, seed=2020, n_alphas=10, threads=4)
-        assert (a.selected.alpha, a.selected.l1_ratio) == (b.selected.alpha, b.selected.l1_ratio)
-        for pa, pb in zip(a.grid, b.grid):
-            assert pa.alpha == pb.alpha
-            assert pa.mean_mse == pb.mean_mse
-            assert pa.fold_mses == pb.fold_mses
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cross_validate(
+                X, y, l1_grid=(0.3, 1.0), k=5, seed=2020, n_alphas=10, tol=1e-14, max_iter=2
+            )
+        found = [w for w in caught if issubclass(w.category, ConvergenceWarning)]
+        assert len(found) == 1
+        assert "of 100 CV (l1_ratio, fold, alpha) points hit max_iter=2" in str(found[0].message)
 
     def test_selection_prefers_sparser_on_ties(self):
         # constant target: every penalty gives identical MSE, so the largest
