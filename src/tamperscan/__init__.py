@@ -78,7 +78,6 @@ from .scenarios import (
     Direction,
     InjectionSpec,
     SweepCurve,
-    blind_fit,
     counterfactual_winner,
     inject_flips,
     prepare_blind_context,

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
 from .data_model import CountyKey, Dataset, substream
 from .elastic_net import FitModel, predict
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
 
 # Residuals farther than this many widths out are clipped when fitting.
 CLIP_SIGMA = 3.0
@@ -144,7 +147,8 @@ def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
     The width is recomputed from surviving residuals and membership is
     re-evaluated against the full set until it stabilizes (or 10 rounds),
     which keeps a handful of gross outliers from inflating the scale the
-    way a plain RMS would.
+    way a plain RMS would. Stopping at the round cap with membership still
+    changing emits a ConvergenceWarning.
     """
     r = resid.residual if isinstance(resid, ResidualSet) else np.asarray(resid, dtype=np.float64)
     if r.shape[0] < 10:
@@ -152,9 +156,7 @@ def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
     if not np.any(r):
         raise NumericalError("all residuals are zero; width undefined")
     mask = np.ones(r.shape[0], dtype=bool)
-    iterations = 0
-    for _ in range(MAX_CLIP_ITERATIONS):
-        iterations += 1
+    for iterations in range(1, MAX_CLIP_ITERATIONS + 1):
         kept = r[mask]
         if kept.size == 0:
             raise NumericalError("clipping removed every residual")
@@ -165,6 +167,12 @@ def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
         if np.array_equal(new_mask, mask):
             break
         mask = new_mask
+    else:
+        warnings.warn(
+            f"width clipping still changed membership after "
+            f"{MAX_CLIP_ITERATIONS} rounds",
+            ConvergenceWarning,
+        )
     return WidthFit(width=width, clip_iterations=iterations, n_used=int(mask.sum()))
 
 
@@ -243,19 +251,81 @@ def _chunk_max_abs(trials: int, n_counties: int, seed: int, chunk: int) -> np.nd
     return np.max(np.abs(u), axis=1)
 
 
-def mc_extremes(config: McConfig, threads: int = 1) -> np.ndarray:
+def _table_file(config: McConfig) -> str:
+    """Store file name: everything the table's values depend on.
+
+    numpy does not promise that a Generator stream stays the same across
+    releases, so its version is part of the key.
+    """
+    return (
+        f"mc_extremes_t{config.trials}_n{config.n_counties}_s{config.seed}"
+        f"_c{_MC_CHUNK}_b{_MC_STREAM_BASE}_np{np.__version__}.npy"
+    )
+
+
+def _read_table(path: Path, trials: int) -> np.ndarray | None:
+    """A stored table, or None when the file is missing or not a valid table."""
+    try:
+        with open(path, "rb") as fh:
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        table.dtype != np.float64
+        or table.shape != (trials,)
+        or not np.all(np.isfinite(table))
+        or np.any(table[1:] < table[:-1])
+    ):
+        return None
+    return table
+
+
+def _write_table(path: Path, table: np.ndarray) -> None:
+    """Write via a temporary file and a rename, so readers never see a partial table."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array(fh, table, allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     """Sorted per-trial max|u| table for the null of N clean counties.
 
     Each chunk of trials has its own counter-keyed substream, so the table
     is a pure function of (trials, n_counties, seed) no matter how chunks
     are scheduled. Tables are cached per config; repeated scoring against
     the same null is a binary search, not a re-simulation.
+
+    `store` names a directory that keeps tables across processes. On a miss
+    in the in-process cache the table is read from there; a missing or
+    invalid file is redrawn and (over)written. A table already cached in
+    this process is returned without touching the store.
     """
     cache_key = (config.trials, config.n_counties, config.seed)
     with _extreme_lock:
         hit = _extreme_cache.get(cache_key)
     if hit is not None:
         return hit
+    path = None if store is None else Path(store) / _table_file(config)
+    table = None if path is None else _read_table(path, config.trials)
+    if table is None:
+        table = _draw_table(config, threads)
+        if path is not None:
+            _write_table(path, table)
+    table.flags.writeable = False
+    with _extreme_lock:
+        _extreme_cache[cache_key] = table
+        # keep the cache from growing without bound in long sweeps
+        while len(_extreme_cache) > 8:
+            _extreme_cache.pop(next(iter(_extreme_cache)))
+    return table
+
+
+def _draw_table(config: McConfig, threads: int) -> np.ndarray:
     n_chunks = -(-config.trials // _MC_CHUNK)
     parts: list[np.ndarray | None] = [None] * n_chunks
     if threads > 1:
@@ -269,14 +339,7 @@ def mc_extremes(config: McConfig, threads: int = 1) -> np.ndarray:
     else:
         for c in range(n_chunks):
             parts[c] = _chunk_max_abs(config.trials, config.n_counties, config.seed, c)
-    table = np.sort(np.concatenate(parts))
-    table.flags.writeable = False
-    with _extreme_lock:
-        _extreme_cache[cache_key] = table
-        # keep the cache from growing without bound in long sweeps
-        while len(_extreme_cache) > 8:
-            _extreme_cache.pop(next(iter(_extreme_cache)))
-    return table
+    return np.sort(np.concatenate(parts))
 
 
 def _sigma_from_p(p: float, cap: float) -> float:
@@ -287,18 +350,18 @@ def _sigma_from_p(p: float, cap: float) -> float:
 
 
 def global_significance_mc(
-    local_z: float, config: McConfig, threads: int = 1
+    local_z: float, config: McConfig, threads: int = 1, store=None
 ) -> McGlobalSignificance:
     """MC global significance: fraction of null trials at least as extreme.
 
     When zero trials reach |z| the true p is below 1/trials; the result is
     flagged `bounded` and the sigma falls back to the analytic conversion
-    rather than pretending p = 0.
+    rather than pretending p = 0. `store` is passed to mc_extremes.
     """
     if not np.isfinite(local_z):
         raise NumericalError(f"local z must be finite, got {local_z}")
     z = abs(float(local_z))
-    table = mc_extremes(config, threads=threads)
+    table = mc_extremes(config, threads=threads, store=store)
     count = int(table.shape[0] - np.searchsorted(table, z, side="left"))
     p = count / config.trials
     if count == 0:
@@ -329,12 +392,14 @@ def score_counties(
     width: WidthFit,
     mc: McConfig | None = None,
     threads: int = 1,
+    store=None,
 ) -> list[AnomalyScore]:
     """Local and global sigma for every county in the evaluation set.
 
     The look-elsewhere N is the evaluation-set size. With an McConfig the
     global sigma comes from simulation (analytic fallback where the table
-    runs out); otherwise it is analytic throughout.
+    runs out, MC table kept in `store` as in mc_extremes); otherwise it is
+    analytic throughout.
     """
     if mc is not None and mc.n_counties != resid.n:
         raise ConfigError(
@@ -347,7 +412,7 @@ def score_counties(
             g = global_significance_analytic(z, resid.n)
             beyond = False
         else:
-            est = global_significance_mc(z, mc, threads=threads)
+            est = global_significance_mc(z, mc, threads=threads, store=store)
             g = est.sigma
             beyond = est.bounded
         scores.append(

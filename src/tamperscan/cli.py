@@ -3,8 +3,10 @@
 Subcommands: ingest | fit | blind | inject | sweep | calibrate | synth.
 Every command reads one manifest, writes its outputs into the manifest's
 output directory (each file stamped with the manifest hash), and prints a
-short summary. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.
+short summary. Later commands reuse what earlier ones left in that
+directory: `inject` and `sweep` load the blinded fit `blind` stored, and
+every command keeps its MC null tables in mc_null/. Exit codes: 0 success,
+2 configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,20 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, charts, scenarios
+from . import __version__, anomaly, charts, scenarios
 from .anomaly import McConfig, fit_width, residuals, score_counties, size_correlation
 from .data_model import generate_synthetic, standardize
 from .elastic_net import (
+    MODEL_FORMAT_VERSION,
     cross_validate,
+    cv_result_from_dict,
     cv_result_to_dict,
     fit,
+    model_from_dict,
     model_to_dict,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, SchemaError
 from .ingest import (
     CleaningReport,
     assemble_dataset,
     clean_features,
+    dataset_sha256,
     load_dataset,
     parse_election,
     parse_table,
@@ -37,6 +43,7 @@ from .ingest import (
 )
 from .manifest import RunManifest, load_manifest
 from .scenarios import (
+    BlindContext,
     BlindSpec,
     Direction,
     InjectionSpec,
@@ -67,8 +74,67 @@ def _out_dir(man: RunManifest) -> Path:
     return man.out_dir
 
 
+def _dataset_path(man: RunManifest) -> Path:
+    return man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
+
+
 def _load(man: RunManifest):
-    return load_dataset(man.require("dataset_path", "[data] dataset = <path to dataset.csv>"))
+    return load_dataset(_dataset_path(man))
+
+
+def _mc_store(man: RunManifest) -> Path:
+    """Where MC null tables are kept for later commands on the same output directory."""
+    return man.out_dir / "mc_null"
+
+
+def _blind_key(man: RunManifest) -> dict:
+    """What the blinded fit depends on, stamped into the files `blind` writes.
+
+    The manifest hash covers the blind and CV settings; the dataset hash
+    covers the bytes of dataset.csv and its metadata file.
+    """
+    return {
+        "manifest_sha256": man.sha256,
+        "dataset_sha256": dataset_sha256(_dataset_path(man)),
+        "tamperscan_version": __version__,
+    }
+
+
+def _blind_context(man: RunManifest, dataset, spec: BlindSpec) -> BlindContext:
+    """The blinded fit `blind` stored in the output directory, or a fresh one.
+
+    The stored model and CV grid are reused when both files carry this run's
+    key and format version; otherwise the fit is redone exactly as `blind`
+    does it and one line on stderr says why. The result is the same either
+    way, because the model and CV round-trips through JSON are exact.
+    """
+    want = {**_blind_key(man), "version": MODEL_FORMAT_VERSION}
+    docs = []
+    reason = None
+    for name in ("blind_model.json", "blind_cv.json"):
+        try:
+            with open(man.out_dir / name) as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            reason = f"no {name} in {man.out_dir}"
+            break
+        except (OSError, ValueError) as err:
+            reason = f"{name} is unreadable ({err})"
+            break
+        stale = next((k for k, v in want.items() if doc.get(k) != v), None)
+        if stale is not None:
+            reason = f"{name} has a different {stale}"
+            break
+        docs.append(doc)
+    if reason is None:
+        try:
+            return BlindContext(
+                spec=spec, model=model_from_dict(docs[0]), cv=cv_result_from_dict(docs[1])
+            )
+        except (SchemaError, KeyError, TypeError, ValueError) as err:
+            reason = f"stored blinded fit is malformed ({err!r})"
+    print(f"note: refitting the blinded model: {reason}", file=sys.stderr)
+    return prepare_blind_context(dataset, spec)
 
 
 def _blind_spec(man: RunManifest) -> BlindSpec:
@@ -98,22 +164,22 @@ def _fit_all(dataset, man: RunManifest):
     return cv, model
 
 
-def _write_residual_join(resid, path: Path, width, n, man: RunManifest) -> None:
-    """FIPS-keyed export for choropleth tools, full precision."""
+def _write_residual_join(scores, path: Path, man: RunManifest) -> None:
+    """FIPS-keyed export for choropleth tools, full precision.
+
+    The sigmas are the scored ones, so they agree with the ranking and the
+    scores JSON whichever null (analytic or MC) produced them.
+    """
     import csv
 
-    rows = sorted(
-        zip(resid.keys, resid.residual),
-        key=lambda kv: kv[0].fips,
-    )
     with open(path, "w", newline="") as fh:
         fh.write(f"# {_comment(man)}\n")
         writer = csv.writer(fh)
         writer.writerow(["fips", "residual", "local_sigma", "global_sigma"])
-        for key, r in rows:
-            z = anomaly.local_significance(float(r), width)
-            g = anomaly.global_significance_analytic(z, n)
-            writer.writerow([key.fips, repr(float(r)), repr(z), repr(g)])
+        for s in sorted(scores, key=lambda s: s.key.fips):
+            writer.writerow(
+                [s.key.fips, repr(s.residual), repr(s.local_sigma), repr(s.global_sigma)]
+            )
 
 
 def _print_top(scores, top_n: int = 10) -> None:
@@ -199,7 +265,7 @@ def cmd_fit(args) -> int:
     resid = residuals(model, dataset)
     width = fit_width(resid)
     mc = McConfig(n_counties=dataset.n, trials=man.mc_trials, seed=man.mc_seed)
-    scores = score_counties(resid, width, mc=mc, threads=args.threads)
+    scores = score_counties(resid, width, mc=mc, threads=args.threads, store=_mc_store(man))
 
     _write_json(model_to_dict(model), out / "model.json", man)
     _write_json(cv_result_to_dict(cv), out / "cv.json", man)
@@ -216,7 +282,7 @@ def cmd_fit(args) -> int:
             "mc_seed": man.mc_seed,
         },
     )
-    _write_residual_join(resid, out / "residuals.csv", width, dataset.n, man)
+    _write_residual_join(scores, out / "residuals.csv", man)
 
     print(f"counties: {dataset.n}")
     print(f"selected: l1_ratio={cv.selected.l1_ratio} alpha={cv.selected.alpha:.6g}")
@@ -239,11 +305,13 @@ def cmd_blind(args) -> int:
     spec = _blind_spec(man)
     ctx = prepare_blind_context(dataset, spec)
     result = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads
+        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads,
+        mc_store=_mc_store(man),
     )
 
-    _write_json(model_to_dict(result.model), out / "blind_model.json", man)
-    _write_json(cv_result_to_dict(result.cv), out / "blind_cv.json", man)
+    key = _blind_key(man)
+    _write_json({**key, **model_to_dict(result.model)}, out / "blind_model.json", man)
+    _write_json({**key, **cv_result_to_dict(result.cv)}, out / "blind_cv.json", man)
     anomaly.write_ranking_csv(result.scores, out / "blind_ranking.csv", comment=_comment(man))
     anomaly.write_scores_json(
         result.scores,
@@ -259,9 +327,7 @@ def cmd_blind(args) -> int:
             "eval_states": sorted(spec.eval_states),
         },
     )
-    _write_residual_join(
-        result.residuals, out / "blind_residuals.csv", result.width, result.residuals.n, man
-    )
+    _write_residual_join(result.scores, out / "blind_residuals.csv", man)
 
     train_resid = residuals(result.model, dataset.subset_states(spec.train_states))
     print(f"selected: l1_ratio={result.cv.selected.l1_ratio} alpha={result.cv.selected.alpha:.6g}")
@@ -303,9 +369,10 @@ def cmd_inject(args) -> int:
         k=inj_cfg["k"],
         direction=Direction.parse(inj_cfg["direction"]),
     )
-    ctx = prepare_blind_context(dataset, spec)
+    ctx = _blind_context(man, dataset, spec)
     baseline = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads
+        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads,
+        mc_store=_mc_store(man),
     )
     base_by_fips = {s.key.fips: (i, s) for i, s in enumerate(baseline.scores)}
     if inj.fips not in base_by_fips:
@@ -322,6 +389,7 @@ def cmd_inject(args) -> int:
         mc_seed=man.mc_seed,
         threads=args.threads,
         context=ctx,
+        mc_store=_mc_store(man),
     )
 
     comparison = {
@@ -379,7 +447,7 @@ def cmd_sweep(args) -> int:
     dataset = _load(man)
     spec = _blind_spec(man)
     states = man.require("sweep_states", "[sweep] states")
-    ctx = prepare_blind_context(dataset, spec)
+    ctx = _blind_context(man, dataset, spec)
     all_curves = []
     for state in states:
         curves = sweep(
@@ -414,7 +482,9 @@ def cmd_calibrate(args) -> int:
         cfg = McConfig(n_counties=n, trials=man.mc_trials, seed=man.mc_seed)
         for z in man.calibrate_z:
             analytic = anomaly.global_significance_analytic(z, n)
-            est = anomaly.global_significance_mc(z, cfg, threads=args.threads)
+            est = anomaly.global_significance_mc(
+                z, cfg, threads=args.threads, store=_mc_store(man)
+            )
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands
             else:

@@ -118,17 +118,18 @@ class Dataset:
             )
         if len(set(self.feature_names)) != len(self.feature_names):
             raise DataError("feature names are not unique")
-        seen = set()
-        for key in self.keys:
-            if key.fips in seen:
+        index = {}
+        for i, key in enumerate(self.keys):
+            if key.fips in index:
                 raise DataError(f"duplicate county FIPS {key.fips}")
-            seen.add(key.fips)
+            index[key.fips] = i
             if key.state == "AK":
                 raise DataError(f"Alaska county {key.fips} not allowed in a Dataset")
         if not np.all(np.isfinite(self.X)):
             raise DataError("feature matrix contains non-finite entries")
         if self.target_year not in self.rep or self.target_year not in self.dem:
             raise DataError(f"no tallies stored for target year {self.target_year}")
+        object.__setattr__(self, "_index", index)  # fips -> row, for index_of
 
     @property
     def n(self) -> int:
@@ -183,10 +184,10 @@ class Dataset:
         return self.rep[year] / totals
 
     def index_of(self, fips: str) -> int:
-        for i, key in enumerate(self.keys):
-            if key.fips == fips:
-                return i
-        raise DataError(f"county {fips} not in dataset")
+        try:
+            return self._index[fips]
+        except KeyError:
+            raise DataError(f"county {fips} not in dataset") from None
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)

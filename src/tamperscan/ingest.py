@@ -11,6 +11,7 @@ is imputed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -459,6 +460,17 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "") -> None:
 
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + "_meta.json")
+
+
+def dataset_sha256(csv_path) -> str:
+    """sha256 over the bytes of a dataset pair: <csv_path>, then its metadata file."""
+    csv_path = Path(csv_path)
+    h = hashlib.sha256()
+    for path in (csv_path, _meta_path(csv_path)):
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                h.update(block)
+    return h.hexdigest()
 
 
 def load_dataset(csv_path) -> Dataset:

@@ -203,17 +203,19 @@ def score_eval_set(
     mc_trials: int | None = None,
     mc_seed: int = 0,
     threads: int = 1,
+    mc_store=None,
 ) -> BlindResult:
     """Score the evaluation states of `dataset` under a prepared context.
 
     The look-elsewhere N is the evaluation-county count and the width is fit
-    on the evaluation residuals themselves.
+    on the evaluation residuals themselves. `mc_store` is the MC table
+    directory of anomaly.mc_extremes.
     """
     eval_ds = dataset.subset_states(ctx.spec.eval_states)
     resid = residuals(ctx.model, eval_ds)
     width = fit_width(resid)
     mc = McConfig(n_counties=resid.n, trials=mc_trials, seed=mc_seed) if mc_trials else None
-    scores = score_counties(resid, width, mc=mc, threads=threads)
+    scores = score_counties(resid, width, mc=mc, threads=threads, store=mc_store)
     return BlindResult(
         model=ctx.model,
         cv=ctx.cv,
@@ -221,18 +223,6 @@ def score_eval_set(
         width=width,
         scores=tuple(sorted_scores(scores)),
     )
-
-
-def blind_fit(
-    dataset: Dataset,
-    spec: BlindSpec,
-    mc_trials: int | None = None,
-    mc_seed: int = 0,
-    threads: int = 1,
-) -> BlindResult:
-    """Train on the trusted states, score the held-out states."""
-    ctx = prepare_blind_context(dataset, spec)
-    return score_eval_set(ctx, dataset, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads)
 
 
 def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
@@ -289,6 +279,7 @@ def run_injection_experiment(
     mc_seed: int = 0,
     threads: int = 1,
     context: BlindContext | None = None,
+    mc_store=None,
 ) -> InjectionResult:
     """Inject, run the blinded analysis on the tampered data, locate the
     injected county in the ranking.
@@ -309,7 +300,8 @@ def run_injection_experiment(
     if context is None:
         context = prepare_blind_context(tampered, blind)
     result = score_eval_set(
-        context, tampered, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads
+        context, tampered, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads,
+        mc_store=mc_store,
     )
     for rank, score in enumerate(result.scores, start=1):
         if score.key.fips == inj.fips:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tamperscan import (
     AnomalyScore,
     ConfigError,
+    ConvergenceWarning,
     CountyKey,
     DataError,
     McConfig,
@@ -71,6 +73,16 @@ class TestFitWidth:
         base = np.array([-1.0, 1.0] * 20)
         w = fit_width(np.concatenate([base, [2.9]]))
         assert w.n_used == 41
+
+    def test_warns_when_round_cap_reached(self, monkeypatch):
+        # the outlier inflates round 1's width; round 2 drops it and settles
+        values = np.array([-1.0, 1.0] * 10 + [100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_width(values).clip_iterations == 2
+        monkeypatch.setattr(anomaly, "MAX_CLIP_ITERATIONS", 1)
+        with pytest.warns(ConvergenceWarning, match="after 1 rounds"):
+            assert fit_width(values).clip_iterations == 1
 
     def test_accepts_residual_set_or_array(self):
         values = np.array([-0.25, 0.25] * 6)
@@ -224,6 +236,49 @@ class TestMonteCarlo:
     def test_trial_floor_enforced(self):
         with pytest.raises(ConfigError):
             McConfig(n_counties=10, trials=10)
+
+
+class TestMcStore:
+    CFG = McConfig(n_counties=30, trials=2000, seed=3)
+
+    def _fresh(self):
+        anomaly._extreme_cache.clear()
+        return mc_extremes(self.CFG).copy()
+
+    def test_stored_table_is_read_back_without_drawing(self, tmp_path, monkeypatch):
+        drawn = self._fresh()
+        anomaly._extreme_cache.clear()
+        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
+        (path,) = tmp_path.glob("*.npy")
+        for part in ("t2000", "n30", "s3", f"np{np.__version__}"):
+            assert part in path.name
+        anomaly._extreme_cache.clear()
+        monkeypatch.setattr(anomaly, "_chunk_max_abs", None)  # any draw would fail
+        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "float32", "short", "unsorted", "nan"]
+    )
+    def test_invalid_file_is_redrawn(self, tmp_path, damage):
+        drawn = self._fresh()
+        path = tmp_path / anomaly._table_file(self.CFG)
+        if damage == "truncated":
+            np.save(path, drawn)
+            path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "garbage":
+            path.write_bytes(b"not a table")
+        else:
+            bad = {
+                "float32": drawn.astype(np.float32),
+                "short": drawn[:-1],
+                "unsorted": drawn[::-1],
+                "nan": np.where(np.arange(drawn.size) == 5, np.nan, drawn),
+            }[damage]
+            np.save(path, bad)
+        anomaly._extreme_cache.clear()
+        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
+        assert np.array_equal(anomaly._read_table(path, self.CFG.trials), drawn)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestScoreCounties:

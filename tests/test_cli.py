@@ -1,11 +1,15 @@
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamperscan import load_dataset, manifest_hash
+from tamperscan import McConfig, anomaly, load_dataset, manifest_hash, mc_extremes, scenarios
 from tamperscan.cli import main
+from tamperscan.ingest import save_dataset
+from tamperscan.scenarios import Direction, InjectionSpec, inject_flips
 
 from conftest import make_dataset
 
@@ -67,6 +71,29 @@ def _hash_of(ws):
     return manifest_hash(ws / "run.ini")
 
 
+def _outputs(out):
+    """A command's output files; subdirectories such as mc_null/ are caches."""
+    return sorted(p for p in out.iterdir() if p.is_file())
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of its call args."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _new_process():
+    """Empty the in-process MC table cache, as a fresh CLI process starts."""
+    anomaly._extreme_cache.clear()
+
+
 class TestSynth:
     def test_outputs(self, workspace):
         out = workspace / "out"
@@ -106,14 +133,26 @@ class TestFit:
         assert main(
             ["fit", "--manifest", _man(workspace), "--out", str(other), "--threads", "4"]
         ) == 0
-        for f in sorted(fit_out.iterdir()):
+        for f in _outputs(fit_out):
             assert (other / f.name).read_bytes() == f.read_bytes(), f.name
 
     def test_rerun_is_byte_identical(self, workspace, fit_out, tmp_path_factory):
         again = tmp_path_factory.mktemp("fit_again")
         assert main(["fit", "--manifest", _man(workspace), "--out", str(again)]) == 0
-        for f in sorted(fit_out.iterdir()):
+        for f in _outputs(fit_out):
             assert (again / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_residual_export_sigmas_match_scores(self, fit_out):
+        scored = {
+            c["fips"]: c for c in json.loads((fit_out / "scores.json").read_text())["counties"]
+        }
+        with open(fit_out / "residuals.csv", newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert sorted(r["fips"] for r in rows) == sorted(scored)
+        for row in rows:
+            county = scored[row["fips"]]
+            assert float(row["local_sigma"]) == county["local_sigma"], row["fips"]
+            assert float(row["global_sigma"]) == county["global_sigma"], row["fips"]
 
     def test_seed_override_changes_hash(self, workspace, tmp_path_factory):
         out = tmp_path_factory.mktemp("fit_seed")
@@ -181,6 +220,102 @@ class TestBlindInjectSweepCalibrate:
         text = capsys.readouterr().out
         assert "4 sigma global threshold" in text
         assert "DISAGREES" not in text
+
+
+@pytest.fixture
+def private_ws(workspace, tmp_path):
+    """A copy of the workspace whose manifest and dataset a test may edit."""
+    (tmp_path / "out").mkdir()
+    shutil.copyfile(workspace / "run.ini", tmp_path / "run.ini")
+    for name in ("dataset.csv", "dataset_meta.json"):
+        shutil.copyfile(workspace / "out" / name, tmp_path / "out" / name)
+    return tmp_path
+
+
+class TestReuseAcrossCommands:
+    """Later commands on one output directory reuse the blinded fit `blind`
+    stored and the MC null tables kept in mc_null/, with unchanged outputs."""
+
+    def test_blind_chain_fits_once_and_matches_fresh_runs(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
+        chunks = _counting(monkeypatch, anomaly, "_chunk_max_abs")
+        chained = tmp_path / "chained"
+        drawn = {}
+        for cmd in ("blind", "inject", "sweep"):
+            _new_process()
+            assert main([cmd, "--manifest", _man(workspace), "--out", str(chained)]) == 0
+            drawn[cmd] = len(chunks) - sum(drawn.values())
+        assert len(cv_calls) == 1
+        assert drawn["blind"] > 0 and drawn["inject"] == 0
+        assert "refitting" not in capsys.readouterr().err
+
+        for cmd in ("inject", "sweep"):
+            fresh = tmp_path / f"fresh_{cmd}"
+            _new_process()
+            assert main([cmd, "--manifest", _man(workspace), "--out", str(fresh)]) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("note: refitting the blinded model: no blind_model.json")
+            assert len(err.splitlines()) == 1
+            for f in _outputs(fresh):
+                assert (chained / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
+        assert len(cv_calls) == 3
+
+    @pytest.mark.parametrize("edit", ["manifest_sha256", "dataset_sha256"])
+    def test_edited_input_forces_refit(self, private_ws, monkeypatch, capsys, edit):
+        man, out = _man(private_ws), private_ws / "out"
+        assert main(["blind", "--manifest", man]) == 0
+        if edit == "manifest_sha256":
+            with open(private_ws / "run.ini", "a") as fh:
+                fh.write("# edited\n")
+        else:
+            # move votes in a training county, so a stale model would score differently
+            ds = load_dataset(out / "dataset.csv")
+            i = next(i for i, k in enumerate(ds.keys) if k.state == "TX")
+            flip = InjectionSpec(ds.keys[i].fips, int(ds.rep[2020][i]) // 2, Direction.R_TO_D)
+            save_dataset(inject_flips(ds, flip), out / "dataset.csv", _hash_of(private_ws))
+        capsys.readouterr()
+        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
+        assert main(["inject", "--manifest", man]) == 0
+        assert len(cv_calls) == 1
+        err = capsys.readouterr().err
+        assert err == f"note: refitting the blinded model: blind_model.json has a different {edit}\n"
+        fresh = private_ws / "fresh"
+        assert main(["inject", "--manifest", man, "--out", str(fresh)]) == 0
+        for f in _outputs(fresh):
+            assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_calibrate_after_fit_draws_no_shared_table(self, private_ws, monkeypatch):
+        with open(private_ws / "run.ini", "a") as fh:
+            fh.write("\n[calibrate]\nn_grid = 100, 300\n")
+        man = _man(private_ws)
+        _new_process()
+        assert main(["fit", "--manifest", man]) == 0
+        _new_process()
+        chunks = _counting(monkeypatch, anomaly, "_chunk_max_abs")
+        assert main(["calibrate", "--manifest", man]) == 0
+        assert {args[1] for args in chunks} == {100}  # N = 300 came from fit's table
+        fresh = private_ws / "fresh"
+        _new_process()
+        assert main(["calibrate", "--manifest", man, "--out", str(fresh)]) == 0
+        calibration = (private_ws / "out" / "calibration.csv").read_bytes()
+        assert calibration == (fresh / "calibration.csv").read_bytes()
+
+    def test_truncated_table_is_redrawn(self, private_ws):
+        man, out = _man(private_ws), private_ws / "out"
+        _new_process()
+        assert main(["fit", "--manifest", man]) == 0
+        before = {f.name: f.read_bytes() for f in _outputs(out)}
+        (table_file,) = (out / "mc_null").glob("*.npy")
+        data = table_file.read_bytes()
+        table_file.write_bytes(data[: len(data) // 2])
+        _new_process()
+        assert main(["fit", "--manifest", man]) == 0
+        assert {f.name: f.read_bytes() for f in _outputs(out)} == before
+        _new_process()
+        fresh = mc_extremes(McConfig(n_counties=300, trials=20000, seed=0))
+        assert np.array_equal(anomaly._read_table(table_file, 20000), fresh)
 
 
 class TestIngest:
