@@ -37,10 +37,8 @@ def main():
     dataset, _ = generate_synthetic(
         SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, seed=7)
     )
-    # threads drive the MC null and sweep pools; cross-validation inside
-    # prepare_blind_context always runs on one thread
     ctx = prepare_blind_context(dataset, SPEC)
-    result = score_eval_set(ctx, dataset, threads=4)
+    result = score_eval_set(ctx, dataset)
 
     print(f"trained on {sorted(SPEC.train_states)}")
     print(f"scoring {result.residuals.n} counties in {sorted(SPEC.eval_states)}, "
@@ -64,7 +62,7 @@ def main():
     inj = run_injection_experiment(
         dataset, SPEC,
         InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D),
-        threads=4, context=ctx,
+        context=ctx,
     )
     s = inj.injected
     print(f"after injection: rank {inj.rank} of {result.residuals.n}, "

@@ -37,11 +37,10 @@ def main():
         eval_states=frozenset({"GA", "MI", "PA", "WI"}),
         cv=CvSettings(l1_grid=(0.5, 1.0), n_alphas=25),
     )
-    # cross-validation runs on one thread; threads drive the sweep pool below
     ctx = prepare_blind_context(dataset, spec)
 
     margin = state_summary(dataset, STATE).margin
-    curves = sweep(dataset, spec, STATE, context=ctx, threads=4)
+    curves = sweep(dataset, spec, STATE, context=ctx)
     print(f"{STATE}: margin {margin:,.0f}, {len(curves)} detection curves")
 
     for c in curves:

@@ -33,7 +33,7 @@ SPEC = SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, s
 def analyze(dataset, label):
     y = dataset.shares()
     # cross-validation runs on one thread; thread counts only matter to the
-    # MC null and sweep pools
+    # MC null table
     cv = cross_validate(dataset.X, y, l1_grid=(0.5, 1.0), n_alphas=25)
     Xs, params = standardize(dataset.X, dataset.feature_names)
     model = fit(Xs, y, cv.selected, params)

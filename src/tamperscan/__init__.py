@@ -14,7 +14,6 @@ from .anomaly import (
     ResidualSet,
     WidthFit,
     analytic_sigma_curve,
-    counting_noise_floor,
     fit_width,
     global_significance_analytic,
     global_significance_mc,
@@ -30,13 +29,11 @@ from .anomaly import (
 )
 from .data_model import (
     CountyKey,
-    CountyRecord,
     Dataset,
     StandardizationParams,
     SyntheticSpec,
     VoteTally,
     apply_standardization,
-    compute_vote_share,
     generate_synthetic,
     standardize,
 )
@@ -57,7 +54,6 @@ from .errors import (
     ConfigError,
     ConvergenceWarning,
     DataError,
-    FetchError,
     NumericalError,
     SchemaError,
     TamperscanError,
@@ -65,7 +61,6 @@ from .errors import (
 from .ingest import (
     assemble_dataset,
     clean_features,
-    fetch_acs,
     load_dataset,
     parse_election,
     parse_table,

@@ -198,36 +198,24 @@ def global_significance_analytic(local_z: float, n_counties: int) -> float:
     p_global = 1 - (1 - p_local)^N is the chance any of N clean counties
     fluctuates that far; the result is the two-sided sigma with that global
     tail. Computed with expm1/log1p so tiny tails survive, and capped at
-    |z| (the N = 1 value) against rounding.
+    |z| (the N = 1 value) against rounding. One-value form of
+    analytic_sigma_curve.
     """
-    if not np.isfinite(local_z):
-        raise NumericalError(f"local z must be finite, got {local_z}")
-    if n_counties < 1:
-        raise ConfigError(f"n_counties must be at least 1, got {n_counties}")
-    z = abs(float(local_z))
-    if n_counties == 1:
-        return z
-    p_local = float(erfc(z / np.sqrt(2.0)))
-    if p_local == 0.0:
-        # tail underflowed float64 (|z| > ~38); correction is negligible
-        return z
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at z = 0 is fine
-        p_global = -np.expm1(n_counties * np.log1p(-p_local))
-    sigma = float(-ndtri(0.5 * p_global)) + 0.0
-    return min(z, sigma)
+    return float(analytic_sigma_curve(np.array([local_z], dtype=np.float64), n_counties)[0])
 
 
 def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
-    """Vectorized global_significance_analytic over an array of local z.
+    """global_significance_analytic over an array of local z.
 
-    Same conventions and cap as the scalar form; used where many z values
-    share one look-elsewhere N (detection sweeps, calibration tables).
+    Used where many z values share one look-elsewhere N (detection sweeps,
+    calibration tables). A local z whose tail underflows float64
+    (|z| > ~38) is returned as is; the correction there is negligible.
     """
     if n_counties < 1:
         raise ConfigError(f"n_counties must be at least 1, got {n_counties}")
     z = np.abs(np.asarray(z_values, dtype=np.float64))
     if not np.all(np.isfinite(z)):
-        raise NumericalError("non-finite local z in curve")
+        raise NumericalError("local z must be finite")
     if n_counties == 1:
         return z.copy()
     p_local = erfc(z / np.sqrt(2.0))
@@ -327,19 +315,12 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
 
 def _draw_table(config: McConfig, threads: int) -> np.ndarray:
     n_chunks = -(-config.trials // _MC_CHUNK)
-    parts: list[np.ndarray | None] = [None] * n_chunks
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_chunk_max_abs, config.trials, config.n_counties, config.seed, c): c
-                for c in range(n_chunks)
-            }
-            for fut, c in futures.items():
-                parts[c] = fut.result()
-    else:
-        for c in range(n_chunks):
-            parts[c] = _chunk_max_abs(config.trials, config.n_counties, config.seed, c)
-    return np.sort(np.concatenate(parts))
+
+    def draw(chunk: int) -> np.ndarray:
+        return _chunk_max_abs(config.trials, config.n_counties, config.seed, chunk)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.sort(np.concatenate(list(pool.map(draw, range(n_chunks)))))
 
 
 def _sigma_from_p(p: float, cap: float) -> float:
@@ -515,16 +496,6 @@ def write_scores_json(scores, path, meta: dict | None = None) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def counting_noise_floor(total_two_party_votes: int) -> float:
-    """Relative share uncertainty from vote-count quantization, 1/sqrt(T).
-
-    Diagnostic only; it never enters the significance math.
-    """
-    if total_two_party_votes <= 0:
-        raise DataError(f"vote total must be positive, got {total_two_party_votes}")
-    return 1.0 / float(np.sqrt(total_two_party_votes))
 
 
 def size_correlation(resid: ResidualSet, dataset: Dataset, year: int | None = None) -> float:

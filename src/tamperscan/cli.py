@@ -12,13 +12,12 @@ every command keeps its MC null tables in mc_null/. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, anomaly, charts, scenarios
+from . import __version__, anomaly, charts
 from .anomaly import McConfig, fit_width, residuals, score_counties, size_correlation
 from .data_model import generate_synthetic, standardize
 from .elastic_net import (
@@ -32,7 +31,6 @@ from .elastic_net import (
 )
 from .errors import ConfigError, DataError, NumericalError, SchemaError
 from .ingest import (
-    CleaningReport,
     assemble_dataset,
     clean_features,
     dataset_sha256,
@@ -87,14 +85,21 @@ def _mc_store(man: RunManifest) -> Path:
     return man.out_dir / "mc_null"
 
 
-def _blind_key(man: RunManifest) -> dict:
+def _blind_key(man: RunManifest, spec: BlindSpec) -> dict:
     """What the blinded fit depends on, stamped into the files `blind` writes.
 
-    The manifest hash covers the blind and CV settings; the dataset hash
-    covers the bytes of dataset.csv and its metadata file.
+    That is the blind spec (train and eval states and every CV setting,
+    normalized through JSON as the files store it) and a hash of the bytes
+    of dataset.csv and its metadata file. The MC, injection and sweep
+    settings are not part of it, so changing them does not force a refit.
     """
+    blind_spec = {
+        "train_states": sorted(spec.train_states),
+        "eval_states": sorted(spec.eval_states),
+        "cv": dataclasses.asdict(spec.cv),
+    }
     return {
-        "manifest_sha256": man.sha256,
+        "blind_spec": json.loads(json.dumps(blind_spec)),
         "dataset_sha256": dataset_sha256(_dataset_path(man)),
         "tamperscan_version": __version__,
     }
@@ -108,7 +113,7 @@ def _blind_context(man: RunManifest, dataset, spec: BlindSpec) -> BlindContext:
     does it and one line on stderr says why. The result is the same either
     way, because the model and CV round-trips through JSON are exact.
     """
-    want = {**_blind_key(man), "version": MODEL_FORMAT_VERSION}
+    want = {**_blind_key(man, spec), "version": MODEL_FORMAT_VERSION}
     docs = []
     reason = None
     for name in ("blind_model.json", "blind_cv.json"):
@@ -309,7 +314,7 @@ def cmd_blind(args) -> int:
         mc_store=_mc_store(man),
     )
 
-    key = _blind_key(man)
+    key = _blind_key(man, spec)
     _write_json({**key, **model_to_dict(result.model)}, out / "blind_model.json", man)
     _write_json({**key, **cv_result_to_dict(result.cv)}, out / "blind_cv.json", man)
     anomaly.write_ranking_csv(result.scores, out / "blind_ranking.csv", comment=_comment(man))
@@ -450,9 +455,7 @@ def cmd_sweep(args) -> int:
     ctx = _blind_context(man, dataset, spec)
     all_curves = []
     for state in states:
-        curves = sweep(
-            dataset, spec, state, k_step=man.sweep_k_step, threads=args.threads, context=ctx
-        )
+        curves = sweep(dataset, spec, state, k_step=man.sweep_k_step, context=ctx)
         if not curves:
             print(f"{state}: no county is large enough to flip the state")
             continue
@@ -558,8 +561,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the manifest output directory")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="worker threads for the MC null and sweep pools (results identical at "
-            "any count); CV always runs on one thread",
+            help="worker threads for the MC null table (results identical at any "
+            "count); everything else runs on one thread",
         )
         p.add_argument("--trials", type=int, default=None, help="override Monte Carlo trial count")
         p.add_argument("--seed", type=int, default=None, help="override every seed in the manifest")
@@ -570,6 +573,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

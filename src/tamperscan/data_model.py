@@ -8,7 +8,7 @@ from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,29 +68,6 @@ class VoteTally:
     @property
     def total(self) -> int:
         return self.rep_votes + self.dem_votes
-
-
-def compute_vote_share(tally: VoteTally, county: str = "") -> float:
-    """Republican two-party share R / (R + D) for one tally.
-
-    Third-party votes never enter the denominator. A zero two-party total is
-    a domain error naming the county.
-    """
-    total = tally.total
-    if total <= 0:
-        where = f" in county {county}" if county else ""
-        raise DataError(f"zero two-party total{where} (year {tally.year})")
-    return tally.rep_votes / total
-
-
-@dataclass(frozen=True)
-class CountyRecord:
-    """One county's key, feature values, and per-year tallies."""
-
-    key: CountyKey
-    feature_names: tuple[str, ...]
-    features: np.ndarray
-    tallies: dict[int, VoteTally]
 
 
 @dataclass(frozen=True)
@@ -158,18 +135,6 @@ class Dataset:
     def tally(self, i: int, year: int | None = None) -> VoteTally:
         year = self.target_year if year is None else year
         return VoteTally(year, int(self.rep[year][i]), int(self.dem[year][i]))
-
-    def county(self, i: int) -> CountyRecord:
-        return CountyRecord(
-            key=self.keys[i],
-            feature_names=self.feature_names,
-            features=self.X[i],
-            tallies={y: self.tally(i, y) for y in self.years},
-        )
-
-    @property
-    def counties(self) -> list[CountyRecord]:
-        return [self.county(i) for i in range(self.n)]
 
     def shares(self, year: int | None = None) -> np.ndarray:
         """Vote shares for every county in `year` (default: target year)."""

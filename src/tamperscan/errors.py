@@ -21,14 +21,6 @@ class SchemaError(DataError):
     """Column/feature-name mismatch between two artifacts."""
 
 
-class FetchError(DataError):
-    """Remote table download failed; safe to retry."""
-
-    def __init__(self, message, retriable=True):
-        super().__init__(message)
-        self.retriable = retriable
-
-
 class NumericalError(TamperscanError):
     """Degenerate or non-finite numerical state."""
 

@@ -13,17 +13,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data_model import CountyKey, Dataset, VoteTally
-from .errors import ConfigError, DataError, FetchError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 from .fips import normalize_fips, state_for_fips
 
 SOURCE_IDS = ("DP02", "DP03", "DP05", "election")
@@ -158,7 +155,7 @@ def _to_float(cell: str) -> float | None:
         return None
 
 
-def clean_features(tables, moe_pattern=None) -> tuple[FeatureTable, CleaningReport]:
+def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     """Apply the column-cleaning rules to demographic tables, in order:
     margin-of-error columns out, duplicate identifiers resolved by
     DP02 > DP03 > DP05 precedence, then any column not fully numeric over
@@ -171,7 +168,6 @@ def clean_features(tables, moe_pattern=None) -> tuple[FeatureTable, CleaningRepo
             raise ConfigError("election tables do not belong in clean_features")
     if len({t.source_id for t in tables}) != len(tables):
         raise ConfigError("duplicate source_id among feature tables")
-    pattern = moe_pattern or DEFAULT_MOE_PATTERN
     tables.sort(key=lambda t: _TABLE_PRECEDENCE[t.source_id])
     report = CleaningReport()
 
@@ -193,7 +189,7 @@ def clean_features(tables, moe_pattern=None) -> tuple[FeatureTable, CleaningRepo
     seen_names: dict[str, str] = {}
     for t in tables:
         for col in t.columns:
-            if pattern.search(col):
+            if DEFAULT_MOE_PATTERN.search(col):
                 report.dropped_moe_columns.append(
                     {"table": t.source_id, "column": col, "reason": "margin_of_error"}
                 )
@@ -379,44 +375,6 @@ def assemble_dataset(
         keys=keys, feature_names=names, X=X, rep=rep, dem=dem, target_year=target_year
     )
     return dataset, report
-
-
-def fetch_acs(endpoint: str, year: int, table_ids, cache_dir, transport=None):
-    """Download (or reuse cached) survey tables, then parse them.
-
-    `endpoint` may contain {year} and {table} placeholders; otherwise the
-    path <endpoint>/<year>/<table>.csv is used. A present cache file skips
-    the network entirely. `transport` is a callable url -> bytes, injectable
-    for testing; the default uses urllib.
-    """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    if transport is None:
-        transport = _urllib_transport
-    tables = []
-    for table_id in table_ids:
-        cache_file = cache_dir / f"acs_{year}_{table_id}.csv"
-        if not cache_file.exists():
-            if "{" in endpoint:
-                url = endpoint.format(year=year, table=table_id)
-            else:
-                url = f"{endpoint.rstrip('/')}/{year}/{table_id}.csv"
-            payload = transport(url)
-            tmp = cache_file.with_suffix(".tmp")
-            tmp.write_bytes(payload)
-            os.replace(tmp, cache_file)
-        tables.append(parse_table(cache_file, table_id))
-    return tables
-
-
-def _urllib_transport(url: str) -> bytes:
-    try:
-        with urllib.request.urlopen(url, timeout=60) as resp:
-            return resp.read()
-    except urllib.error.HTTPError as err:
-        raise FetchError(f"HTTP {err.code} fetching {url}") from err
-    except urllib.error.URLError as err:
-        raise FetchError(f"network failure fetching {url}: {err.reason}") from err
 
 
 # --- canonical dataset files ------------------------------------------------

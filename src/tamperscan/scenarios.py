@@ -11,7 +11,6 @@ detectability curve and the constrained/unconstrained classification.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -376,7 +375,9 @@ def sweep(
     exceed the state margin M. k runs from 0 to min(source votes, 2M) in
     steps of max(1, M // 50) (finer if k_step is given), endpoint included.
     One blinded model (training never sees eval states) and the baseline
-    evaluation width serve every curve.
+    evaluation width serve every curve. `threads` is accepted and ignored:
+    each curve is one vectorized call, and a thread pool over curves was
+    slower than this loop.
     """
     if state not in blind.eval_states:
         raise ConfigError(f"sweep state {state} is not in the evaluation set")
@@ -399,45 +400,34 @@ def sweep(
     if step < 1:
         raise ConfigError(f"k_step must be at least 1, got {step}")
 
-    jobs = []
+    curves = []
     for i, key in enumerate(sub.keys):
         rep = int(sub.rep[year][i])
         dem = int(sub.dem[year][i])
         for direction, source in ((Direction.R_TO_D, rep), (Direction.D_TO_R, dem)):
-            if source > margin:
-                jobs.append((key, rep, dem, direction, source))
-
-    def build(job) -> SweepCurve:
-        key, rep, dem, direction, source = job
-        k_max = min(source, 2 * margin)
-        ks = list(range(0, k_max + 1, step))
-        if ks[-1] != k_max:
-            ks.append(k_max)
-        ks = np.asarray(ks, dtype=np.int64)
-        sigmas = _curve_sigmas(
-            rep, dem, pred_by_fips[key.fips], width, ks, direction, n_eval
-        )
-        hits = np.flatnonzero(sigmas >= DETECTION_SIGMA)
-        k_detect = int(ks[hits[0]]) if hits.size else None
-        return SweepCurve(
-            fips=key.fips,
-            county=key.name,
-            state=key.state,
-            direction=direction,
-            samples=tuple((int(k), float(s)) for k, s in zip(ks, sigmas)),
-            margin=margin,
-            flip_threshold=margin // 2 + 1,
-            k_detect=k_detect,
-        )
-
-    if threads > 1 and len(jobs) > 1:
-        curves: list[SweepCurve | None] = [None] * len(jobs)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(build, job): j for j, job in enumerate(jobs)}
-            for fut, j in futures.items():
-                curves[j] = fut.result()
-    else:
-        curves = [build(job) for job in jobs]
+            if source <= margin:
+                continue
+            k_max = min(source, 2 * margin)
+            ks = list(range(0, k_max + 1, step))
+            if ks[-1] != k_max:
+                ks.append(k_max)
+            ks = np.asarray(ks, dtype=np.int64)
+            sigmas = _curve_sigmas(
+                rep, dem, pred_by_fips[key.fips], width, ks, direction, n_eval
+            )
+            hits = np.flatnonzero(sigmas >= DETECTION_SIGMA)
+            curves.append(
+                SweepCurve(
+                    fips=key.fips,
+                    county=key.name,
+                    state=key.state,
+                    direction=direction,
+                    samples=tuple((int(k), float(s)) for k, s in zip(ks, sigmas)),
+                    margin=margin,
+                    flip_threshold=margin // 2 + 1,
+                    k_detect=int(ks[hits[0]]) if hits.size else None,
+                )
+            )
     curves.sort(key=lambda c: (c.fips, c.direction.value))
     return curves
 

@@ -235,7 +235,7 @@ def test_sweep_monotone_and_injection_reversible():
     ctx = prepare_blind_context(ds, spec)
     n_curves = 0
     for state in ("GA", "MI"):
-        for curve in sweep(ds, spec, state, context=ctx, threads=THREADS):
+        for curve in sweep(ds, spec, state, context=ctx):
             sigmas = [s for _, s in curve.samples]
             assert all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:])), curve.fips
             n_curves += 1
@@ -400,7 +400,7 @@ def test_dataset_sweep_classifications(county_data, blind_setup):
     t0 = time.perf_counter()
     unc = {}
     for state in sorted(DEFENDANT_STATES):
-        curves = sweep(county_data, spec, state, context=ctx, threads=THREADS)
+        curves = sweep(county_data, spec, state, context=ctx)
         unc[state] = unconstrained_counties(curves)
     assert unc["MI"] == []
     assert {n.split(",")[0].replace(" County", "") for n in unc["PA"]} == {

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erfc, ndtri
 
 from tamperscan import (
     AnomalyScore,
@@ -14,7 +15,6 @@ from tamperscan import (
     NumericalError,
     WidthFit,
     analytic_sigma_curve,
-    counting_noise_floor,
     fit_width,
     global_significance_analytic,
     global_significance_mc,
@@ -40,6 +40,20 @@ def _keys(n, state="GA", start=1):
         CountyKey(fips=f"13{start + 2 * i:03d}", state=state, name=f"County {i}")
         for i in range(n)
     ]
+
+
+def _scalar_reference(local_z, n_counties):
+    """The conversion one z at a time in Python floats, kept as a reference
+    for the vectorized analytic_sigma_curve that now serves both forms."""
+    z = abs(float(local_z))
+    if n_counties == 1:
+        return z
+    p_local = float(erfc(z / np.sqrt(2.0)))
+    if p_local == 0.0:
+        return z
+    with np.errstate(divide="ignore"):
+        p_global = -np.expm1(n_counties * np.log1p(-p_local))
+    return min(z, float(-ndtri(0.5 * p_global)) + 0.0)
 
 
 def _resid_from(values):
@@ -178,10 +192,11 @@ class TestAnalyticGlobal:
             global_significance_analytic(3.0, 0)
 
     def test_curve_matches_scalar(self):
-        zs = np.array([0.0, 1.0, 3.3, 5.5, 41.0])
-        curve = analytic_sigma_curve(zs, 3112)
-        scalar = [global_significance_analytic(float(z), 3112) for z in zs]
-        assert np.allclose(curve, scalar, atol=1e-12)
+        zs = np.concatenate([np.linspace(-9.0, 9.0, 1801), [0.0, 37.5, 38.5, 41.0, -41.0]])
+        for n in (1, 2, 100, 381, 1491, 3112, 10**6):
+            reference = [_scalar_reference(z, n) for z in zs]
+            assert np.array_equal(analytic_sigma_curve(zs, n), reference), n
+            assert [global_significance_analytic(z, n) for z in zs[::50]] == reference[::50], n
 
 
 class TestMonteCarlo:
@@ -355,12 +370,6 @@ class TestRanking:
 
 
 class TestDiagnostics:
-    def test_noise_floor(self):
-        assert counting_noise_floor(400) == 0.05
-        assert counting_noise_floor(10_000) == 0.01
-        with pytest.raises(DataError):
-            counting_noise_floor(0)
-
     def test_size_correlation_sign(self):
         rows = []
         # |residual| grows exactly with log total -> correlation 1

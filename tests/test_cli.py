@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,13 +265,13 @@ class TestReuseAcrossCommands:
                 assert (chained / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
         assert len(cv_calls) == 3
 
-    @pytest.mark.parametrize("edit", ["manifest_sha256", "dataset_sha256"])
+    @pytest.mark.parametrize("edit", ["blind_spec", "dataset_sha256"])
     def test_edited_input_forces_refit(self, private_ws, monkeypatch, capsys, edit):
         man, out = _man(private_ws), private_ws / "out"
         assert main(["blind", "--manifest", man]) == 0
-        if edit == "manifest_sha256":
-            with open(private_ws / "run.ini", "a") as fh:
-                fh.write("# edited\n")
+        if edit == "blind_spec":
+            manifest = private_ws / "run.ini"
+            manifest.write_text(manifest.read_text().replace("n_alphas = 20", "n_alphas = 19"))
         else:
             # move votes in a training county, so a stale model would score differently
             ds = load_dataset(out / "dataset.csv")
@@ -285,6 +288,21 @@ class TestReuseAcrossCommands:
         assert main(["inject", "--manifest", man, "--out", str(fresh)]) == 0
         for f in _outputs(fresh):
             assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_changed_trials_keep_the_blinded_fit(self, private_ws, monkeypatch, capsys):
+        man, out = _man(private_ws), private_ws / "out"
+        assert main(["blind", "--manifest", man]) == 0
+        capsys.readouterr()
+        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
+        for cmd in ("inject", "sweep"):
+            assert main([cmd, "--manifest", man, "--trials", "30000"]) == 0
+        assert len(cv_calls) == 0
+        assert capsys.readouterr().err == ""
+        for cmd in ("inject", "sweep"):
+            fresh = private_ws / f"fresh_{cmd}"
+            assert main([cmd, "--manifest", man, "--trials", "30000", "--out", str(fresh)]) == 0
+            for f in _outputs(fresh):
+                assert (out / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
 
     def test_calibrate_after_fit_draws_no_shared_table(self, private_ws, monkeypatch):
         with open(private_ws / "run.ini", "a") as fh:
@@ -401,8 +419,25 @@ class TestExitCodes:
         assert main(["fit", "--manifest", str(manifest)]) == 4
         assert "numerical error" in capsys.readouterr().err
 
+    def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):
+        argv = ["fit", "--manifest", _man(workspace), "--out", str(tmp_path), "--threads", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: --threads must be at least 1, got 0\n"
+
     def test_unknown_input_key_is_2(self, tmp_path, capsys):
         manifest = tmp_path / "run.ini"
         manifest.write_text("[inputs]\nmystery = x.csv\n")
         assert main(["ingest", "--manifest", str(manifest)]) == 2
         assert "unrecognized input key" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_network_modules():
+    code = (
+        "import sys, tamperscan.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -13,7 +13,6 @@ from tamperscan import (
     SyntheticSpec,
     VoteTally,
     apply_standardization,
-    compute_vote_share,
     generate_synthetic,
     standardize,
 )
@@ -38,19 +37,20 @@ class TestCountyKey:
             CountyKey(fips="13121", state="PA", name="Fulton")
 
 
+def _share(rep, dem):
+    """Dataset.shares for one county with the given tally."""
+    ds = make_dataset([("26163", "MI", "Wayne", [1.0, 2.0], {2020: (rep, dem)})], years=(2020,))
+    return ds.shares()[0]
+
+
 class TestVoteShare:
     def test_simple_fraction(self):
-        assert compute_vote_share(VoteTally(2020, 600, 400)) == 0.6
+        assert _share(600, 400) == 0.6
 
     def test_exact_rational_oracle(self):
         # independent computation through exact rational arithmetic
-        tally = VoteTally(2020, 264553, 597170)
         expected = float(Fraction(264553, 264553 + 597170))
-        assert compute_vote_share(tally) == expected
-
-    def test_zero_total_names_county(self):
-        with pytest.raises(DataError, match="26163"):
-            compute_vote_share(VoteTally(2020, 0, 0), county="26163")
+        assert _share(264553, 597170) == expected
 
     def test_negative_votes_rejected(self):
         with pytest.raises(DataError):

@@ -4,11 +4,9 @@ import pytest
 from tamperscan import (
     ConfigError,
     DataError,
-    FetchError,
     SchemaError,
     assemble_dataset,
     clean_features,
-    fetch_acs,
     load_dataset,
     parse_election,
     parse_table,
@@ -297,38 +295,6 @@ class TestAssembleDataset:
         features, _, e16 = self._parts(tmp_path)
         with pytest.raises(ConfigError, match="target year"):
             assemble_dataset(features, [e16], 2020)
-
-
-class TestFetchAcs:
-    def test_transport_called_once_then_cached(self, tmp_path):
-        calls = []
-
-        def transport(url):
-            calls.append(url)
-            return b"fips,x\n01001,1.5\n"
-
-        t1 = fetch_acs("https://example.test/{year}/{table}", 2019, ["DP02"], tmp_path, transport)
-        t2 = fetch_acs("https://example.test/{year}/{table}", 2019, ["DP02"], tmp_path, transport)
-        assert calls == ["https://example.test/2019/DP02"]
-        assert t1[0].rows == t2[0].rows == {"01001": ("1.5",)}
-
-    def test_default_url_layout(self, tmp_path):
-        seen = []
-
-        def transport(url):
-            seen.append(url)
-            return b"fips,x\n01001,2\n"
-
-        fetch_acs("https://example.test/acs", 2019, ["DP03"], tmp_path, transport)
-        assert seen == ["https://example.test/acs/2019/DP03.csv"]
-
-    def test_fetch_error_propagates_and_leaves_no_cache(self, tmp_path):
-        def transport(url):
-            raise FetchError("HTTP 404 fetching " + url)
-
-        with pytest.raises(FetchError, match="404"):
-            fetch_acs("https://example.test/{year}/{table}", 2019, ["DP02"], tmp_path, transport)
-        assert not (tmp_path / "acs_2019_DP02.csv").exists()
 
 
 class TestDatasetRoundTrip:

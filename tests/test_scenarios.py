@@ -348,10 +348,6 @@ class TestSweep:
         with pytest.raises(ConfigError, match="k_step"):
             sweep(synth, blind_spec, "GA", k_step=0, context=context)
 
-    def test_thread_count_invariance(self, synth, blind_spec, context, ga_curves):
-        threaded = sweep(synth, blind_spec, "GA", threads=4, context=context)
-        assert threaded == ga_curves
-
 
 class TestSweepCurveInvariants:
     def _mk(self, samples, k_detect, margin=1000):
