@@ -45,10 +45,8 @@ from .elastic_net import (
     alpha_path,
     cross_validate,
     fit,
-    load_model,
     objective,
     predict,
-    save_model,
 )
 from .errors import (
     ConfigError,

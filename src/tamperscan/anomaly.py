@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import csv
 import json
-import os
+import math
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
-from .data_model import CountyKey, Dataset, substream
+from .data_model import CountyKey, Dataset, substream, write_atomically
 from .elastic_net import FitModel, predict
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
 
@@ -40,6 +41,17 @@ _MC_CHUNK = 512
 # MC streams live at indices >= 2**32 so they can never collide with the
 # low-numbered streams used for synthesis and fold shuffling on the same seed.
 _MC_STREAM_BASE = 1 << 32
+
+# Special functions come from the standard library: math.erfc and the
+# standard normal quantile (NormalDist, Wichura's AS241), mapped over arrays
+# where arrays flow.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_STANDARD_NORMAL = NormalDist()
+_normal_quantile = np.frompyfunc(_STANDARD_NORMAL.inv_cdf, 1, 1)
+
+# A local tail counts as underflowed once exp(-z^2/2) leaves the normal
+# float64 range, that is once z^2/2 exceeds this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -188,7 +200,7 @@ def two_sided_p(sigma: float) -> float:
     """Two-sided normal tail probability at the given sigma level."""
     if not np.isfinite(sigma):
         raise NumericalError(f"sigma must be finite, got {sigma}")
-    return float(erfc(abs(float(sigma)) / np.sqrt(2.0)))
+    return math.erfc(abs(float(sigma)) / math.sqrt(2.0))
 
 
 def global_significance_analytic(local_z: float, n_counties: int) -> float:
@@ -208,8 +220,8 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
     """global_significance_analytic over an array of local z.
 
     Used where many z values share one look-elsewhere N (detection sweeps,
-    calibration tables). A local z whose tail underflows float64
-    (|z| > ~38) is returned as is; the correction there is negligible.
+    calibration tables). A local z whose tail underflows (|z| > 37.68,
+    where exp(-z^2/2) leaves the normal float64 range) is returned as is.
     """
     if n_counties < 1:
         raise ConfigError(f"n_counties must be at least 1, got {n_counties}")
@@ -218,25 +230,34 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
         raise NumericalError("local z must be finite")
     if n_counties == 1:
         return z.copy()
-    p_local = erfc(z / np.sqrt(2.0))
+    x = z / math.sqrt(2.0)
+    p_local = np.where(x * x > _LOG_FLOAT_MAX, 0.0, _erfc(x).astype(np.float64))
     with np.errstate(divide="ignore"):
         p_global = -np.expm1(n_counties * np.log1p(-p_local))
-    sigma = -ndtri(0.5 * p_global) + 0.0
-    out = np.minimum(z, sigma)
-    out[p_local == 0.0] = z[p_local == 0.0]
-    return out
+    # a global tail of 0 has sigma +inf, so the result caps at |z|
+    tail = 0.5 * p_global
+    sigma = np.full_like(z, np.inf)
+    lifted = tail > 0.0
+    sigma[lifted] = -_normal_quantile(tail[lifted]).astype(np.float64) + 0.0
+    return np.minimum(z, sigma)
 
 
 _extreme_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _extreme_lock = threading.Lock()
 
 
-def _chunk_max_abs(trials: int, n_counties: int, seed: int, chunk: int) -> np.ndarray:
-    start = chunk * _MC_CHUNK
-    m = min(_MC_CHUNK, trials - start)
-    g = substream(seed, _MC_STREAM_BASE + chunk)
-    u = g.standard_normal((m, n_counties))
-    return np.max(np.abs(u), axis=1)
+def _chunk_max_abs(
+    trials: int, n_counties: int, seed: int, chunk: int, buf: np.ndarray
+) -> np.ndarray:
+    """Per-trial max|u| over one chunk's draws, drawn into `buf`.
+
+    `buf` is scratch space of shape (_MC_CHUNK, n_counties); the partial
+    last chunk uses its leading rows. max(max u, -min u) equals max|u| bit
+    for bit and needs no |u| temporary.
+    """
+    u = buf[: min(_MC_CHUNK, trials - chunk * _MC_CHUNK)]
+    substream(seed, _MC_STREAM_BASE + chunk).standard_normal(out=u)
+    return np.maximum(u.max(axis=1), -u.min(axis=1))
 
 
 def _table_file(config: McConfig) -> str:
@@ -268,18 +289,6 @@ def _read_table(path: Path, trials: int) -> np.ndarray | None:
     return table
 
 
-def _write_table(path: Path, table: np.ndarray) -> None:
-    """Write via a temporary file and a rename, so readers never see a partial table."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.lib.format.write_array(fh, table, allow_pickle=False)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     """Sorted per-trial max|u| table for the null of N clean counties.
 
@@ -303,7 +312,9 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     if table is None:
         table = _draw_table(config, threads)
         if path is not None:
-            _write_table(path, table)
+            write_atomically(
+                path, lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
+            )
     table.flags.writeable = False
     with _extreme_lock:
         _extreme_cache[cache_key] = table
@@ -315,9 +326,13 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
 
 def _draw_table(config: McConfig, threads: int) -> np.ndarray:
     n_chunks = -(-config.trials // _MC_CHUNK)
+    scratch = threading.local()  # one chunk buffer per pool thread
 
     def draw(chunk: int) -> np.ndarray:
-        return _chunk_max_abs(config.trials, config.n_counties, config.seed, chunk)
+        buf = getattr(scratch, "buf", None)
+        if buf is None:
+            buf = scratch.buf = np.empty((_MC_CHUNK, config.n_counties))
+        return _chunk_max_abs(config.trials, config.n_counties, config.seed, chunk, buf)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.sort(np.concatenate(list(pool.map(draw, range(n_chunks)))))
@@ -326,7 +341,7 @@ def _draw_table(config: McConfig, threads: int) -> np.ndarray:
 def _sigma_from_p(p: float, cap: float) -> float:
     if p <= 0.0:
         return cap
-    sigma = float(-ndtri(0.5 * p)) + 0.0
+    sigma = -_STANDARD_NORMAL.inv_cdf(0.5 * p) + 0.0
     return min(cap, sigma)
 
 
@@ -463,13 +478,6 @@ def write_ranking_csv(scores, path, top_n: int | None = None, comment: str = "")
         writer = csv.DictWriter(fh, fieldnames=RANKING_COLUMNS)
         writer.writeheader()
         writer.writerows(rank_anomalies(scores, top_n))
-
-
-def read_ranking_csv(path) -> list[dict]:
-    """Parse a ranking export back into its formatted rows."""
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return [dict(row) for row in csv.DictReader(lines)]
 
 
 def write_scores_json(scores, path, meta: dict | None = None) -> None:

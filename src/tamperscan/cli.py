@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, anomaly, charts
 from .anomaly import McConfig, fit_width, residuals, score_counties, size_correlation
-from .data_model import generate_synthetic, standardize
+from .data_model import Dataset, generate_synthetic, standardize
 from .elastic_net import (
     MODEL_FORMAT_VERSION,
     cross_validate,
@@ -76,8 +76,20 @@ def _dataset_path(man: RunManifest) -> Path:
     return man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
 
 
-def _load(man: RunManifest):
-    return load_dataset(_dataset_path(man))
+def _load(man: RunManifest) -> tuple[Dataset, str]:
+    """The dataset and its dataset_sha256, hashed once per command.
+
+    The dataset is read from the binary cache in <out>/dataset_cache/ when
+    that is current, and otherwise parsed from the CSV and cached there.
+    """
+    path = _dataset_path(man)
+    digest = dataset_sha256(path)
+    return load_dataset(path, cache_dir=_dataset_cache(man), digest=digest), digest
+
+
+def _dataset_cache(man: RunManifest) -> Path:
+    """Where the binary copy of the dataset is kept for later commands."""
+    return man.out_dir / "dataset_cache"
 
 
 def _mc_store(man: RunManifest) -> Path:
@@ -85,13 +97,14 @@ def _mc_store(man: RunManifest) -> Path:
     return man.out_dir / "mc_null"
 
 
-def _blind_key(man: RunManifest, spec: BlindSpec) -> dict:
+def _blind_key(spec: BlindSpec, digest: str) -> dict:
     """What the blinded fit depends on, stamped into the files `blind` writes.
 
     That is the blind spec (train and eval states and every CV setting,
-    normalized through JSON as the files store it) and a hash of the bytes
-    of dataset.csv and its metadata file. The MC, injection and sweep
-    settings are not part of it, so changing them does not force a refit.
+    normalized through JSON as the files store it) and `digest`, the hash of
+    the bytes of dataset.csv and its metadata file. The MC, injection and
+    sweep settings are not part of it, so changing them does not force a
+    refit.
     """
     blind_spec = {
         "train_states": sorted(spec.train_states),
@@ -100,12 +113,12 @@ def _blind_key(man: RunManifest, spec: BlindSpec) -> dict:
     }
     return {
         "blind_spec": json.loads(json.dumps(blind_spec)),
-        "dataset_sha256": dataset_sha256(_dataset_path(man)),
+        "dataset_sha256": digest,
         "tamperscan_version": __version__,
     }
 
 
-def _blind_context(man: RunManifest, dataset, spec: BlindSpec) -> BlindContext:
+def _blind_context(man: RunManifest, dataset, spec: BlindSpec, digest: str) -> BlindContext:
     """The blinded fit `blind` stored in the output directory, or a fresh one.
 
     The stored model and CV grid are reused when both files carry this run's
@@ -113,7 +126,7 @@ def _blind_context(man: RunManifest, dataset, spec: BlindSpec) -> BlindContext:
     does it and one line on stderr says why. The result is the same either
     way, because the model and CV round-trips through JSON are exact.
     """
-    want = {**_blind_key(man, spec), "version": MODEL_FORMAT_VERSION}
+    want = {**_blind_key(spec, digest), "version": MODEL_FORMAT_VERSION}
     docs = []
     reason = None
     for name in ("blind_model.json", "blind_cv.json"):
@@ -220,7 +233,9 @@ def cmd_ingest(args) -> int:
     features, report = clean_features(demo_tables)
     dataset, join_report = assemble_dataset(features, elections, man.target_year)
     report = report.merge(join_report)
-    save_dataset(dataset, out / "dataset.csv", manifest_hash=man.sha256)
+    save_dataset(
+        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=_dataset_cache(man)
+    )
     _write_json(report.to_dict(), out / "cleaning_report.json", man)
     print(f"counties: {dataset.n}")
     print(f"features: {dataset.p}")
@@ -240,7 +255,9 @@ def cmd_synth(args) -> int:
     out = _out_dir(man)
     spec = man.require("synth", "a [synth] section")
     dataset, beta = generate_synthetic(spec, target_year=man.target_year)
-    save_dataset(dataset, out / "dataset.csv", manifest_hash=man.sha256)
+    save_dataset(
+        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=_dataset_cache(man)
+    )
     _write_json(
         {
             "spec": {
@@ -265,7 +282,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     man = load_manifest(args.manifest, _overrides(args))
     out = _out_dir(man)
-    dataset = _load(man)
+    dataset, _ = _load(man)
     cv, model = _fit_all(dataset, man)
     resid = residuals(model, dataset)
     width = fit_width(resid)
@@ -306,7 +323,7 @@ def cmd_fit(args) -> int:
 def cmd_blind(args) -> int:
     man = load_manifest(args.manifest, _overrides(args))
     out = _out_dir(man)
-    dataset = _load(man)
+    dataset, digest = _load(man)
     spec = _blind_spec(man)
     ctx = prepare_blind_context(dataset, spec)
     result = score_eval_set(
@@ -314,7 +331,7 @@ def cmd_blind(args) -> int:
         mc_store=_mc_store(man),
     )
 
-    key = _blind_key(man, spec)
+    key = _blind_key(spec, digest)
     _write_json({**key, **model_to_dict(result.model)}, out / "blind_model.json", man)
     _write_json({**key, **cv_result_to_dict(result.cv)}, out / "blind_cv.json", man)
     anomaly.write_ranking_csv(result.scores, out / "blind_ranking.csv", comment=_comment(man))
@@ -366,7 +383,7 @@ def cmd_blind(args) -> int:
 def cmd_inject(args) -> int:
     man = load_manifest(args.manifest, _overrides(args))
     out = _out_dir(man)
-    dataset = _load(man)
+    dataset, digest = _load(man)
     spec = _blind_spec(man)
     inj_cfg = man.require("injection", "an [injection] section")
     inj = InjectionSpec(
@@ -374,7 +391,7 @@ def cmd_inject(args) -> int:
         k=inj_cfg["k"],
         direction=Direction.parse(inj_cfg["direction"]),
     )
-    ctx = _blind_context(man, dataset, spec)
+    ctx = _blind_context(man, dataset, spec, digest)
     baseline = score_eval_set(
         ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads,
         mc_store=_mc_store(man),
@@ -449,10 +466,10 @@ def cmd_inject(args) -> int:
 def cmd_sweep(args) -> int:
     man = load_manifest(args.manifest, _overrides(args))
     out = _out_dir(man)
-    dataset = _load(man)
+    dataset, digest = _load(man)
     spec = _blind_spec(man)
     states = man.require("sweep_states", "[sweep] states")
-    ctx = _blind_context(man, dataset, spec)
+    ctx = _blind_context(man, dataset, spec, digest)
     all_curves = []
     for state in states:
         curves = sweep(dataset, spec, state, k_step=man.sweep_k_step, context=ctx)

@@ -8,8 +8,11 @@ from multiple threads.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -288,6 +291,22 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def write_atomically(path: Path, write: Callable) -> None:
+    """Write `path` by calling `write(fh)` on a temporary file, then renaming it.
+
+    Readers, in this process or another, never see a partial file. Used for
+    the caches kept beside a run's outputs.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def logistic(z):

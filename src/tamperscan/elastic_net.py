@@ -14,12 +14,13 @@ cross-validation over an (l1_ratio, alpha) grid.
 `fit` and `cross_validate` share one covariance-form kernel (Friedman, Hastie
 & Tibshirani, J. Stat. Softw. 33(1), 2010): G = Xs'Xs/n and c = Xs'(y - ybar)/n
 are formed once per fit or CV fold, so a coordinate update is scalar
-arithmetic plus one length-p update of G.beta when the coefficient moves.
+arithmetic. G.beta is evaluated in blocks of coordinates: one small
+matrix-vector product per block, and scalar updates within the block when a
+coefficient moves (see `_descend`).
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,6 +35,9 @@ DEFAULT_N_ALPHAS = 100
 DEFAULT_PATH_EPS = 1e-4
 DEFAULT_L1_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 CV_SEED = 2020
+
+# Coordinates per block of the blocked Gauss-Seidel evaluation of G.beta.
+_BLOCK = 12
 
 MODEL_FORMAT = "tamperscan-model"
 MODEL_FORMAT_VERSION = 1
@@ -133,43 +137,57 @@ def _gram(Xs, y):
 def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
     """Coordinate-descent sweeps on `beta` in place; returns (sweeps, converged).
 
-    Keeps q = G.beta, so coordinate j's update soft-thresholds rho = c_j - q_j
-    + G_jj beta_j. Stops when a sweep moves no coefficient by `tol` or more.
+    Coordinate j's update soft-thresholds rho = c_j - q_j + G_jj beta_j,
+    where q = G.beta holds every move made so far. q is evaluated block by
+    block (Gauss-Seidel): at the start of a block of _BLOCK coordinates its
+    entries are G[block].beta, which already holds the moves of earlier
+    blocks, and a move of d in coordinate j adds d G_jk to the entries of
+    the block's later coordinates k. In exact arithmetic this is the plain
+    cyclic update. Stops when a sweep moves no coefficient by `tol` or more.
     If `loss` (beta -> penalized loss) is given, a sweep that raises it is a
     NumericalError.
     """
-    # deferred so that commands which never solve do not pay the import
-    from scipy.linalg.blas import daxpy
-
     p = c.shape[0]
     ridge = penalty.alpha * (1.0 - penalty.l1_ratio)
     gamma = penalty.alpha * penalty.l1_ratio
-    diag, c, rows, b = G.diagonal().tolist(), c.tolist(), list(G), beta.tolist()
-    denom = [g + ridge for g in diag]
+    diag, c, b = G.diagonal().tolist(), c.tolist(), beta.tolist()
+    # per block: its rows of G, and per coordinate that can move its index,
+    # position in the block, c_j, G_jj, update denominator and the G_jk of
+    # the block's later coordinates
+    blocks = [
+        (
+            G[j0:j0 + _BLOCK],
+            [
+                (j, j - j0, c[j], diag[j], diag[j] + ridge, G[j, j + 1:j0 + _BLOCK].tolist())
+                for j in range(j0, min(j0 + _BLOCK, p))
+                if diag[j] + ridge != 0.0
+            ],
+        )
+        for j0 in range(0, p, _BLOCK)
+    ]
     prev_obj = np.inf
     for sweep in range(1, max_iter + 1):
-        # q rebuilt from scratch every sweep so rounding from the in-place
-        # updates below cannot accumulate across sweeps
-        q = G @ beta
         max_delta = 0.0
-        for j in range(p):
-            dj = denom[j]
-            if dj == 0.0:
-                continue
-            old = b[j]
-            rho = c[j] - float(q[j]) + diag[j] * old
-            if rho > gamma:
-                new = (rho - gamma) / dj
-            elif rho < -gamma:
-                new = (rho + gamma) / dj
-            else:
-                new = 0.0
-            d = new - old
-            if d != 0.0:
-                q = daxpy(rows[j], q, a=d)
-                b[j] = new
-                max_delta = max(max_delta, abs(d))
-        beta[:] = b
+        for rows, coords in blocks:
+            qb = (rows @ beta).tolist()
+            for j, i, cj, gjj, dj, later in coords:
+                old = b[j]
+                rho = cj - qb[i] + gjj * old
+                if rho > gamma:
+                    new = (rho - gamma) / dj
+                elif rho < -gamma:
+                    new = (rho + gamma) / dj
+                else:
+                    new = 0.0
+                d = new - old
+                if d != 0.0:
+                    k = i
+                    for g in later:
+                        k += 1
+                        qb[k] += d * g
+                    b[j] = beta[j] = new
+                    if abs(d) > max_delta:
+                        max_delta = abs(d)
         if loss is not None:
             obj = loss(beta)
             if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
@@ -473,14 +491,3 @@ def cv_result_from_dict(doc: dict) -> CvResult:
         seed=int(doc["seed"]),
         folds=int(doc["folds"]),
     )
-
-
-def save_model(model: FitModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path) -> FitModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -14,12 +14,13 @@ import csv
 import hashlib
 import json
 import re
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, VoteTally
+from .data_model import CountyKey, Dataset, VoteTally, write_atomically
 from .errors import ConfigError, DataError, SchemaError
 from .fips import normalize_fips, state_for_fips
 
@@ -379,10 +380,17 @@ def assemble_dataset(
 
 # --- canonical dataset files ------------------------------------------------
 
-def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "") -> None:
+# The binary copy of a dataset pair that load_dataset keeps in a cache
+# directory: arrays in one uncompressed .npz, stamped with dataset_sha256.
+_CACHE_FILE = "dataset.npz"
+
+
+def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=None) -> None:
     """Write the canonical dataset pair: <csv_path> and <stem>_meta.json.
 
-    Floats are written with repr so a load is bit-for-bit faithful.
+    Floats are written with repr so a load is bit-for-bit faithful. With
+    `cache_dir`, the binary cache that load_dataset reads there is written
+    too, from the dataset in memory.
     """
     csv_path = Path(csv_path)
     years = dataset.years
@@ -414,6 +422,8 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "") -> None:
     with open(_meta_path(csv_path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    if cache_dir is not None:
+        _write_cache(Path(cache_dir) / _CACHE_FILE, dataset_sha256(csv_path), dataset)
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -425,15 +435,39 @@ def dataset_sha256(csv_path) -> str:
     csv_path = Path(csv_path)
     h = hashlib.sha256()
     for path in (csv_path, _meta_path(csv_path)):
-        with open(path, "rb") as fh:
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            raise DataError(f"dataset file not found: {path}") from None
+        with fh:
             for block in iter(lambda: fh.read(1 << 16), b""):
                 h.update(block)
     return h.hexdigest()
 
 
-def load_dataset(csv_path) -> Dataset:
-    """Read a canonical dataset pair back into memory."""
+def load_dataset(csv_path, cache_dir=None, digest: str | None = None) -> Dataset:
+    """Read a canonical dataset pair back into memory.
+
+    With `cache_dir`, the binary copy kept there is read instead of parsing
+    the CSV when it is stamped with the pair's dataset_sha256 (`digest`,
+    computed here when not given) and holds valid arrays of the shapes the
+    metadata gives. A cache that is missing, stale or invalid is ignored:
+    the CSV is parsed and the cache rewritten. The CSV stays canonical.
+    """
     csv_path = Path(csv_path)
+    meta = _read_meta(csv_path)
+    if cache_dir is None:
+        return _parse_dataset_csv(csv_path, meta)
+    cache = Path(cache_dir) / _CACHE_FILE
+    digest = digest or dataset_sha256(csv_path)
+    dataset = _read_cache(cache, digest, meta)
+    if dataset is None:
+        dataset = _parse_dataset_csv(csv_path, meta)
+        _write_cache(cache, digest, dataset)
+    return dataset
+
+
+def _read_meta(csv_path: Path) -> dict:
     if not csv_path.exists():
         raise DataError(f"dataset file not found: {csv_path}")
     meta_path = _meta_path(csv_path)
@@ -445,6 +479,10 @@ def load_dataset(csv_path) -> Dataset:
         raise SchemaError(f"{meta_path}: not a dataset metadata file")
     if meta.get("version") != DATASET_FORMAT_VERSION:
         raise SchemaError(f"{meta_path}: unsupported version {meta.get('version')!r}")
+    return meta
+
+
+def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     years = [int(y) for y in meta["years"]]
     feature_names = list(meta["feature_names"])
 
@@ -479,3 +517,61 @@ def load_dataset(csv_path) -> Dataset:
         dem={y: np.array(dem_cols[y], dtype=np.int64) for y in years},
         target_year=int(meta["target_year"]),
     )
+
+
+def _write_cache(path: Path, digest: str, dataset: Dataset) -> None:
+    arrays = {
+        "digest": np.array(digest),
+        "X": dataset.X,
+        "fips": np.array([k.fips for k in dataset.keys], dtype=str),
+        "state": np.array([k.state for k in dataset.keys], dtype=str),
+        "name": np.array([k.name for k in dataset.keys], dtype=str),
+        "rep": np.stack([dataset.rep[y] for y in dataset.years]),
+        "dem": np.stack([dataset.dem[y] for y in dataset.years]),
+    }
+    write_atomically(path, lambda fh: np.savez(fh, allow_pickle=False, **arrays))
+
+
+def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
+    """The cached dataset, or None when the file is missing, stale or invalid."""
+    try:
+        # np.load given a path leaks the file when the archive is corrupt
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            a = {name: npz[name] for name in ("digest", "X", "fips", "state", "name", "rep", "dem")}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    years = [int(y) for y in meta["years"]]
+    n, p = meta.get("n_counties"), len(meta["feature_names"])
+    shapes = {
+        "digest": (),
+        "X": (n, p),
+        "fips": (n,),
+        "state": (n,),
+        "name": (n,),
+        "rep": (len(years), n),
+        "dem": (len(years), n),
+    }
+    if (
+        any(a[name].shape != shape for name, shape in shapes.items())
+        or any(a[name].dtype.kind != "U" for name in ("digest", "fips", "state", "name"))
+        or a["X"].dtype != np.float64
+        or a["rep"].dtype != np.int64
+        or a["dem"].dtype != np.int64
+        or str(a["digest"]) != digest
+        or not np.all(np.isfinite(a["X"]))
+    ):
+        return None
+    try:
+        return Dataset.build(
+            keys=[
+                CountyKey(fips=f, state=st, name=nm)
+                for f, st, nm in zip(a["fips"].tolist(), a["state"].tolist(), a["name"].tolist())
+            ],
+            feature_names=meta["feature_names"],
+            X=a["X"],
+            rep=dict(zip(years, a["rep"])),
+            dem=dict(zip(years, a["dem"])),
+            target_year=int(meta["target_year"]),
+        )
+    except DataError:
+        return None

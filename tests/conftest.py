@@ -44,3 +44,16 @@ def six_county_dataset():
         ("42005", "PA", "Armstrong", [6.0, 35.0], {2016: (120, 80), 2020: (5500, 4500)}),
     ]
     return make_dataset(rows)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of its call args."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -28,7 +29,7 @@ from tamperscan import (
     write_scores_json,
 )
 from tamperscan import anomaly
-from tamperscan.anomaly import ResidualSet, read_ranking_csv, sorted_scores
+from tamperscan.anomaly import ResidualSet, sorted_scores
 from tamperscan.data_model import substream
 
 from conftest import make_dataset
@@ -43,8 +44,8 @@ def _keys(n, state="GA", start=1):
 
 
 def _scalar_reference(local_z, n_counties):
-    """The conversion one z at a time in Python floats, kept as a reference
-    for the vectorized analytic_sigma_curve that now serves both forms."""
+    """The conversion one z at a time on scipy's erfc and ndtri, kept as an
+    oracle for analytic_sigma_curve, which runs on the standard library."""
     z = abs(float(local_z))
     if n_counties == 1:
         return z
@@ -54,6 +55,13 @@ def _scalar_reference(local_z, n_counties):
     with np.errstate(divide="ignore"):
         p_global = -np.expm1(n_counties * np.log1p(-p_local))
     return min(z, float(-ndtri(0.5 * p_global)) + 0.0)
+
+
+def read_ranking_csv(path) -> list[dict]:
+    """Parse a ranking export back into its formatted rows."""
+    with open(path, newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    return [dict(row) for row in csv.DictReader(lines)]
 
 
 def _resid_from(values):
@@ -192,11 +200,18 @@ class TestAnalyticGlobal:
             global_significance_analytic(3.0, 0)
 
     def test_curve_matches_scalar(self):
-        zs = np.concatenate([np.linspace(-9.0, 9.0, 1801), [0.0, 37.5, 38.5, 41.0, -41.0]])
+        # 37.6-37.7 straddles the local tail's underflow at |z| = 37.68
+        zs = np.concatenate([
+            np.linspace(-9.0, 9.0, 1801), [0.0, 37.5, 38.5, 41.0, -41.0],
+            np.linspace(37.6, 37.7, 101),
+        ])
         for n in (1, 2, 100, 381, 1491, 3112, 10**6):
+            curve = analytic_sigma_curve(zs, n)
+            assert [global_significance_analytic(z, n) for z in zs[::50]] == curve[::50].tolist(), n
+            # the scipy reference rounds differently: measured worst 3.5e-14
+            # relative (|sigma| > 1e-3) and 2.2e-19 absolute (|sigma| <= 1e-3)
             reference = [_scalar_reference(z, n) for z in zs]
-            assert np.array_equal(analytic_sigma_curve(zs, n), reference), n
-            assert [global_significance_analytic(z, n) for z in zs[::50]] == reference[::50], n
+            np.testing.assert_allclose(curve, reference, rtol=5e-14, atol=1e-18, err_msg=str(n))
 
 
 class TestMonteCarlo:
@@ -230,6 +245,25 @@ class TestMonteCarlo:
         anomaly._extreme_cache.clear()
         t4 = mc_extremes(cfg, threads=4)
         assert np.array_equal(t1, t4)
+
+    @pytest.mark.parametrize(
+        "n,trials,seed", [(1, 1000, 0), (30, 5000, 7), (381, 1536, 3), (97, 2049, 11)]
+    )
+    def test_table_matches_abs_max_reference(self, n, trials, seed):
+        # the earlier per-chunk formula, max|u| over a freshly drawn block;
+        # 1536 trials fill whole chunks; the others end in a partial one
+        chunk = anomaly._MC_CHUNK
+        reference = np.sort(np.concatenate([
+            np.max(np.abs(
+                substream(seed, anomaly._MC_STREAM_BASE + c).standard_normal(
+                    (min(chunk, trials - c * chunk), n)
+                )
+            ), axis=1)
+            for c in range(-(-trials // chunk))
+        ]))
+        for threads in (1, 3):
+            table = anomaly._draw_table(McConfig(n_counties=n, trials=trials, seed=seed), threads)
+            assert np.array_equal(table, reference), threads
 
     def test_table_cached(self):
         cfg = McConfig(n_counties=30, trials=5000, seed=7)

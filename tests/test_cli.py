@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamperscan import McConfig, anomaly, load_dataset, manifest_hash, mc_extremes, scenarios
+from tamperscan import McConfig, anomaly, ingest, load_dataset, manifest_hash, mc_extremes, scenarios
 from tamperscan.cli import main
-from tamperscan.ingest import save_dataset
+from tamperscan.ingest import dataset_sha256, save_dataset
 from tamperscan.scenarios import Direction, InjectionSpec, inject_flips
 
-from conftest import make_dataset
+from conftest import counting, make_dataset
 
 MANIFEST = """\
 [run]
@@ -79,17 +79,25 @@ def _outputs(out):
     return sorted(p for p in out.iterdir() if p.is_file())
 
 
-def _counting(monkeypatch, module, name):
-    """Replace module.name with a wrapper; returns the list of its call args."""
-    calls = []
-    real = getattr(module, name)
+def _assert_cache_matches_csv(out, monkeypatch):
+    """out/dataset_cache/ holds the dataset that parsing out/dataset.csv gives."""
+    parsed = load_dataset(out / "dataset.csv")
+    with monkeypatch.context() as m:
+        parses = counting(m, ingest, "_parse_dataset_csv")
+        cached = load_dataset(out / "dataset.csv", cache_dir=out / "dataset_cache")
+    assert parses == []
+    assert np.array_equal(cached.X, parsed.X)
+    assert cached.keys == parsed.keys
+    assert cached.feature_names == parsed.feature_names
+    assert cached.target_year == parsed.target_year
+    for y in parsed.years:
+        assert np.array_equal(cached.rep[y], parsed.rep[y])
+        assert np.array_equal(cached.dem[y], parsed.dem[y])
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def _subprocess_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def _new_process():
@@ -106,6 +114,9 @@ class TestSynth:
         assert coeffs["spec"]["n_counties"] == 300
         assert len(coeffs["coefficients"]) == 30
         assert sum(1 for v in coeffs["coefficients"].values() if v != 0.0) == 5
+
+    def test_writes_dataset_cache(self, workspace, monkeypatch):
+        _assert_cache_matches_csv(workspace / "out", monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +253,8 @@ class TestReuseAcrossCommands:
     def test_blind_chain_fits_once_and_matches_fresh_runs(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
-        chunks = _counting(monkeypatch, anomaly, "_chunk_max_abs")
+        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
+        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
         chained = tmp_path / "chained"
         drawn = {}
         for cmd in ("blind", "inject", "sweep"):
@@ -279,7 +290,7 @@ class TestReuseAcrossCommands:
             flip = InjectionSpec(ds.keys[i].fips, int(ds.rep[2020][i]) // 2, Direction.R_TO_D)
             save_dataset(inject_flips(ds, flip), out / "dataset.csv", _hash_of(private_ws))
         capsys.readouterr()
-        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
+        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
         assert main(["inject", "--manifest", man]) == 0
         assert len(cv_calls) == 1
         err = capsys.readouterr().err
@@ -293,7 +304,7 @@ class TestReuseAcrossCommands:
         man, out = _man(private_ws), private_ws / "out"
         assert main(["blind", "--manifest", man]) == 0
         capsys.readouterr()
-        cv_calls = _counting(monkeypatch, scenarios, "cross_validate")
+        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
         for cmd in ("inject", "sweep"):
             assert main([cmd, "--manifest", man, "--trials", "30000"]) == 0
         assert len(cv_calls) == 0
@@ -304,6 +315,35 @@ class TestReuseAcrossCommands:
             for f in _outputs(fresh):
                 assert (out / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
 
+    def test_outputs_same_with_and_without_dataset_cache(self, private_ws, monkeypatch):
+        man, out = _man(private_ws), private_ws / "out"
+        assert main(["blind", "--manifest", man]) == 0
+        for cmd in ("inject", "sweep"):
+            fresh = private_ws / f"fresh_{cmd}"
+            assert main([cmd, "--manifest", man, "--out", str(fresh)]) == 0
+            parses = counting(monkeypatch, ingest, "_parse_dataset_csv")
+            assert main([cmd, "--manifest", man]) == 0
+            assert parses == []  # read from out/dataset_cache/, which blind wrote
+            for f in _outputs(fresh):
+                assert (out / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
+
+    @pytest.mark.parametrize("edit", ["dataset.csv", "dataset_meta.json"])
+    def test_edited_dataset_rewrites_the_cache(self, private_ws, monkeypatch, edit):
+        man, out = _man(private_ws), private_ws / "out"
+        assert main(["fit", "--manifest", man]) == 0
+        path = out / edit
+        if edit == "dataset.csv":
+            path.write_text(path.read_text().replace("Synth County 299,", "Edited County,"))
+        else:
+            path.write_text(path.read_text().replace('"manifest_sha256"', '"edited": 1, "manifest_sha256"'))
+        parses = counting(monkeypatch, ingest, "_parse_dataset_csv")
+        assert main(["fit", "--manifest", man]) == 0
+        assert len(parses) == 1
+        with np.load(out / "dataset_cache" / "dataset.npz") as npz:
+            assert str(npz["digest"]) == dataset_sha256(out / "dataset.csv")
+        counties = {c["county"] for c in json.loads((out / "scores.json").read_text())["counties"]}
+        assert ("Edited County" in counties) == (edit == "dataset.csv")
+
     def test_calibrate_after_fit_draws_no_shared_table(self, private_ws, monkeypatch):
         with open(private_ws / "run.ini", "a") as fh:
             fh.write("\n[calibrate]\nn_grid = 100, 300\n")
@@ -311,7 +351,7 @@ class TestReuseAcrossCommands:
         _new_process()
         assert main(["fit", "--manifest", man]) == 0
         _new_process()
-        chunks = _counting(monkeypatch, anomaly, "_chunk_max_abs")
+        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
         assert main(["calibrate", "--manifest", man]) == 0
         assert {args[1] for args in chunks} == {100}  # N = 300 came from fit's table
         fresh = private_ws / "fresh"
@@ -337,7 +377,9 @@ class TestReuseAcrossCommands:
 
 
 class TestIngest:
-    def test_happy_path(self, tmp_path, capsys):
+    @staticmethod
+    def _inputs(tmp_path):
+        """Three-county inputs and a manifest for them; returns the manifest path."""
         (tmp_path / "dp02.csv").write_text(
             "fips,Geographic Area Name,pct_x,pct_x MOE\n"
             "01001,Autauga,21.5,1.1\n13121,Fulton,44.3,0.9\n42003,Allegheny,35.1,1.0\n"
@@ -353,6 +395,10 @@ class TestIngest:
             "[run]\nout_dir = out\n\n[inputs]\ndp02 = dp02.csv\n"
             "election_2020 = e2020.csv\nelection_2016 = e2016.csv\n"
         )
+        return manifest
+
+    def test_happy_path(self, tmp_path, capsys):
+        manifest = self._inputs(tmp_path)
         assert main(["ingest", "--manifest", str(manifest)]) == 0
         ds = load_dataset(tmp_path / "out" / "dataset.csv")
         assert ds.n == 3
@@ -364,6 +410,10 @@ class TestIngest:
         )
         text = capsys.readouterr().out
         assert "counties: 3" in text
+
+    def test_writes_dataset_cache(self, tmp_path, monkeypatch):
+        assert main(["ingest", "--manifest", str(self._inputs(tmp_path))]) == 0
+        _assert_cache_matches_csv(tmp_path / "out", monkeypatch)
 
     def test_alaska_only_input_exits_2(self, tmp_path, capsys):
         (tmp_path / "dp02.csv").write_text("fips,pct_x\n02013,1.0\n02016,2.0\n")
@@ -405,8 +455,17 @@ class TestExitCodes:
         assert main(["ingest", "--manifest", str(manifest)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_broken_dataset_is_3_despite_older_cache(self, private_ws, capsys):
+        man, out = _man(private_ws), private_ws / "out"
+        load_dataset(out / "dataset.csv", cache_dir=out / "dataset_cache")
+        assert (out / "dataset_cache" / "dataset.npz").exists()
+        path = out / "dataset.csv"
+        path.write_text(path.read_text() + "13999,GA,Ragged County,1,2\n")
+        assert main(["fit", "--manifest", man]) == 3
+        assert "ragged data row for fips 13999" in capsys.readouterr().err
+
     def test_degenerate_features_is_4(self, tmp_path, capsys):
-        from tamperscan.ingest import save_dataset
+        from tamperscan.ingest import dataset_sha256, save_dataset
 
         rows = [
             (f"13{2 * i + 1:03d}", "GA", f"C{i}", [1.0, 1.0], {2020: (i + 5, 10)})
@@ -434,10 +493,27 @@ class TestExitCodes:
 def test_cli_import_loads_no_network_modules():
     code = (
         "import sys, tamperscan.cli; "
-        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules "
+        "if m in ('urllib.request', 'http.client', 'ssl') or m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_commands_run_without_scipy(workspace, tmp_path):
+    shutil.copyfile(workspace / "run.ini", tmp_path / "run.ini")
+    commands = ("synth", "fit", "blind", "inject", "sweep", "calibrate")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from tamperscan.cli import main\n"
+        "codes = [main([cmd, '--manifest', 'run.ini']) for cmd in sys.argv[1:]]\n"
+        "print(codes)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *commands],
+        cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([0] * len(commands)), done.stderr

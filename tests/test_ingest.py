@@ -4,6 +4,7 @@ import pytest
 from tamperscan import (
     ConfigError,
     DataError,
+    Dataset,
     SchemaError,
     assemble_dataset,
     clean_features,
@@ -12,7 +13,11 @@ from tamperscan import (
     parse_table,
     save_dataset,
 )
+from tamperscan import ingest
 from tamperscan.data_model import SyntheticSpec, generate_synthetic
+from tamperscan.ingest import dataset_sha256
+
+from conftest import counting
 
 
 def _write(tmp_path, name, text):
@@ -330,3 +335,98 @@ class TestDatasetRoundTrip:
         path.write_text(text)
         with pytest.raises((SchemaError, DataError)):
             load_dataset(path)
+
+
+def _assert_same_dataset(a, b):
+    """Bit-for-bit equality of everything a Dataset holds."""
+    assert a.X.dtype == b.X.dtype and np.array_equal(a.X, b.X)
+    assert a.keys == b.keys
+    assert a.feature_names == b.feature_names
+    assert a.target_year == b.target_year
+    assert list(a.rep) == list(b.rep) and list(a.dem) == list(b.dem)
+    for y in a.years:
+        assert a.rep[y].dtype == b.rep[y].dtype and np.array_equal(a.rep[y], b.rep[y])
+        assert a.dem[y].dtype == b.dem[y].dtype and np.array_equal(a.dem[y], b.dem[y])
+
+
+class TestDatasetCache:
+    @pytest.fixture(params=["synthetic", "two_years"])
+    def saved(self, request, tmp_path, six_county_dataset):
+        """A dataset pair saved with its cache: (dataset, csv path, cache dir)."""
+        if request.param == "synthetic":
+            ds, _ = generate_synthetic(SyntheticSpec(n_counties=40, n_features=6, seed=8))
+        else:
+            ds = six_county_dataset
+        path, cache = tmp_path / "dataset.csv", tmp_path / "cache"
+        save_dataset(ds, path, manifest_hash="deadbeef", cache_dir=cache)
+        return ds, path, cache
+
+    @staticmethod
+    def _parses(monkeypatch):
+        """Count CSV parses behind load_dataset."""
+        return counting(monkeypatch, ingest, "_parse_dataset_csv")
+
+    def test_cached_load_equals_csv_load(self, saved, monkeypatch):
+        ds, path, cache = saved
+        parsed = load_dataset(path)
+        parses = self._parses(monkeypatch)
+        cached = load_dataset(path, cache_dir=cache)
+        assert parses == []
+        _assert_same_dataset(cached, parsed)
+        _assert_same_dataset(cached, ds)
+
+    def test_parse_writes_the_cache(self, saved, monkeypatch):
+        ds, path, cache = saved
+        (cache / "dataset.npz").unlink()
+        parses = self._parses(monkeypatch)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache, digest=dataset_sha256(path)), ds)
+        assert len(parses) == 1
+        assert sorted(p.name for p in cache.iterdir()) == ["dataset.npz"]
+
+    @pytest.mark.parametrize("edit", ["csv", "meta"])
+    def test_edited_pair_ignores_and_rewrites_the_cache(self, saved, monkeypatch, edit):
+        ds, path, cache = saved
+        if edit == "csv":
+            X = np.array(ds.X)
+            X[0, 0] += 1.0
+            ds = Dataset.build(ds.keys, ds.feature_names, X, ds.rep, ds.dem, ds.target_year)
+            save_dataset(ds, path, manifest_hash="deadbeef")
+        else:
+            meta = path.with_name("dataset_meta.json")
+            meta.write_text(meta.read_text().replace("deadbeef", "feedbeef"))
+        parses = self._parses(monkeypatch)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
+        assert len(parses) == 1
+        with np.load(cache / "dataset.npz") as npz:
+            assert str(npz["digest"]) == dataset_sha256(path)
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "float32", "int32_tallies", "short", "nan", "bad_fips"]
+    )
+    def test_invalid_cache_is_ignored(self, saved, monkeypatch, damage):
+        ds, path, cache = saved
+        file = cache / "dataset.npz"
+        if damage == "truncated":
+            file.write_bytes(file.read_bytes()[:-100])
+        elif damage == "garbage":
+            file.write_bytes(b"not a cache")
+        else:
+            with np.load(file) as npz:
+                arrays = dict(npz)
+            if damage == "float32":
+                arrays["X"] = arrays["X"].astype(np.float32)
+            elif damage == "int32_tallies":
+                arrays["rep"] = arrays["rep"].astype(np.int32)
+            elif damage == "short":
+                arrays["X"] = arrays["X"][:-1]
+            elif damage == "nan":
+                arrays["X"][0, 0] = np.nan
+            else:
+                arrays["fips"] = np.array(["x" * 5] * len(arrays["fips"]))
+            np.savez(file, **arrays)
+        parses = self._parses(monkeypatch)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
+        assert len(parses) == 1
