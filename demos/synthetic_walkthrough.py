@@ -13,30 +13,27 @@ Run:  python3 demos/synthetic_walkthrough.py
 import numpy as np
 
 from tamperscan import (
+    CvSettings,
     Direction,
     InjectionSpec,
     SyntheticSpec,
-    cross_validate,
-    fit,
+    fit_cv,
     fit_width,
     generate_synthetic,
     inject_flips,
     rank_anomalies,
     residuals,
     score_counties,
-    standardize,
 )
 
 SPEC = SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, seed=7)
 
 
 def analyze(dataset, label):
-    y = dataset.shares()
     # cross-validation runs on one thread; thread counts only matter to the
     # MC null table
-    cv = cross_validate(dataset.X, y, l1_grid=(0.5, 1.0), n_alphas=25)
-    Xs, params = standardize(dataset.X, dataset.feature_names)
-    model = fit(Xs, y, cv.selected, params)
+    settings = CvSettings(l1_grid=(0.5, 1.0), n_alphas=25)
+    cv, model = fit_cv(dataset.X, dataset.shares(), dataset.feature_names, settings)
     resid = residuals(model, dataset)
     scores = score_counties(resid, fit_width(resid))
 

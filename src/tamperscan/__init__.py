@@ -45,6 +45,7 @@ from .elastic_net import (
     alpha_path,
     cross_validate,
     fit,
+    fit_cv,
     objective,
     predict,
 )

@@ -11,8 +11,6 @@ All p-value conventions are two-sided in both directions of conversion.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import sys
 import threading
@@ -24,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, substream, write_atomically
+from .data_model import CountyKey, Dataset, substream, write_atomically, write_csv, write_json
 from .elastic_net import FitModel, predict
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
 
@@ -46,8 +44,7 @@ _MC_STREAM_BASE = 1 << 32
 # standard normal quantile (NormalDist, Wichura's AS241), mapped over arrays
 # where arrays flow.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
-_STANDARD_NORMAL = NormalDist()
-_normal_quantile = np.frompyfunc(_STANDARD_NORMAL.inv_cdf, 1, 1)
+_normal_quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 # A local tail counts as underflowed once exp(-z^2/2) leaves the normal
 # float64 range, that is once z^2/2 exceeds this.
@@ -338,11 +335,23 @@ def _draw_table(config: McConfig, threads: int) -> np.ndarray:
         return np.sort(np.concatenate(list(pool.map(draw, range(n_chunks)))))
 
 
-def _sigma_from_p(p: float, cap: float) -> float:
-    if p <= 0.0:
-        return cap
-    sigma = -_STANDARD_NORMAL.inv_cdf(0.5 * p) + 0.0
-    return min(cap, sigma)
+def _mc_sigmas(
+    z: np.ndarray, config: McConfig, threads: int, store
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per |z|: the count of MC null trials at least as extreme, and the
+    two-sided sigma of that p capped at |z|, or the analytic sigma where the
+    count is 0. `threads` and `store` are passed to mc_extremes."""
+    z = np.abs(z)
+    table = mc_extremes(config, threads=threads, store=store)
+    counts = table.shape[0] - np.searchsorted(table, z, side="left")
+    bounded = counts == 0
+    sigma = np.empty_like(z)
+    sigma[bounded] = analytic_sigma_curve(z[bounded], config.n_counties)
+    tail = 0.5 * (counts[~bounded] / config.trials)
+    sigma[~bounded] = np.minimum(
+        z[~bounded], -_normal_quantile(tail).astype(np.float64) + 0.0
+    )
+    return counts, sigma
 
 
 def global_significance_mc(
@@ -356,29 +365,18 @@ def global_significance_mc(
     """
     if not np.isfinite(local_z):
         raise NumericalError(f"local z must be finite, got {local_z}")
-    z = abs(float(local_z))
-    table = mc_extremes(config, threads=threads, store=store)
-    count = int(table.shape[0] - np.searchsorted(table, z, side="left"))
+    counts, sigmas = _mc_sigmas(np.array([local_z], dtype=np.float64), config, threads, store)
+    count, sigma = int(counts[0]), float(sigmas[0])
     p = count / config.trials
-    if count == 0:
-        return McGlobalSignificance(
-            p_global=0.0,
-            sigma=global_significance_analytic(z, config.n_counties),
-            stderr=0.0,
-            sigma_stderr=float("inf"),
-            bounded=True,
-            trials=config.trials,
-        )
-    sigma = _sigma_from_p(p, cap=z)
     stderr = float(np.sqrt(p * (1.0 - p) / config.trials))
     density = float(np.exp(-0.5 * sigma * sigma) / np.sqrt(2.0 * np.pi))
-    sigma_stderr = stderr / (2.0 * density) if density > 0 else float("inf")
+    sigma_stderr = stderr / (2.0 * density) if count and density > 0 else float("inf")
     return McGlobalSignificance(
         p_global=p,
         sigma=sigma,
         stderr=stderr,
         sigma_stderr=sigma_stderr,
-        bounded=False,
+        bounded=count == 0,
         trials=config.trials,
     )
 
@@ -401,28 +399,41 @@ def score_counties(
         raise ConfigError(
             f"MC null has {mc.n_counties} counties but evaluation set has {resid.n}"
         )
-    scores = []
-    for i, key in enumerate(resid.keys):
-        z = local_significance(float(resid.residual[i]), width)
-        if mc is None:
-            g = global_significance_analytic(z, resid.n)
-            beyond = False
-        else:
-            est = global_significance_mc(z, mc, threads=threads, store=store)
-            g = est.sigma
-            beyond = est.bounded
-        scores.append(
-            AnomalyScore(
-                key=key,
-                actual=float(resid.actual[i]),
-                predicted=float(resid.predicted[i]),
-                residual=float(resid.residual[i]),
-                local_sigma=z,
-                global_sigma=g,
-                beyond_mc_table=beyond,
-            )
+    z = resid.residual / width.width
+    if mc is None:
+        glob = analytic_sigma_curve(z, resid.n)
+        beyond = np.zeros(resid.n, dtype=bool)
+    else:
+        counts, glob = _mc_sigmas(z, mc, threads, store)
+        beyond = counts == 0
+    return [
+        AnomalyScore(
+            key=key, actual=a, predicted=p, residual=r, local_sigma=zi, global_sigma=g,
+            beyond_mc_table=b,
         )
-    return scores
+        for key, a, p, r, zi, g, b in zip(
+            resid.keys, resid.actual.tolist(), resid.predicted.tolist(),
+            resid.residual.tolist(), z.tolist(), glob.tolist(), beyond.tolist(),
+        )
+    ]
+
+
+def score_model(
+    model: FitModel,
+    dataset: Dataset,
+    mc_trials: int | None = None,
+    mc_seed: int = 0,
+    threads: int = 1,
+    store=None,
+) -> tuple[ResidualSet, WidthFit, list[AnomalyScore]]:
+    """Residuals of `model` on every county of `dataset`, their width and
+    their scores. The look-elsewhere N is the county count; the global sigma
+    is analytic, or comes from an MC null of `mc_trials` trials when that is
+    given (`threads` and `store` as in mc_extremes)."""
+    resid = residuals(model, dataset)
+    width = fit_width(resid)
+    mc = None if mc_trials is None else McConfig(resid.n, trials=mc_trials, seed=mc_seed)
+    return resid, width, score_counties(resid, width, mc=mc, threads=threads, store=store)
 
 
 def sorted_scores(scores) -> list[AnomalyScore]:
@@ -471,13 +482,9 @@ def rank_anomalies(scores, top_n: int | None = None) -> list[dict]:
     return rows
 
 
-def write_ranking_csv(scores, path, top_n: int | None = None, comment: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.DictWriter(fh, fieldnames=RANKING_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rank_anomalies(scores, top_n))
+def write_ranking_csv(scores, path, comment: str = "") -> None:
+    rows = ([row[c] for c in RANKING_COLUMNS] for row in rank_anomalies(scores))
+    write_csv(path, RANKING_COLUMNS, rows, comment=comment)
 
 
 def write_scores_json(scores, path, meta: dict | None = None) -> None:
@@ -501,9 +508,7 @@ def write_scores_json(scores, path, meta: dict | None = None) -> None:
             for s in sorted_scores(scores)
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def size_correlation(resid: ResidualSet, dataset: Dataset, year: int | None = None) -> float:
@@ -515,8 +520,7 @@ def size_correlation(resid: ResidualSet, dataset: Dataset, year: int | None = No
     if resid.n < 3:
         raise DataError(f"need at least 3 counties for a correlation, got {resid.n}")
     year = dataset.target_year if year is None else year
-    by_fips = {k.fips: i for i, k in enumerate(dataset.keys)}
-    idx = np.array([by_fips[k.fips] for k in resid.keys], dtype=np.intp)
+    idx = np.array([dataset.index_of(k.fips) for k in resid.keys], dtype=np.intp)
     totals = (dataset.rep[year] + dataset.dem[year])[idx]
     if np.any(totals <= 0):
         raise DataError("zero two-party total in correlation input")

@@ -18,14 +18,13 @@ import sys
 from pathlib import Path
 
 from . import __version__, anomaly, charts
-from .anomaly import McConfig, fit_width, residuals, score_counties, size_correlation
-from .data_model import Dataset, generate_synthetic, standardize
+from .anomaly import McConfig, residuals, score_model, size_correlation
+from .data_model import Dataset, generate_synthetic, write_csv, write_json
 from .elastic_net import (
     MODEL_FORMAT_VERSION,
-    cross_validate,
     cv_result_from_dict,
     cv_result_to_dict,
-    fit,
+    fit_cv,
     model_from_dict,
     model_to_dict,
 )
@@ -56,45 +55,37 @@ from .scenarios import (
 )
 
 
-def _write_json(doc: dict, path: Path, man: RunManifest) -> None:
-    doc = {"manifest_sha256": man.sha256, **doc}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """What one command works with, set up once by `main`."""
 
+    man: RunManifest
+    out: Path            # the manifest's output directory, created
+    threads: int
+    comment: str         # the manifest-hash stamp every CSV output starts with
+    mc_store: Path       # MC null tables kept for later commands on `out`
+    dataset_cache: Path  # the binary copy of the dataset, likewise
 
-def _comment(man: RunManifest) -> str:
-    return f"manifest_sha256={man.sha256}"
+    def load(self) -> tuple[Dataset, str]:
+        """The dataset and its dataset_sha256, hashed once per command.
 
+        The dataset is read from the binary cache in dataset_cache when that
+        is current, and otherwise parsed from the CSV and cached there.
+        """
+        path = self.man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
+        digest = dataset_sha256(path)
+        return load_dataset(path, cache_dir=self.dataset_cache, digest=digest), digest
 
-def _out_dir(man: RunManifest) -> Path:
-    man.out_dir.mkdir(parents=True, exist_ok=True)
-    return man.out_dir
+    def blind_spec(self) -> BlindSpec:
+        return BlindSpec(
+            train_states=frozenset(self.man.require("train_states", "[blind] train_states")),
+            eval_states=frozenset(self.man.require("eval_states", "[blind] eval_states")),
+            cv=self.man.cv,
+        )
 
-
-def _dataset_path(man: RunManifest) -> Path:
-    return man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
-
-
-def _load(man: RunManifest) -> tuple[Dataset, str]:
-    """The dataset and its dataset_sha256, hashed once per command.
-
-    The dataset is read from the binary cache in <out>/dataset_cache/ when
-    that is current, and otherwise parsed from the CSV and cached there.
-    """
-    path = _dataset_path(man)
-    digest = dataset_sha256(path)
-    return load_dataset(path, cache_dir=_dataset_cache(man), digest=digest), digest
-
-
-def _dataset_cache(man: RunManifest) -> Path:
-    """Where the binary copy of the dataset is kept for later commands."""
-    return man.out_dir / "dataset_cache"
-
-
-def _mc_store(man: RunManifest) -> Path:
-    """Where MC null tables are kept for later commands on the same output directory."""
-    return man.out_dir / "mc_null"
+    def write_json(self, name: str, doc: dict) -> None:
+        """Write `doc` to <out>/<name>, stamped with the manifest hash."""
+        write_json(self.out / name, {"manifest_sha256": self.man.sha256, **doc})
 
 
 def _blind_key(spec: BlindSpec, digest: str) -> dict:
@@ -118,7 +109,7 @@ def _blind_key(spec: BlindSpec, digest: str) -> dict:
     }
 
 
-def _blind_context(man: RunManifest, dataset, spec: BlindSpec, digest: str) -> BlindContext:
+def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindContext:
     """The blinded fit `blind` stored in the output directory, or a fresh one.
 
     The stored model and CV grid are reused when both files carry this run's
@@ -131,10 +122,10 @@ def _blind_context(man: RunManifest, dataset, spec: BlindSpec, digest: str) -> B
     reason = None
     for name in ("blind_model.json", "blind_cv.json"):
         try:
-            with open(man.out_dir / name) as fh:
+            with open(run.out / name) as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
-            reason = f"no {name} in {man.out_dir}"
+            reason = f"no {name} in {run.out}"
             break
         except (OSError, ValueError) as err:
             reason = f"{name} is unreadable ({err})"
@@ -155,49 +146,33 @@ def _blind_context(man: RunManifest, dataset, spec: BlindSpec, digest: str) -> B
     return prepare_blind_context(dataset, spec)
 
 
-def _blind_spec(man: RunManifest) -> BlindSpec:
-    return BlindSpec(
-        train_states=frozenset(man.require("train_states", "[blind] train_states")),
-        eval_states=frozenset(man.require("eval_states", "[blind] eval_states")),
-        cv=man.cv,
-    )
+def _write_scores(run: Run, prefix: str, resid, width, scores, **meta) -> None:
+    """<prefix>ranking.csv, <prefix>scores.json and <prefix>residuals.csv.
 
-
-def _fit_all(dataset, man: RunManifest):
-    """CV, final fit, and self-scoring over every county."""
-    y = dataset.shares()
-    cv = cross_validate(
-        dataset.X,
-        y,
-        l1_grid=man.cv.l1_grid,
-        k=man.cv.folds,
-        seed=man.cv.seed,
-        n_alphas=man.cv.n_alphas,
-        eps=man.cv.eps,
-        tol=man.cv.tol,
-        max_iter=man.cv.max_iter,
-    )
-    Xs, params = standardize(dataset.X, dataset.feature_names)
-    model = fit(Xs, y, cv.selected, params, tol=man.cv.tol, max_iter=man.cv.max_iter)
-    return cv, model
-
-
-def _write_residual_join(scores, path: Path, man: RunManifest) -> None:
-    """FIPS-keyed export for choropleth tools, full precision.
-
-    The sigmas are the scored ones, so they agree with the ranking and the
-    scores JSON whichever null (analytic or MC) produced them.
+    The residuals file is a FIPS-keyed export for choropleth tools, at full
+    precision. Its sigmas are the scored ones, so they agree with the ranking
+    and the scores JSON whichever null (analytic or MC) produced them.
     """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {_comment(man)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["fips", "residual", "local_sigma", "global_sigma"])
-        for s in sorted(scores, key=lambda s: s.key.fips):
-            writer.writerow(
-                [s.key.fips, repr(s.residual), repr(s.local_sigma), repr(s.global_sigma)]
-            )
+    anomaly.write_ranking_csv(scores, run.out / f"{prefix}ranking.csv", comment=run.comment)
+    anomaly.write_scores_json(
+        scores,
+        run.out / f"{prefix}scores.json",
+        meta={
+            "manifest_sha256": run.man.sha256,
+            "n_counties": resid.n,
+            "width": width.width,
+            "rms_residual": resid.rms,
+            "mc_trials": run.man.mc_trials,
+            "mc_seed": run.man.mc_seed,
+            **meta,
+        },
+    )
+    header = ["fips", "residual", "local_sigma", "global_sigma"]
+    rows = (
+        [s.key.fips, repr(s.residual), repr(s.local_sigma), repr(s.global_sigma)]
+        for s in sorted(scores, key=lambda s: s.key.fips)
+    )
+    write_csv(run.out / f"{prefix}residuals.csv", header, rows, comment=run.comment)
 
 
 def _print_top(scores, top_n: int = 10) -> None:
@@ -211,9 +186,8 @@ def _print_top(scores, top_n: int = 10) -> None:
         )
 
 
-def cmd_ingest(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
+def cmd_ingest(run: Run) -> int:
+    man, out = run.man, run.out
     if not man.inputs:
         raise ConfigError("manifest has no [inputs] section")
     demo_tables = []
@@ -234,9 +208,9 @@ def cmd_ingest(args) -> int:
     dataset, join_report = assemble_dataset(features, elections, man.target_year)
     report = report.merge(join_report)
     save_dataset(
-        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=_dataset_cache(man)
+        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=run.dataset_cache
     )
-    _write_json(report.to_dict(), out / "cleaning_report.json", man)
+    run.write_json("cleaning_report.json", dataclasses.asdict(report))
     print(f"counties: {dataset.n}")
     print(f"features: {dataset.p}")
     print(
@@ -250,61 +224,39 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
+def cmd_synth(run: Run) -> int:
+    man, out = run.man, run.out
     spec = man.require("synth", "a [synth] section")
     dataset, beta = generate_synthetic(spec, target_year=man.target_year)
     save_dataset(
-        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=_dataset_cache(man)
+        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=run.dataset_cache
     )
-    _write_json(
+    run.write_json(
+        "true_coefficients.json",
         {
-            "spec": {
-                "n_counties": spec.n_counties,
-                "n_features": spec.n_features,
-                "n_active": spec.n_active,
-                "noise_sd": spec.noise_sd,
-                "seed": spec.seed,
-            },
+            "spec": dataclasses.asdict(spec),
             "coefficients": {
                 name: float(b) for name, b in zip(dataset.feature_names, beta)
             },
         },
-        out / "true_coefficients.json",
-        man,
     )
     print(f"counties: {dataset.n}")
     print(f"wrote {out / 'dataset.csv'}")
     return 0
 
 
-def cmd_fit(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
-    dataset, _ = _load(man)
-    cv, model = _fit_all(dataset, man)
-    resid = residuals(model, dataset)
-    width = fit_width(resid)
-    mc = McConfig(n_counties=dataset.n, trials=man.mc_trials, seed=man.mc_seed)
-    scores = score_counties(resid, width, mc=mc, threads=args.threads, store=_mc_store(man))
-
-    _write_json(model_to_dict(model), out / "model.json", man)
-    _write_json(cv_result_to_dict(cv), out / "cv.json", man)
-    anomaly.write_ranking_csv(scores, out / "ranking.csv", comment=_comment(man))
-    anomaly.write_scores_json(
-        scores,
-        out / "scores.json",
-        meta={
-            "manifest_sha256": man.sha256,
-            "n_counties": dataset.n,
-            "width": width.width,
-            "rms_residual": resid.rms,
-            "mc_trials": man.mc_trials,
-            "mc_seed": man.mc_seed,
-        },
+def cmd_fit(run: Run) -> int:
+    man = run.man
+    dataset, _ = run.load()
+    cv, model = fit_cv(dataset.X, dataset.shares(), dataset.feature_names, man.cv)
+    resid, width, scores = score_model(
+        model, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
+        store=run.mc_store,
     )
-    _write_residual_join(scores, out / "residuals.csv", man)
+
+    run.write_json("model.json", model_to_dict(model))
+    run.write_json("cv.json", cv_result_to_dict(cv))
+    _write_scores(run, "", resid, width, scores)
 
     print(f"counties: {dataset.n}")
     print(f"selected: l1_ratio={cv.selected.l1_ratio} alpha={cv.selected.alpha:.6g}")
@@ -320,36 +272,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_blind(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
-    dataset, digest = _load(man)
-    spec = _blind_spec(man)
+def cmd_blind(run: Run) -> int:
+    man = run.man
+    dataset, digest = run.load()
+    spec = run.blind_spec()
     ctx = prepare_blind_context(dataset, spec)
     result = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads,
-        mc_store=_mc_store(man),
+        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
+        mc_store=run.mc_store,
     )
 
     key = _blind_key(spec, digest)
-    _write_json({**key, **model_to_dict(result.model)}, out / "blind_model.json", man)
-    _write_json({**key, **cv_result_to_dict(result.cv)}, out / "blind_cv.json", man)
-    anomaly.write_ranking_csv(result.scores, out / "blind_ranking.csv", comment=_comment(man))
-    anomaly.write_scores_json(
-        result.scores,
-        out / "blind_scores.json",
-        meta={
-            "manifest_sha256": man.sha256,
-            "n_counties": result.residuals.n,
-            "width": result.width.width,
-            "rms_residual": result.residuals.rms,
-            "mc_trials": man.mc_trials,
-            "mc_seed": man.mc_seed,
-            "train_states": sorted(spec.train_states),
-            "eval_states": sorted(spec.eval_states),
-        },
+    run.write_json("blind_model.json", {**key, **model_to_dict(result.model)})
+    run.write_json("blind_cv.json", {**key, **cv_result_to_dict(result.cv)})
+    _write_scores(
+        run, "blind_", result.residuals, result.width, result.scores,
+        train_states=sorted(spec.train_states), eval_states=sorted(spec.eval_states),
     )
-    _write_residual_join(result.scores, out / "blind_residuals.csv", man)
 
     train_resid = residuals(result.model, dataset.subset_states(spec.train_states))
     print(f"selected: l1_ratio={result.cv.selected.l1_ratio} alpha={result.cv.selected.alpha:.6g}")
@@ -375,44 +314,51 @@ def cmd_blind(args) -> int:
             f"counterfactual {state}: actual {actual.winner} by {actual.margin:,.0f}, "
             f"modeled {modeled.winner} by {modeled.margin:,.0f}"
         )
-    _write_json({"states": counterfactuals}, out / "counterfactuals.json", man)
+    run.write_json("counterfactuals.json", {"states": counterfactuals})
     _print_top(result.scores)
     return 0
 
 
-def cmd_inject(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
-    dataset, digest = _load(man)
-    spec = _blind_spec(man)
+def cmd_inject(run: Run) -> int:
+    man = run.man
+    dataset, digest = run.load()
+    spec = run.blind_spec()
     inj_cfg = man.require("injection", "an [injection] section")
     inj = InjectionSpec(
         fips=inj_cfg["fips"],
         k=inj_cfg["k"],
         direction=Direction.parse(inj_cfg["direction"]),
     )
-    ctx = _blind_context(man, dataset, spec, digest)
+    ctx = _blind_context(run, dataset, spec, digest)
     baseline = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=args.threads,
-        mc_store=_mc_store(man),
+        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
+        mc_store=run.mc_store,
     )
-    base_by_fips = {s.key.fips: (i, s) for i, s in enumerate(baseline.scores)}
+    base_by_fips = {s.key.fips: (rank, s) for rank, s in enumerate(baseline.scores, start=1)}
     if inj.fips not in base_by_fips:
         raise ConfigError(
             f"injection county {inj.fips} is not in the evaluation set"
         )
-    base_idx, base_score = base_by_fips[inj.fips]
-    base_rank = base_idx + 1
+    base_rank, base_score = base_by_fips[inj.fips]
     result = run_injection_experiment(
         dataset,
         spec,
         inj,
         mc_trials=man.mc_trials,
         mc_seed=man.mc_seed,
-        threads=args.threads,
+        threads=run.threads,
         context=ctx,
-        mc_store=_mc_store(man),
+        mc_store=run.mc_store,
     )
+
+    def standing(score, rank: int) -> dict:
+        return {
+            "actual_share": score.actual,
+            "residual": score.residual,
+            "local_sigma": score.local_sigma,
+            "global_sigma": score.global_sigma,
+            "rank": rank,
+        }
 
     comparison = {
         "fips": inj.fips,
@@ -420,28 +366,16 @@ def cmd_inject(args) -> int:
         "state": result.injected.key.state,
         "k": inj.k,
         "direction": inj.direction.value,
-        "before": {
-            "actual_share": base_score.actual,
-            "residual": base_score.residual,
-            "local_sigma": base_score.local_sigma,
-            "global_sigma": base_score.global_sigma,
-            "rank": base_rank,
-        },
-        "after": {
-            "actual_share": result.injected.actual,
-            "residual": result.injected.residual,
-            "local_sigma": result.injected.local_sigma,
-            "global_sigma": result.injected.global_sigma,
-            "rank": result.rank,
-        },
+        "before": standing(base_score, base_rank),
+        "after": standing(result.injected, result.rank),
     }
-    _write_json(comparison, out / "comparison.json", man)
+    run.write_json("comparison.json", comparison)
     anomaly.write_ranking_csv(
-        result.blind.scores, out / "injected_ranking.csv", comment=_comment(man)
+        result.blind.scores, run.out / "injected_ranking.csv", comment=run.comment
     )
     anomaly.write_scores_json(
         result.blind.scores,
-        out / "injected_scores.json",
+        run.out / "injected_scores.json",
         meta={
             "manifest_sha256": man.sha256,
             "n_counties": result.blind.residuals.n,
@@ -463,13 +397,12 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
-    dataset, digest = _load(man)
-    spec = _blind_spec(man)
+def cmd_sweep(run: Run) -> int:
+    man, out = run.man, run.out
+    dataset, digest = run.load()
+    spec = run.blind_spec()
     states = man.require("sweep_states", "[sweep] states")
-    ctx = _blind_context(man, dataset, spec, digest)
+    ctx = _blind_context(run, dataset, spec, digest)
     all_curves = []
     for state in states:
         curves = sweep(dataset, spec, state, k_step=man.sweep_k_step, context=ctx)
@@ -477,10 +410,10 @@ def cmd_sweep(args) -> int:
             print(f"{state}: no county is large enough to flip the state")
             continue
         all_curves.extend(curves)
-        write_sweep_csv(curves, out / f"sweep_{state}.csv", comment=_comment(man))
-        charts.write_sweep_chart(curves, state, out / f"sweep_{state}.svg", comment=_comment(man))
+        write_sweep_csv(curves, out / f"sweep_{state}.csv", comment=run.comment)
+        charts.write_sweep_chart(curves, state, out / f"sweep_{state}.svg", comment=run.comment)
     summary = sweep_summary(all_curves)
-    _write_json({"states": summary}, out / "sweep_summary.json", man)
+    run.write_json("sweep_summary.json", {"states": summary})
     for state in states:
         if state not in summary:
             continue
@@ -493,18 +426,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    man = load_manifest(args.manifest, _overrides(args))
-    out = _out_dir(man)
+def cmd_calibrate(run: Run) -> int:
+    man = run.man
     rows = []
     any_disagree = False
     for n in man.calibrate_n:
         cfg = McConfig(n_counties=n, trials=man.mc_trials, seed=man.mc_seed)
         for z in man.calibrate_z:
             analytic = anomaly.global_significance_analytic(z, n)
-            est = anomaly.global_significance_mc(
-                z, cfg, threads=args.threads, store=_mc_store(man)
-            )
+            est = anomaly.global_significance_mc(z, cfg, threads=run.threads, store=run.mc_store)
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands
             else:
@@ -525,16 +455,8 @@ def cmd_calibrate(args) -> int:
                 }
             )
 
-    import csv
-
-    with open(out / "calibration.csv", "w", newline="") as fh:
-        fh.write(f"# {_comment(man)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(rows[0].keys()))
-        for r in rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else str(v) for v in r.values()]
-            )
+    cells = ([repr(v) if isinstance(v, float) else str(v) for v in r.values()] for r in rows)
+    write_csv(run.out / "calibration.csv", list(rows[0]), cells, comment=run.comment)
 
     p4 = anomaly.two_sided_p(4.0)
     print(f"4 sigma global threshold: p = {p4:.3g} (about 1 in {round(1 / p4):,})")
@@ -549,12 +471,8 @@ def cmd_calibrate(args) -> int:
         )
     if any_disagree:
         print("warning: MC and analytic conversions disagree beyond 3 standard errors")
-    print(f"wrote {out / 'calibration.csv'}")
+    print(f"wrote {run.out / 'calibration.csv'}")
     return 0
-
-
-def _overrides(args) -> dict:
-    return {"trials": args.trials, "seed": args.seed, "out": args.out}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -592,7 +510,19 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        return args.func(args)
+        overrides = {"trials": args.trials, "seed": args.seed, "out": args.out}
+        man = load_manifest(args.manifest, overrides)
+        out = man.out_dir
+        out.mkdir(parents=True, exist_ok=True)
+        run = Run(
+            man=man,
+            out=out,
+            threads=args.threads,
+            comment=f"manifest_sha256={man.sha256}",
+            mc_store=out / "mc_null",
+            dataset_cache=out / "dataset_cache",
+        )
+        return args.func(run)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

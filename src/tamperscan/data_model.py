@@ -8,6 +8,8 @@ from multiple threads.
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 import threading
 from dataclasses import dataclass
@@ -307,6 +309,23 @@ def write_atomically(path: Path, write: Callable) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(path, header, rows, comment: str = "") -> None:
+    """Write a CSV file: a `# comment` line when given, the header, then `rows`."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc: dict) -> None:
+    """Write `doc` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def logistic(z):

@@ -22,7 +22,7 @@ coefficient moves (see `_descend`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -398,6 +398,26 @@ def cross_validate(
     )
 
 
+def fit_cv(
+    X: np.ndarray, y: np.ndarray, feature_names, settings: CvSettings
+) -> tuple[CvResult, FitModel]:
+    """Cross-validate on RAW features under `settings`, then fit the selected
+    penalty on every row, standardized from all of them."""
+    cv = cross_validate(
+        X,
+        y,
+        l1_grid=settings.l1_grid,
+        k=settings.folds,
+        seed=settings.seed,
+        n_alphas=settings.n_alphas,
+        eps=settings.eps,
+        tol=settings.tol,
+        max_iter=settings.max_iter,
+    )
+    Xs, params = standardize(X, feature_names)
+    return cv, fit(Xs, y, cv.selected, params, tol=settings.tol, max_iter=settings.max_iter)
+
+
 def predict(model: FitModel, X: np.ndarray, feature_names) -> np.ndarray | float:
     """Predict shares for raw feature rows (columns ordered by feature_names).
 
@@ -418,7 +438,7 @@ def model_to_dict(model: FitModel) -> dict:
         "version": MODEL_FORMAT_VERSION,
         "intercept": model.intercept,
         "coefficients": {n: float(c) for n, c in zip(s.names, model.coefficients)},
-        "penalty": {"alpha": model.penalty.alpha, "l1_ratio": model.penalty.l1_ratio},
+        "penalty": asdict(model.penalty),
         "standardization": {
             "names": list(s.names),
             "mean": [float(v) for v in s.mean],
@@ -458,19 +478,8 @@ def cv_result_to_dict(result: CvResult) -> dict:
         "version": MODEL_FORMAT_VERSION,
         "seed": result.seed,
         "folds": result.folds,
-        "selected": {
-            "alpha": result.selected.alpha,
-            "l1_ratio": result.selected.l1_ratio,
-        },
-        "grid": [
-            {
-                "l1_ratio": pt.l1_ratio,
-                "alpha": pt.alpha,
-                "mean_mse": pt.mean_mse,
-                "fold_mses": list(pt.fold_mses),
-            }
-            for pt in result.grid
-        ],
+        "selected": asdict(result.selected),
+        "grid": [asdict(pt) for pt in result.grid],
     }
 
 

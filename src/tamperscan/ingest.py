@@ -15,12 +15,12 @@ import hashlib
 import json
 import re
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, VoteTally, write_atomically
+from .data_model import CountyKey, Dataset, VoteTally, write_atomically, write_csv, write_json
 from .errors import ConfigError, DataError, SchemaError
 from .fips import normalize_fips, state_for_fips
 
@@ -81,21 +81,8 @@ class CleaningReport:
 
     def merge(self, other: "CleaningReport") -> "CleaningReport":
         return CleaningReport(
-            dropped_moe_columns=self.dropped_moe_columns + other.dropped_moe_columns,
-            dropped_duplicate_columns=self.dropped_duplicate_columns
-            + other.dropped_duplicate_columns,
-            dropped_missing_columns=self.dropped_missing_columns
-            + other.dropped_missing_columns,
-            dropped_counties=self.dropped_counties + other.dropped_counties,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "dropped_moe_columns": self.dropped_moe_columns,
-            "dropped_duplicate_columns": self.dropped_duplicate_columns,
-            "dropped_missing_columns": self.dropped_missing_columns,
-            "dropped_counties": self.dropped_counties,
-        }
 
 
 def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
@@ -398,17 +385,16 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=
     for y in years:
         header += [f"rep_{y}", f"dem_{y}"]
     header += list(dataset.feature_names)
-    with open(csv_path, "w", newline="") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest_sha256={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
         for i, key in enumerate(dataset.keys):
             row = [key.fips, key.state, key.name]
             for y in years:
                 row += [str(int(dataset.rep[y][i])), str(int(dataset.dem[y][i]))]
-            row += [repr(float(v)) for v in dataset.X[i]]
-            writer.writerow(row)
+            yield row + [repr(float(v)) for v in dataset.X[i]]
+
+    comment = f"manifest_sha256={manifest_hash}" if manifest_hash else ""
+    write_csv(csv_path, header, rows(), comment=comment)
     meta = {
         "format": DATASET_FORMAT,
         "version": DATASET_FORMAT_VERSION,
@@ -419,9 +405,7 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=
         "feature_names": list(dataset.feature_names),
         "manifest_sha256": manifest_hash,
     }
-    with open(_meta_path(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(_meta_path(csv_path), meta)
     if cache_dir is not None:
         _write_cache(Path(cache_dir) / _CACHE_FILE, dataset_sha256(csv_path), dataset)
 

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .anomaly import DEFAULT_MC_TRIALS
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
 from .errors import ConfigError
@@ -59,28 +60,41 @@ def _get(cp, section, key, default=None):
     return default
 
 
-def _get_int(cp, section, key, default=None):
+def _get_parsed(cp, section, key, parse, what: str, default):
+    """`parse` applied to the value of `key`, or `default` when the key is absent."""
     raw = _get(cp, section, key)
     if raw is None:
         return default
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
+        raise ConfigError(f"[{section}] {key} must be {what}, got {raw!r}") from None
+
+
+def _get_int(cp, section, key, default=None):
+    return _get_parsed(cp, section, key, int, "an integer", default)
 
 
 def _get_float(cp, section, key, default=None):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    return _get_parsed(cp, section, key, float, "a number", default)
 
 
 def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+def _get_grid(cp, section, key, kind, default):
+    """A non-empty comma-separated list of `kind` values, or `default` when
+    the key is absent."""
+
+    def parse(raw):
+        values = tuple(kind(v) for v in _split(raw))
+        if not values:
+            raise ValueError("empty grid")
+        return values
+
+    what = "a non-empty list of " + ("integers" if kind is int else "numbers")
+    return _get_parsed(cp, section, key, parse, what, default)
 
 
 def _get_states(cp, section, key) -> tuple[str, ...]:
@@ -137,9 +151,7 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
     seed_override = overrides.get("seed")
 
     cv = CvSettings(
-        l1_grid=tuple(
-            float(v) for v in _split(_get(cp, "cv", "l1_grid", "0.1,0.3,0.5,0.7,0.9,1.0"))
-        ),
+        l1_grid=_get_grid(cp, "cv", "l1_grid", float, CvSettings.l1_grid),
         n_alphas=_get_int(cp, "cv", "n_alphas", CvSettings.n_alphas),
         eps=_get_float(cp, "cv", "eps", CvSettings.eps),
         folds=_get_int(cp, "cv", "folds", CvSettings.folds),
@@ -167,19 +179,16 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
     synth = None
     if cp.has_section("synth"):
         synth = SyntheticSpec(
-            n_counties=_get_int(cp, "synth", "n_counties", 500),
-            n_features=_get_int(cp, "synth", "n_features", 50),
-            n_active=_get_int(cp, "synth", "n_active", 5),
-            noise_sd=_get_float(cp, "synth", "noise_sd", 0.01),
-            seed=seed_override if seed_override is not None else _get_int(cp, "synth", "seed", 0),
+            n_counties=_get_int(cp, "synth", "n_counties", SyntheticSpec.n_counties),
+            n_features=_get_int(cp, "synth", "n_features", SyntheticSpec.n_features),
+            n_active=_get_int(cp, "synth", "n_active", SyntheticSpec.n_active),
+            noise_sd=_get_float(cp, "synth", "noise_sd", SyntheticSpec.noise_sd),
+            seed=seed_override if seed_override is not None else _get_int(cp, "synth", "seed", SyntheticSpec.seed),
         )
 
     trials_override = overrides.get("trials")
     out_override = overrides.get("out")
     dataset_raw = _get(cp, "data", "dataset")
-
-    z_raw = _get(cp, "calibrate", "z_grid")
-    n_raw = _get(cp, "calibrate", "n_grid")
 
     return RunManifest(
         path=path,
@@ -190,7 +199,7 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         inputs=inputs,
         dataset_path=resolve(dataset_raw) if dataset_raw else None,
         cv=cv,
-        mc_trials=trials_override if trials_override is not None else _get_int(cp, "mc", "trials", 100_000),
+        mc_trials=trials_override if trials_override is not None else _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS),
         mc_seed=seed_override if seed_override is not None else _get_int(cp, "mc", "seed", DEFAULT_MC_SEED),
         train_states=_get_states(cp, "blind", "train_states"),
         eval_states=_get_states(cp, "blind", "eval_states"),
@@ -198,6 +207,6 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         sweep_states=_get_states(cp, "sweep", "states"),
         sweep_k_step=_get_int(cp, "sweep", "k_step"),
         synth=synth,
-        calibrate_z=tuple(float(v) for v in _split(z_raw)) if z_raw else DEFAULT_CALIBRATE_Z,
-        calibrate_n=tuple(int(v) for v in _split(n_raw)) if n_raw else DEFAULT_CALIBRATE_N,
+        calibrate_z=_get_grid(cp, "calibrate", "z_grid", float, DEFAULT_CALIBRATE_Z),
+        calibrate_n=_get_grid(cp, "calibrate", "n_grid", int, DEFAULT_CALIBRATE_N),
     )

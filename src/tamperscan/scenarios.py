@@ -10,7 +10,6 @@ detectability curve and the constrained/unconstrained classification.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -18,17 +17,14 @@ import numpy as np
 
 from .anomaly import (
     AnomalyScore,
-    McConfig,
     ResidualSet,
     WidthFit,
     analytic_sigma_curve,
-    fit_width,
-    residuals,
-    score_counties,
+    score_model,
     sorted_scores,
 )
-from .data_model import Dataset, standardize
-from .elastic_net import CvResult, CvSettings, FitModel, cross_validate, fit, predict
+from .data_model import Dataset, write_csv
+from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
 
 DETECTION_SIGMA = 4.0
@@ -169,20 +165,7 @@ def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     """
     train = dataset.subset_states(spec.train_states)
     dataset.subset_states(spec.eval_states)  # fail fast if eval is empty
-    y = train.shares()
-    cv = cross_validate(
-        train.X,
-        y,
-        l1_grid=spec.cv.l1_grid,
-        k=spec.cv.folds,
-        seed=spec.cv.seed,
-        n_alphas=spec.cv.n_alphas,
-        eps=spec.cv.eps,
-        tol=spec.cv.tol,
-        max_iter=spec.cv.max_iter,
-    )
-    Xs, params = standardize(train.X, train.feature_names)
-    model = fit(Xs, y, cv.selected, params, tol=spec.cv.tol, max_iter=spec.cv.max_iter)
+    cv, model = fit_cv(train.X, train.shares(), train.feature_names, spec.cv)
     model = replace(
         model,
         training_meta={
@@ -210,11 +193,14 @@ def score_eval_set(
     on the evaluation residuals themselves. `mc_store` is the MC table
     directory of anomaly.mc_extremes.
     """
-    eval_ds = dataset.subset_states(ctx.spec.eval_states)
-    resid = residuals(ctx.model, eval_ds)
-    width = fit_width(resid)
-    mc = McConfig(n_counties=resid.n, trials=mc_trials, seed=mc_seed) if mc_trials else None
-    scores = score_counties(resid, width, mc=mc, threads=threads, store=mc_store)
+    resid, width, scores = score_model(
+        ctx.model,
+        dataset.subset_states(ctx.spec.eval_states),
+        mc_trials=mc_trials,
+        mc_seed=mc_seed,
+        threads=threads,
+        store=mc_store,
+    )
     return BlindResult(
         model=ctx.model,
         cv=ctx.cv,
@@ -444,16 +430,13 @@ def unconstrained_counties(curves) -> list[str]:
 
 def write_sweep_csv(curves, path, comment: str = "") -> None:
     """Long-format curve export: one row per sampled k, full precision."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["fips", "county", "state", "direction", "k", "global_sigma"])
-        for c in curves:
-            for k, sigma in c.samples:
-                writer.writerow(
-                    [c.fips, c.county, c.state, c.direction.value, str(k), repr(sigma)]
-                )
+    header = ["fips", "county", "state", "direction", "k", "global_sigma"]
+    rows = (
+        [c.fips, c.county, c.state, c.direction.value, str(k), repr(sigma)]
+        for c in curves
+        for k, sigma in c.samples
+    )
+    write_csv(path, header, rows, comment=comment)
 
 
 def sweep_summary(curves) -> dict:

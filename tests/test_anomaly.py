@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -341,6 +342,30 @@ class TestScoreCounties:
         assert scores[0].global_sigma == pytest.approx(
             global_significance_analytic(2.0, 12), abs=1e-12
         )
+
+    @pytest.mark.parametrize("mc", [None, McConfig(n_counties=400, trials=2000, seed=3)])
+    def test_matches_one_county_at_a_time(self, mc):
+        """Converting the whole z vector at once gives, bit for bit, what one
+        conversion per county gives."""
+        r = substream(5, 0).standard_normal(400) * 0.02
+        r[:3] = [0.3, -0.4, 0.5]  # beyond every MC trial
+        resid = _resid_from(r)
+        width = fit_width(resid)
+        table = None if mc is None else mc_extremes(mc)
+        scores = score_counties(resid, width, mc=mc)
+        for s, ri in zip(scores, r):
+            z = float(ri) / width.width
+            if mc is None:
+                g, beyond = global_significance_analytic(z, 400), False
+            else:
+                count = int(table.size - np.searchsorted(table, abs(z), side="left"))
+                beyond = count == 0
+                if beyond:
+                    g = global_significance_analytic(z, 400)
+                else:
+                    g = min(abs(z), -NormalDist().inv_cdf(0.5 * (count / mc.trials)) + 0.0)
+            assert (s.local_sigma, s.global_sigma, s.beyond_mc_table) == (z, g, beyond)
+        assert sum(s.beyond_mc_table for s in scores) == (0 if mc is None else 3)
 
     def test_mc_size_mismatch_rejected(self):
         resid = _resid_from([0.1] * 12)

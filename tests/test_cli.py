@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamperscan import McConfig, anomaly, ingest, load_dataset, manifest_hash, mc_extremes, scenarios
+from tamperscan import McConfig, anomaly, elastic_net, ingest, load_dataset, manifest_hash, mc_extremes
 from tamperscan.cli import main
 from tamperscan.ingest import dataset_sha256, save_dataset
 from tamperscan.scenarios import Direction, InjectionSpec, inject_flips
@@ -253,7 +253,7 @@ class TestReuseAcrossCommands:
     def test_blind_chain_fits_once_and_matches_fresh_runs(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
         chained = tmp_path / "chained"
         drawn = {}
@@ -290,7 +290,7 @@ class TestReuseAcrossCommands:
             flip = InjectionSpec(ds.keys[i].fips, int(ds.rep[2020][i]) // 2, Direction.R_TO_D)
             save_dataset(inject_flips(ds, flip), out / "dataset.csv", _hash_of(private_ws))
         capsys.readouterr()
-        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         assert main(["inject", "--manifest", man]) == 0
         assert len(cv_calls) == 1
         err = capsys.readouterr().err
@@ -304,7 +304,7 @@ class TestReuseAcrossCommands:
         man, out = _man(private_ws), private_ws / "out"
         assert main(["blind", "--manifest", man]) == 0
         capsys.readouterr()
-        cv_calls = counting(monkeypatch, scenarios, "cross_validate")
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         for cmd in ("inject", "sweep"):
             assert main([cmd, "--manifest", man, "--trials", "30000"]) == 0
         assert len(cv_calls) == 0
@@ -482,6 +482,24 @@ class TestExitCodes:
         argv = ["fit", "--manifest", _man(workspace), "--out", str(tmp_path), "--threads", "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "config error: --threads must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("cv", "l1_grid", "0.5, abc"), ("calibrate", "z_grid", "3, x"), ("calibrate", "n_grid", "100, 3.5")],
+    )
+    def test_bad_grid_value_is_2(self, tmp_path, capsys, section, key, value):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["calibrate", "--manifest", str(manifest)]) == 2
+        assert f"config error: [{section}] {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["z_grid", "n_grid"])
+    def test_empty_calibrate_grid_is_2_and_writes_nothing(self, tmp_path, capsys, key):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[calibrate]\n{key} = ,\n")
+        assert main(["calibrate", "--manifest", str(manifest)]) == 2
+        assert f"config error: [calibrate] {key} must be a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "calibration.csv").exists()
 
     def test_unknown_input_key_is_2(self, tmp_path, capsys):
         manifest = tmp_path / "run.ini"
