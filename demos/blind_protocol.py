@@ -46,7 +46,7 @@ def main():
 
     for state in sorted(SPEC.eval_states):
         actual = state_summary(dataset, state)
-        modeled = counterfactual_winner(dataset, result.model, state)
+        modeled = counterfactual_winner(dataset, ctx.model, state)
         flag = "" if actual.winner == modeled.winner else "  <- disagreement"
         print(f"  {state}: actual {actual.winner} by {actual.margin:,.0f}, "
               f"modeled {modeled.winner} by {modeled.margin:,.0f}{flag}")
@@ -60,9 +60,7 @@ def main():
     print(f"\ninjecting {k:,} flips R to D into {victim.name} ({victim.fips}, {victim.state})")
 
     inj = run_injection_experiment(
-        dataset, SPEC,
-        InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D),
-        context=ctx,
+        ctx, dataset, InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D)
     )
     s = inj.injected
     print(f"after injection: rank {inj.rank} of {result.residuals.n}, "

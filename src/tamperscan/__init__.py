@@ -11,13 +11,13 @@ from .anomaly import (
     AnomalyScore,
     McConfig,
     McGlobalSignificance,
+    McNull,
     ResidualSet,
     WidthFit,
     analytic_sigma_curve,
     fit_width,
     global_significance_analytic,
     global_significance_mc,
-    local_significance,
     mc_extremes,
     rank_anomalies,
     residuals,

@@ -116,6 +116,22 @@ class McConfig:
 
 
 @dataclass(frozen=True)
+class McNull:
+    """How a scoring draws its MC null: trials and seed, plus the thread
+    count and table directory (`store`) passed to mc_extremes. The
+    look-elsewhere N is not part of it; it comes from the scored set,
+    through config()."""
+
+    trials: int = DEFAULT_MC_TRIALS
+    seed: int = 0
+    threads: int = 1
+    store: Path | None = None
+
+    def config(self, n_counties: int) -> McConfig:
+        return McConfig(n_counties, trials=self.trials, seed=self.seed)
+
+
+@dataclass(frozen=True)
 class McGlobalSignificance:
     """MC estimate of global significance for one local z."""
 
@@ -183,14 +199,6 @@ def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
             ConvergenceWarning,
         )
     return WidthFit(width=width, clip_iterations=iterations, n_used=int(mask.sum()))
-
-
-def local_significance(r: float, width: WidthFit | float) -> float:
-    """Signed number of widths the residual sits from zero."""
-    w = width.width if isinstance(width, WidthFit) else float(width)
-    if not w > 0:
-        raise NumericalError(f"width must be positive, got {w}")
-    return float(r) / w
 
 
 def two_sided_p(sigma: float) -> float:
@@ -382,29 +390,20 @@ def global_significance_mc(
 
 
 def score_counties(
-    resid: ResidualSet,
-    width: WidthFit,
-    mc: McConfig | None = None,
-    threads: int = 1,
-    store=None,
+    resid: ResidualSet, width: WidthFit, mc: McNull | None = None
 ) -> list[AnomalyScore]:
     """Local and global sigma for every county in the evaluation set.
 
-    The look-elsewhere N is the evaluation-set size. With an McConfig the
-    global sigma comes from simulation (analytic fallback where the table
-    runs out, MC table kept in `store` as in mc_extremes); otherwise it is
-    analytic throughout.
+    The look-elsewhere N is the evaluation-set size. With an McNull the
+    global sigma comes from simulating N clean counties (analytic fallback
+    where the table runs out); otherwise it is analytic throughout.
     """
-    if mc is not None and mc.n_counties != resid.n:
-        raise ConfigError(
-            f"MC null has {mc.n_counties} counties but evaluation set has {resid.n}"
-        )
     z = resid.residual / width.width
     if mc is None:
         glob = analytic_sigma_curve(z, resid.n)
         beyond = np.zeros(resid.n, dtype=bool)
     else:
-        counts, glob = _mc_sigmas(z, mc, threads, store)
+        counts, glob = _mc_sigmas(z, mc.config(resid.n), mc.threads, mc.store)
         beyond = counts == 0
     return [
         AnomalyScore(
@@ -419,21 +418,14 @@ def score_counties(
 
 
 def score_model(
-    model: FitModel,
-    dataset: Dataset,
-    mc_trials: int | None = None,
-    mc_seed: int = 0,
-    threads: int = 1,
-    store=None,
+    model: FitModel, dataset: Dataset, mc: McNull | None = None
 ) -> tuple[ResidualSet, WidthFit, list[AnomalyScore]]:
     """Residuals of `model` on every county of `dataset`, their width and
     their scores. The look-elsewhere N is the county count; the global sigma
-    is analytic, or comes from an MC null of `mc_trials` trials when that is
-    given (`threads` and `store` as in mc_extremes)."""
+    is analytic, or comes from the MC null `mc` when that is given."""
     resid = residuals(model, dataset)
     width = fit_width(resid)
-    mc = None if mc_trials is None else McConfig(resid.n, trials=mc_trials, seed=mc_seed)
-    return resid, width, score_counties(resid, width, mc=mc, threads=threads, store=store)
+    return resid, width, score_counties(resid, width, mc)
 
 
 def sorted_scores(scores) -> list[AnomalyScore]:

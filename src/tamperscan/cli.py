@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, anomaly, charts
-from .anomaly import McConfig, residuals, score_model, size_correlation
+from .anomaly import McNull, residuals, score_model, size_correlation
 from .data_model import Dataset, generate_synthetic, write_csv, write_json
 from .elastic_net import (
     MODEL_FORMAT_VERSION,
@@ -28,7 +28,7 @@ from .elastic_net import (
     model_from_dict,
     model_to_dict,
 )
-from .errors import ConfigError, DataError, NumericalError, SchemaError
+from .errors import ConfigError, DataError, NumericalError, TamperscanError
 from .ingest import (
     assemble_dataset,
     clean_features,
@@ -61,10 +61,9 @@ class Run:
 
     man: RunManifest
     out: Path            # the manifest's output directory, created
-    threads: int
+    mc: McNull           # the MC null every scoring uses; its tables kept in <out>/mc_null
     comment: str         # the manifest-hash stamp every CSV output starts with
-    mc_store: Path       # MC null tables kept for later commands on `out`
-    dataset_cache: Path  # the binary copy of the dataset, likewise
+    dataset_cache: Path  # the binary copy of the dataset, kept for later commands on `out`
 
     def load(self) -> tuple[Dataset, str]:
         """The dataset and its dataset_sha256, hashed once per command.
@@ -75,6 +74,14 @@ class Run:
         path = self.man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
         digest = dataset_sha256(path)
         return load_dataset(path, cache_dir=self.dataset_cache, digest=digest), digest
+
+    def save(self, dataset: Dataset) -> Path:
+        """Write the dataset where `load` reads it: [data] dataset when the
+        manifest sets it, <out>/dataset.csv otherwise."""
+        path = self.man.dataset_path or self.out / "dataset.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_dataset(dataset, path, manifest_hash=self.man.sha256, cache_dir=self.dataset_cache)
+        return path
 
     def blind_spec(self) -> BlindSpec:
         return BlindSpec(
@@ -113,8 +120,8 @@ def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindCont
     """The blinded fit `blind` stored in the output directory, or a fresh one.
 
     The stored model and CV grid are reused when both files carry this run's
-    key and format version; otherwise the fit is redone exactly as `blind`
-    does it and one line on stderr says why. The result is the same either
+    key and format version and rebuild without error; otherwise the fit is
+    redone exactly as `blind` does it and one line on stderr says why. The result is the same either
     way, because the model and CV round-trips through JSON are exact.
     """
     want = {**_blind_key(spec, digest), "version": MODEL_FORMAT_VERSION}
@@ -140,7 +147,7 @@ def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindCont
             return BlindContext(
                 spec=spec, model=model_from_dict(docs[0]), cv=cv_result_from_dict(docs[1])
             )
-        except (SchemaError, KeyError, TypeError, ValueError) as err:
+        except (TamperscanError, KeyError, TypeError, ValueError) as err:
             reason = f"stored blinded fit is malformed ({err!r})"
     print(f"note: refitting the blinded model: {reason}", file=sys.stderr)
     return prepare_blind_context(dataset, spec)
@@ -162,8 +169,8 @@ def _write_scores(run: Run, prefix: str, resid, width, scores, **meta) -> None:
             "n_counties": resid.n,
             "width": width.width,
             "rms_residual": resid.rms,
-            "mc_trials": run.man.mc_trials,
-            "mc_seed": run.man.mc_seed,
+            "mc_trials": run.mc.trials,
+            "mc_seed": run.mc.seed,
             **meta,
         },
     )
@@ -187,7 +194,7 @@ def _print_top(scores, top_n: int = 10) -> None:
 
 
 def cmd_ingest(run: Run) -> int:
-    man, out = run.man, run.out
+    man = run.man
     if not man.inputs:
         raise ConfigError("manifest has no [inputs] section")
     demo_tables = []
@@ -207,9 +214,7 @@ def cmd_ingest(run: Run) -> int:
     features, report = clean_features(demo_tables)
     dataset, join_report = assemble_dataset(features, elections, man.target_year)
     report = report.merge(join_report)
-    save_dataset(
-        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=run.dataset_cache
-    )
+    path = run.save(dataset)
     run.write_json("cleaning_report.json", dataclasses.asdict(report))
     print(f"counties: {dataset.n}")
     print(f"features: {dataset.p}")
@@ -220,17 +225,15 @@ def cmd_ingest(run: Run) -> int:
         f"{len(report.dropped_missing_columns)} missing/non-numeric"
     )
     print(f"dropped counties: {len(report.dropped_counties)}")
-    print(f"wrote {out / 'dataset.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_synth(run: Run) -> int:
-    man, out = run.man, run.out
+    man = run.man
     spec = man.require("synth", "a [synth] section")
     dataset, beta = generate_synthetic(spec, target_year=man.target_year)
-    save_dataset(
-        dataset, out / "dataset.csv", manifest_hash=man.sha256, cache_dir=run.dataset_cache
-    )
+    path = run.save(dataset)
     run.write_json(
         "true_coefficients.json",
         {
@@ -241,7 +244,7 @@ def cmd_synth(run: Run) -> int:
         },
     )
     print(f"counties: {dataset.n}")
-    print(f"wrote {out / 'dataset.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -249,10 +252,7 @@ def cmd_fit(run: Run) -> int:
     man = run.man
     dataset, _ = run.load()
     cv, model = fit_cv(dataset.X, dataset.shares(), dataset.feature_names, man.cv)
-    resid, width, scores = score_model(
-        model, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
-        store=run.mc_store,
-    )
+    resid, width, scores = score_model(model, dataset, run.mc)
 
     run.write_json("model.json", model_to_dict(model))
     run.write_json("cv.json", cv_result_to_dict(cv))
@@ -273,25 +273,21 @@ def cmd_fit(run: Run) -> int:
 
 
 def cmd_blind(run: Run) -> int:
-    man = run.man
     dataset, digest = run.load()
     spec = run.blind_spec()
     ctx = prepare_blind_context(dataset, spec)
-    result = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
-        mc_store=run.mc_store,
-    )
+    result = score_eval_set(ctx, dataset, run.mc)
 
     key = _blind_key(spec, digest)
-    run.write_json("blind_model.json", {**key, **model_to_dict(result.model)})
-    run.write_json("blind_cv.json", {**key, **cv_result_to_dict(result.cv)})
+    run.write_json("blind_model.json", {**key, **model_to_dict(ctx.model)})
+    run.write_json("blind_cv.json", {**key, **cv_result_to_dict(ctx.cv)})
     _write_scores(
         run, "blind_", result.residuals, result.width, result.scores,
         train_states=sorted(spec.train_states), eval_states=sorted(spec.eval_states),
     )
 
-    train_resid = residuals(result.model, dataset.subset_states(spec.train_states))
-    print(f"selected: l1_ratio={result.cv.selected.l1_ratio} alpha={result.cv.selected.alpha:.6g}")
+    train_resid = residuals(ctx.model, dataset.subset_states(spec.train_states))
+    print(f"selected: l1_ratio={ctx.cv.selected.l1_ratio} alpha={ctx.cv.selected.alpha:.6g}")
     print(f"train rms residual: {100 * train_resid.rms:.2f}%")
     print(f"eval rms residual: {100 * result.residuals.rms:.2f}%")
     print(f"eval width: {100 * result.width.width:.2f}%")
@@ -300,7 +296,7 @@ def cmd_blind(run: Run) -> int:
     counterfactuals = []
     for state in sorted(spec.eval_states):
         actual = state_summary(dataset, state)
-        modeled = counterfactual_winner(dataset, result.model, state)
+        modeled = counterfactual_winner(dataset, ctx.model, state)
         counterfactuals.append(
             {
                 "state": state,
@@ -329,27 +325,14 @@ def cmd_inject(run: Run) -> int:
         k=inj_cfg["k"],
         direction=Direction.parse(inj_cfg["direction"]),
     )
+    if not any(k.fips == inj.fips and k.state in spec.eval_states for k in dataset.keys):
+        raise ConfigError(f"injection county {inj.fips} is not in the evaluation set")
     ctx = _blind_context(run, dataset, spec, digest)
-    baseline = score_eval_set(
-        ctx, dataset, mc_trials=man.mc_trials, mc_seed=man.mc_seed, threads=run.threads,
-        mc_store=run.mc_store,
+    baseline = score_eval_set(ctx, dataset, run.mc)
+    base_rank, base_score = next(
+        (rank, s) for rank, s in enumerate(baseline.scores, start=1) if s.key.fips == inj.fips
     )
-    base_by_fips = {s.key.fips: (rank, s) for rank, s in enumerate(baseline.scores, start=1)}
-    if inj.fips not in base_by_fips:
-        raise ConfigError(
-            f"injection county {inj.fips} is not in the evaluation set"
-        )
-    base_rank, base_score = base_by_fips[inj.fips]
-    result = run_injection_experiment(
-        dataset,
-        spec,
-        inj,
-        mc_trials=man.mc_trials,
-        mc_seed=man.mc_seed,
-        threads=run.threads,
-        context=ctx,
-        mc_store=run.mc_store,
-    )
+    result = run_injection_experiment(ctx, dataset, inj, run.mc)
 
     def standing(score, rank: int) -> dict:
         return {
@@ -402,6 +385,9 @@ def cmd_sweep(run: Run) -> int:
     dataset, digest = run.load()
     spec = run.blind_spec()
     states = man.require("sweep_states", "[sweep] states")
+    for state in states:
+        if state not in spec.eval_states:
+            raise ConfigError(f"sweep state {state} is not in the evaluation set")
     ctx = _blind_context(run, dataset, spec, digest)
     all_curves = []
     for state in states:
@@ -431,10 +417,10 @@ def cmd_calibrate(run: Run) -> int:
     rows = []
     any_disagree = False
     for n in man.calibrate_n:
-        cfg = McConfig(n_counties=n, trials=man.mc_trials, seed=man.mc_seed)
+        cfg = run.mc.config(n)
         for z in man.calibrate_z:
             analytic = anomaly.global_significance_analytic(z, n)
-            est = anomaly.global_significance_mc(z, cfg, threads=run.threads, store=run.mc_store)
+            est = anomaly.global_significance_mc(z, cfg, run.mc.threads, run.mc.store)
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands
             else:
@@ -517,9 +503,8 @@ def main(argv=None) -> int:
         run = Run(
             man=man,
             out=out,
-            threads=args.threads,
+            mc=McNull(man.mc_trials, man.mc_seed, args.threads, out / "mc_null"),
             comment=f"manifest_sha256={man.sha256}",
-            mc_store=out / "mc_null",
             dataset_cache=out / "dataset_cache",
         )
         return args.func(run)

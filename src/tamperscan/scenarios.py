@@ -17,6 +17,7 @@ import numpy as np
 
 from .anomaly import (
     AnomalyScore,
+    McNull,
     ResidualSet,
     WidthFit,
     analytic_sigma_curve,
@@ -150,8 +151,6 @@ class BlindContext:
 
 @dataclass(frozen=True)
 class BlindResult:
-    model: FitModel
-    cv: CvResult
     residuals: ResidualSet
     width: WidthFit
     scores: tuple[AnomalyScore, ...]  # ranked, most anomalous first
@@ -179,35 +178,17 @@ def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     return BlindContext(spec=spec, model=model, cv=cv)
 
 
-def score_eval_set(
-    ctx: BlindContext,
-    dataset: Dataset,
-    mc_trials: int | None = None,
-    mc_seed: int = 0,
-    threads: int = 1,
-    mc_store=None,
-) -> BlindResult:
+def score_eval_set(ctx: BlindContext, dataset: Dataset, mc: McNull | None = None) -> BlindResult:
     """Score the evaluation states of `dataset` under a prepared context.
 
     The look-elsewhere N is the evaluation-county count and the width is fit
-    on the evaluation residuals themselves. `mc_store` is the MC table
-    directory of anomaly.mc_extremes.
+    on the evaluation residuals themselves. The global sigma is analytic, or
+    comes from the MC null `mc` when that is given.
     """
     resid, width, scores = score_model(
-        ctx.model,
-        dataset.subset_states(ctx.spec.eval_states),
-        mc_trials=mc_trials,
-        mc_seed=mc_seed,
-        threads=threads,
-        store=mc_store,
+        ctx.model, dataset.subset_states(ctx.spec.eval_states), mc
     )
-    return BlindResult(
-        model=ctx.model,
-        cv=ctx.cv,
-        residuals=resid,
-        width=width,
-        scores=tuple(sorted_scores(scores)),
-    )
+    return BlindResult(residuals=resid, width=width, scores=tuple(sorted_scores(scores)))
 
 
 def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
@@ -257,37 +238,23 @@ class InjectionResult:
 
 
 def run_injection_experiment(
-    dataset: Dataset,
-    blind: BlindSpec,
-    inj: InjectionSpec,
-    mc_trials: int | None = None,
-    mc_seed: int = 0,
-    threads: int = 1,
-    context: BlindContext | None = None,
-    mc_store=None,
+    ctx: BlindContext, dataset: Dataset, inj: InjectionSpec, mc: McNull | None = None
 ) -> InjectionResult:
-    """Inject, run the blinded analysis on the tampered data, locate the
+    """Inject, score the tampered evaluation states under `ctx`, locate the
     injected county in the ranking.
 
-    A precomputed `context` (from the untampered data) may be supplied:
-    training sees only train states, which injection never touches, so the
-    model is identical either way and only the scoring needs redoing.
+    `ctx` may come from the untampered data: training sees only train
+    states, which injection never touches, so the model would be identical
+    either way and only the scoring needs redoing. `mc` is as in
+    score_eval_set.
     """
     i = dataset.index_of(inj.fips)
     state = dataset.keys[i].state
-    if state in blind.train_states:
+    if state in ctx.spec.train_states:
         raise ConfigError(f"county {inj.fips} is in a training state ({state})")
-    if state not in blind.eval_states:
+    if state not in ctx.spec.eval_states:
         raise ConfigError(f"county {inj.fips} is not in an evaluation state")
-    if context is not None and context.spec != blind:
-        raise ConfigError("supplied context was prepared for a different blind spec")
-    tampered = inject_flips(dataset, inj)
-    if context is None:
-        context = prepare_blind_context(tampered, blind)
-    result = score_eval_set(
-        context, tampered, mc_trials=mc_trials, mc_seed=mc_seed, threads=threads,
-        mc_store=mc_store,
-    )
+    result = score_eval_set(ctx, inject_flips(dataset, inj), mc)
     for rank, score in enumerate(result.scores, start=1):
         if score.key.fips == inj.fips:
             return InjectionResult(injected=score, rank=rank, blind=result)

@@ -309,7 +309,7 @@ def full_fit(county_data):
 def blind_setup(county_data):
     spec = BlindSpec(train_states=PLAINTIFF_STATES, eval_states=DEFENDANT_STATES)
     ctx = prepare_blind_context(county_data, spec)
-    result = score_eval_set(ctx, county_data, threads=THREADS)
+    result = score_eval_set(ctx, county_data)
     return spec, ctx, result
 
 
@@ -347,28 +347,26 @@ def test_dataset_top_anomalies(county_data, full_fit):
 
 @needs_data
 def test_dataset_blind_fit(county_data, blind_setup):
-    _, _, result = blind_setup
-    train_rms = residuals(result.model, county_data.subset_states(PLAINTIFF_STATES)).rms
+    _, ctx, result = blind_setup
+    train_rms = residuals(ctx.model, county_data.subset_states(PLAINTIFF_STATES)).rms
     assert abs(train_rms - 0.015) <= 0.002
     assert abs(result.residuals.rms - 0.016) <= 0.002
-    assert 0.00215 <= result.cv.selected.alpha <= 0.0086
+    assert 0.00215 <= ctx.cv.selected.alpha <= 0.0086
     top = result.scores[0]
     assert "Rockdale" in top.key.name and top.key.state == "GA"
     assert abs(top.local_sigma - (-5.3)) <= 0.5
     _pass(
         "blind fit",
         f"train rms {100 * train_rms:.2f}%, eval rms {100 * result.residuals.rms:.2f}%, "
-        f"alpha {result.cv.selected.alpha:.4g}, top {top.key.name} {top.local_sigma:+.1f}",
+        f"alpha {ctx.cv.selected.alpha:.4g}, top {top.key.name} {top.local_sigma:+.1f}",
     )
 
 
 @needs_data
 def test_dataset_wayne_injection(county_data, blind_setup):
-    spec, ctx, _ = blind_setup
+    _, ctx, _ = blind_setup
     result = run_injection_experiment(
-        county_data, spec,
-        InjectionSpec(fips="26163", k=70_000, direction=Direction.R_TO_D),
-        threads=THREADS, context=ctx,
+        ctx, county_data, InjectionSpec(fips="26163", k=70_000, direction=Direction.R_TO_D)
     )
     s = result.injected
     assert "Wayne" in s.key.name and s.key.state == "MI"
@@ -384,10 +382,10 @@ def test_dataset_wayne_injection(county_data, blind_setup):
 
 @needs_data
 def test_dataset_counterfactual_winners(county_data, blind_setup):
-    _, _, result = blind_setup
+    _, ctx, _ = blind_setup
     expect = {"MI": "D", "WI": "D", "GA": "R", "PA": "R"}
     got = {
-        st: counterfactual_winner(county_data, result.model, st).winner
+        st: counterfactual_winner(county_data, ctx.model, st).winner
         for st in sorted(expect)
     }
     assert got == expect

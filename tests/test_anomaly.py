@@ -14,13 +14,13 @@ from tamperscan import (
     CountyKey,
     DataError,
     McConfig,
+    McNull,
     NumericalError,
     WidthFit,
     analytic_sigma_curve,
     fit_width,
     global_significance_analytic,
     global_significance_mc,
-    local_significance,
     mc_extremes,
     rank_anomalies,
     score_counties,
@@ -118,21 +118,6 @@ class TestFitWidth:
     def test_all_zero_is_degenerate(self):
         with pytest.raises(NumericalError):
             fit_width(np.zeros(20))
-
-
-class TestLocalSignificance:
-    def test_exact_multiples(self):
-        w = WidthFit(width=0.25, clip_iterations=1, n_used=10)
-        assert local_significance(0.5, w) == 2.0
-        assert local_significance(-0.75, w) == -3.0
-        assert local_significance(0.0, w) == 0.0
-
-    def test_accepts_plain_float_width(self):
-        assert local_significance(0.5, 0.25) == 2.0
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(NumericalError):
-            local_significance(0.5, 0.0)
 
 
 class TestTwoSidedP:
@@ -343,7 +328,7 @@ class TestScoreCounties:
             global_significance_analytic(2.0, 12), abs=1e-12
         )
 
-    @pytest.mark.parametrize("mc", [None, McConfig(n_counties=400, trials=2000, seed=3)])
+    @pytest.mark.parametrize("mc", [None, McNull(trials=2000, seed=3)])
     def test_matches_one_county_at_a_time(self, mc):
         """Converting the whole z vector at once gives, bit for bit, what one
         conversion per county gives."""
@@ -351,7 +336,7 @@ class TestScoreCounties:
         r[:3] = [0.3, -0.4, 0.5]  # beyond every MC trial
         resid = _resid_from(r)
         width = fit_width(resid)
-        table = None if mc is None else mc_extremes(mc)
+        table = None if mc is None else mc_extremes(mc.config(400))
         scores = score_counties(resid, width, mc=mc)
         for s, ri in zip(scores, r):
             z = float(ri) / width.width
@@ -367,11 +352,15 @@ class TestScoreCounties:
             assert (s.local_sigma, s.global_sigma, s.beyond_mc_table) == (z, g, beyond)
         assert sum(s.beyond_mc_table for s in scores) == (0 if mc is None else 3)
 
-    def test_mc_size_mismatch_rejected(self):
+    def test_mc_null_is_checked_when_scoring(self):
+        """McNull holds any trial count; the McConfig built for the scored
+        set's N rejects too few trials, as it always has."""
         resid = _resid_from([0.1] * 12)
         width = WidthFit(width=0.25, clip_iterations=1, n_used=12)
-        with pytest.raises(ConfigError):
-            score_counties(resid, width, mc=McConfig(n_counties=99, trials=1000))
+        mc = McNull(trials=10)
+        assert McNull(trials=2000, seed=4).config(12) == McConfig(12, trials=2000, seed=4)
+        with pytest.raises(ConfigError, match="at least 1000 trials"):
+            score_counties(resid, width, mc=mc)
 
     def test_sorted_by_absolute_local_then_fips(self):
         values = [0.25, -0.5, 0.5, 0.0]

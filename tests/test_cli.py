@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamperscan import McConfig, anomaly, elastic_net, ingest, load_dataset, manifest_hash, mc_extremes
+from tamperscan import (
+    McConfig,
+    anomaly,
+    elastic_net,
+    generate_synthetic,
+    ingest,
+    load_dataset,
+    load_manifest,
+    manifest_hash,
+    mc_extremes,
+)
 from tamperscan.cli import main
 from tamperscan.ingest import dataset_sha256, save_dataset
 from tamperscan.scenarios import Direction, InjectionSpec, inject_flips
@@ -344,6 +356,32 @@ class TestReuseAcrossCommands:
         counties = {c["county"] for c in json.loads((out / "scores.json").read_text())["counties"]}
         assert ("Edited County" in counties) == (edit == "dataset.csv")
 
+    @pytest.mark.parametrize("corrupt", ["scale_one_short", "scale_all_zero", "negative_alpha"])
+    def test_malformed_blinded_fit_is_refitted(self, private_ws, monkeypatch, capsys, corrupt):
+        man, out = _man(private_ws), private_ws / "out"
+        assert main(["blind", "--manifest", man]) == 0
+        name = "blind_cv.json" if corrupt == "negative_alpha" else "blind_model.json"
+        doc = json.loads((out / name).read_text())
+        if corrupt == "negative_alpha":
+            doc["selected"]["alpha"] = -1
+        else:
+            scale = doc["standardization"]["scale"]
+            doc["standardization"]["scale"] = (
+                scale[:-1] if corrupt == "scale_one_short" else [0.0] * len(scale)
+            )
+        (out / name).write_text(json.dumps(doc))  # the key still matches
+        capsys.readouterr()
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
+        assert main(["sweep", "--manifest", man]) == 0
+        assert len(cv_calls) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("note: refitting the blinded model: stored blinded fit is malformed")
+        assert len(err.splitlines()) == 1
+        fresh = private_ws / "fresh"
+        assert main(["sweep", "--manifest", man, "--out", str(fresh)]) == 0
+        for f in _outputs(fresh):
+            assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
     def test_calibrate_after_fit_draws_no_shared_table(self, private_ws, monkeypatch):
         with open(private_ws / "run.ini", "a") as fh:
             fh.write("\n[calibrate]\nn_grid = 100, 300\n")
@@ -415,6 +453,15 @@ class TestIngest:
         assert main(["ingest", "--manifest", str(self._inputs(tmp_path))]) == 0
         _assert_cache_matches_csv(tmp_path / "out", monkeypatch)
 
+    def test_writes_the_manifest_dataset_path(self, tmp_path, capsys):
+        manifest = self._inputs(tmp_path)
+        with open(manifest, "a") as fh:
+            fh.write("\n[data]\ndataset = data/counties.csv\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 0
+        assert load_dataset(tmp_path / "data" / "counties.csv").n == 3
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+        assert f"wrote {tmp_path / 'data' / 'counties.csv'}" in capsys.readouterr().out
+
     def test_alaska_only_input_exits_2(self, tmp_path, capsys):
         (tmp_path / "dp02.csv").write_text("fips,pct_x\n02013,1.0\n02016,2.0\n")
         (tmp_path / "e2020.csv").write_text(
@@ -426,6 +473,20 @@ class TestIngest:
         )
         assert main(["ingest", "--manifest", str(manifest)]) == 2
         assert "no counties left" in capsys.readouterr().err
+
+
+def test_synth_with_out_writes_the_dataset_fit_reads(private_ws):
+    """[data] dataset names where synth writes and fit reads, whatever --out is."""
+    man, o3 = _man(private_ws), private_ws / "o3"
+    assert main(["synth", "--manifest", man, "--out", str(o3), "--seed", "5"]) == 0
+    assert not (o3 / "dataset.csv").exists()
+    assert main(["fit", "--manifest", man, "--out", str(o3), "--seed", "5"]) == 0
+    spec = dataclasses.replace(load_manifest(man).synth, seed=5)
+    expected, _ = generate_synthetic(spec)
+    shares = dict(zip((k.fips for k in expected.keys), expected.shares().tolist()))
+    scored = json.loads((o3 / "scores.json").read_text())["counties"]
+    assert len(scored) == expected.n
+    assert all(c["actual_share"] == shares[c["fips"]] for c in scored)
 
 
 class TestExitCodes:
@@ -477,6 +538,31 @@ class TestExitCodes:
         manifest.write_text("[data]\ndataset = flat.csv\n")
         assert main(["fit", "--manifest", str(manifest)]) == 4
         assert "numerical error" in capsys.readouterr().err
+
+    def test_sweep_state_outside_eval_set_is_2_before_any_work(
+        self, private_ws, monkeypatch, capsys
+    ):
+        manifest = private_ws / "run.ini"
+        manifest.write_text(manifest.read_text().replace("\nstates = GA\n", "\nstates = GA, TX\n"))
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "sweep state TX is not in the evaluation set" in capsys.readouterr().err
+        assert cv_calls == []
+        assert list((private_ws / "out").glob("sweep_*")) == []
+
+    def test_injection_outside_eval_set_is_2_before_any_work(
+        self, private_ws, monkeypatch, capsys
+    ):
+        manifest = private_ws / "run.ini"
+        ds = load_dataset(private_ws / "out" / "dataset.csv")
+        tx = next(k.fips for k in ds.keys if k.state == "TX")
+        manifest.write_text(re.sub(r"\nfips = \d+\n", f"\nfips = {tx}\n", manifest.read_text()))
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
+        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        assert main(["inject", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"injection county {tx} is not in the evaluation set" in err
+        assert cv_calls == [] and chunks == []
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):
         argv = ["fit", "--manifest", _man(workspace), "--out", str(tmp_path), "--threads", "0"]

@@ -203,7 +203,7 @@ class TestBlindContext:
 
 
 class TestInjectionExperiment:
-    def test_big_injection_surfaces_the_county(self, synth, blind_spec, context):
+    def test_big_injection_surfaces_the_county(self, synth, context):
         victim = _largest_eval_county(synth, context)
         baseline = score_eval_set(context, synth)
         base_rank = 1 + next(
@@ -212,45 +212,33 @@ class TestInjectionExperiment:
         base_score = next(s for s in baseline.scores if s.key.fips == victim)
 
         result = run_injection_experiment(
-            synth, blind_spec,
-            InjectionSpec(victim, 40_000, Direction.R_TO_D),
-            context=context,
+            context, synth, InjectionSpec(victim, 40_000, Direction.R_TO_D)
         )
         assert result.rank < base_rank
         assert result.injected.local_sigma < base_score.local_sigma
         assert result.injected.residual < base_score.residual
 
     def test_context_fast_path_matches_full_run(self, synth, blind_spec, context):
+        """The untampered context serves the tampered data: a context prepared
+        on the tampered data has the same coefficients, intercept and CV grid,
+        and scores identically."""
         victim = _largest_eval_county(synth, context)
         inj = InjectionSpec(victim, 25_000, Direction.R_TO_D)
-        with_ctx = run_injection_experiment(synth, blind_spec, inj, context=context)
-        without = run_injection_experiment(synth, blind_spec, inj)
-        assert with_ctx.rank == without.rank
-        assert with_ctx.injected.local_sigma == without.injected.local_sigma
-        assert with_ctx.injected.global_sigma == without.injected.global_sigma
-        assert [s.key.fips for s in with_ctx.blind.scores] == [
-            s.key.fips for s in without.blind.scores
-        ]
+        refit = prepare_blind_context(inject_flips(synth, inj), blind_spec)
+        assert np.array_equal(refit.model.coefficients, context.model.coefficients)
+        assert refit.model.intercept == context.model.intercept
+        assert refit.cv == context.cv
+        with_ctx = run_injection_experiment(context, synth, inj)
+        refitted = run_injection_experiment(refit, synth, inj)
+        assert (with_ctx.rank, with_ctx.injected) == (refitted.rank, refitted.injected)
+        assert with_ctx.blind.scores == refitted.blind.scores
+        assert with_ctx.blind.width == refitted.blind.width
 
-    def test_train_state_county_rejected(self, synth, blind_spec, context):
+    def test_train_state_county_rejected(self, synth, context):
         tx_fips = next(k.fips for k in synth.keys if k.state == "TX")
         with pytest.raises(ConfigError, match="training state"):
             run_injection_experiment(
-                synth, blind_spec, InjectionSpec(tx_fips, 10, Direction.R_TO_D),
-                context=context,
-            )
-
-    def test_mismatched_context_rejected(self, synth, blind_spec, context):
-        other = BlindSpec(
-            train_states=frozenset({"AL", "AZ", "CA", "CO", "TX", "WY"}),  # MT left out
-            eval_states=blind_spec.eval_states,
-            cv=FAST_CV,
-        )
-        victim = _largest_eval_county(synth, context)
-        with pytest.raises(ConfigError, match="different blind spec"):
-            run_injection_experiment(
-                synth, other, InjectionSpec(victim, 10, Direction.R_TO_D),
-                context=context,
+                context, synth, InjectionSpec(tx_fips, 10, Direction.R_TO_D)
             )
 
 
