@@ -59,11 +59,11 @@ def main():
     k = int(0.04 * (ev.rep[ev.target_year][i] + ev.dem[ev.target_year][i]))
     print(f"\ninjecting {k:,} flips R to D into {victim.name} ({victim.fips}, {victim.state})")
 
-    inj = run_injection_experiment(
+    tampered = run_injection_experiment(
         ctx, dataset, InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D)
     )
-    s = inj.injected
-    print(f"after injection: rank {inj.rank} of {result.residuals.n}, "
+    rank, s = tampered.rank_of(victim.fips)
+    print(f"after injection: rank {rank} of {result.residuals.n}, "
           f"local {s.local_sigma:+.1f} sigma, global {s.global_sigma:.1f} sigma")
 
 

@@ -68,7 +68,7 @@ def main():
     )
 
     scores = analyze(tampered, "tampered")
-    top = max(scores, key=lambda s: abs(s.local_sigma))
+    top = scores[0]  # score_counties ranks most anomalous first
     hit = "tampered county is the #1 anomaly" if top.key.fips == victim.fips \
         else "tampered county NOT on top (unexpected)"
     print(f"{hit}; global significance {top.global_sigma:.1f} sigma")

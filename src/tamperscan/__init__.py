@@ -13,6 +13,7 @@ from .anomaly import (
     McGlobalSignificance,
     McNull,
     ResidualSet,
+    Scoring,
     WidthFit,
     analytic_sigma_curve,
     fit_width,
@@ -67,7 +68,6 @@ from .ingest import (
 )
 from .manifest import RunManifest, load_manifest, manifest_hash
 from .scenarios import (
-    BlindResult,
     BlindSpec,
     Direction,
     InjectionSpec,

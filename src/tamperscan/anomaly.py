@@ -31,6 +31,7 @@ CLIP_SIGMA = 3.0
 MAX_CLIP_ITERATIONS = 10
 
 DEFAULT_MC_TRIALS = 100_000
+MIN_MC_TRIALS = 1_000
 
 # Trials per Philox substream; the tally over chunks is order-independent,
 # so any scheduling of chunks yields the identical extreme table.
@@ -109,8 +110,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1_000:
-            raise ConfigError(f"need at least 1000 trials for a p-value, got {self.trials}")
+        if self.trials < MIN_MC_TRIALS:
+            raise ConfigError(
+                f"need at least {MIN_MC_TRIALS} trials for a p-value, got {self.trials}"
+            )
         if self.n_counties < 1:
             raise ConfigError(f"n_counties must be positive, got {self.n_counties}")
 
@@ -160,10 +163,10 @@ class AnomalyScore:
     beyond_mc_table: bool = False
 
 
-def residuals(model: FitModel, dataset: Dataset, year: int | None = None) -> ResidualSet:
+def residuals(model: FitModel, dataset: Dataset) -> ResidualSet:
     """Actual minus predicted share for every county in the dataset."""
     pred = predict(model, dataset.X, dataset.feature_names)
-    return ResidualSet.build(dataset.keys, dataset.shares(year), pred)
+    return ResidualSet.build(dataset.keys, dataset.shares(), pred)
 
 
 def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
@@ -323,7 +326,8 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     table.flags.writeable = False
     with _extreme_lock:
         _extreme_cache[cache_key] = table
-        # keep the cache from growing without bound in long sweeps
+        # keep the cache bounded when many (trials, N, seed) are looked up,
+        # as calibrate's grid does
         while len(_extreme_cache) > 8:
             _extreme_cache.pop(next(iter(_extreme_cache)))
     return table
@@ -392,7 +396,8 @@ def global_significance_mc(
 def score_counties(
     resid: ResidualSet, width: WidthFit, mc: McNull | None = None
 ) -> list[AnomalyScore]:
-    """Local and global sigma for every county in the evaluation set.
+    """Local and global sigma for every county in the evaluation set, ranked
+    most anomalous first: |local sigma| descending, ties by fips.
 
     The look-elsewhere N is the evaluation-set size. With an McNull the
     global sigma comes from simulating N clean counties (analytic fallback
@@ -405,7 +410,7 @@ def score_counties(
     else:
         counts, glob = _mc_sigmas(z, mc.config(resid.n), mc.threads, mc.store)
         beyond = counts == 0
-    return [
+    scores = [
         AnomalyScore(
             key=key, actual=a, predicted=p, residual=r, local_sigma=zi, global_sigma=g,
             beyond_mc_table=b,
@@ -415,22 +420,34 @@ def score_counties(
             resid.residual.tolist(), z.tolist(), glob.tolist(), beyond.tolist(),
         )
     ]
+    scores.sort(key=lambda s: (-abs(s.local_sigma), s.key.fips))
+    return scores
 
 
-def score_model(
-    model: FitModel, dataset: Dataset, mc: McNull | None = None
-) -> tuple[ResidualSet, WidthFit, list[AnomalyScore]]:
+@dataclass(frozen=True)
+class Scoring:
+    """One scored set of counties: its residuals, their fitted width, and the
+    scores ranked most anomalous first (as score_counties ranks them)."""
+
+    residuals: ResidualSet
+    width: WidthFit
+    scores: tuple[AnomalyScore, ...]
+
+    def rank_of(self, fips: str) -> tuple[int, AnomalyScore]:
+        """The 1-based rank and the score of county `fips`."""
+        for rank, score in enumerate(self.scores, start=1):
+            if score.key.fips == fips:
+                return rank, score
+        raise DataError(f"county {fips} was not scored")
+
+
+def score_model(model: FitModel, dataset: Dataset, mc: McNull | None = None) -> Scoring:
     """Residuals of `model` on every county of `dataset`, their width and
-    their scores. The look-elsewhere N is the county count; the global sigma
-    is analytic, or comes from the MC null `mc` when that is given."""
+    their ranked scores. The look-elsewhere N is the county count; the global
+    sigma is analytic, or comes from the MC null `mc` when that is given."""
     resid = residuals(model, dataset)
     width = fit_width(resid)
-    return resid, width, score_counties(resid, width, mc)
-
-
-def sorted_scores(scores) -> list[AnomalyScore]:
-    """Most anomalous first: |local sigma| descending, ties by fips."""
-    return sorted(scores, key=lambda s: (-abs(s.local_sigma), s.key.fips))
+    return Scoring(resid, width, tuple(score_counties(resid, width, mc)))
 
 
 def _fmt1(value: float) -> str:
@@ -451,14 +468,11 @@ RANKING_COLUMNS = (
 
 
 def rank_anomalies(scores, top_n: int | None = None) -> list[dict]:
-    """Report rows, most anomalous first, formatted the way a results table
-    prints them: shares and residuals in percent to one decimal, sigmas to
-    one decimal."""
-    ordered = sorted_scores(scores)
-    if top_n is not None:
-        ordered = ordered[:top_n]
+    """Report rows for ranked scores (as score_counties returns them), the
+    first `top_n` or all, formatted the way a results table prints them:
+    shares and residuals in percent to one decimal, sigmas to one decimal."""
     rows = []
-    for s in ordered:
+    for s in scores[:top_n]:
         rows.append(
             {
                 "fips": s.key.fips,
@@ -480,7 +494,8 @@ def write_ranking_csv(scores, path, comment: str = "") -> None:
 
 
 def write_scores_json(scores, path, meta: dict | None = None) -> None:
-    """Full-precision JSON companion to the formatted CSV."""
+    """Full-precision JSON companion to the formatted CSV, in the order of
+    the ranked `scores`."""
     doc = {
         "format": "tamperscan-scores",
         "version": 1,
@@ -497,13 +512,13 @@ def write_scores_json(scores, path, meta: dict | None = None) -> None:
                 "global_sigma": s.global_sigma,
                 "beyond_mc_table": s.beyond_mc_table,
             }
-            for s in sorted_scores(scores)
+            for s in scores
         ],
     }
     write_json(path, doc)
 
 
-def size_correlation(resid: ResidualSet, dataset: Dataset, year: int | None = None) -> float:
+def size_correlation(resid: ResidualSet, dataset: Dataset) -> float:
     """Pearson r between log county size and |residual|.
 
     A clean fit shows no relationship; a strong one would mean the model is
@@ -511,7 +526,7 @@ def size_correlation(resid: ResidualSet, dataset: Dataset, year: int | None = No
     """
     if resid.n < 3:
         raise DataError(f"need at least 3 counties for a correlation, got {resid.n}")
-    year = dataset.target_year if year is None else year
+    year = dataset.target_year
     idx = np.array([dataset.index_of(k.fips) for k in resid.keys], dtype=np.intp)
     totals = (dataset.rep[year] + dataset.dem[year])[idx]
     if np.any(totals <= 0):

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, anomaly, charts
-from .anomaly import McNull, residuals, score_model, size_correlation
+from .anomaly import McNull, Scoring, residuals, score_model, size_correlation
 from .data_model import Dataset, generate_synthetic, write_csv, write_json
 from .elastic_net import (
     MODEL_FORMAT_VERSION,
@@ -45,8 +45,8 @@ from .scenarios import (
     Direction,
     InjectionSpec,
     counterfactual_winner,
+    inject_flips,
     prepare_blind_context,
-    run_injection_experiment,
     score_eval_set,
     state_summary,
     sweep,
@@ -153,22 +153,23 @@ def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindCont
     return prepare_blind_context(dataset, spec)
 
 
-def _write_scores(run: Run, prefix: str, resid, width, scores, **meta) -> None:
+def _write_scores(run: Run, prefix: str, scoring: Scoring, **meta) -> None:
     """<prefix>ranking.csv, <prefix>scores.json and <prefix>residuals.csv.
 
     The residuals file is a FIPS-keyed export for choropleth tools, at full
     precision. Its sigmas are the scored ones, so they agree with the ranking
     and the scores JSON whichever null (analytic or MC) produced them.
     """
+    scores = scoring.scores
     anomaly.write_ranking_csv(scores, run.out / f"{prefix}ranking.csv", comment=run.comment)
     anomaly.write_scores_json(
         scores,
         run.out / f"{prefix}scores.json",
         meta={
             "manifest_sha256": run.man.sha256,
-            "n_counties": resid.n,
-            "width": width.width,
-            "rms_residual": resid.rms,
+            "n_counties": scoring.residuals.n,
+            "width": scoring.width.width,
+            "rms_residual": scoring.residuals.rms,
             "mc_trials": run.mc.trials,
             "mc_seed": run.mc.seed,
             **meta,
@@ -252,23 +253,23 @@ def cmd_fit(run: Run) -> int:
     man = run.man
     dataset, _ = run.load()
     cv, model = fit_cv(dataset.X, dataset.shares(), dataset.feature_names, man.cv)
-    resid, width, scores = score_model(model, dataset, run.mc)
+    scoring = score_model(model, dataset, run.mc)
 
     run.write_json("model.json", model_to_dict(model))
     run.write_json("cv.json", cv_result_to_dict(cv))
-    _write_scores(run, "", resid, width, scores)
+    _write_scores(run, "", scoring)
 
     print(f"counties: {dataset.n}")
     print(f"selected: l1_ratio={cv.selected.l1_ratio} alpha={cv.selected.alpha:.6g}")
     print(f"nonzero coefficients: {model.nonzero_count} of {len(model.coefficients)}")
-    print(f"rms residual: {100 * resid.rms:.2f}%")
-    print(f"fitted width: {100 * width.width:.2f}%")
+    print(f"rms residual: {100 * scoring.residuals.rms:.2f}%")
+    print(f"fitted width: {100 * scoring.width.width:.2f}%")
     try:
-        corr = size_correlation(resid, dataset)
+        corr = size_correlation(scoring.residuals, dataset)
         print(f"size correlation: {corr:+.3f}")
     except NumericalError as err:
         print(f"size correlation: undefined ({err})")
-    _print_top(scores)
+    _print_top(scoring.scores)
     return 0
 
 
@@ -282,7 +283,7 @@ def cmd_blind(run: Run) -> int:
     run.write_json("blind_model.json", {**key, **model_to_dict(ctx.model)})
     run.write_json("blind_cv.json", {**key, **cv_result_to_dict(ctx.cv)})
     _write_scores(
-        run, "blind_", result.residuals, result.width, result.scores,
+        run, "blind_", result,
         train_states=sorted(spec.train_states), eval_states=sorted(spec.eval_states),
     )
 
@@ -327,12 +328,11 @@ def cmd_inject(run: Run) -> int:
     )
     if not any(k.fips == inj.fips and k.state in spec.eval_states for k in dataset.keys):
         raise ConfigError(f"injection county {inj.fips} is not in the evaluation set")
+    tampered = inject_flips(dataset, inj)  # a k beyond the county's tally fails before the fit
     ctx = _blind_context(run, dataset, spec, digest)
-    baseline = score_eval_set(ctx, dataset, run.mc)
-    base_rank, base_score = next(
-        (rank, s) for rank, s in enumerate(baseline.scores, start=1) if s.key.fips == inj.fips
-    )
-    result = run_injection_experiment(ctx, dataset, inj, run.mc)
+    base_rank, base_score = score_eval_set(ctx, dataset, run.mc).rank_of(inj.fips)
+    result = score_eval_set(ctx, tampered, run.mc)
+    rank, injected = result.rank_of(inj.fips)
 
     def standing(score, rank: int) -> dict:
         return {
@@ -345,30 +345,21 @@ def cmd_inject(run: Run) -> int:
 
     comparison = {
         "fips": inj.fips,
-        "county": result.injected.key.name,
-        "state": result.injected.key.state,
+        "county": injected.key.name,
+        "state": injected.key.state,
         "k": inj.k,
         "direction": inj.direction.value,
         "before": standing(base_score, base_rank),
-        "after": standing(result.injected, result.rank),
+        "after": standing(injected, rank),
     }
     run.write_json("comparison.json", comparison)
-    anomaly.write_ranking_csv(
-        result.blind.scores, run.out / "injected_ranking.csv", comment=run.comment
-    )
-    anomaly.write_scores_json(
-        result.blind.scores,
-        run.out / "injected_scores.json",
-        meta={
-            "manifest_sha256": man.sha256,
-            "n_counties": result.blind.residuals.n,
-            "width": result.blind.width.width,
-            "injection": {"fips": inj.fips, "k": inj.k, "direction": inj.direction.value},
-        },
+    _write_scores(
+        run, "injected_", result,
+        injection={"fips": inj.fips, "k": inj.k, "direction": inj.direction.value},
     )
 
     b, a = comparison["before"], comparison["after"]
-    print(f"injected: {inj.k} flips {inj.direction.value} in {inj.fips} ({result.injected.key.name})")
+    print(f"injected: {inj.k} flips {inj.direction.value} in {inj.fips} ({injected.key.name})")
     print(
         f"share: {100 * b['actual_share']:.1f}% -> {100 * a['actual_share']:.1f}% "
         f"(change {100 * (a['actual_share'] - b['actual_share']):+.1f} pts)"

@@ -137,10 +137,6 @@ class Dataset:
             target_year=int(target_year),
         )
 
-    def tally(self, i: int, year: int | None = None) -> VoteTally:
-        year = self.target_year if year is None else year
-        return VoteTally(year, int(self.rep[year][i]), int(self.dem[year][i]))
-
     def shares(self, year: int | None = None) -> np.ndarray:
         """Vote shares for every county in `year` (default: target year)."""
         year = self.target_year if year is None else year
@@ -176,10 +172,6 @@ class Dataset:
         if not idx:
             raise ConfigError(f"no counties in states {sorted(wanted)}")
         return self.subset(idx)
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(sorted({k.state for k in self.keys}))
 
 
 @dataclass(frozen=True)

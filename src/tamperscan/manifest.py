@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .anomaly import DEFAULT_MC_TRIALS
+from .anomaly import DEFAULT_MC_TRIALS, MIN_MC_TRIALS
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
 from .errors import ConfigError
@@ -187,6 +187,12 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         )
 
     trials_override = overrides.get("trials")
+    mc_trials = trials_override if trials_override is not None else _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
+    if mc_trials < MIN_MC_TRIALS:
+        raise ConfigError(f"need at least {MIN_MC_TRIALS} trials for a p-value, got {mc_trials}")
+    sweep_k_step = _get_int(cp, "sweep", "k_step")
+    if sweep_k_step is not None and sweep_k_step < 1:
+        raise ConfigError(f"[sweep] k_step must be at least 1, got {sweep_k_step}")
     out_override = overrides.get("out")
     dataset_raw = _get(cp, "data", "dataset")
 
@@ -199,13 +205,13 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         inputs=inputs,
         dataset_path=resolve(dataset_raw) if dataset_raw else None,
         cv=cv,
-        mc_trials=trials_override if trials_override is not None else _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS),
+        mc_trials=mc_trials,
         mc_seed=seed_override if seed_override is not None else _get_int(cp, "mc", "seed", DEFAULT_MC_SEED),
         train_states=_get_states(cp, "blind", "train_states"),
         eval_states=_get_states(cp, "blind", "eval_states"),
         injection=injection,
         sweep_states=_get_states(cp, "sweep", "states"),
-        sweep_k_step=_get_int(cp, "sweep", "k_step"),
+        sweep_k_step=sweep_k_step,
         synth=synth,
         calibrate_z=_get_grid(cp, "calibrate", "z_grid", float, DEFAULT_CALIBRATE_Z),
         calibrate_n=_get_grid(cp, "calibrate", "n_grid", int, DEFAULT_CALIBRATE_N),

@@ -15,15 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .anomaly import (
-    AnomalyScore,
-    McNull,
-    ResidualSet,
-    WidthFit,
-    analytic_sigma_curve,
-    score_model,
-    sorted_scores,
-)
+from .anomaly import McNull, Scoring, analytic_sigma_curve, score_model
 from .data_model import Dataset, write_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
@@ -149,13 +141,6 @@ class BlindContext:
     cv: CvResult
 
 
-@dataclass(frozen=True)
-class BlindResult:
-    residuals: ResidualSet
-    width: WidthFit
-    scores: tuple[AnomalyScore, ...]  # ranked, most anomalous first
-
-
 def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     """Cross-validate and fit on training states only.
 
@@ -178,17 +163,14 @@ def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     return BlindContext(spec=spec, model=model, cv=cv)
 
 
-def score_eval_set(ctx: BlindContext, dataset: Dataset, mc: McNull | None = None) -> BlindResult:
+def score_eval_set(ctx: BlindContext, dataset: Dataset, mc: McNull | None = None) -> Scoring:
     """Score the evaluation states of `dataset` under a prepared context.
 
     The look-elsewhere N is the evaluation-county count and the width is fit
     on the evaluation residuals themselves. The global sigma is analytic, or
     comes from the MC null `mc` when that is given.
     """
-    resid, width, scores = score_model(
-        ctx.model, dataset.subset_states(ctx.spec.eval_states), mc
-    )
-    return BlindResult(residuals=resid, width=width, scores=tuple(sorted_scores(scores)))
+    return score_model(ctx.model, dataset.subset_states(ctx.spec.eval_states), mc)
 
 
 def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
@@ -230,18 +212,11 @@ def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
     )
 
 
-@dataclass(frozen=True)
-class InjectionResult:
-    injected: AnomalyScore
-    rank: int                # 1-based rank of the injected county
-    blind: BlindResult
-
-
 def run_injection_experiment(
     ctx: BlindContext, dataset: Dataset, inj: InjectionSpec, mc: McNull | None = None
-) -> InjectionResult:
-    """Inject, score the tampered evaluation states under `ctx`, locate the
-    injected county in the ranking.
+) -> Scoring:
+    """Inject, then score the tampered evaluation states under `ctx`; the
+    injected county's standing is `rank_of(inj.fips)` on the result.
 
     `ctx` may come from the untampered data: training sees only train
     states, which injection never touches, so the model would be identical
@@ -254,21 +229,16 @@ def run_injection_experiment(
         raise ConfigError(f"county {inj.fips} is in a training state ({state})")
     if state not in ctx.spec.eval_states:
         raise ConfigError(f"county {inj.fips} is not in an evaluation state")
-    result = score_eval_set(ctx, inject_flips(dataset, inj), mc)
-    for rank, score in enumerate(result.scores, start=1):
-        if score.key.fips == inj.fips:
-            return InjectionResult(injected=score, rank=rank, blind=result)
-    raise DataError(f"county {inj.fips} missing from evaluation scores")
+    return score_eval_set(ctx, inject_flips(dataset, inj), mc)
 
 
-def state_summary(dataset: Dataset, state: str, year: int | None = None) -> StateSummary:
-    """Actual two-party totals and margin for one state."""
+def state_summary(dataset: Dataset, state: str) -> StateSummary:
+    """Actual target-year two-party totals and margin for one state."""
     sub = dataset.subset_states([state])
-    year = dataset.target_year if year is None else year
     return StateSummary(
         state=state,
-        rep_total=float(sub.rep[year].sum()),
-        dem_total=float(sub.dem[year].sum()),
+        rep_total=float(sub.rep[sub.target_year].sum()),
+        dem_total=float(sub.dem[sub.target_year].sum()),
     )
 
 

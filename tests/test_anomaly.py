@@ -5,7 +5,6 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import erfc, ndtri
 
 from tamperscan import (
     AnomalyScore,
@@ -16,6 +15,7 @@ from tamperscan import (
     McConfig,
     McNull,
     NumericalError,
+    Scoring,
     WidthFit,
     analytic_sigma_curve,
     fit_width,
@@ -30,7 +30,7 @@ from tamperscan import (
     write_scores_json,
 )
 from tamperscan import anomaly
-from tamperscan.anomaly import ResidualSet, sorted_scores
+from tamperscan.anomaly import ResidualSet
 from tamperscan.data_model import substream
 
 from conftest import make_dataset
@@ -44,18 +44,19 @@ def _keys(n, state="GA", start=1):
     ]
 
 
-def _scalar_reference(local_z, n_counties):
-    """The conversion one z at a time on scipy's erfc and ndtri, kept as an
-    oracle for analytic_sigma_curve, which runs on the standard library."""
+def _scalar_reference(local_z, n_counties, special):
+    """The conversion one z at a time on scipy's erfc and ndtri (`special` is
+    scipy.special), kept as an oracle for analytic_sigma_curve, which runs on
+    the standard library."""
     z = abs(float(local_z))
     if n_counties == 1:
         return z
-    p_local = float(erfc(z / np.sqrt(2.0)))
+    p_local = float(special.erfc(z / np.sqrt(2.0)))
     if p_local == 0.0:
         return z
     with np.errstate(divide="ignore"):
         p_global = -np.expm1(n_counties * np.log1p(-p_local))
-    return min(z, float(-ndtri(0.5 * p_global)) + 0.0)
+    return min(z, float(-special.ndtri(0.5 * p_global)) + 0.0)
 
 
 def read_ranking_csv(path) -> list[dict]:
@@ -186,6 +187,7 @@ class TestAnalyticGlobal:
             global_significance_analytic(3.0, 0)
 
     def test_curve_matches_scalar(self):
+        special = pytest.importorskip("scipy.special")
         # 37.6-37.7 straddles the local tail's underflow at |z| = 37.68
         zs = np.concatenate([
             np.linspace(-9.0, 9.0, 1801), [0.0, 37.5, 38.5, 41.0, -41.0],
@@ -196,7 +198,7 @@ class TestAnalyticGlobal:
             assert [global_significance_analytic(z, n) for z in zs[::50]] == curve[::50].tolist(), n
             # the scipy reference rounds differently: measured worst 3.5e-14
             # relative (|sigma| > 1e-3) and 2.2e-19 absolute (|sigma| <= 1e-3)
-            reference = [_scalar_reference(z, n) for z in zs]
+            reference = [_scalar_reference(z, n, special) for z in zs]
             np.testing.assert_allclose(curve, reference, rtol=5e-14, atol=1e-18, err_msg=str(n))
 
 
@@ -338,8 +340,9 @@ class TestScoreCounties:
         width = fit_width(resid)
         table = None if mc is None else mc_extremes(mc.config(400))
         scores = score_counties(resid, width, mc=mc)
-        for s, ri in zip(scores, r):
-            z = float(ri) / width.width
+        by_fips = {key.fips: float(ri) for key, ri in zip(resid.keys, r)}
+        for s in scores:
+            z = by_fips[s.key.fips] / width.width
             if mc is None:
                 g, beyond = global_significance_analytic(z, 400), False
             else:
@@ -366,10 +369,19 @@ class TestScoreCounties:
         values = [0.25, -0.5, 0.5, 0.0]
         resid = _resid_from(values)
         width = WidthFit(width=0.25, clip_iterations=1, n_used=4)
-        ordered = sorted_scores(score_counties(resid, width))
+        ordered = score_counties(resid, width)
         assert [s.local_sigma for s in ordered] == [-2.0, 2.0, 1.0, 0.0]
         # |−2| ties |2|: lower fips first
         assert ordered[0].key.fips < ordered[1].key.fips
+
+    def test_rank_of_is_one_based_and_rejects_unscored_counties(self):
+        resid = _resid_from([0.25, -0.5, 0.5, 0.0])
+        width = WidthFit(width=0.25, clip_iterations=1, n_used=4)
+        scoring = Scoring(resid, width, tuple(score_counties(resid, width)))
+        for rank, score in enumerate(scoring.scores, start=1):
+            assert scoring.rank_of(score.key.fips) == (rank, score)
+        with pytest.raises(DataError, match="99999 was not scored"):
+            scoring.rank_of("99999")
 
 
 class TestRanking:

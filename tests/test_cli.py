@@ -248,6 +248,20 @@ class TestBlindInjectSweepCalibrate:
         assert "DISAGREES" not in text
 
 
+def test_scored_commands_write_one_file_trio(workspace, fit_out, tmp_path):
+    """fit, blind and inject each write a ranking, a scores file with the same
+    provenance and a residual export."""
+    for cmd in ("blind", "inject"):
+        assert main([cmd, "--manifest", _man(workspace), "--out", str(tmp_path)]) == 0
+    for out, prefix in ((fit_out, ""), (tmp_path, "blind_"), (tmp_path, "injected_")):
+        for name in ("ranking.csv", "scores.json", "residuals.csv"):
+            assert (out / f"{prefix}{name}").exists(), prefix + name
+        meta = json.loads((out / f"{prefix}scores.json").read_text())["meta"]
+        for key in ("manifest_sha256", "n_counties", "width", "rms_residual", "mc_trials", "mc_seed"):
+            assert key in meta, (prefix, key)
+        assert (meta["mc_trials"], meta["mc_seed"]) == (20000, 0)
+
+
 @pytest.fixture
 def private_ws(workspace, tmp_path):
     """A copy of the workspace whose manifest and dataset a test may edit."""
@@ -563,6 +577,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"injection county {tx} is not in the evaluation set" in err
         assert cv_calls == [] and chunks == []
+
+    @pytest.mark.parametrize(
+        "cmd, edit, extra, code, message",
+        [
+            ("blind", None, ["--trials", "10"], 2,
+             "config error: need at least 1000 trials for a p-value, got 10"),
+            ("sweep", ("\nstates = GA\n", "\nstates = GA\nk_step = 0\n"), [], 2,
+             "config error: [sweep] k_step must be at least 1, got 0"),
+            ("inject", ("\nk = 40000\n", "\nk = 100000000\n"), [], 3,
+             "data error: cannot flip 100000000 Republican votes in county"),
+        ],
+        ids=["trials", "k_step", "k"],
+    )
+    def test_bad_request_fails_before_any_work(
+        self, private_ws, monkeypatch, capsys, cmd, edit, extra, code, message
+    ):
+        manifest = private_ws / "run.ini"
+        if edit is not None:
+            text = manifest.read_text()
+            assert edit[0] in text
+            manifest.write_text(text.replace(*edit))
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
+        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        assert main([cmd, "--manifest", str(manifest), *extra]) == code
+        assert cv_calls == [] and chunks == []
+        assert capsys.readouterr().err.startswith(message)
+        assert not (private_ws / "out" / "mc_null").exists()
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):
         argv = ["fit", "--manifest", _man(workspace), "--out", str(tmp_path), "--threads", "0"]

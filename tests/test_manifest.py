@@ -136,6 +136,16 @@ class TestLoadManifest:
         with pytest.raises(ConfigError, match="direction"):
             load_manifest(path)
 
+    def test_too_few_trials_and_zero_k_step_rejected(self, full_manifest, tmp_path):
+        # rejected when the manifest loads, so even commands that draw no MC
+        # null (sweep --trials 0) fail before any work
+        with pytest.raises(ConfigError, match="at least 1000 trials"):
+            load_manifest(full_manifest, {"trials": 0})
+        path = tmp_path / "bad.ini"
+        path.write_text("[sweep]\nk_step = 0\n")
+        with pytest.raises(ConfigError, match="k_step must be at least 1, got 0"):
+            load_manifest(path)
+
     def test_unparseable_ini(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("not an ini at all [[[")

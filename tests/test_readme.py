@@ -4,7 +4,6 @@ import re
 from pathlib import Path
 
 from tamperscan import fit_width, score_counties
-from tamperscan.anomaly import sorted_scores
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,5 +14,5 @@ def test_quick_start_prints_the_three_most_anomalous_counties(capsys):
     exec(block, namespace)
     lines = capsys.readouterr().out.splitlines()
     resid = namespace["resid"]
-    top = sorted_scores(score_counties(resid, fit_width(resid)))[:3]
+    top = score_counties(resid, fit_width(resid))[:3]
     assert [line.rsplit(" ", 2)[0] for line in lines] == [s.key.name for s in top]
