@@ -27,7 +27,7 @@ def main():
         cells = []
         for z in (3.0, 4.0, 5.0, 6.0):
             ana = global_significance_analytic(z, n)
-            mc = global_significance_mc(z, cfg, threads=4)
+            mc = global_significance_mc(z, cfg)
             tag = f"{mc.sigma:.2f}" if not mc.bounded else "beyond table"
             cells.append(f"z={z:.0f}: {ana:5.2f} | {tag}")
         print(f"  N={n:<5}  " + "   ".join(cells))

@@ -30,8 +30,6 @@ SPEC = SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, s
 
 
 def analyze(dataset, label):
-    # cross-validation runs on one thread; thread counts only matter to the
-    # MC null table
     settings = CvSettings(l1_grid=(0.5, 1.0), n_alphas=25)
     cv, model = fit_cv(dataset.X, dataset.shares(), dataset.feature_names, settings)
     resid = residuals(model, dataset)

@@ -4,7 +4,9 @@ Each county's residual (actual minus predicted share) is converted to a local
 sigma against a robust Gaussian width, then to a global sigma that answers
 the question actually at stake: how often would the most extreme of N clean
 counties look this extreme? Both an analytic order-statistics conversion and
-a Monte Carlo extreme-value simulation are provided; they must agree.
+a Monte Carlo extreme-value simulation are provided; they must agree. The MC
+null samples the maximum of N clean |u| exactly, one uniform per trial, so a
+table is a pure function of (trials, N, seed).
 
 All p-value conventions are two-sided in both directions of conversion.
 """
@@ -15,7 +17,6 @@ import math
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -32,10 +33,6 @@ MAX_CLIP_ITERATIONS = 10
 
 DEFAULT_MC_TRIALS = 100_000
 MIN_MC_TRIALS = 1_000
-
-# Trials per Philox substream; the tally over chunks is order-independent,
-# so any scheduling of chunks yields the identical extreme table.
-_MC_CHUNK = 512
 
 # MC streams live at indices >= 2**32 so they can never collide with the
 # low-numbered streams used for synthesis and fold shuffling on the same seed.
@@ -120,14 +117,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McNull:
-    """How a scoring draws its MC null: trials and seed, plus the thread
-    count and table directory (`store`) passed to mc_extremes. The
-    look-elsewhere N is not part of it; it comes from the scored set,
-    through config()."""
+    """How a scoring draws its MC null: trials and seed, plus the table
+    directory (`store`) passed to mc_extremes. The look-elsewhere N is not
+    part of it; it comes from the scored set, through config()."""
 
     trials: int = DEFAULT_MC_TRIALS
     seed: int = 0
-    threads: int = 1
     store: Path | None = None
 
     def config(self, n_counties: int) -> McConfig:
@@ -254,29 +249,16 @@ _extreme_cache: dict[tuple[int, int, int], np.ndarray] = {}
 _extreme_lock = threading.Lock()
 
 
-def _chunk_max_abs(
-    trials: int, n_counties: int, seed: int, chunk: int, buf: np.ndarray
-) -> np.ndarray:
-    """Per-trial max|u| over one chunk's draws, drawn into `buf`.
-
-    `buf` is scratch space of shape (_MC_CHUNK, n_counties); the partial
-    last chunk uses its leading rows. max(max u, -min u) equals max|u| bit
-    for bit and needs no |u| temporary.
-    """
-    u = buf[: min(_MC_CHUNK, trials - chunk * _MC_CHUNK)]
-    substream(seed, _MC_STREAM_BASE + chunk).standard_normal(out=u)
-    return np.maximum(u.max(axis=1), -u.min(axis=1))
-
-
 def _table_file(config: McConfig) -> str:
     """Store file name: everything the table's values depend on.
 
     numpy does not promise that a Generator stream stays the same across
-    releases, so its version is part of the key.
+    releases, so its version is part of the key. The `exact` tag names the
+    sampler, so a table drawn by any other sampler is never read.
     """
     return (
-        f"mc_extremes_t{config.trials}_n{config.n_counties}_s{config.seed}"
-        f"_c{_MC_CHUNK}_b{_MC_STREAM_BASE}_np{np.__version__}.npy"
+        f"mc_extremes_exact_t{config.trials}_n{config.n_counties}_s{config.seed}"
+        f"_b{_MC_STREAM_BASE}_np{np.__version__}.npy"
     )
 
 
@@ -292,6 +274,7 @@ def _read_table(path: Path, trials: int) -> np.ndarray | None:
         or table.shape != (trials,)
         or not np.all(np.isfinite(table))
         or np.any(table[1:] < table[:-1])
+        or np.any(table < 0.0)
     ):
         return None
     return table
@@ -300,10 +283,10 @@ def _read_table(path: Path, trials: int) -> np.ndarray | None:
 def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     """Sorted per-trial max|u| table for the null of N clean counties.
 
-    Each chunk of trials has its own counter-keyed substream, so the table
-    is a pure function of (trials, n_counties, seed) no matter how chunks
-    are scheduled. Tables are cached per config; repeated scoring against
-    the same null is a binary search, not a re-simulation.
+    The table is a pure function of (trials, n_counties, seed); `threads` is
+    accepted and ignored, since one draw takes milliseconds. Tables are
+    cached per config; repeated scoring against the same null is a binary
+    search, not a re-simulation.
 
     `store` names a directory that keeps tables across processes. On a miss
     in the in-process cache the table is read from there; a missing or
@@ -318,7 +301,7 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     path = None if store is None else Path(store) / _table_file(config)
     table = None if path is None else _read_table(path, config.trials)
     if table is None:
-        table = _draw_table(config, threads)
+        table = _draw_table(config)
         if path is not None:
             write_atomically(
                 path, lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
@@ -333,28 +316,27 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     return table
 
 
-def _draw_table(config: McConfig, threads: int) -> np.ndarray:
-    n_chunks = -(-config.trials // _MC_CHUNK)
-    scratch = threading.local()  # one chunk buffer per pool thread
+def _draw_table(config: McConfig) -> np.ndarray:
+    """Sorted max|u| over N standard normals, drawn by inverting its CDF.
 
-    def draw(chunk: int) -> np.ndarray:
-        buf = getattr(scratch, "buf", None)
-        if buf is None:
-            buf = scratch.buf = np.empty((_MC_CHUNK, config.n_counties))
-        return _chunk_max_abs(config.trials, config.n_counties, config.seed, chunk, buf)
+    P(max|u| <= x) = (1 - p(x))^N with p(x) = erfc(x/sqrt 2), so for v
+    uniform on (0, 1) the tail q = 1 - v^(1/N) has the law of p(max|u|), and
+    max|u| = -Phi^-1(q/2). expm1 keeps q exact where it is tiny, the upper
+    tail that the look-elsewhere sigma reads. Each v is an odd multiple of
+    2^-53, so it is exact and never 0 or 1.
+    """
+    k = substream(config.seed, _MC_STREAM_BASE).integers(0, 1 << 52, size=config.trials)
+    v = (k + 0.5) * 2.0**-52
+    q = -np.expm1(np.log(v) / config.n_counties)
+    return np.sort(-_normal_quantile(0.5 * q).astype(np.float64)) + 0.0
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.sort(np.concatenate(list(pool.map(draw, range(n_chunks)))))
 
-
-def _mc_sigmas(
-    z: np.ndarray, config: McConfig, threads: int, store
-) -> tuple[np.ndarray, np.ndarray]:
+def _mc_sigmas(z: np.ndarray, config: McConfig, store) -> tuple[np.ndarray, np.ndarray]:
     """Per |z|: the count of MC null trials at least as extreme, and the
     two-sided sigma of that p capped at |z|, or the analytic sigma where the
-    count is 0. `threads` and `store` are passed to mc_extremes."""
+    count is 0. `store` is passed to mc_extremes."""
     z = np.abs(z)
-    table = mc_extremes(config, threads=threads, store=store)
+    table = mc_extremes(config, store=store)
     counts = table.shape[0] - np.searchsorted(table, z, side="left")
     bounded = counts == 0
     sigma = np.empty_like(z)
@@ -366,9 +348,7 @@ def _mc_sigmas(
     return counts, sigma
 
 
-def global_significance_mc(
-    local_z: float, config: McConfig, threads: int = 1, store=None
-) -> McGlobalSignificance:
+def global_significance_mc(local_z: float, config: McConfig, store=None) -> McGlobalSignificance:
     """MC global significance: fraction of null trials at least as extreme.
 
     When zero trials reach |z| the true p is below 1/trials; the result is
@@ -377,7 +357,7 @@ def global_significance_mc(
     """
     if not np.isfinite(local_z):
         raise NumericalError(f"local z must be finite, got {local_z}")
-    counts, sigmas = _mc_sigmas(np.array([local_z], dtype=np.float64), config, threads, store)
+    counts, sigmas = _mc_sigmas(np.array([local_z], dtype=np.float64), config, store)
     count, sigma = int(counts[0]), float(sigmas[0])
     p = count / config.trials
     stderr = float(np.sqrt(p * (1.0 - p) / config.trials))
@@ -408,7 +388,7 @@ def score_counties(
         glob = analytic_sigma_curve(z, resid.n)
         beyond = np.zeros(resid.n, dtype=bool)
     else:
-        counts, glob = _mc_sigmas(z, mc.config(resid.n), mc.threads, mc.store)
+        counts, glob = _mc_sigmas(z, mc.config(resid.n), mc.store)
         beyond = counts == 0
     scores = [
         AnomalyScore(

@@ -411,7 +411,7 @@ def cmd_calibrate(run: Run) -> int:
         cfg = run.mc.config(n)
         for z in man.calibrate_z:
             analytic = anomaly.global_significance_analytic(z, n)
-            est = anomaly.global_significance_mc(z, cfg, run.mc.threads, run.mc.store)
+            est = anomaly.global_significance_mc(z, cfg, run.mc.store)
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands
             else:
@@ -473,8 +473,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the manifest output directory")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="worker threads for the MC null table (results identical at any "
-            "count); everything else runs on one thread",
+            help="ignored, but must be at least 1: every command runs on one "
+            "thread, and no output depends on this value",
         )
         p.add_argument("--trials", type=int, default=None, help="override Monte Carlo trial count")
         p.add_argument("--seed", type=int, default=None, help="override every seed in the manifest")
@@ -494,7 +494,7 @@ def main(argv=None) -> int:
         run = Run(
             man=man,
             out=out,
-            mc=McNull(man.mc_trials, man.mc_seed, args.threads, out / "mc_null"),
+            mc=McNull(man.mc_trials, man.mc_seed, out / "mc_null"),
             comment=f"manifest_sha256={man.sha256}",
             dataset_cache=out / "dataset_cache",
         )

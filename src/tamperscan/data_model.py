@@ -137,9 +137,9 @@ class Dataset:
             target_year=int(target_year),
         )
 
-    def shares(self, year: int | None = None) -> np.ndarray:
-        """Vote shares for every county in `year` (default: target year)."""
-        year = self.target_year if year is None else year
+    def shares(self) -> np.ndarray:
+        """Target-year vote shares for every county."""
+        year = self.target_year
         totals = self.rep[year] + self.dem[year]
         bad = np.flatnonzero(totals <= 0)
         if bad.size:

@@ -112,8 +112,8 @@ def manifest_hash(path: Path, overrides: dict | None = None) -> str:
     """sha256 of the manifest bytes, folded with result-changing overrides.
 
     Only overrides that change computed values (trials, seed) enter the
-    hash; --threads and --out never do, so re-running with different
-    parallelism or output locations still yields matching hashes.
+    hash; --threads and --out never do, so re-running with a different
+    --threads or output location still yields matching hashes.
     """
     h = hashlib.sha256(Path(path).read_bytes())
     overrides = overrides or {}

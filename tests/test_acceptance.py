@@ -44,8 +44,6 @@ from tamperscan import (
 from tamperscan.cli import main as cli_main
 from tamperscan.scenarios import score_eval_set
 
-THREADS = 4
-
 DATA_DIR = os.environ.get("TAMPERSCAN_DATA_DIR", "")
 needs_data = pytest.mark.skipif(
     not DATA_DIR,
@@ -107,7 +105,7 @@ def test_mc_matches_analytic_within_three_stderr():
     for n in (100, 381, 3112):
         cfg = McConfig(n_counties=n, trials=100_000, seed=0)
         for z in (3.0, 4.0, 5.0):
-            est = global_significance_mc(z, cfg, threads=THREADS)
+            est = global_significance_mc(z, cfg)
             ana = global_significance_analytic(z, n)
             if est.bounded:
                 # no trial reached z; the estimate already fell back to the

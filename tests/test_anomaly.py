@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from statistics import NormalDist
 
@@ -234,24 +235,25 @@ class TestMonteCarlo:
         t4 = mc_extremes(cfg, threads=4)
         assert np.array_equal(t1, t4)
 
-    @pytest.mark.parametrize(
-        "n,trials,seed", [(1, 1000, 0), (30, 5000, 7), (381, 1536, 3), (97, 2049, 11)]
-    )
-    def test_table_matches_abs_max_reference(self, n, trials, seed):
-        # the earlier per-chunk formula, max|u| over a freshly drawn block;
-        # 1536 trials fill whole chunks; the others end in a partial one
-        chunk = anomaly._MC_CHUNK
-        reference = np.sort(np.concatenate([
-            np.max(np.abs(
-                substream(seed, anomaly._MC_STREAM_BASE + c).standard_normal(
-                    (min(chunk, trials - c * chunk), n)
-                )
-            ), axis=1)
-            for c in range(-(-trials // chunk))
-        ]))
-        for threads in (1, 3):
-            table = anomaly._draw_table(McConfig(n_counties=n, trials=trials, seed=seed), threads)
-            assert np.array_equal(table, reference), threads
+    @pytest.mark.parametrize("n", [1, 97, 381, 3112])
+    def test_table_inverts_the_closed_form_cdf(self, n):
+        """P(max|u| <= x) = (1 - erfc(x/sqrt 2))^N at every table entry gives
+        back the sorted uniforms the table was drawn from."""
+        cfg = McConfig(n_counties=n, trials=anomaly.DEFAULT_MC_TRIALS, seed=0)
+        k = substream(cfg.seed, anomaly._MC_STREAM_BASE).integers(0, 2**52, size=cfg.trials)
+        uniforms = np.sort((k + 0.5) * 2.0**-52)
+        table = anomaly._draw_table(cfg)
+        assert table[0] >= 0.0 and np.all(np.diff(table) >= 0.0)
+        cdf = np.array([(1.0 - math.erfc(x / math.sqrt(2.0))) ** n for x in table])
+        np.testing.assert_allclose(cdf, uniforms, rtol=1e-12, atol=0.0)
+
+    def test_table_matches_explicit_normals(self):
+        """Two-sample KS test of the table against max|u| over explicitly
+        drawn rows of N normals."""
+        stats = pytest.importorskip("scipy.stats")
+        table = mc_extremes(McConfig(n_counties=100, trials=20_000, seed=0))
+        brute = np.abs(substream(0, 0).standard_normal((20_000, 100))).max(axis=1)
+        assert stats.ks_2samp(table, brute).pvalue > 0.01
 
     def test_table_cached(self):
         cfg = McConfig(n_counties=30, trials=5000, seed=7)
@@ -287,14 +289,14 @@ class TestMcStore:
         anomaly._extreme_cache.clear()
         assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
         (path,) = tmp_path.glob("*.npy")
-        for part in ("t2000", "n30", "s3", f"np{np.__version__}"):
+        for part in ("exact", "t2000", "n30", "s3", f"np{np.__version__}"):
             assert part in path.name
         anomaly._extreme_cache.clear()
-        monkeypatch.setattr(anomaly, "_chunk_max_abs", None)  # any draw would fail
+        monkeypatch.setattr(anomaly, "_draw_table", None)  # any draw would fail
         assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage", "float32", "short", "unsorted", "nan"]
+        "damage", ["truncated", "garbage", "float32", "short", "unsorted", "nan", "negative"]
     )
     def test_invalid_file_is_redrawn(self, tmp_path, damage):
         drawn = self._fresh()
@@ -310,6 +312,7 @@ class TestMcStore:
                 "short": drawn[:-1],
                 "unsorted": drawn[::-1],
                 "nan": np.where(np.arange(drawn.size) == 5, np.nan, drawn),
+                "negative": np.concatenate([[-1.0], drawn[1:]]),  # still sorted
             }[damage]
             np.save(path, bad)
         anomaly._extreme_cache.clear()

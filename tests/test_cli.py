@@ -280,13 +280,13 @@ class TestReuseAcrossCommands:
         self, workspace, tmp_path, monkeypatch, capsys
     ):
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
-        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        draws = counting(monkeypatch, anomaly, "_draw_table")
         chained = tmp_path / "chained"
         drawn = {}
         for cmd in ("blind", "inject", "sweep"):
             _new_process()
             assert main([cmd, "--manifest", _man(workspace), "--out", str(chained)]) == 0
-            drawn[cmd] = len(chunks) - sum(drawn.values())
+            drawn[cmd] = len(draws) - sum(drawn.values())
         assert len(cv_calls) == 1
         assert drawn["blind"] > 0 and drawn["inject"] == 0
         assert "refitting" not in capsys.readouterr().err
@@ -403,14 +403,32 @@ class TestReuseAcrossCommands:
         _new_process()
         assert main(["fit", "--manifest", man]) == 0
         _new_process()
-        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        draws = counting(monkeypatch, anomaly, "_draw_table")
         assert main(["calibrate", "--manifest", man]) == 0
-        assert {args[1] for args in chunks} == {100}  # N = 300 came from fit's table
+        assert {args[0].n_counties for args in draws} == {100}  # N = 300 came from fit's table
         fresh = private_ws / "fresh"
         _new_process()
         assert main(["calibrate", "--manifest", man, "--out", str(fresh)]) == 0
         calibration = (private_ws / "out" / "calibration.csv").read_bytes()
         assert calibration == (fresh / "calibration.csv").read_bytes()
+
+    def test_table_under_another_sampler_name_is_never_read(self, private_ws, fit_out):
+        """A table of the earlier N-normals-per-trial sampler, whose file name
+        carried a chunk size and no sampler tag, is left alone and unread."""
+        man, store = _man(private_ws), private_ws / "out" / "mc_null"
+        cfg = McConfig(n_counties=300, trials=20000, seed=0)
+        store.mkdir()
+        old_name = (
+            f"mc_extremes_t20000_n300_s0_c512_b{anomaly._MC_STREAM_BASE}_np{np.__version__}.npy"
+        )
+        np.save(store / old_name, np.zeros(cfg.trials))  # a finite, sorted table
+        _new_process()
+        assert main(["fit", "--manifest", man]) == 0
+        new_name = anomaly._table_file(cfg)
+        assert new_name.startswith("mc_extremes_exact_")
+        assert sorted(p.name for p in store.iterdir()) == sorted([old_name, new_name])
+        for f in _outputs(fit_out):
+            assert (private_ws / "out" / f.name).read_bytes() == f.read_bytes(), f.name
 
     def test_truncated_table_is_redrawn(self, private_ws):
         man, out = _man(private_ws), private_ws / "out"
@@ -572,11 +590,11 @@ class TestExitCodes:
         tx = next(k.fips for k in ds.keys if k.state == "TX")
         manifest.write_text(re.sub(r"\nfips = \d+\n", f"\nfips = {tx}\n", manifest.read_text()))
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
-        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        draws = counting(monkeypatch, anomaly, "_draw_table")
         assert main(["inject", "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert f"injection county {tx} is not in the evaluation set" in err
-        assert cv_calls == [] and chunks == []
+        assert cv_calls == [] and draws == []
 
     @pytest.mark.parametrize(
         "cmd, edit, extra, code, message",
@@ -599,9 +617,9 @@ class TestExitCodes:
             assert edit[0] in text
             manifest.write_text(text.replace(*edit))
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
-        chunks = counting(monkeypatch, anomaly, "_chunk_max_abs")
+        draws = counting(monkeypatch, anomaly, "_draw_table")
         assert main([cmd, "--manifest", str(manifest), *extra]) == code
-        assert cv_calls == [] and chunks == []
+        assert cv_calls == [] and draws == []
         assert capsys.readouterr().err.startswith(message)
         assert not (private_ws / "out" / "mc_null").exists()
 

