@@ -129,7 +129,7 @@ def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindCont
     reason = None
     for name in ("blind_model.json", "blind_cv.json"):
         try:
-            with open(run.out / name) as fh:
+            with open(run.out / name, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
             reason = f"no {name} in {run.out}"

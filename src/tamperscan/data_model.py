@@ -12,9 +12,10 @@ import csv
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -303,19 +304,27 @@ def write_atomically(path: Path, write: Callable) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_csv(path, header, rows, comment: str = "") -> None:
-    """Write a CSV file: a `# comment` line when given, the header, then `rows`."""
-    with open(path, "w", newline="") as fh:
+@contextmanager
+def open_csv(path, header, comment: str = "") -> Iterator[TextIO]:
+    """Open a UTF-8 CSV file for writing, whatever the locale: write a
+    `# comment` line when given and the header, then yield the open file for
+    the data rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
+def write_csv(path, header, rows, comment: str = "") -> None:
+    """Write a CSV file: a `# comment` line when given, the header, then `rows`."""
+    with open_csv(path, header, comment) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def write_json(path, doc: dict) -> None:
-    """Write `doc` as JSON indented by two spaces, with a final newline."""
-    with open(path, "w") as fh:
+    """Write `doc` as UTF-8 JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

@@ -16,6 +16,7 @@ import json
 import re
 import zipfile
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,8 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
         feature_idx = [
             i for i in range(len(header)) if i != fips_idx and i != name_idx
         ]
-        columns = tuple(stripped[i] for i in feature_idx)
+        pick_features = _cells_getter(feature_idx)
+        columns = pick_features(stripped)
         if len(set(columns)) != len(columns):
             dupes = sorted({c for c in columns if columns.count(c) > 1})
             raise SchemaError(f"{path}: repeated column headers {dupes}")
@@ -127,10 +129,24 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
             fips = normalize_fips(row[fips_idx])
             if fips in rows:
                 raise DataError(f"{path}: duplicate fips {fips}")
-            rows[fips] = tuple(row[i] for i in feature_idx)
+            rows[fips] = pick_features(row)
             if name_idx is not None and row[name_idx].strip():
                 names[fips] = row[name_idx].strip()
     return RawTable(source_id=source_id, columns=columns, rows=rows, names=names)
+
+
+def _cells_getter(idx: list[int]):
+    """A function picking the cells at `idx` out of a row as a tuple.
+
+    itemgetter does it in C, but returns a bare cell for one index and
+    cannot be built from none.
+    """
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def _to_float(cell: str) -> float | None:
@@ -196,13 +212,23 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
             kept.append((t.source_id, col))
 
     by_source = {t.source_id: t for t in tables}
+    # each table's rows in fips order: references, not a transposed copy
+    ordered_rows = {t.source_id: [t.rows[f] for f in fips_order] for t in tables}
     names: list[str] = []
     columns: list[np.ndarray] = []
     for source_id, col in kept:
-        t = by_source[source_id]
-        j = t.columns.index(col)
-        parsed = [_to_float(t.rows[f][j]) for f in fips_order]
-        bad = sum(v is None for v in parsed)
+        cells = list(map(itemgetter(by_source[source_id].columns.index(col)),
+                         ordered_rows[source_id]))
+        try:
+            # float() gives _to_float's value for every cell it accepts,
+            # surrounding whitespace included; a cell it rejects, such as
+            # "1,234" or "(X)", sends the column through _to_float, which
+            # also counts the bad cells
+            parsed = list(map(float, cells))
+            bad = 0
+        except ValueError:
+            parsed = list(map(_to_float, cells))
+            bad = parsed.count(None)
         if bad:
             report.dropped_missing_columns.append(
                 {
@@ -391,7 +417,7 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=
             row = [key.fips, key.state, key.name]
             for y in years:
                 row += [str(int(dataset.rep[y][i])), str(int(dataset.dem[y][i]))]
-            yield row + [repr(float(v)) for v in dataset.X[i]]
+            yield row + list(map(repr, dataset.X[i].tolist()))
 
     comment = f"manifest_sha256={manifest_hash}" if manifest_hash else ""
     write_csv(csv_path, header, rows(), comment=comment)
@@ -457,7 +483,7 @@ def _read_meta(csv_path: Path) -> dict:
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
         raise SchemaError(f"missing dataset metadata file {meta_path}")
-    with open(meta_path) as fh:
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta.get("format") != DATASET_FORMAT:
         raise SchemaError(f"{meta_path}: not a dataset metadata file")
@@ -470,7 +496,7 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     years = [int(y) for y in meta["years"]]
     feature_names = list(meta["feature_names"])
 
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
     header = next(reader)

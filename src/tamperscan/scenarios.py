@@ -10,13 +10,16 @@ detectability curve and the constrained/unconstrained classification.
 
 from __future__ import annotations
 
+import csv
+import io
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .anomaly import McNull, Scoring, analytic_sigma_curve, score_model
-from .data_model import Dataset, write_csv
+from .data_model import Dataset, open_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
 
@@ -113,13 +116,14 @@ class SweepCurve:
     k_detect: int | None     # first sampled k at or above 4 sigma
 
     def __post_init__(self):
-        ks = [k for k, _ in self.samples]
-        if any(b <= a for a, b in zip(ks, ks[1:])):
+        if len(self.samples) < 2:
+            return
+        ks, sigmas = zip(*self.samples)
+        if not all(map(operator.lt, ks, ks[1:])):
             raise DataError("sweep samples must be strictly increasing in k")
-        sigmas = [s for _, s in self.samples]
-        for a, b in zip(sigmas, sigmas[1:]):
-            if b < a - 1e-12:
-                raise DataError("sweep sigma must be non-decreasing in k")
+        s = np.asarray(sigmas, dtype=np.float64)
+        if np.any(s[1:] < s[:-1] - 1e-12):
+            raise DataError("sweep sigma must be non-decreasing in k")
 
     @property
     def unconstrained(self) -> bool:
@@ -345,7 +349,7 @@ def sweep(
                     county=key.name,
                     state=key.state,
                     direction=direction,
-                    samples=tuple((int(k), float(s)) for k, s in zip(ks, sigmas)),
+                    samples=tuple(zip(ks.tolist(), sigmas.tolist())),
                     margin=margin,
                     flip_threshold=margin // 2 + 1,
                     k_detect=int(ks[hits[0]]) if hits.size else None,
@@ -366,14 +370,25 @@ def unconstrained_counties(curves) -> list[str]:
 
 
 def write_sweep_csv(curves, path, comment: str = "") -> None:
-    """Long-format curve export: one row per sampled k, full precision."""
+    """Long-format curve export: one row per sampled k, full precision.
+
+    The bytes are those of csv.writer rows [fips, county, state, direction,
+    str(k), repr(sigma)]: the four curve fields are csv-quoted once per
+    curve, and k and sigma never need quoting.
+    """
     header = ["fips", "county", "state", "direction", "k", "global_sigma"]
-    rows = (
-        [c.fips, c.county, c.state, c.direction.value, str(k), repr(sigma)]
-        for c in curves
-        for k, sigma in c.samples
-    )
-    write_csv(path, header, rows, comment=comment)
+    with open_csv(path, header, comment) as fh:
+        for c in curves:
+            prefix = _csv_prefix([c.fips, c.county, c.state, c.direction.value])
+            fh.write("".join([f"{prefix}{k},{sigma!r}\r\n" for k, sigma in c.samples]))
+
+
+def _csv_prefix(fields) -> str:
+    """`fields` as csv.writer writes them at the start of a row, with the
+    delimiter that follows the last one."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[: -len("\r\n")]
 
 
 def sweep_summary(curves) -> dict:

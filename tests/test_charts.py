@@ -1,7 +1,9 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from tamperscan import charts
 from tamperscan.charts import sweep_chart_svg, write_sweep_chart
 from tamperscan.errors import ConfigError
 from tamperscan.scenarios import Direction, SweepCurve
@@ -80,3 +82,37 @@ def test_identical_input_gives_identical_bytes(curves, tmp_path):
     write_sweep_chart(curves, "GA", tmp_path / "a.svg", comment="x")
     write_sweep_chart(curves, "GA", tmp_path / "b.svg", comment="x")
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+@pytest.mark.parametrize("margin", [2500, 40_000])
+def test_polyline_points_match_per_sample_formatting(margin):
+    rng = np.random.default_rng(5)
+    curves = []
+    for i, (n, top) in enumerate(((40, 3.7), (57, 8.123456789), (3, 0.1 + 0.2))):
+        ks = tuple(range(0, 7 * n, 7)) + (7 * n + 3,)
+        sigmas = tuple(np.sort(rng.uniform(0.0, top, len(ks))).tolist())
+        curves.append(SweepCurve(
+            fips=f"1312{i}", county=f"County {i}", state="GA",
+            direction=Direction.R_TO_D if i % 2 else Direction.D_TO_R,
+            margin=margin, flip_threshold=margin // 2 + 1,
+            samples=tuple(zip(ks, sigmas)), k_detect=None,
+        ))
+    root = ET.fromstring(sweep_chart_svg(curves, "GA"))
+
+    # the reference: the per-sample coordinate functions, one point at a time
+    k_max = max(max(max(k for k, _ in c.samples) for c in curves), margin)
+    sigma_max = max(6.0, max(max(s for _, s in c.samples) for c in curves) + 0.5)
+    plot_w = charts.WIDTH - charts.MARGIN_LEFT - charts.MARGIN_RIGHT
+    plot_h = charts.HEIGHT - charts.MARGIN_TOP - charts.MARGIN_BOTTOM
+
+    def sx(k):
+        return charts.MARGIN_LEFT + plot_w * (k / k_max)
+
+    def sy(sigma):
+        return charts.MARGIN_TOP + plot_h * (1.0 - sigma / sigma_max)
+
+    expected = [
+        " ".join(f"{charts._fmt(sx(k))},{charts._fmt(sy(s))}" for k, s in c.samples)
+        for c in curves
+    ]
+    assert [p.get("points") for p in root.findall(f"{SVG_NS}polyline")] == expected

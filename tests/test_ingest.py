@@ -1,3 +1,10 @@
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +24,7 @@ from tamperscan import ingest
 from tamperscan.data_model import SyntheticSpec, generate_synthetic
 from tamperscan.ingest import dataset_sha256
 
-from conftest import counting
+from conftest import counting, make_dataset
 
 
 def _write(tmp_path, name, text):
@@ -99,6 +106,17 @@ class TestParseTable:
         t = parse_table(p, "DP02", delimiter="\t")
         assert t.rows["01001"] == ("5",)
 
+    def test_one_feature_column(self, tmp_path):
+        t = parse_table(_write(tmp_path, "a.csv", "name,fips,x\nA,01001,5\nB,13121,6\n"), "DP02")
+        assert t.columns == ("x",)
+        assert t.rows == {"01001": ("5",), "13121": ("6",)}
+
+    def test_no_feature_columns(self, tmp_path):
+        t = parse_table(_write(tmp_path, "a.csv", "fips,name\n01001,A\n13121,B\n"), "DP02")
+        assert t.columns == ()
+        assert t.rows == {"01001": (), "13121": ()}
+        assert t.names == {"01001": "A", "13121": "B"}
+
 
 class TestCleanFeatures:
     def _tables(self, tmp_path):
@@ -136,6 +154,34 @@ class TestCleanFeatures:
         assert features.names == ("good",)
         assert report.dropped_missing_columns[0]["column"] == "partial"
         assert report.dropped_missing_columns[0]["bad_cells"] == 1
+
+    def test_padded_and_separated_cells_parse_as_to_float(self, tmp_path):
+        separated = ["  1.5 ", '"1,234"', "\t-2e3", '" 12,345.25 "', "7"]
+        padded = ["  1.5 ", "0.1 ", "\t-2e3", " 12345.25", "7\t"]
+        dp02 = "fips,separated,padded\n" + "".join(
+            f"{fips},{a},{b}\n"
+            for fips, a, b in zip(["01001", "01003", "13121", "42003", "42005"], separated, padded)
+        )
+        features, report = clean_features([parse_table(_write(tmp_path, "x.csv", dp02), "DP02")])
+        assert features.names == ("separated", "padded")
+        assert report.dropped_missing_columns == []
+        assert features.values[:, 0].tolist() == [ingest._to_float(c.strip('"')) for c in separated]
+        assert features.values[:, 0].tolist() == [1.5, 1234.0, -2000.0, 12345.25, 7.0]
+        assert features.values[:, 1].tolist() == [ingest._to_float(c) for c in padded]
+        assert features.values[:, 1].tolist() == [1.5, 0.1, -2000.0, 12345.25, 7.0]
+
+    def test_bad_cells_counted_among_good_ones(self, tmp_path):
+        dp02 = "fips,good,holes\n" + "".join(
+            f"{fips},{i},{cell}\n"
+            for i, (fips, cell) in enumerate(
+                zip(["01001", "01003", "13121", "42003", "42005"], ["1", "(X)", " 2 ", "", '"3,5"'])
+            )
+        )
+        features, report = clean_features([parse_table(_write(tmp_path, "x.csv", dp02), "DP02")])
+        assert features.names == ("good",)
+        assert report.dropped_missing_columns == [
+            {"table": "DP02", "column": "holes", "reason": "missing_or_non_numeric", "bad_cells": 2}
+        ]
 
     def test_thousands_separators_parsed(self, tmp_path):
         dp02 = 'fips,income\n01001,"52,213"\n'
@@ -319,6 +365,29 @@ class TestDatasetRoundTrip:
             assert np.array_equal(back.dem[y], ds.dem[y])
         assert back.target_year == ds.target_year
 
+    def test_csv_bytes_match_per_scalar_repr(self, tmp_path):
+        rows = [
+            ("35013", "NM", "Doña Ana County", [0.1 + 0.2, -0.0], {2016: (3, 4), 2020: (5, 6)}),
+            ("35001", "NM", "Comma, County", [1e-300, 123456789.12345679], {2016: (7, 8), 2020: (9, 10)}),
+            ("35005", "NM", 'Quote "Q" County', [-1 / 3, 5.0], {2016: (11, 12), 2020: (13, 14)}),
+        ]
+        ds = make_dataset(rows)
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path, manifest_hash="deadbeef")
+
+        # the reference: csv.writer rows with repr(float(v)) for each feature scalar
+        buf = io.StringIO(newline="")
+        buf.write("# manifest_sha256=deadbeef\n")
+        writer = csv.writer(buf)
+        writer.writerow(["fips", "state", "name", "rep_2016", "dem_2016", "rep_2020", "dem_2020",
+                         *ds.feature_names])
+        for i, key in enumerate(ds.keys):
+            tallies = [str(int(v[y][i])) for y in ds.years for v in (ds.rep, ds.dem)]
+            writer.writerow([key.fips, key.state, key.name, *tallies,
+                             *[repr(float(v)) for v in ds.X[i]]])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert [k.name for k in load_dataset(path).keys] == [r[2] for r in rows]
+
     def test_missing_meta_is_schema_error(self, tmp_path):
         ds, _ = generate_synthetic(SyntheticSpec(n_counties=20, n_features=3, n_active=1, seed=8))
         path = tmp_path / "dataset.csv"
@@ -430,3 +499,36 @@ class TestDatasetCache:
         _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
         _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)
         assert len(parses) == 1
+
+
+def test_ingest_writes_utf8_whatever_the_locale(tmp_path):
+    """An ASCII locale neither crashes ingest on a non-ASCII county name nor
+    changes the bytes it writes; no file is opened in the locale encoding."""
+    files = {
+        "dp02.csv": "fips,county,pct_x\n35013,Doña Ana County,1.5\n"
+                    "35001,Bernalillo County,2.5\n35005,Chaves County,0.5\n",
+        "e2020.csv": "fips,rep_votes,dem_votes\n35013,1000,1200\n35001,900,1500\n35005,800,300\n",
+        "e2016.csv": "fips,rep_votes,dem_votes\n35013,1100,1100\n35001,950,1400\n35005,850,250\n",
+        "run.ini": "[run]\nout_dir = out\n\n[inputs]\ndp02 = dp02.csv\n"
+                   "election_2020 = e2020.csv\nelection_2016 = e2016.csv\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "tamperscan.cli", "ingest", "--manifest", "run.ini"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    path = tmp_path / "out" / "dataset.csv"
+    assert b"35013,NM,Do\xc3\xb1a Ana County," in path.read_bytes()
+    ds = load_dataset(path)
+    assert ds.keys[ds.index_of("35013")].name == "Doña Ana County"

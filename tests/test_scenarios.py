@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -347,6 +350,19 @@ class TestSweepCurveInvariants:
         with pytest.raises(DataError, match="increasing in k"):
             self._mk(((0, 0.1), (0, 0.2)), None)
 
+    def test_equal_k_rejected_anywhere_in_the_curve(self):
+        with pytest.raises(DataError, match="increasing in k"):
+            self._mk(((0, 0.0), (10, 0.1), (20, 0.2), (20, 0.3), (30, 0.4)), None)
+
+    def test_sigma_drop_tolerance_is_1e_12(self):
+        self._mk(((0, 0.0), (10, 1.0), (20, 1.0 - 5e-13), (30, 2.0)), None)
+        with pytest.raises(DataError, match="non-decreasing"):
+            self._mk(((0, 0.0), (10, 1.0), (20, 1.0 - 2e-12), (30, 2.0)), None)
+
+    def test_short_curves_accepted(self):
+        assert self._mk((), None).samples == ()
+        assert self._mk(((5, 1.0),), None).samples == ((5, 1.0),)
+
     def test_unconstrained_conventions(self):
         margin = 1000
         undetected = self._mk(((0, 0.0), (2000, 3.9)), None, margin)
@@ -379,7 +395,43 @@ class TestSweepCurveInvariants:
         assert unconstrained_counties([c]) == []
 
 
+TRICKY_COUNTIES = ("Doña Ana County", "Comma, County", 'Quote "Q" County')
+
+
+def _tricky_curves():
+    sigma_runs = (
+        (0.0, 0.1 + 0.2, 1.2345678901234567, float("inf")),
+        (0.0, 2.5, 2.5, 7.000000000000001),
+        (0.0, 1 / 3, 4.0, 123456.78901234567),
+    )
+    return [
+        SweepCurve(
+            fips=f"3501{i}", county=county, state="NM", direction=direction,
+            samples=tuple(zip((0, 7, 14, 17), sigmas)),
+            margin=10, flip_threshold=6, k_detect=None,
+        )
+        for i, (county, sigmas) in enumerate(zip(TRICKY_COUNTIES, sigma_runs))
+        for direction in Direction
+    ]
+
+
 class TestSweepExports:
+    def test_csv_bytes_match_csv_writer_rows(self, tmp_path):
+        curves = _tricky_curves()
+        path = tmp_path / "sweep_NM.csv"
+        write_sweep_csv(curves, path, comment="manifest_sha256=ff")
+
+        # the reference: one csv.writer row per sample
+        buf = io.StringIO(newline="")
+        buf.write("# manifest_sha256=ff\n")
+        writer = csv.writer(buf)
+        writer.writerow(["fips", "county", "state", "direction", "k", "global_sigma"])
+        for c in curves:
+            for k, sigma in c.samples:
+                writer.writerow([c.fips, c.county, c.state, c.direction.value, str(k), repr(sigma)])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert b"Do\xc3\xb1a" in path.read_bytes()
+
     def test_csv_and_summary(self, tmp_path, synth, blind_spec, context):
         curves = sweep(synth, blind_spec, "GA", k_step=100_000, context=context)
         path = tmp_path / "sweep_GA.csv"
