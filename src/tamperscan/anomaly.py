@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,7 +245,6 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
 
 
 _extreme_cache: dict[tuple[int, int, int], np.ndarray] = {}
-_extreme_lock = threading.Lock()
 
 
 def _table_file(config: McConfig) -> str:
@@ -294,8 +292,7 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
     this process is returned without touching the store.
     """
     cache_key = (config.trials, config.n_counties, config.seed)
-    with _extreme_lock:
-        hit = _extreme_cache.get(cache_key)
+    hit = _extreme_cache.get(cache_key)
     if hit is not None:
         return hit
     path = None if store is None else Path(store) / _table_file(config)
@@ -307,12 +304,11 @@ def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
                 path, lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
             )
     table.flags.writeable = False
-    with _extreme_lock:
-        _extreme_cache[cache_key] = table
-        # keep the cache bounded when many (trials, N, seed) are looked up,
-        # as calibrate's grid does
-        while len(_extreme_cache) > 8:
-            _extreme_cache.pop(next(iter(_extreme_cache)))
+    _extreme_cache[cache_key] = table
+    # keep the cache bounded when many (trials, N, seed) are looked up, as
+    # calibrate's grid does
+    while len(_extreme_cache) > 8:
+        _extreme_cache.pop(next(iter(_extreme_cache)))
     return table
 
 

@@ -483,6 +483,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # county names and paths reach stdout; one the locale cannot encode is
+    # escaped rather than failing a command whose files are already written
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     try:
         if args.threads < 1:

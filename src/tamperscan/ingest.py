@@ -493,13 +493,14 @@ def _read_meta(csv_path: Path) -> dict:
 
 
 def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
+    """Parse a canonical dataset CSV column block by column block with numpy's
+    C reader: the keys, the vote counts and the features."""
     years = [int(y) for y in meta["years"]]
     feature_names = list(meta["feature_names"])
 
     with open(csv_path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
+    header = next(csv.reader(lines[:1]), [])
     expected = ["fips", "state", "name"]
     for y in years:
         expected += [f"rep_{y}", f"dem_{y}"]
@@ -507,25 +508,37 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     if header != expected:
         raise SchemaError(f"{csv_path}: header does not match metadata")
 
-    keys, rep_cols, dem_cols, feat_rows = [], {y: [] for y in years}, {y: [] for y in years}, []
-    for row in reader:
-        if len(row) != len(header):
-            raise DataError(f"{csv_path}: ragged data row for fips {row[0] if row else '?'}")
-        keys.append(CountyKey(fips=row[0], state=row[1], name=row[2]))
-        pos = 3
-        for y in years:
-            rep_cols[y].append(int(row[pos]))
-            dem_cols[y].append(int(row[pos + 1]))
-            pos += 2
-        feat_rows.append([float(v) for v in row[pos:]])
-    X = np.array(feat_rows, dtype=np.float64).reshape(len(keys), len(feature_names))
+    rows = lines[1:]
+    width = len(header)
+    for line in rows:
+        # only a quoted name can hold a comma, so other lines are checked by count
+        if line.count(",") != width - 1 or '"' in line:
+            row = next(csv.reader([line]), [])
+            if len(row) != width:
+                raise DataError(f"{csv_path}: ragged data row for fips {row[0] if row else '?'}")
+    n_counts = 2 * len(years)
+    try:
+        keys = _columns(rows, str, range(3))
+        counts = _columns(rows, np.int64, range(3, 3 + n_counts))
+        X = _columns(rows, np.float64, range(3 + n_counts, width))
+    except ValueError as err:
+        raise DataError(f"{csv_path}: {err}") from None
     return Dataset.build(
-        keys=keys,
+        keys=[CountyKey(*key) for key in keys.tolist()],
         feature_names=feature_names,
         X=X,
-        rep={y: np.array(rep_cols[y], dtype=np.int64) for y in years},
-        dem={y: np.array(dem_cols[y], dtype=np.int64) for y in years},
+        rep={y: counts[:, 2 * t] for t, y in enumerate(years)},
+        dem={y: counts[:, 2 * t + 1] for t, y in enumerate(years)},
         target_year=int(meta["target_year"]),
+    )
+
+
+def _columns(rows: list[str], dtype, cols: range) -> np.ndarray:
+    """Columns `cols` of CSV data lines as a (len(rows), len(cols)) array."""
+    if not rows or not cols:
+        return np.empty((len(rows), len(cols)), dtype=dtype)
+    return np.loadtxt(
+        rows, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=cols, ndmin=2
     )
 
 

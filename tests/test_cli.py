@@ -13,6 +13,7 @@ import pytest
 
 from tamperscan import (
     McConfig,
+    SyntheticSpec,
     anomaly,
     elastic_net,
     generate_synthetic,
@@ -662,6 +663,25 @@ def test_cli_import_loads_no_network_modules():
     done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_fit_prints_non_ascii_names_under_an_ascii_locale(tmp_path):
+    ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2, seed=3))
+    renamed = dataclasses.replace(
+        ds, keys=tuple(dataclasses.replace(k, name=f"Do\xf1a Ana {k.fips}") for k in ds.keys)
+    )
+    save_dataset(renamed, tmp_path / "dataset.csv")
+    (tmp_path / "run.ini").write_text(
+        "[run]\nout_dir = out\n\n[data]\ndataset = dataset.csv\n\n"
+        "[cv]\nl1_grid = 1.0\nn_alphas = 5\n\n[mc]\ntrials = 1000\n"
+    )
+    env = {**_subprocess_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = subprocess.run(
+        [sys.executable, "-m", "tamperscan.cli", "fit", "--manifest", "run.ini"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode("ascii", "backslashreplace")
+    assert b"Do\\xf1a Ana " in done.stdout
 
 
 def test_commands_run_without_scipy(workspace, tmp_path):

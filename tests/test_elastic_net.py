@@ -17,6 +17,7 @@ from tamperscan import (
 )
 from tamperscan.data_model import substream
 from tamperscan.elastic_net import (
+    _extrapolate,
     cv_result_from_dict,
     cv_result_to_dict,
     model_from_dict,
@@ -37,9 +38,19 @@ def _random_problem(seed, n=80, p=6, noise=0.1):
     return X, y
 
 
+def _collinear_problem(seed, n=120, p=30, factors=3):
+    # every column a noisy mix of three factors, where extrapolation pays
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, factors))
+    X = F @ rng.normal(size=(factors, p)) + 0.05 * rng.normal(size=(n, p))
+    y = 0.5 + F @ rng.normal(size=factors) + 0.1 * rng.normal(size=n)
+    return X, y
+
+
 def _residual_form_descend(Xs, y, penalty, tol, max_iter, beta):
-    """Reference solver: residual-form coordinate descent, one O(n) pass per
-    coordinate. Same cyclic order and stop rule as the covariance kernel."""
+    """Reference solver: plain residual-form coordinate descent, one O(n) pass
+    per coordinate and no extrapolation. Same cyclic order and stop rule as
+    the covariance kernel."""
     n, p = Xs.shape
     col_sq = np.einsum("ij,ij->j", Xs, Xs) / n
     denom = col_sq + penalty.alpha * (1.0 - penalty.l1_ratio)
@@ -169,6 +180,16 @@ class TestObjective:
                 tol=1e-11, max_iter=50_000, check_objective=True,
             )
 
+    def test_check_holds_through_accepted_extrapolations(self):
+        X, y = _collinear_problem(0)
+        Xs, params = _standardized(X)
+        model = fit(
+            Xs, y, PenaltyConfig(alpha=0.001, l1_ratio=0.5), params,
+            tol=1e-9, max_iter=100_000, check_objective=True,
+        )
+        assert model.training_meta["converged"]
+        assert model.training_meta["extrapolations"] > 0
+
     def test_training_meta_records_final_objective(self):
         X, y = _random_problem(8)
         Xs, params = _standardized(X)
@@ -245,10 +266,31 @@ class TestConvergenceWarning:
         assert model.training_meta["converged"] is False
 
 
-class TestKernelMatchesResidualForm:
+class TestKernelCertifiedOracle:
+    """The extrapolated kernel's solution against a duality-gap certificate
+    and the residual-form reference, along cold and warm-started paths."""
+
+    @staticmethod
+    def _dual_gap(Xs, y, beta, penalty):
+        # n-scaled primal against an independent dual point: the residual for
+        # l2 > 0, where the dual is smooth; the box-scaled residual for a lasso
+        n = y.shape[0]
+        lam1 = n * penalty.alpha * penalty.l1_ratio
+        lam2 = n * penalty.alpha * (1.0 - penalty.l1_ratio)
+        yc = y - y.mean()
+        r = yc - Xs @ beta
+        v = Xs.T @ r
+        primal = 0.5 * r @ r + lam1 * np.abs(beta).sum() + 0.5 * lam2 * beta @ beta
+        if lam2 > 0:
+            dual = yc @ r - 0.5 * r @ r - (np.clip(np.abs(v) - lam1, 0.0, None) ** 2).sum() / (2 * lam2)
+        else:
+            theta = r * min(1.0, lam1 / np.max(np.abs(v)))
+            dual = yc @ theta - 0.5 * theta @ theta
+        return (primal - dual) / primal
+
     @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_same_sweeps_and_coefficients(self, l1_ratio, warm):
+    def test_gap_certified_and_matches_residual_form(self, l1_ratio, warm):
         X, y = _random_problem(45, n=90, p=10, noise=0.5)
         Xs, params = _standardized(X)
         ref = np.zeros(Xs.shape[1])
@@ -258,13 +300,35 @@ class TestKernelMatchesResidualForm:
             if not warm:
                 ref = np.zeros(Xs.shape[1])
                 coefs = None
-            sweeps, converged = _residual_form_descend(Xs, y, penalty, 1e-9, 10_000, ref)
-            model = fit(Xs, y, penalty, params, tol=1e-9, warm_start=coefs)
+            assert _residual_form_descend(Xs, y, penalty, 1e-12, 100_000, ref)[1]
+            model = fit(Xs, y, penalty, params, tol=1e-12, max_iter=100_000, warm_start=coefs)
             coefs = model.coefficients
-            assert converged and model.training_meta["converged"]
-            assert model.training_meta["iterations"] == sweeps
-            assert np.max(np.abs(coefs - ref)) <= 1e-12
-            assert model.intercept == pytest.approx(float(np.mean(y - Xs @ ref)), abs=1e-12)
+            assert model.training_meta["converged"]
+            assert self._dual_gap(Xs, y, coefs, penalty) <= 1e-9
+            if l1_ratio > 0:
+                assert model.training_meta["rel_gap"] <= 1e-9
+            expected = objective(Xs, y, ref, float(np.mean(y - Xs @ ref)), penalty)
+            assert model.training_meta["objective"] == pytest.approx(expected, rel=1e-12)
+
+
+class TestExtrapolate:
+    def test_beats_the_last_iterate_of_a_slow_linear_iteration(self):
+        # x -> A x + b with three slow modes among fast ones, as coordinate
+        # descent sees a few collinear directions
+        rng = np.random.default_rng(49)
+        Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+        A = Q @ np.diag([0.9, 0.93, 0.95] + [0.05] * 17) @ Q.T
+        b = rng.normal(size=20)
+        fixed = np.linalg.solve(np.eye(20) - A, b)
+        iterates = [np.zeros(20)]
+        for _ in range(5):
+            iterates.append(A @ iterates[-1] + b)
+        candidate = _extrapolate(np.array(iterates))
+        last_error = np.linalg.norm(iterates[-1] - fixed)
+        assert np.linalg.norm(candidate - fixed) < 0.01 * last_error
+
+    def test_stalled_iterates_give_no_candidate(self):
+        assert _extrapolate(np.ones((6, 4))) is None
 
 
 class TestRelativeGap:
@@ -361,7 +425,9 @@ class TestCrossValidate:
         for l1 in l1_grid:
             mses = np.zeros((5, len(alphas)))
             for fi, val_idx in enumerate(folds):
-                train_idx = np.setdiff1d(order, val_idx, assume_unique=True)
+                # sorted training rows, as cross_validate takes them, so each
+                # fold's G and c and the kernel's trajectory match bit for bit
+                train_idx = np.setdiff1d(order, val_idx)
                 Xs_tr, p_tr = standardize(X[train_idx], names)
                 warm = None
                 for ai, alpha in enumerate(alphas):
@@ -431,6 +497,8 @@ class TestSerialization:
         assert loaded.standardization.names == model.standardization.names
         assert np.array_equal(loaded.standardization.mean, model.standardization.mean)
         assert np.array_equal(predict(loaded, X, names), predict(model, X, names))
+        assert model.training_meta["extrapolations"] > 0
+        assert loaded.training_meta == model.training_meta
 
     def test_model_dict_rejects_wrong_format(self):
         X, y = _random_problem(41)

@@ -388,6 +388,47 @@ class TestDatasetRoundTrip:
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
         assert [k.name for k in load_dataset(path).keys] == [r[2] for r in rows]
 
+    def test_awkward_cells_load_bit_exact(self, tmp_path):
+        rows = [
+            ("35013", "NM", "Doña Ana County", [-0.0, 5e-324, 0.1 + 0.2], {2016: (3, 4), 2020: (5, 6)}),
+            ("35001", "NM", "Comma, County", [1 / 3, -2.2250738585072014e-308, 1.7976931348623157e308],
+             {2016: (7, 8), 2020: (9, 10)}),
+            ("35005", "NM", 'Quote "Q", Ñ', [123456789.12345679, -9.8765432109876543e-5, 0.0],
+             {2016: (11, 12), 2020: (13, 14)}),
+        ]
+        ds = make_dataset(rows, feature_names=("f_a", "f_b", "f_c"))
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.X.tobytes() == ds.X.tobytes()  # -0.0 and the subnormal too
+        _assert_same_dataset(back, ds)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["35099,NM,Short County,1,2,3,4,0.5\r\n",
+         "35099,NM,Long County,1,2,3,4,0.5,0.5,0.5\r\n",
+         '35099,NM,"Long, County",1,2,3,4,0.5,0.5,0.5\r\n',
+         '35099,NM,"Quoted, County",1,2,3,4,0.5\r\n'],
+        ids=["short", "long", "long-quoted", "short-quoted"],
+    )
+    def test_ragged_row_is_data_error(self, tmp_path, row):
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], {2016: (3, 4), 2020: (5, 6)})])
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            fh.write(row)
+        with pytest.raises(DataError, match="ragged data row for fips 35099"):
+            load_dataset(path)
+
+    def test_unparseable_cell_is_data_error(self, tmp_path):
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], {2016: (3, 4), 2020: (5, 6)})])
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            fh.write("35099,NM,B,1,2,3,4,0.5,zero\r\n")
+        with pytest.raises(DataError, match="could not convert"):
+            load_dataset(path)
+
     def test_missing_meta_is_schema_error(self, tmp_path):
         ds, _ = generate_synthetic(SyntheticSpec(n_counties=20, n_features=3, n_active=1, seed=8))
         path = tmp_path / "dataset.csv"
