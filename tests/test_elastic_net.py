@@ -15,6 +15,7 @@ from tamperscan import (
     predict,
     standardize,
 )
+from tamperscan import elastic_net
 from tamperscan.data_model import substream
 from tamperscan.elastic_net import (
     _extrapolate,
@@ -264,6 +265,35 @@ class TestConvergenceWarning:
             model = fit(Xs, y, PenaltyConfig(alpha=1e-6, l1_ratio=0.5), params,
                         tol=1e-14, max_iter=2)
         assert model.training_meta["converged"] is False
+
+
+class TestKernelMatchesResidualForm:
+    """With extrapolation switched off, the blocked covariance-form sweep is
+    the plain cyclic update: same sweep count and coefficients as the
+    residual-form reference, along cold and warm-started paths."""
+
+    @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_same_sweeps_and_coefficients(self, l1_ratio, warm, monkeypatch):
+        # a window that never fills: no extrapolation is ever tried
+        monkeypatch.setattr(elastic_net, "_ANDERSON_K", 10**9)
+        X, y = _random_problem(45, n=90, p=10, noise=0.5)
+        Xs, params = _standardized(X)
+        ref = np.zeros(Xs.shape[1])
+        coefs = None
+        for alpha in np.geomspace(0.5, 0.002, 8):
+            penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1_ratio)
+            if not warm:
+                ref = np.zeros(Xs.shape[1])
+                coefs = None
+            sweeps, converged = _residual_form_descend(Xs, y, penalty, 1e-9, 10_000, ref)
+            model = fit(Xs, y, penalty, params, tol=1e-9, warm_start=coefs)
+            coefs = model.coefficients
+            assert converged and model.training_meta["converged"]
+            assert model.training_meta["extrapolations"] == 0
+            assert model.training_meta["iterations"] == sweeps
+            assert np.max(np.abs(coefs - ref)) <= 1e-12
+            assert model.intercept == pytest.approx(float(np.mean(y - Xs @ ref)), abs=1e-12)
 
 
 class TestKernelCertifiedOracle:
