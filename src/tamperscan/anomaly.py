@@ -17,12 +17,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, substream, write_atomically, write_csv, write_json
+from .data_model import CountyKey, Dataset, substream, write_csv, write_json
 from .elastic_net import FitModel, predict
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
 
@@ -116,13 +115,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McNull:
-    """How a scoring draws its MC null: trials and seed, plus the table
-    directory (`store`) passed to mc_extremes. The look-elsewhere N is not
-    part of it; it comes from the scored set, through config()."""
+    """How a scoring draws its MC null: trials and seed. The look-elsewhere
+    N is not part of it; it comes from the scored set, through config()."""
 
     trials: int = DEFAULT_MC_TRIALS
     seed: int = 0
-    store: Path | None = None
 
     def config(self, n_counties: int) -> McConfig:
         return McConfig(n_counties, trials=self.trials, seed=self.seed)
@@ -247,62 +244,20 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
 _extreme_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _table_file(config: McConfig) -> str:
-    """Store file name: everything the table's values depend on.
-
-    numpy does not promise that a Generator stream stays the same across
-    releases, so its version is part of the key. The `exact` tag names the
-    sampler, so a table drawn by any other sampler is never read.
-    """
-    return (
-        f"mc_extremes_exact_t{config.trials}_n{config.n_counties}_s{config.seed}"
-        f"_b{_MC_STREAM_BASE}_np{np.__version__}.npy"
-    )
-
-
-def _read_table(path: Path, trials: int) -> np.ndarray | None:
-    """A stored table, or None when the file is missing or not a valid table."""
-    try:
-        with open(path, "rb") as fh:
-            table = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if (
-        table.dtype != np.float64
-        or table.shape != (trials,)
-        or not np.all(np.isfinite(table))
-        or np.any(table[1:] < table[:-1])
-        or np.any(table < 0.0)
-    ):
-        return None
-    return table
-
-
-def mc_extremes(config: McConfig, threads: int = 1, store=None) -> np.ndarray:
+def mc_extremes(config: McConfig, threads: int = 1) -> np.ndarray:
     """Sorted per-trial max|u| table for the null of N clean counties.
 
     The table is a pure function of (trials, n_counties, seed); `threads` is
     accepted and ignored, since one draw takes milliseconds. Tables are
-    cached per config; repeated scoring against the same null is a binary
-    search, not a re-simulation.
-
-    `store` names a directory that keeps tables across processes. On a miss
-    in the in-process cache the table is read from there; a missing or
-    invalid file is redrawn and (over)written. A table already cached in
-    this process is returned without touching the store.
+    cached per config within a process; repeated scoring against the same
+    null is a binary search, not a re-simulation. Nothing is kept across
+    processes: a draw of 10^5 trials takes tens of milliseconds.
     """
     cache_key = (config.trials, config.n_counties, config.seed)
     hit = _extreme_cache.get(cache_key)
     if hit is not None:
         return hit
-    path = None if store is None else Path(store) / _table_file(config)
-    table = None if path is None else _read_table(path, config.trials)
-    if table is None:
-        table = _draw_table(config)
-        if path is not None:
-            write_atomically(
-                path, lambda fh: np.lib.format.write_array(fh, table, allow_pickle=False)
-            )
+    table = _draw_table(config)
     table.flags.writeable = False
     _extreme_cache[cache_key] = table
     # keep the cache bounded when many (trials, N, seed) are looked up, as
@@ -327,12 +282,12 @@ def _draw_table(config: McConfig) -> np.ndarray:
     return np.sort(-_normal_quantile(0.5 * q).astype(np.float64)) + 0.0
 
 
-def _mc_sigmas(z: np.ndarray, config: McConfig, store) -> tuple[np.ndarray, np.ndarray]:
+def _mc_sigmas(z: np.ndarray, config: McConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per |z|: the count of MC null trials at least as extreme, and the
     two-sided sigma of that p capped at |z|, or the analytic sigma where the
-    count is 0. `store` is passed to mc_extremes."""
+    count is 0."""
     z = np.abs(z)
-    table = mc_extremes(config, store=store)
+    table = mc_extremes(config)
     counts = table.shape[0] - np.searchsorted(table, z, side="left")
     bounded = counts == 0
     sigma = np.empty_like(z)
@@ -344,16 +299,16 @@ def _mc_sigmas(z: np.ndarray, config: McConfig, store) -> tuple[np.ndarray, np.n
     return counts, sigma
 
 
-def global_significance_mc(local_z: float, config: McConfig, store=None) -> McGlobalSignificance:
+def global_significance_mc(local_z: float, config: McConfig) -> McGlobalSignificance:
     """MC global significance: fraction of null trials at least as extreme.
 
     When zero trials reach |z| the true p is below 1/trials; the result is
     flagged `bounded` and the sigma falls back to the analytic conversion
-    rather than pretending p = 0. `store` is passed to mc_extremes.
+    rather than pretending p = 0.
     """
     if not np.isfinite(local_z):
         raise NumericalError(f"local z must be finite, got {local_z}")
-    counts, sigmas = _mc_sigmas(np.array([local_z], dtype=np.float64), config, store)
+    counts, sigmas = _mc_sigmas(np.array([local_z], dtype=np.float64), config)
     count, sigma = int(counts[0]), float(sigmas[0])
     p = count / config.trials
     stderr = float(np.sqrt(p * (1.0 - p) / config.trials))
@@ -384,7 +339,7 @@ def score_counties(
         glob = analytic_sigma_curve(z, resid.n)
         beyond = np.zeros(resid.n, dtype=bool)
     else:
-        counts, glob = _mc_sigmas(z, mc.config(resid.n), mc.store)
+        counts, glob = _mc_sigmas(z, mc.config(resid.n))
         beyond = counts == 0
     scores = [
         AnomalyScore(

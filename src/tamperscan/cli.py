@@ -5,7 +5,8 @@ Every command reads one manifest, writes its outputs into the manifest's
 output directory (each file stamped with the manifest hash), and prints a
 short summary. Later commands reuse what earlier ones left in that
 directory: `inject` and `sweep` load the blinded fit `blind` stored, and
-every command keeps its MC null tables in mc_null/. Exit codes: 0 success,
+every command reads the binary dataset copy in dataset_cache/ when it is
+current. Each process draws its own MC null tables. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numerical failure.
 """
 
@@ -61,7 +62,7 @@ class Run:
 
     man: RunManifest
     out: Path            # the manifest's output directory, created
-    mc: McNull           # the MC null every scoring uses; its tables kept in <out>/mc_null
+    mc: McNull           # the MC null every scoring uses
     comment: str         # the manifest-hash stamp every CSV output starts with
     dataset_cache: Path  # the binary copy of the dataset, kept for later commands on `out`
 
@@ -411,7 +412,7 @@ def cmd_calibrate(run: Run) -> int:
         cfg = run.mc.config(n)
         for z in man.calibrate_z:
             analytic = anomaly.global_significance_analytic(z, n)
-            est = anomaly.global_significance_mc(z, cfg, run.mc.store)
+            est = anomaly.global_significance_mc(z, cfg)
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands
             else:
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
         run = Run(
             man=man,
             out=out,
-            mc=McNull(man.mc_trials, man.mc_seed, out / "mc_null"),
+            mc=McNull(man.mc_trials, man.mc_seed),
             comment=f"manifest_sha256={man.sha256}",
             dataset_cache=out / "dataset_cache",
         )

@@ -2,8 +2,7 @@
 
 Vote shares are Republican two-party shares, R / (R + D); third-party votes
 are treated the same as non-voters. All types are immutable after
-construction and all operations are pure, so everything here is safe to use
-from multiple threads.
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -292,10 +290,10 @@ def write_atomically(path: Path, write: Callable) -> None:
     """Write `path` by calling `write(fh)` on a temporary file, then renaming it.
 
     Readers, in this process or another, never see a partial file. Used for
-    the caches kept beside a run's outputs.
+    the dataset cache kept beside a run's outputs.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             write(fh)

@@ -267,16 +267,21 @@ def _relative_gap(Xs, y, beta, intercept, penalty, objective_value) -> float:
 
     The n-scaled elastic net is read as a lasso on the design augmented with
     sqrt(l2) I, and the augmented residual is scaled into the dual-feasible
-    box. Informative for l1_ratio > 0.
+    box. That box has no room at l1_ratio 0, so a ridge penalty uses its
+    smooth dual at the residual, yc.r - |r|^2/2 - |Xs'r|^2/(2 l2), instead.
     """
     n = y.shape[0]
     l1, l2 = n * penalty.alpha * penalty.l1_ratio, n * penalty.alpha * (1.0 - penalty.l1_ratio)
     r = y - intercept - Xs @ beta
-    dual_norm = float(np.max(np.abs(Xs.T @ r - l2 * beta), initial=0.0))
-    scale = min(1.0, l1 / dual_norm) if dual_norm > 0 else 1.0
     primal = n * objective_value
-    gap = primal - scale * float(r @ (y - y.mean()))
-    gap += 0.5 * scale**2 * (float(r @ r) + l2 * float(beta @ beta))
+    if l1 == 0.0 and l2 > 0.0:
+        v = Xs.T @ r
+        gap = primal - float(r @ (y - y.mean())) + 0.5 * float(r @ r) + float(v @ v) / (2.0 * l2)
+    else:
+        dual_norm = float(np.max(np.abs(Xs.T @ r - l2 * beta), initial=0.0))
+        scale = min(1.0, l1 / dual_norm) if dual_norm > 0 else 1.0
+        gap = primal - scale * float(r @ (y - y.mean()))
+        gap += 0.5 * scale**2 * (float(r @ r) + l2 * float(beta @ beta))
     return gap / primal if primal > 0 else 0.0
 
 

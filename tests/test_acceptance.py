@@ -275,7 +275,7 @@ def test_cli_outputs_thread_invariant(tmp_path):
         a, b = tmp_path / f"{cmd}_t1", tmp_path / f"{cmd}_t8"
         assert cli_main([cmd, "--manifest", str(manifest), "--out", str(a), "--threads", "1"]) == 0
         assert cli_main([cmd, "--manifest", str(manifest), "--out", str(b), "--threads", "8"]) == 0
-        for f in sorted(p for p in a.iterdir() if p.is_file()):  # mc_null/ is a cache
+        for f in sorted(p for p in a.iterdir() if p.is_file()):  # dataset_cache/ is a cache
             assert (b / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

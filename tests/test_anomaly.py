@@ -277,50 +277,6 @@ class TestMonteCarlo:
             McConfig(n_counties=10, trials=10)
 
 
-class TestMcStore:
-    CFG = McConfig(n_counties=30, trials=2000, seed=3)
-
-    def _fresh(self):
-        anomaly._extreme_cache.clear()
-        return mc_extremes(self.CFG).copy()
-
-    def test_stored_table_is_read_back_without_drawing(self, tmp_path, monkeypatch):
-        drawn = self._fresh()
-        anomaly._extreme_cache.clear()
-        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
-        (path,) = tmp_path.glob("*.npy")
-        for part in ("exact", "t2000", "n30", "s3", f"np{np.__version__}"):
-            assert part in path.name
-        anomaly._extreme_cache.clear()
-        monkeypatch.setattr(anomaly, "_draw_table", None)  # any draw would fail
-        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
-
-    @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage", "float32", "short", "unsorted", "nan", "negative"]
-    )
-    def test_invalid_file_is_redrawn(self, tmp_path, damage):
-        drawn = self._fresh()
-        path = tmp_path / anomaly._table_file(self.CFG)
-        if damage == "truncated":
-            np.save(path, drawn)
-            path.write_bytes(path.read_bytes()[:-100])
-        elif damage == "garbage":
-            path.write_bytes(b"not a table")
-        else:
-            bad = {
-                "float32": drawn.astype(np.float32),
-                "short": drawn[:-1],
-                "unsorted": drawn[::-1],
-                "nan": np.where(np.arange(drawn.size) == 5, np.nan, drawn),
-                "negative": np.concatenate([[-1.0], drawn[1:]]),  # still sorted
-            }[damage]
-            np.save(path, bad)
-        anomaly._extreme_cache.clear()
-        assert np.array_equal(mc_extremes(self.CFG, store=tmp_path), drawn)
-        assert np.array_equal(anomaly._read_table(path, self.CFG.trials), drawn)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-
-
 class TestScoreCounties:
     def test_analytic_scores(self):
         values = [0.5, -0.25, 0.0, 0.125, -0.5, 0.25, 0.125, -0.125, 0.0, 0.125, 0.0, -0.125]

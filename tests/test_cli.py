@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tamperscan import (
-    McConfig,
     SyntheticSpec,
     anomaly,
     elastic_net,
@@ -21,7 +20,6 @@ from tamperscan import (
     load_dataset,
     load_manifest,
     manifest_hash,
-    mc_extremes,
 )
 from tamperscan.cli import main
 from tamperscan.ingest import dataset_sha256, save_dataset
@@ -88,7 +86,7 @@ def _hash_of(ws):
 
 
 def _outputs(out):
-    """A command's output files; subdirectories such as mc_null/ are caches."""
+    """A command's output files; subdirectories such as dataset_cache/ are caches."""
     return sorted(p for p in out.iterdir() if p.is_file())
 
 
@@ -275,7 +273,8 @@ def private_ws(workspace, tmp_path):
 
 class TestReuseAcrossCommands:
     """Later commands on one output directory reuse the blinded fit `blind`
-    stored and the MC null tables kept in mc_null/, with unchanged outputs."""
+    stored and the dataset cache, with unchanged outputs; each process draws
+    its own MC null tables."""
 
     def test_blind_chain_fits_once_and_matches_fresh_runs(
         self, workspace, tmp_path, monkeypatch, capsys
@@ -289,7 +288,7 @@ class TestReuseAcrossCommands:
             assert main([cmd, "--manifest", _man(workspace), "--out", str(chained)]) == 0
             drawn[cmd] = len(draws) - sum(drawn.values())
         assert len(cv_calls) == 1
-        assert drawn["blind"] > 0 and drawn["inject"] == 0
+        assert drawn["inject"] == 1  # shared by the baseline and the tampered scoring
         assert "refitting" not in capsys.readouterr().err
 
         for cmd in ("inject", "sweep"):
@@ -397,54 +396,24 @@ class TestReuseAcrossCommands:
         for f in _outputs(fresh):
             assert (out / f.name).read_bytes() == f.read_bytes(), f.name
 
-    def test_calibrate_after_fit_draws_no_shared_table(self, private_ws, monkeypatch):
+    def test_calibrate_draws_each_n_once_and_matches_a_fresh_directory(
+        self, private_ws, monkeypatch
+    ):
         with open(private_ws / "run.ini", "a") as fh:
             fh.write("\n[calibrate]\nn_grid = 100, 300\n")
-        man = _man(private_ws)
-        _new_process()
-        assert main(["fit", "--manifest", man]) == 0
+        man, out = _man(private_ws), private_ws / "out"
+        for cmd in ("blind", "inject", "sweep", "fit"):
+            _new_process()
+            assert main([cmd, "--manifest", man]) == 0
         _new_process()
         draws = counting(monkeypatch, anomaly, "_draw_table")
         assert main(["calibrate", "--manifest", man]) == 0
-        assert {args[0].n_counties for args in draws} == {100}  # N = 300 came from fit's table
+        assert sorted(args[0].n_counties for args in draws) == [100, 300]
+        assert not (out / "mc_null").exists()
         fresh = private_ws / "fresh"
         _new_process()
         assert main(["calibrate", "--manifest", man, "--out", str(fresh)]) == 0
-        calibration = (private_ws / "out" / "calibration.csv").read_bytes()
-        assert calibration == (fresh / "calibration.csv").read_bytes()
-
-    def test_table_under_another_sampler_name_is_never_read(self, private_ws, fit_out):
-        """A table of the earlier N-normals-per-trial sampler, whose file name
-        carried a chunk size and no sampler tag, is left alone and unread."""
-        man, store = _man(private_ws), private_ws / "out" / "mc_null"
-        cfg = McConfig(n_counties=300, trials=20000, seed=0)
-        store.mkdir()
-        old_name = (
-            f"mc_extremes_t20000_n300_s0_c512_b{anomaly._MC_STREAM_BASE}_np{np.__version__}.npy"
-        )
-        np.save(store / old_name, np.zeros(cfg.trials))  # a finite, sorted table
-        _new_process()
-        assert main(["fit", "--manifest", man]) == 0
-        new_name = anomaly._table_file(cfg)
-        assert new_name.startswith("mc_extremes_exact_")
-        assert sorted(p.name for p in store.iterdir()) == sorted([old_name, new_name])
-        for f in _outputs(fit_out):
-            assert (private_ws / "out" / f.name).read_bytes() == f.read_bytes(), f.name
-
-    def test_truncated_table_is_redrawn(self, private_ws):
-        man, out = _man(private_ws), private_ws / "out"
-        _new_process()
-        assert main(["fit", "--manifest", man]) == 0
-        before = {f.name: f.read_bytes() for f in _outputs(out)}
-        (table_file,) = (out / "mc_null").glob("*.npy")
-        data = table_file.read_bytes()
-        table_file.write_bytes(data[: len(data) // 2])
-        _new_process()
-        assert main(["fit", "--manifest", man]) == 0
-        assert {f.name: f.read_bytes() for f in _outputs(out)} == before
-        _new_process()
-        fresh = mc_extremes(McConfig(n_counties=300, trials=20000, seed=0))
-        assert np.array_equal(anomaly._read_table(table_file, 20000), fresh)
+        assert (out / "calibration.csv").read_bytes() == (fresh / "calibration.csv").read_bytes()
 
 
 class TestIngest:
@@ -622,7 +591,6 @@ class TestExitCodes:
         assert main([cmd, "--manifest", str(manifest), *extra]) == code
         assert cv_calls == [] and draws == []
         assert capsys.readouterr().err.startswith(message)
-        assert not (private_ws / "out" / "mc_null").exists()
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):
         argv = ["fit", "--manifest", _man(workspace), "--out", str(tmp_path), "--threads", "0"]

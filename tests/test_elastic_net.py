@@ -335,8 +335,7 @@ class TestKernelCertifiedOracle:
             coefs = model.coefficients
             assert model.training_meta["converged"]
             assert self._dual_gap(Xs, y, coefs, penalty) <= 1e-9
-            if l1_ratio > 0:
-                assert model.training_meta["rel_gap"] <= 1e-9
+            assert model.training_meta["rel_gap"] <= 1e-9
             expected = objective(Xs, y, ref, float(np.mean(y - Xs @ ref)), penalty)
             assert model.training_meta["objective"] == pytest.approx(expected, rel=1e-12)
 
