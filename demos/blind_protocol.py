@@ -20,8 +20,8 @@ from tamperscan import (
     SyntheticSpec,
     counterfactual_winner,
     generate_synthetic,
+    inject_flips,
     prepare_blind_context,
-    run_injection_experiment,
     state_summary,
 )
 from tamperscan.scenarios import score_eval_set
@@ -59,9 +59,8 @@ def main():
     k = int(0.04 * (ev.rep[ev.target_year][i] + ev.dem[ev.target_year][i]))
     print(f"\ninjecting {k:,} flips R to D into {victim.name} ({victim.fips}, {victim.state})")
 
-    tampered = run_injection_experiment(
-        ctx, dataset, InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D)
-    )
+    inj = InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D)
+    tampered = score_eval_set(ctx, inject_flips(dataset, inj))
     rank, s = tampered.rank_of(victim.fips)
     print(f"after injection: rank {rank} of {result.residuals.n}, "
           f"local {s.local_sigma:+.1f} sigma, global {s.global_sigma:.1f} sigma")

@@ -9,7 +9,7 @@ Run:  python3 demos/significance_calibration.py
 
 from tamperscan import (
     McConfig,
-    global_significance_analytic,
+    analytic_sigma_curve,
     global_significance_mc,
     two_sided_p,
 )
@@ -25,8 +25,8 @@ def main():
     for n in (100, 381, 3112):
         cfg = McConfig(n_counties=n, trials=TRIALS, seed=0)
         cells = []
-        for z in (3.0, 4.0, 5.0, 6.0):
-            ana = global_significance_analytic(z, n)
+        zs = (3.0, 4.0, 5.0, 6.0)
+        for z, ana in zip(zs, analytic_sigma_curve(zs, n).tolist()):
             mc = global_significance_mc(z, cfg)
             tag = f"{mc.sigma:.2f}" if not mc.bounded else "beyond table"
             cells.append(f"z={z:.0f}: {ana:5.2f} | {tag}")

@@ -17,7 +17,6 @@ from .anomaly import (
     WidthFit,
     analytic_sigma_curve,
     fit_width,
-    global_significance_analytic,
     global_significance_mc,
     mc_extremes,
     rank_anomalies,
@@ -75,7 +74,6 @@ from .scenarios import (
     counterfactual_winner,
     inject_flips,
     prepare_blind_context,
-    run_injection_experiment,
     score_eval_set,
     state_summary,
     sweep,

@@ -202,25 +202,17 @@ def two_sided_p(sigma: float) -> float:
     return math.erfc(abs(float(sigma)) / math.sqrt(2.0))
 
 
-def global_significance_analytic(local_z: float, n_counties: int) -> float:
-    """Look-elsewhere-corrected sigma for the most-extreme-of-N question.
+def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
+    """Look-elsewhere-corrected sigma of each local z, for the
+    most-extreme-of-N question.
 
     p_local = 2(1 - Phi(|z|)) is the two-sided tail of one county;
     p_global = 1 - (1 - p_local)^N is the chance any of N clean counties
     fluctuates that far; the result is the two-sided sigma with that global
     tail. Computed with expm1/log1p so tiny tails survive, and capped at
-    |z| (the N = 1 value) against rounding. One-value form of
-    analytic_sigma_curve.
-    """
-    return float(analytic_sigma_curve(np.array([local_z], dtype=np.float64), n_counties)[0])
-
-
-def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
-    """global_significance_analytic over an array of local z.
-
-    Used where many z values share one look-elsewhere N (detection sweeps,
-    calibration tables). A local z whose tail underflows (|z| > 37.68,
-    where exp(-z^2/2) leaves the normal float64 range) is returned as is.
+    |z| (the N = 1 value) against rounding. A local z whose tail underflows
+    (|z| > 37.68, where exp(-z^2/2) leaves the normal float64 range) is
+    returned as is.
     """
     if n_counties < 1:
         raise ConfigError(f"n_counties must be at least 1, got {n_counties}")

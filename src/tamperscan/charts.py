@@ -9,8 +9,6 @@ identical file.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import ConfigError
@@ -45,14 +43,9 @@ def sweep_chart_svg(curves: list[SweepCurve], state: str, comment: str = "") -> 
     if not curves:
         raise ConfigError(f"no sweep curves for state {state}")
     margin = curves[0].margin
-    # (k, sigma) pairs of each curve as an n x 2 array; k is exact in float64
-    samples = [
-        np.fromiter(chain.from_iterable(c.samples), np.float64, 2 * len(c.samples)).reshape(-1, 2)
-        for c in curves
-    ]
     # ks are strictly increasing within a curve, so its last k is its largest
-    k_max = max(max(c.samples[-1][0] for c in curves), margin)
-    sigma_max = max(6.0, max(float(a[:, 1].max()) for a in samples) + 0.5)
+    k_max = max(max(int(c.ks[-1]) for c in curves), margin)
+    sigma_max = max(6.0, max(float(c.sigmas.max()) for c in curves) + 0.5)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -129,12 +122,12 @@ def sweep_chart_svg(curves: list[SweepCurve], state: str, comment: str = "") -> 
             f'font-size="11" fill="{COLOR_GUIDE}">margin {margin:,}</text>'
         )
 
-    for curve, a in zip(curves, samples):
+    for curve in curves:
         color = COLOR_R_TO_D if curve.direction is Direction.R_TO_D else COLOR_D_TO_R
         # sx and sy over whole arrays: the same float64 operations in the same order
-        x = MARGIN_LEFT + plot_w * (a[:, 0] / k_max)
-        y = MARGIN_TOP + plot_h * (1.0 - a[:, 1] / sigma_max)
-        points = " ".join(["%.2f,%.2f"] * len(a)) % tuple(np.column_stack([x, y]).ravel().tolist())
+        x = MARGIN_LEFT + plot_w * (curve.ks / k_max)
+        y = MARGIN_TOP + plot_h * (1.0 - curve.sigmas / sigma_max)
+        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(np.column_stack([x, y]).ravel().tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.2" stroke-opacity="0.75">'

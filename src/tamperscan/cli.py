@@ -410,8 +410,8 @@ def cmd_calibrate(run: Run) -> int:
     any_disagree = False
     for n in man.calibrate_n:
         cfg = run.mc.config(n)
-        for z in man.calibrate_z:
-            analytic = anomaly.global_significance_analytic(z, n)
+        analytic_sigmas = anomaly.analytic_sigma_curve(man.calibrate_z, n).tolist()
+        for z, analytic in zip(man.calibrate_z, analytic_sigmas):
             est = anomaly.global_significance_mc(z, cfg)
             if est.bounded:
                 agrees = True  # MC can only bound; analytic value stands

@@ -27,6 +27,7 @@ sweep that moves no coefficient by `tol` or more.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -62,6 +63,14 @@ class CvSettings:
     seed: int = CV_SEED
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError(f"eps must be in (0, 1), got {self.eps}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be a finite number above 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

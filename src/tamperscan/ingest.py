@@ -97,7 +97,8 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports start with
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,16 +85,16 @@ def _split(raw: str) -> list[str]:
 
 
 def _get_grid(cp, section, key, kind, default):
-    """A non-empty comma-separated list of `kind` values, or `default` when
-    the key is absent."""
+    """A non-empty comma-separated list of finite `kind` values, or `default`
+    when the key is absent."""
 
     def parse(raw):
         values = tuple(kind(v) for v in _split(raw))
-        if not values:
-            raise ValueError("empty grid")
+        if not values or not all(map(math.isfinite, values)):
+            raise ValueError("empty grid or non-finite value")
         return values
 
-    what = "a non-empty list of " + ("integers" if kind is int else "numbers")
+    what = "a non-empty list of " + ("integers" if kind is int else "finite numbers")
     return _get_parsed(cp, section, key, parse, what, default)
 
 
@@ -138,7 +139,7 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
     overrides = overrides or {}
     cp = configparser.ConfigParser()
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read(path, encoding="utf-8-sig")
     except configparser.Error as err:
         raise ConfigError(f"cannot parse manifest {path}: {err}") from None
 
@@ -150,7 +151,7 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
 
     seed_override = overrides.get("seed")
 
-    cv = CvSettings(
+    cv_values = dict(
         l1_grid=_get_grid(cp, "cv", "l1_grid", float, CvSettings.l1_grid),
         n_alphas=_get_int(cp, "cv", "n_alphas", CvSettings.n_alphas),
         eps=_get_float(cp, "cv", "eps", CvSettings.eps),
@@ -159,6 +160,10 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         tol=_get_float(cp, "cv", "tol", CvSettings.tol),
         max_iter=_get_int(cp, "cv", "max_iter", CvSettings.max_iter),
     )
+    try:
+        cv = CvSettings(**cv_values)
+    except ConfigError as err:
+        raise ConfigError(f"[cv] {err}") from None
 
     inputs = {}
     if cp.has_section("inputs"):

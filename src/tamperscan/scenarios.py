@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .anomaly import McNull, Scoring, analytic_sigma_curve, score_model
-from .data_model import Dataset, open_csv
+from .data_model import Dataset, _readonly, open_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
 
@@ -104,25 +103,29 @@ class StateSummary:
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """Detection curve for one (county, direction): global sigma vs k."""
+    """Detection curve for one (county, direction): global sigma `sigmas[i]`
+    at `ks[i]` flipped votes, both held as read-only arrays."""
 
     fips: str
     county: str
     state: str
     direction: Direction
-    samples: tuple[tuple[int, float], ...]
+    ks: np.ndarray           # int64, strictly increasing
+    sigmas: np.ndarray       # float64, non-decreasing
     margin: int              # state two-party margin M
     flip_threshold: int      # smallest k that flips the state, M//2 + 1
     k_detect: int | None     # first sampled k at or above 4 sigma
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            return
-        ks, sigmas = zip(*self.samples)
-        if not all(map(operator.lt, ks, ks[1:])):
+        ks = _readonly(np.asarray(self.ks, dtype=np.int64))
+        sigmas = _readonly(np.asarray(self.sigmas, dtype=np.float64))
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "sigmas", sigmas)
+        if ks.shape != sigmas.shape:
+            raise DataError(f"sweep has {ks.size} k values but {sigmas.size} sigmas")
+        if np.any(ks[1:] <= ks[:-1]):
             raise DataError("sweep samples must be strictly increasing in k")
-        s = np.asarray(sigmas, dtype=np.float64)
-        if np.any(s[1:] < s[:-1] - 1e-12):
+        if np.any(sigmas[1:] < sigmas[:-1] - 1e-12):
             raise DataError("sweep sigma must be non-decreasing in k")
 
     @property
@@ -216,26 +219,6 @@ def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
     )
 
 
-def run_injection_experiment(
-    ctx: BlindContext, dataset: Dataset, inj: InjectionSpec, mc: McNull | None = None
-) -> Scoring:
-    """Inject, then score the tampered evaluation states under `ctx`; the
-    injected county's standing is `rank_of(inj.fips)` on the result.
-
-    `ctx` may come from the untampered data: training sees only train
-    states, which injection never touches, so the model would be identical
-    either way and only the scoring needs redoing. `mc` is as in
-    score_eval_set.
-    """
-    i = dataset.index_of(inj.fips)
-    state = dataset.keys[i].state
-    if state in ctx.spec.train_states:
-        raise ConfigError(f"county {inj.fips} is in a training state ({state})")
-    if state not in ctx.spec.eval_states:
-        raise ConfigError(f"county {inj.fips} is not in an evaluation state")
-    return score_eval_set(ctx, inject_flips(dataset, inj), mc)
-
-
 def state_summary(dataset: Dataset, state: str) -> StateSummary:
     """Actual target-year two-party totals and margin for one state."""
     sub = dataset.subset_states([state])
@@ -294,17 +277,19 @@ def sweep(
     state: str,
     k_step: int | None = None,
     threads: int = 1,
-    context: BlindContext | None = None,
+    *,
+    context: BlindContext,
 ) -> list[SweepCurve]:
     """Detection curves for every county able to flip its state.
 
     For each direction, a county is eligible when its source-party votes
     exceed the state margin M. k runs from 0 to min(source votes, 2M) in
     steps of max(1, M // 50) (finer if k_step is given), endpoint included.
-    One blinded model (training never sees eval states) and the baseline
-    evaluation width serve every curve. `threads` is accepted and ignored:
-    each curve is one vectorized call, and a thread pool over curves was
-    slower than this loop.
+    The blinded model of `context` (training never sees eval states) and
+    the baseline evaluation width serve every curve; `blind` must be the
+    spec it was prepared for. `threads` is accepted and ignored: each curve
+    is one vectorized call, and a thread pool over curves was slower than
+    this loop.
     """
     if state not in blind.eval_states:
         raise ConfigError(f"sweep state {state} is not in the evaluation set")
@@ -312,9 +297,7 @@ def sweep(
     margin = int(round(summary.margin))
     if margin == 0:
         raise ConfigError(f"state {state} is exactly tied; sweep undefined")
-    if context is None:
-        context = prepare_blind_context(dataset, blind)
-    elif context.spec != blind:
+    if context.spec != blind:
         raise ConfigError("supplied context was prepared for a different blind spec")
     base = score_eval_set(context, dataset)
     pred_by_fips = {k.fips: float(p) for k, p in zip(base.residuals.keys, base.residuals.predicted)}
@@ -335,10 +318,9 @@ def sweep(
             if source <= margin:
                 continue
             k_max = min(source, 2 * margin)
-            ks = list(range(0, k_max + 1, step))
+            ks = np.arange(0, k_max + 1, step, dtype=np.int64)
             if ks[-1] != k_max:
-                ks.append(k_max)
-            ks = np.asarray(ks, dtype=np.int64)
+                ks = np.append(ks, k_max)
             sigmas = _curve_sigmas(
                 rep, dem, pred_by_fips[key.fips], width, ks, direction, n_eval
             )
@@ -349,7 +331,8 @@ def sweep(
                     county=key.name,
                     state=key.state,
                     direction=direction,
-                    samples=tuple(zip(ks.tolist(), sigmas.tolist())),
+                    ks=ks,
+                    sigmas=sigmas,
                     margin=margin,
                     flip_threshold=margin // 2 + 1,
                     k_detect=int(ks[hits[0]]) if hits.size else None,
@@ -380,7 +363,8 @@ def write_sweep_csv(curves, path, comment: str = "") -> None:
     with open_csv(path, header, comment) as fh:
         for c in curves:
             prefix = _csv_prefix([c.fips, c.county, c.state, c.direction.value])
-            fh.write("".join([f"{prefix}{k},{sigma!r}\r\n" for k, sigma in c.samples]))
+            rows = zip(c.ks.tolist(), c.sigmas.tolist())
+            fh.write("".join([f"{prefix}{k},{sigma!r}\r\n" for k, sigma in rows]))
 
 
 def _csv_prefix(fields) -> str:

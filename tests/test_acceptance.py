@@ -22,19 +22,18 @@ from tamperscan import (
     McConfig,
     PenaltyConfig,
     SyntheticSpec,
+    analytic_sigma_curve,
     counterfactual_winner,
     cross_validate,
     fit,
     fit_width,
     generate_synthetic,
-    global_significance_analytic,
     global_significance_mc,
     inject_flips,
     load_dataset,
     objective,
     prepare_blind_context,
     residuals,
-    run_injection_experiment,
     score_counties,
     standardize,
     sweep,
@@ -76,7 +75,7 @@ def _fit_and_score(dataset, l1_grid=(0.5, 1.0), n_alphas=20):
 def test_analytic_global_significance_values():
     t0 = time.perf_counter()
     cases = [(5.5, 3.8), (5.3, 3.6), (5.1, 3.3)]
-    got = [global_significance_analytic(z, 3112) for z, _ in cases]
+    got = analytic_sigma_curve([z for z, _ in cases], 3112).tolist()
     for (z, expect), sigma in zip(cases, got):
         assert abs(sigma - expect) <= 0.05, (z, sigma)
     elapsed = time.perf_counter() - t0
@@ -104,9 +103,9 @@ def test_mc_matches_analytic_within_three_stderr():
     checked = []
     for n in (100, 381, 3112):
         cfg = McConfig(n_counties=n, trials=100_000, seed=0)
-        for z in (3.0, 4.0, 5.0):
+        zs = (3.0, 4.0, 5.0)
+        for z, ana in zip(zs, analytic_sigma_curve(zs, n).tolist()):
             est = global_significance_mc(z, cfg)
-            ana = global_significance_analytic(z, n)
             if est.bounded:
                 # no trial reached z; the estimate already fell back to the
                 # analytic value, which is the best that 1e5 trials can say
@@ -234,8 +233,7 @@ def test_sweep_monotone_and_injection_reversible():
     n_curves = 0
     for state in ("GA", "MI"):
         for curve in sweep(ds, spec, state, context=ctx):
-            sigmas = [s for _, s in curve.samples]
-            assert all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:])), curve.fips
+            assert np.all(np.diff(curve.sigmas) >= -1e-12), curve.fips
             n_curves += 1
     assert n_curves > 0
 
@@ -363,9 +361,8 @@ def test_dataset_blind_fit(county_data, blind_setup):
 @needs_data
 def test_dataset_wayne_injection(county_data, blind_setup):
     _, ctx, _ = blind_setup
-    result = run_injection_experiment(
-        ctx, county_data, InjectionSpec(fips="26163", k=70_000, direction=Direction.R_TO_D)
-    )
+    inj = InjectionSpec(fips="26163", k=70_000, direction=Direction.R_TO_D)
+    result = score_eval_set(ctx, inject_flips(county_data, inj))
     rank, s = result.rank_of("26163")
     assert "Wayne" in s.key.name and s.key.state == "MI"
     assert abs(s.residual - (-0.073)) <= 0.005

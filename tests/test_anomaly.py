@@ -20,7 +20,6 @@ from tamperscan import (
     WidthFit,
     analytic_sigma_curve,
     fit_width,
-    global_significance_analytic,
     global_significance_mc,
     mc_extremes,
     rank_anomalies,
@@ -35,6 +34,11 @@ from tamperscan.anomaly import ResidualSet
 from tamperscan.data_model import substream
 
 from conftest import make_dataset
+
+
+def _analytic(z, n):
+    """The analytic global sigma of one local z."""
+    return float(analytic_sigma_curve([z], n)[0])
 
 
 def _keys(n, state="GA", start=1):
@@ -150,20 +154,19 @@ class TestAnalyticGlobal:
         ],
     )
     def test_frozen_values(self, z, n, expected):
-        assert global_significance_analytic(z, n) == pytest.approx(expected, abs=1e-9)
+        assert _analytic(z, n) == pytest.approx(expected, abs=1e-9)
 
     def test_single_county_is_identity(self):
         for z in (0.0, 1.7, 4.2, 9.0):
-            assert global_significance_analytic(z, 1) == z
+            assert _analytic(z, 1) == z
 
     def test_sign_of_z_ignored(self):
-        assert global_significance_analytic(-5.5, 3112) == global_significance_analytic(5.5, 3112)
+        assert _analytic(-5.5, 3112) == _analytic(5.5, 3112)
 
     def test_monotone_in_z(self):
         # weakly monotone everywhere (sigma sits at exactly 0 while the
         # global p saturates at 1), strictly once it lifts off
-        zs = np.linspace(0.5, 8.0, 40)
-        gs = [global_significance_analytic(z, 500) for z in zs]
+        gs = analytic_sigma_curve(np.linspace(0.5, 8.0, 40), 500).tolist()
         assert all(b >= a for a, b in zip(gs, gs[1:]))
         lifted = [g for g in gs if g > 1e-6]
         assert len(lifted) > 10
@@ -171,21 +174,21 @@ class TestAnalyticGlobal:
 
     def test_antitone_in_n(self):
         ns = [1, 2, 10, 100, 1000, 10_000]
-        gs = [global_significance_analytic(4.5, n) for n in ns]
+        gs = [_analytic(4.5, n) for n in ns]
         assert all(b < a for a, b in zip(gs, gs[1:]))
 
     def test_never_exceeds_local(self):
         for z in (0.1, 2.0, 6.0, 15.0):
             for n in (1, 7, 3112):
-                assert global_significance_analytic(z, n) <= z
+                assert _analytic(z, n) <= z
 
     def test_extreme_z_saturates_to_local(self):
         # local tail underflows float64, correction is negligible
-        assert global_significance_analytic(40.0, 3112) == 40.0
+        assert _analytic(40.0, 3112) == 40.0
 
     def test_invalid_n(self):
         with pytest.raises(ConfigError):
-            global_significance_analytic(3.0, 0)
+            _analytic(3.0, 0)
 
     def test_curve_matches_scalar(self):
         special = pytest.importorskip("scipy.special")
@@ -196,7 +199,8 @@ class TestAnalyticGlobal:
         ])
         for n in (1, 2, 100, 381, 1491, 3112, 10**6):
             curve = analytic_sigma_curve(zs, n)
-            assert [global_significance_analytic(z, n) for z in zs[::50]] == curve[::50].tolist(), n
+            # each value is independent of the others in the array
+            assert [_analytic(z, n) for z in zs[::50]] == curve[::50].tolist(), n
             # the scipy reference rounds differently: measured worst 3.5e-14
             # relative (|sigma| > 1e-3) and 2.2e-19 absolute (|sigma| <= 1e-3)
             reference = [_scalar_reference(z, n, special) for z in zs]
@@ -215,7 +219,7 @@ class TestMonteCarlo:
         cfg = McConfig(n_counties=100, trials=50_000, seed=0)
         for z in (2.5, 3.0, 3.5):
             est = global_significance_mc(z, cfg)
-            ana = global_significance_analytic(z, 100)
+            ana = _analytic(z, 100)
             assert not est.bounded
             assert abs(est.sigma - ana) <= 3.0 * est.sigma_stderr
 
@@ -225,7 +229,7 @@ class TestMonteCarlo:
         assert est.bounded
         assert est.p_global == 0.0
         # falls back to the analytic conversion instead of claiming p = 0
-        assert est.sigma == pytest.approx(global_significance_analytic(8.0, 20), abs=1e-12)
+        assert est.sigma == pytest.approx(_analytic(8.0, 20), abs=1e-12)
 
     def test_table_deterministic_across_thread_counts(self):
         cfg = McConfig(n_counties=30, trials=5000, seed=7)
@@ -286,7 +290,7 @@ class TestScoreCounties:
         assert len(scores) == 12
         assert scores[0].local_sigma == 2.0
         assert scores[0].global_sigma == pytest.approx(
-            global_significance_analytic(2.0, 12), abs=1e-12
+            _analytic(2.0, 12), abs=1e-12
         )
 
     @pytest.mark.parametrize("mc", [None, McNull(trials=2000, seed=3)])
@@ -303,12 +307,12 @@ class TestScoreCounties:
         for s in scores:
             z = by_fips[s.key.fips] / width.width
             if mc is None:
-                g, beyond = global_significance_analytic(z, 400), False
+                g, beyond = _analytic(z, 400), False
             else:
                 count = int(table.size - np.searchsorted(table, abs(z), side="left"))
                 beyond = count == 0
                 if beyond:
-                    g = global_significance_analytic(z, 400)
+                    g = _analytic(z, 400)
                 else:
                     g = min(abs(z), -NormalDist().inv_cdf(0.5 * (count / mc.trials)) + 0.0)
             assert (s.local_sigma, s.global_sigma, s.beyond_mc_table) == (z, g, beyond)

@@ -17,7 +17,7 @@ def make_curve(fips="13121", county="Fulton", state="GA", direction=Direction.R_
     return SweepCurve(
         fips=fips, county=county, state=state, direction=direction,
         margin=2500, flip_threshold=1251,
-        samples=tuple(zip(ks, sigmas)), k_detect=k_detect,
+        ks=ks, sigmas=sigmas, k_detect=k_detect,
     )
 
 
@@ -95,13 +95,13 @@ def test_polyline_points_match_per_sample_formatting(margin):
             fips=f"1312{i}", county=f"County {i}", state="GA",
             direction=Direction.R_TO_D if i % 2 else Direction.D_TO_R,
             margin=margin, flip_threshold=margin // 2 + 1,
-            samples=tuple(zip(ks, sigmas)), k_detect=None,
+            ks=ks, sigmas=sigmas, k_detect=None,
         ))
     root = ET.fromstring(sweep_chart_svg(curves, "GA"))
 
     # the reference: the per-sample coordinate functions, one point at a time
-    k_max = max(max(max(k for k, _ in c.samples) for c in curves), margin)
-    sigma_max = max(6.0, max(max(s for _, s in c.samples) for c in curves) + 0.5)
+    k_max = max(max(max(c.ks.tolist()) for c in curves), margin)
+    sigma_max = max(6.0, max(max(c.sigmas.tolist()) for c in curves) + 0.5)
     plot_w = charts.WIDTH - charts.MARGIN_LEFT - charts.MARGIN_RIGHT
     plot_h = charts.HEIGHT - charts.MARGIN_TOP - charts.MARGIN_BOTTOM
 
@@ -112,7 +112,10 @@ def test_polyline_points_match_per_sample_formatting(margin):
         return charts.MARGIN_TOP + plot_h * (1.0 - sigma / sigma_max)
 
     expected = [
-        " ".join(f"{charts._fmt(sx(k))},{charts._fmt(sy(s))}" for k, s in c.samples)
+        " ".join(
+            f"{charts._fmt(sx(k))},{charts._fmt(sy(s))}"
+            for k, s in zip(c.ks.tolist(), c.sigmas.tolist())
+        )
         for c in curves
     ]
     assert [p.get("points") for p in root.findall(f"{SVG_NS}polyline")] == expected

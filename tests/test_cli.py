@@ -599,12 +599,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("cv", "l1_grid", "0.5, abc"), ("calibrate", "z_grid", "3, x"), ("calibrate", "n_grid", "100, 3.5")],
+        [
+            ("cv", "l1_grid", "0.5, abc"), ("calibrate", "z_grid", "3, x"),
+            ("calibrate", "n_grid", "100, 3.5"), ("calibrate", "z_grid", "3, nan"),
+            ("calibrate", "z_grid", "inf"), ("cv", "eps", "0"), ("cv", "tol", "0"),
+            ("cv", "tol", "-1"), ("cv", "tol", "nan"), ("cv", "max_iter", "0"),
+        ],
     )
-    def test_bad_grid_value_is_2(self, tmp_path, capsys, section, key, value):
+    def test_bad_grid_value_is_2(self, workspace, tmp_path, monkeypatch, capsys, section, key, value):
+        def no_cv(*args, **kwargs):
+            raise AssertionError("cross_validate ran on a bad manifest")
+
+        monkeypatch.setattr(elastic_net, "cross_validate", no_cv)
         manifest = tmp_path / "run.ini"
-        manifest.write_text(f"[{section}]\n{key} = {value}\n")
-        assert main(["calibrate", "--manifest", str(manifest)]) == 2
+        manifest.write_text(
+            f"[data]\ndataset = {workspace / 'out' / 'dataset.csv'}\n\n[{section}]\n{key} = {value}\n"
+        )
+        assert main(["fit", "--manifest", str(manifest)]) == 2
         assert f"config error: [{section}] {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["z_grid", "n_grid"])

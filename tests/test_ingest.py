@@ -33,6 +33,9 @@ def _write(tmp_path, name, text):
     return p
 
 
+BOM = "\ufeff".encode("utf-8")  # what spreadsheet "CSV UTF-8" exports start with
+
+
 DP02 = """fips,Geographic Area Name,pct_bachelor,pct_veteran,pct_bachelor MOE
 1001,"Autauga, Alabama",21.5,8.2,1.1
 13121,"Fulton, Georgia",44.3,5.0,0.9
@@ -71,6 +74,12 @@ class TestParseTable:
     def test_cells_kept_verbatim(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
         assert t.rows["01001"] == ("21.5", "8.2", "1.1")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        (tmp_path / "bom.csv").write_bytes(BOM + DP02.encode("utf-8"))
+        t = parse_table(tmp_path / "bom.csv", "DP02")
+        assert t == parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
+        assert t.columns[0] == "pct_bachelor"
 
     def test_missing_fips_column(self, tmp_path):
         p = _write(tmp_path, "bad.csv", "a,b\n1,2\n")
@@ -220,6 +229,12 @@ class TestParseElection:
         e = parse_election(_write(tmp_path, "e.csv", ELECTION_2020), 2020)
         assert e.tallies["01001"].rep_votes == 19838
         assert e.tallies["01001"].dem_votes == 7503
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        (tmp_path / "bom.csv").write_bytes(BOM + ELECTION_2016.encode("utf-8"))
+        e = parse_election(tmp_path / "bom.csv", 2016)
+        assert e == parse_election(_write(tmp_path, "e.csv", ELECTION_2016), 2016)
+        assert e.tallies["01001"].rep_votes == 18172
 
     def test_missing_vote_columns(self, tmp_path):
         p = _write(tmp_path, "e.csv", "fips,votes\n01001,5\n")
@@ -573,3 +588,30 @@ def test_ingest_writes_utf8_whatever_the_locale(tmp_path):
     assert b"35013,NM,Do\xc3\xb1a Ana County," in path.read_bytes()
     ds = load_dataset(path)
     assert ds.keys[ds.index_of("35013")].name == "Doña Ana County"
+
+
+def test_ingest_reads_files_that_start_with_a_byte_order_mark(tmp_path):
+    """Inputs and manifest written with a UTF-8 BOM ingest to the same
+    dataset as without it, and the written files carry no BOM."""
+    from tamperscan.cli import main
+
+    files = {
+        "dp02.csv": "fips,county,pct_x,pct_y\n35013,Do\u00f1a Ana County,1.5,3\n"
+                    "35001,Bernalillo County,2.5,1\n35005,Chaves County,0.5,2\n",
+        "e2020.csv": "fips,rep_votes,dem_votes\n35013,1000,1200\n35001,900,1500\n35005,800,300\n",
+        "e2016.csv": "fips,rep_votes,dem_votes\n35013,1100,1100\n35001,950,1400\n35005,850,250\n",
+        "run.ini": "[run]\nout_dir = out\n\n[inputs]\ndp02 = dp02.csv\n"
+                   "election_2020 = e2020.csv\nelection_2016 = e2016.csv\n",
+    }
+    datasets = []
+    for prefix in (b"", BOM):
+        work = tmp_path / ("bom" if prefix else "plain")
+        work.mkdir()
+        for name, text in files.items():
+            (work / name).write_bytes(prefix + text.encode("utf-8"))
+        assert main(["ingest", "--manifest", str(work / "run.ini")]) == 0
+        for written in (work / "out").glob("*.*"):
+            assert not written.read_bytes().startswith(BOM), written.name
+        datasets.append(load_dataset(work / "out" / "dataset.csv"))
+    _assert_same_dataset(*datasets)
+    assert datasets[1].feature_names[:2] == ("pct_x", "pct_y")

@@ -146,6 +146,32 @@ class TestLoadManifest:
         with pytest.raises(ConfigError, match="k_step must be at least 1, got 0"):
             load_manifest(path)
 
+    def test_byte_order_mark_ignored(self, full_manifest, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + full_manifest.read_bytes())
+        plain, bom = load_manifest(full_manifest), load_manifest(path)
+        assert bom.target_year == 2016
+        fields = [f for f in plain.__dataclass_fields__ if f not in ("path", "sha256")]
+        assert [getattr(bom, f) for f in fields] == [getattr(plain, f) for f in fields]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("eps", "0", "eps must be in (0, 1), got 0.0"),
+            ("eps", "1", "eps must be in (0, 1), got 1.0"),
+            ("tol", "0", "tol must be a finite number above 0, got 0.0"),
+            ("tol", "-1", "tol must be a finite number above 0, got -1.0"),
+            ("tol", "nan", "tol must be a finite number above 0, got nan"),
+            ("max_iter", "0", "max_iter must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_cv_settings_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[cv]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"[cv] {message}"
+
     def test_unparseable_ini(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("not an ini at all [[[")

@@ -18,14 +18,13 @@ from tamperscan import (
     generate_synthetic,
     inject_flips,
     prepare_blind_context,
-    run_injection_experiment,
     score_eval_set,
     standardize,
     state_summary,
     sweep,
     unconstrained_counties,
 )
-from tamperscan.anomaly import global_significance_analytic, residuals
+from tamperscan.anomaly import analytic_sigma_curve, residuals
 from tamperscan.elastic_net import CvSettings
 from tamperscan.scenarios import sweep_summary, write_sweep_csv
 
@@ -203,14 +202,14 @@ class TestBlindContext:
 
 
 class TestInjectionExperiment:
+    """Injection is `inject_flips` then `score_eval_set` on the tampered data."""
+
     def test_big_injection_surfaces_the_county(self, synth, context):
         victim = _largest_eval_county(synth, context)
         base_rank, base_score = score_eval_set(context, synth).rank_of(victim)
 
-        result = run_injection_experiment(
-            context, synth, InjectionSpec(victim, 40_000, Direction.R_TO_D)
-        )
-        rank, injected = result.rank_of(victim)
+        tampered = inject_flips(synth, InjectionSpec(victim, 40_000, Direction.R_TO_D))
+        rank, injected = score_eval_set(context, tampered).rank_of(victim)
         assert rank < base_rank
         assert injected.local_sigma < base_score.local_sigma
         assert injected.residual < base_score.residual
@@ -220,23 +219,16 @@ class TestInjectionExperiment:
         on the tampered data has the same coefficients, intercept and CV grid,
         and scores identically."""
         victim = _largest_eval_county(synth, context)
-        inj = InjectionSpec(victim, 25_000, Direction.R_TO_D)
-        refit = prepare_blind_context(inject_flips(synth, inj), blind_spec)
+        tampered = inject_flips(synth, InjectionSpec(victim, 25_000, Direction.R_TO_D))
+        refit = prepare_blind_context(tampered, blind_spec)
         assert np.array_equal(refit.model.coefficients, context.model.coefficients)
         assert refit.model.intercept == context.model.intercept
         assert refit.cv == context.cv
-        with_ctx = run_injection_experiment(context, synth, inj)
-        refitted = run_injection_experiment(refit, synth, inj)
+        with_ctx = score_eval_set(context, tampered)
+        refitted = score_eval_set(refit, tampered)
         assert with_ctx.rank_of(victim) == refitted.rank_of(victim)
         assert with_ctx.scores == refitted.scores
         assert with_ctx.width == refitted.width
-
-    def test_train_state_county_rejected(self, synth, context):
-        tx_fips = next(k.fips for k in synth.keys if k.state == "TX")
-        with pytest.raises(ConfigError, match="training state"):
-            run_injection_experiment(
-                context, synth, InjectionSpec(tx_fips, 10, Direction.R_TO_D)
-            )
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +258,7 @@ class TestSweep:
         for c in ga_curves:
             i = sub.index_of(c.fips)
             source = int(sub.rep[2020][i] if c.direction is Direction.R_TO_D else sub.dem[2020][i])
-            ks = [k for k, _ in c.samples]
+            ks = c.ks.tolist()
             assert ks[0] == 0
             assert ks[-1] == min(source, 2 * margin)
             interior = ks[:-1]
@@ -276,14 +268,13 @@ class TestSweep:
 
     def test_sigma_nondecreasing_everywhere(self, ga_curves):
         for c in ga_curves:
-            sigmas = [s for _, s in c.samples]
-            assert all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
-            assert all(s >= 0.0 for s in sigmas)
+            assert np.all(np.diff(c.sigmas) >= -1e-12)
+            assert np.all(c.sigmas >= 0.0)
 
     def test_k_detect_matches_manual_scan(self, ga_curves):
         hit = 0
         for c in ga_curves:
-            first = next((k for k, s in c.samples if s >= 4.0), None)
+            first = next((k for k, s in zip(c.ks.tolist(), c.sigmas) if s >= 4.0), None)
             assert c.k_detect == first
             if first is not None:
                 hit += 1
@@ -296,22 +287,19 @@ class TestSweep:
         width = base.width.width
         n_eval = base.residuals.n
         for c in ga_curves[:2] + ga_curves[-2:]:
-            for k, sigma in (c.samples[1], c.samples[len(c.samples) // 2]):
-                tampered = inject_flips(synth, InjectionSpec(c.fips, int(k), c.direction))
+            for i in (1, len(c.ks) // 2):
+                k, sigma = int(c.ks[i]), float(c.sigmas[i])
+                tampered = inject_flips(synth, InjectionSpec(c.fips, k, c.direction))
                 resid = residuals(context.model, tampered.subset_states(blind_spec.eval_states))
-                i = [j for j, key in enumerate(resid.keys) if key.fips == c.fips][0]
-                r = float(resid.residual[i])
+                j = [j for j, key in enumerate(resid.keys) if key.fips == c.fips][0]
+                r = float(resid.residual[j])
                 dev = max(0.0, -r) if c.direction is Direction.R_TO_D else max(0.0, r)
-                expected = global_significance_analytic(dev / width, n_eval)
+                expected = float(analytic_sigma_curve([dev / width], n_eval)[0])
                 assert sigma == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_context_fast_path_identical(self, synth, blind_spec, context, ga_curves):
-        fresh = sweep(synth, blind_spec, "GA")
-        assert fresh == ga_curves
 
     def test_k_step_override(self, synth, blind_spec, context):
         curves = sweep(synth, blind_spec, "GA", k_step=50_000, context=context)
-        ks = [k for k, _ in curves[0].samples]
+        ks = curves[0].ks.tolist()
         assert all(b - a == 50_000 for a, b in zip(ks[:-2], ks[1:-1]))
 
     def test_state_must_be_in_eval_set(self, synth, blind_spec, context):
@@ -322,12 +310,15 @@ class TestSweep:
         rows = [
             ("30001", "MT", "A", [1.0, 2.0], {2020: (10, 20)}),
             ("30003", "MT", "B", [2.0, 1.0], {2020: (20, 10)}),
-            ("48001", "TX", "C", [3.0, 1.0], {2020: (30, 10)}),
+        ] + [
+            (f"48{2 * i + 1:03d}", "TX", f"T{i}", [3.0 + i, (i * 7) % 5], {2020: (30 + 4 * i, 10 + i)})
+            for i in range(8)
         ]
         ds = make_dataset(rows, years=(2020,))
         spec = BlindSpec(train_states={"TX"}, eval_states={"MT"}, cv=FAST_CV)
+        ctx = prepare_blind_context(ds, spec)
         with pytest.raises(ConfigError, match="tied"):
-            sweep(ds, spec, "MT")
+            sweep(ds, spec, "MT", context=ctx)
 
     def test_bad_k_step(self, synth, blind_spec, context):
         with pytest.raises(ConfigError, match="k_step"):
@@ -335,60 +326,73 @@ class TestSweep:
 
 
 class TestSweepCurveInvariants:
-    def _mk(self, samples, k_detect, margin=1000):
+    def _mk(self, ks, sigmas, k_detect, margin=1000):
         return SweepCurve(
             fips="13121", county="Fulton", state="GA",
-            direction=Direction.R_TO_D, samples=samples,
+            direction=Direction.R_TO_D, ks=ks, sigmas=sigmas,
             margin=margin, flip_threshold=margin // 2 + 1, k_detect=k_detect,
         )
 
     def test_decreasing_sigma_rejected(self):
         with pytest.raises(DataError, match="non-decreasing"):
-            self._mk(((0, 1.0), (10, 0.5)), None)
+            self._mk((0, 10), (1.0, 0.5), None)
 
     def test_non_increasing_k_rejected(self):
         with pytest.raises(DataError, match="increasing in k"):
-            self._mk(((0, 0.1), (0, 0.2)), None)
+            self._mk((0, 0), (0.1, 0.2), None)
 
     def test_equal_k_rejected_anywhere_in_the_curve(self):
         with pytest.raises(DataError, match="increasing in k"):
-            self._mk(((0, 0.0), (10, 0.1), (20, 0.2), (20, 0.3), (30, 0.4)), None)
+            self._mk((0, 10, 20, 20, 30), (0.0, 0.1, 0.2, 0.3, 0.4), None)
 
     def test_sigma_drop_tolerance_is_1e_12(self):
-        self._mk(((0, 0.0), (10, 1.0), (20, 1.0 - 5e-13), (30, 2.0)), None)
+        self._mk((0, 10, 20, 30), (0.0, 1.0, 1.0 - 5e-13, 2.0), None)
         with pytest.raises(DataError, match="non-decreasing"):
-            self._mk(((0, 0.0), (10, 1.0), (20, 1.0 - 2e-12), (30, 2.0)), None)
+            self._mk((0, 10, 20, 30), (0.0, 1.0, 1.0 - 2e-12, 2.0), None)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DataError, match="3 k values but 2 sigmas"):
+            self._mk((0, 10, 20), (0.0, 1.0), None)
 
     def test_short_curves_accepted(self):
-        assert self._mk((), None).samples == ()
-        assert self._mk(((5, 1.0),), None).samples == ((5, 1.0),)
+        assert self._mk((), (), None).ks.size == 0
+        one = self._mk((5,), (1.0,), None)
+        assert (one.ks.tolist(), one.sigmas.tolist()) == ([5], [1.0])
+
+    def test_arrays_typed_and_read_only(self):
+        c = self._mk([0, 10], [0.0, 1.5], None)
+        assert (c.ks.dtype, c.sigmas.dtype) == (np.int64, np.float64)
+        with pytest.raises(ValueError):
+            c.ks[0] = 1
+        with pytest.raises(ValueError):
+            c.sigmas[0] = 1.0
 
     def test_unconstrained_conventions(self):
         margin = 1000
-        undetected = self._mk(((0, 0.0), (2000, 3.9)), None, margin)
+        undetected = self._mk((0, 2000), (0.0, 3.9), None, margin)
         assert undetected.unconstrained and undetected.unconstrained_literal
 
-        late = self._mk(((0, 0.0), (1001, 4.2)), 1001, margin)
+        late = self._mk((0, 1001), (0.0, 4.2), 1001, margin)
         assert late.unconstrained            # k_detect > margin
         assert late.unconstrained_literal    # k_detect > margin//2 + 1
 
-        middle = self._mk(((0, 0.0), (700, 4.2)), 700, margin)
+        middle = self._mk((0, 700), (0.0, 4.2), 700, margin)
         assert not middle.unconstrained      # detected within the margin
         assert middle.unconstrained_literal  # but after the flip threshold
 
-        early = self._mk(((0, 0.0), (400, 4.2)), 400, margin)
+        early = self._mk((0, 400), (0.0, 4.2), 400, margin)
         assert not early.unconstrained and not early.unconstrained_literal
 
     def test_unconstrained_counties_union(self):
-        a = self._mk(((0, 0.0), (2000, 3.0)), None)           # unconstrained
+        a = self._mk((0, 2000), (0.0, 3.0), None)           # unconstrained
         b = SweepCurve(
             fips="13121", county="Fulton", state="GA",
-            direction=Direction.D_TO_R, samples=((0, 0.0), (500, 5.0)),
+            direction=Direction.D_TO_R, ks=(0, 500), sigmas=(0.0, 5.0),
             margin=1000, flip_threshold=501, k_detect=500,
         )
         c = SweepCurve(
             fips="13135", county="Gwinnett", state="GA",
-            direction=Direction.R_TO_D, samples=((0, 0.0), (500, 5.0)),
+            direction=Direction.R_TO_D, ks=(0, 500), sigmas=(0.0, 5.0),
             margin=1000, flip_threshold=501, k_detect=500,
         )
         assert unconstrained_counties([a, b, c]) == ["Fulton"]
@@ -407,7 +411,7 @@ def _tricky_curves():
     return [
         SweepCurve(
             fips=f"3501{i}", county=county, state="NM", direction=direction,
-            samples=tuple(zip((0, 7, 14, 17), sigmas)),
+            ks=(0, 7, 14, 17), sigmas=sigmas,
             margin=10, flip_threshold=6, k_detect=None,
         )
         for i, (county, sigmas) in enumerate(zip(TRICKY_COUNTIES, sigma_runs))
@@ -427,7 +431,7 @@ class TestSweepExports:
         writer = csv.writer(buf)
         writer.writerow(["fips", "county", "state", "direction", "k", "global_sigma"])
         for c in curves:
-            for k, sigma in c.samples:
+            for k, sigma in zip(c.ks.tolist(), c.sigmas.tolist()):
                 writer.writerow([c.fips, c.county, c.state, c.direction.value, str(k), repr(sigma)])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
         assert b"Do\xc3\xb1a" in path.read_bytes()
@@ -439,10 +443,10 @@ class TestSweepExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "# manifest_sha256=ff"
         assert lines[1] == "fips,county,state,direction,k,global_sigma"
-        assert len(lines) == 2 + sum(len(c.samples) for c in curves)
+        assert len(lines) == 2 + sum(len(c.ks) for c in curves)
         # full-precision sigma round-trips through repr
         first = lines[2].split(",")
-        assert float(first[-1]) == curves[0].samples[0][1]
+        assert float(first[-1]) == curves[0].sigmas[0]
 
         summary = sweep_summary(curves)
         assert set(summary) == {"GA"}
