@@ -214,6 +214,7 @@ def cmd_ingest(run: Run) -> int:
     if not elections:
         raise ConfigError("no election files among inputs")
     features, report = clean_features(demo_tables)
+    del demo_tables  # free the parsed tables before assembly copies the features
     dataset, join_report = assemble_dataset(features, elections, man.target_year)
     report = report.merge(join_report)
     path = run.save(dataset)

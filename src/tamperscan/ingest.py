@@ -1,11 +1,11 @@
 """Parsing and cleaning of demographic profile tables and election returns.
 
-The pipeline is: parse each delimiter-separated file verbatim, drop
-margin-of-error and duplicate feature columns, drop columns that are missing
-or non-numeric for any county, inner-join everything on FIPS, exclude
-Alaska, and append prior-election vote shares as extra features. Every drop
-is recorded in a CleaningReport with a machine-readable reason code; nothing
-is imputed.
+The pipeline is: parse each delimiter-separated file, turning its cells into
+numbers as they are read, drop margin-of-error and duplicate feature
+columns, drop columns that are missing or non-numeric for any county,
+inner-join everything on FIPS, exclude Alaska, and append prior-election
+vote shares as extra features. Every drop is recorded in a CleaningReport
+with a machine-readable reason code; nothing is imputed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import re
 import zipfile
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,24 +35,41 @@ DEFAULT_MOE_PATTERN = re.compile(r"(?i)(?:^|_|\W)moe(?:$|_|\W)|margin\s+of\s+err
 # Headers recognized as the county display-name column (never a feature).
 _NAME_HEADERS = {"name", "county", "county_name", "geographic area name"}
 
+# Rows whose string cells parse_table holds at once, between reading and
+# converting them.
+_CHUNK_ROWS = 256
+
 DATASET_FORMAT = "tamperscan-dataset"
 DATASET_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class RawTable:
-    """One parsed file: verbatim string cells keyed by normalized FIPS."""
+    """One parsed file as numbers, one row per county in file order.
+
+    `values[i, j]` is the cell of county `fips[i]` (`row_of` maps a fips
+    back to i) in column `columns[j]`, as float() reads it, or as
+    _to_float reads it (thousands separators dropped) when float() does
+    not. A cell that neither reads, such as "(X)" or "", is NaN in `values`
+    and True in `rejected`. Both arrays are read-only.
+    """
 
     source_id: str
     columns: tuple[str, ...]
-    rows: dict[str, tuple[str, ...]]
+    fips: tuple[str, ...]
+    values: np.ndarray
+    rejected: np.ndarray
     names: dict[str, str] = field(default_factory=dict)
+    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source_id not in SOURCE_IDS:
             raise ConfigError(
                 f"unknown source_id {self.source_id!r}; expected one of {SOURCE_IDS}"
             )
+        self.values.flags.writeable = False
+        self.rejected.flags.writeable = False
+        object.__setattr__(self, "row_of", {f: i for i, f in enumerate(self.fips)})
 
 
 @dataclass(frozen=True)
@@ -87,12 +105,44 @@ class CleaningReport:
 
 
 def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
-    """Parse one header-rowed delimited file, cells kept verbatim.
+    """Parse one header-rowed delimited file into a RawTable of numbers.
 
     The fips column (matched case-insensitively) is normalized to 5 digits;
     a county display-name column, when present, is captured separately and
     excluded from the feature columns. Ragged rows and repeated fips are
-    hard errors.
+    hard errors. Feature cells become float64 a chunk of rows at a time, so
+    no string cell outlives its chunk.
+    """
+
+    def to_numbers(columns, rows):
+        values = [np.empty((0, len(columns)))]
+        rejected = [np.empty((0, len(columns)), dtype=bool)]
+        suspect: list[int] = []
+        while chunk := [cells for _, cells in islice(rows, _CHUNK_ROWS)]:
+            block, bad = _to_floats(chunk, len(columns), suspect)
+            values.append(block)
+            rejected.append(bad)
+        return np.concatenate(values), np.concatenate(rejected)
+
+    columns, fips, names, (values, rejected) = _read_table(path, delimiter, to_numbers)
+    return RawTable(
+        source_id=source_id,
+        columns=columns,
+        fips=fips,
+        values=values,
+        rejected=rejected,
+        names=names,
+    )
+
+
+def _read_table(path, delimiter: str, convert):
+    """Read one header-rowed delimited file, as parse_table describes,
+    through `convert`.
+
+    `convert(columns, rows)` gets the feature column names and an iterator
+    of (fips, feature cells) over the data rows in file order, and must
+    exhaust it. Returns the columns, the fips in file order, the display
+    names by fips and what `convert` returned.
     """
     path = Path(path)
     if not path.exists():
@@ -119,21 +169,26 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
             dupes = sorted({c for c in columns if columns.count(c) > 1})
             raise SchemaError(f"{path}: repeated column headers {dupes}")
 
-        rows: dict[str, tuple[str, ...]] = {}
+        seen: dict[str, None] = {}
         names: dict[str, str] = {}
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, "
-                    f"header has {len(header)}"
-                )
-            fips = normalize_fips(row[fips_idx])
-            if fips in rows:
-                raise DataError(f"{path}: duplicate fips {fips}")
-            rows[fips] = pick_features(row)
-            if name_idx is not None and row[name_idx].strip():
-                names[fips] = row[name_idx].strip()
-    return RawTable(source_id=source_id, columns=columns, rows=rows, names=names)
+
+        def rows():
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {reader.line_num} has {len(row)} cells, "
+                        f"header has {len(header)}"
+                    )
+                fips = normalize_fips(row[fips_idx])
+                if fips in seen:
+                    raise DataError(f"{path}: duplicate fips {fips}")
+                seen[fips] = None
+                if name_idx is not None and row[name_idx].strip():
+                    names[fips] = row[name_idx].strip()
+                yield fips, pick_features(row)
+
+        converted = convert(columns, rows())
+    return columns, tuple(seen), names, converted
 
 
 def _cells_getter(idx: list[int]):
@@ -160,11 +215,44 @@ def _to_float(cell: str) -> float | None:
         return None
 
 
+def _to_floats(rows, width: int, suspect: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `width` string cells as a float64 block, and the mask of the
+    cells _to_float rejects (NaN in the block).
+
+    float() gives _to_float's value for every cell it accepts, surrounding
+    whitespace included, so one float() pass converts the block. The
+    columns in `suspect` stay out of that pass, and every column goes
+    column by column when it fails: a column with a cell float() rejects
+    is read by _to_float and joins `suspect`, so a column of "(X)" fails
+    the pass once per table, not once per chunk.
+    """
+    values = np.empty((len(rows), width))
+    rejected = np.zeros((len(rows), width), dtype=bool)
+    fast = [j for j in range(width) if j not in suspect]
+    try:
+        cells = chain.from_iterable(map(_cells_getter(fast), rows))
+        parsed = np.fromiter(map(float, cells), np.float64, len(rows) * len(fast))
+        values[:, fast] = parsed.reshape(len(rows), len(fast))
+        slow = list(suspect)
+    except ValueError:
+        slow = list(range(width))
+    for j, cells in zip(slow, zip(*map(_cells_getter(slow), rows))):
+        try:
+            values[:, j] = list(map(float, cells))
+        except ValueError:
+            parsed = list(map(_to_float, cells))
+            values[:, j] = np.array(parsed, dtype=np.float64)  # None becomes NaN
+            rejected[:, j] = [v is None for v in parsed]
+            if j not in suspect:
+                suspect.append(j)
+    return values, rejected
+
+
 def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     """Apply the column-cleaning rules to demographic tables, in order:
     margin-of-error columns out, duplicate identifiers resolved by
-    DP02 > DP03 > DP05 precedence, then any column not fully numeric over
-    the common counties. Survivors are parsed to reals."""
+    DP02 > DP03 > DP05 precedence, then any column with a rejected cell
+    among the common counties."""
     tables = list(tables)
     if not tables:
         raise ConfigError("clean_features needs at least one table")
@@ -177,23 +265,23 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     report = CleaningReport()
 
     # common counties across all tables; drops reported once per county
-    common = set(tables[0].rows)
+    common = set(tables[0].fips)
     for t in tables[1:]:
-        common &= set(t.rows)
-    all_fips = set()
-    for t in tables:
-        all_fips |= set(t.rows)
+        common &= t.row_of.keys()
+    all_fips = set().union(*(t.fips for t in tables))
     for f in sorted(all_fips - common):
-        absent = [t.source_id for t in tables if f not in t.rows]
+        absent = [t.source_id for t in tables if f not in t.row_of]
         report.dropped_counties.append(
             {"fips": f, "reason": "not_in_all_feature_tables", "detail": absent}
         )
     fips_order = tuple(sorted(common))
 
-    kept: list[tuple[str, str]] = []  # (source_id, column)
+    names: list[str] = []
+    blocks: list[np.ndarray] = []
     seen_names: dict[str, str] = {}
     for t in tables:
-        for col in t.columns:
+        candidates = []
+        for j, col in enumerate(t.columns):
             if DEFAULT_MOE_PATTERN.search(col):
                 report.dropped_moe_columns.append(
                     {"table": t.source_id, "column": col, "reason": "margin_of_error"}
@@ -210,38 +298,26 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
                 )
                 continue
             seen_names[col] = t.source_id
-            kept.append((t.source_id, col))
+            candidates.append(j)
 
-    by_source = {t.source_id: t for t in tables}
-    # each table's rows in fips order: references, not a transposed copy
-    ordered_rows = {t.source_id: [t.rows[f] for f in fips_order] for t in tables}
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    for source_id, col in kept:
-        cells = list(map(itemgetter(by_source[source_id].columns.index(col)),
-                         ordered_rows[source_id]))
-        try:
-            # float() gives _to_float's value for every cell it accepts,
-            # surrounding whitespace included; a cell it rejects, such as
-            # "1,234" or "(X)", sends the column through _to_float, which
-            # also counts the bad cells
-            parsed = list(map(float, cells))
-            bad = 0
-        except ValueError:
-            parsed = list(map(_to_float, cells))
-            bad = parsed.count(None)
-        if bad:
-            report.dropped_missing_columns.append(
-                {
-                    "table": source_id,
-                    "column": col,
-                    "reason": "missing_or_non_numeric",
-                    "bad_cells": bad,
-                }
-            )
-            continue
-        names.append(col)
-        columns.append(np.array(parsed, dtype=np.float64))
+        # the table's rows of the common counties, in fips order
+        rows = np.array([t.row_of[f] for f in fips_order], dtype=np.intp)
+        bad_cells = np.count_nonzero(t.rejected[np.ix_(rows, candidates)], axis=0)
+        kept = []
+        for j, bad in zip(candidates, bad_cells.tolist()):
+            if bad:
+                report.dropped_missing_columns.append(
+                    {
+                        "table": t.source_id,
+                        "column": t.columns[j],
+                        "reason": "missing_or_non_numeric",
+                        "bad_cells": bad,
+                    }
+                )
+            else:
+                kept.append(j)
+        names.extend(t.columns[j] for j in kept)
+        blocks.append(t.values[np.ix_(rows, kept)])
     if not names:
         raise DataError("no feature columns survive cleaning")
 
@@ -249,12 +325,11 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     for t in tables:
         for f, n in t.names.items():
             county_names.setdefault(f, n)
-    values = np.column_stack(columns) if fips_order else np.empty((0, len(names)))
     return (
         FeatureTable(
             fips=fips_order,
             names=tuple(names),
-            values=values,
+            values=np.hstack(blocks),
             county_names=county_names,
         ),
         report,
@@ -275,25 +350,33 @@ def _to_votes(cell: str, column: str, fips: str) -> int:
 
 
 def parse_election(path, year: int, delimiter: str = ",") -> ElectionTable:
-    """Parse election returns: columns fips, rep_votes, dem_votes."""
-    table = parse_table(path, "election", delimiter=delimiter)
-    lowered = [c.lower() for c in table.columns]
-    try:
-        rep_idx = lowered.index("rep_votes")
-        dem_idx = lowered.index("dem_votes")
-    except ValueError:
-        raise SchemaError(
-            f"{path}: election file needs rep_votes and dem_votes columns, "
-            f"found {list(table.columns)}"
-        ) from None
-    tallies = {}
-    for fips, cells in table.rows.items():
-        tallies[fips] = VoteTally(
-            year=year,
-            rep_votes=_to_votes(cells[rep_idx], "rep_votes", fips),
-            dem_votes=_to_votes(cells[dem_idx], "dem_votes", fips),
-        )
-    return ElectionTable(year=year, tallies=tallies, names=table.names)
+    """Parse election returns: columns fips, rep_votes, dem_votes.
+
+    The file is read as parse_table reads one; vote cells become integers
+    as they are read.
+    """
+
+    def to_tallies(columns, rows):
+        lowered = [c.lower() for c in columns]
+        try:
+            rep_idx = lowered.index("rep_votes")
+            dem_idx = lowered.index("dem_votes")
+        except ValueError:
+            raise SchemaError(
+                f"{path}: election file needs rep_votes and dem_votes columns, "
+                f"found {list(columns)}"
+            ) from None
+        return {
+            fips: VoteTally(
+                year=year,
+                rep_votes=_to_votes(cells[rep_idx], "rep_votes", fips),
+                dem_votes=_to_votes(cells[dem_idx], "dem_votes", fips),
+            )
+            for fips, cells in rows
+        }
+
+    _, _, names, tallies = _read_table(path, delimiter, to_tallies)
+    return ElectionTable(year=year, tallies=tallies, names=names)
 
 
 def assemble_dataset(

@@ -511,6 +511,29 @@ class TestCrossValidate:
         with pytest.raises(ConfigError):
             cross_validate(X, y, k=1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eps", 0.0),
+            ("eps", 1.5),
+            ("eps", -0.1),
+            ("tol", 0.0),
+            ("tol", -1.0),
+            ("tol", float("nan")),
+            ("max_iter", 0),
+        ],
+    )
+    def test_rejects_out_of_range_settings(self, name, value):
+        # the rule CvSettings applies, also when the library is called directly
+        X, y = _random_problem(39, n=40, p=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=name):
+                cross_validate(X, y, l1_grid=(1.0,), n_alphas=5, **{name: value})
+            if name == "eps":
+                with pytest.raises(ConfigError, match="eps"):
+                    alpha_path(_standardized(X)[0], y, 1.0, n_alphas=5, eps=value)
+
 
 class TestSerialization:
     def test_model_round_trip_is_exact(self, tmp_path):

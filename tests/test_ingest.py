@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,8 @@ ELECTION_2016 = """fips,rep_votes,dem_votes
 class TestParseTable:
     def test_zero_pads_fips(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
-        assert set(t.rows) == {"01001", "13121", "42003"}
+        assert t.fips == ("01001", "13121", "42003")
+        assert t.row_of == {"01001": 0, "13121": 1, "42003": 2}
 
     def test_name_column_excluded_from_features(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
@@ -73,12 +75,21 @@ class TestParseTable:
 
     def test_cells_kept_verbatim(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
-        assert t.rows["01001"] == ("21.5", "8.2", "1.1")
+        assert t.values.dtype == np.float64
+        assert t.values[t.row_of["01001"]].tolist() == [21.5, 8.2, 1.1]
+        assert t.values.tolist() == [[21.5, 8.2, 1.1], [44.3, 5.0, 0.9], [35.1, 7.7, 1.0]]
+        assert not t.rejected.any()
+        assert not t.values.flags.writeable and not t.rejected.flags.writeable
 
     def test_byte_order_mark_dropped(self, tmp_path):
         (tmp_path / "bom.csv").write_bytes(BOM + DP02.encode("utf-8"))
         t = parse_table(tmp_path / "bom.csv", "DP02")
-        assert t == parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
+        plain = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
+        assert (t.source_id, t.columns, t.fips, t.names) == (
+            plain.source_id, plain.columns, plain.fips, plain.names
+        )
+        assert np.array_equal(t.values, plain.values)
+        assert np.array_equal(t.rejected, plain.rejected)
         assert t.columns[0] == "pct_bachelor"
 
     def test_missing_fips_column(self, tmp_path):
@@ -113,18 +124,69 @@ class TestParseTable:
     def test_tab_delimiter(self, tmp_path):
         p = _write(tmp_path, "a.tsv", "fips\tx\n01001\t5\n")
         t = parse_table(p, "DP02", delimiter="\t")
-        assert t.rows["01001"] == ("5",)
+        assert t.columns == ("x",)
+        assert t.fips == ("01001",)
+        assert t.values.tolist() == [[5.0]]
 
     def test_one_feature_column(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", "name,fips,x\nA,01001,5\nB,13121,6\n"), "DP02")
         assert t.columns == ("x",)
-        assert t.rows == {"01001": ("5",), "13121": ("6",)}
+        assert t.fips == ("01001", "13121")
+        assert t.values.tolist() == [[5.0], [6.0]]
+        assert t.rejected.tolist() == [[False], [False]]
 
     def test_no_feature_columns(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", "fips,name\n01001,A\n13121,B\n"), "DP02")
         assert t.columns == ()
-        assert t.rows == {"01001": (), "13121": ()}
+        assert t.fips == ("01001", "13121")
+        assert t.values.shape == t.rejected.shape == (2, 0)
         assert t.names == {"01001": "A", "13121": "B"}
+
+
+    def test_mixed_cells_read_as_to_float(self, tmp_path):
+        # more rows than one conversion chunk, with rejected cells first
+        # seen early, late and throughout, among padded and separated ones
+        n = 2 * ingest._CHUNK_ROWS + 37
+        mixed = ["(X)", "", "1,234.5", "  7 ", "2e3", "-0.5", "\t12,345.25 ", "N"]
+        columns = {
+            "clean": lambda i: f"{i}.25",
+            "padded": lambda i: f"  {i / 8} ",
+            "separated": lambda i: f"{i},{i % 1000:03d}.5",
+            "early_holes": lambda i: "(X)" if i < 3 else str(i),
+            "late_hole": lambda i: "" if i == n - 1 else str(-i),
+            "mixed": lambda i: mixed[i % len(mixed)],
+        }
+        cells = [[cell(i) for cell in columns.values()] for i in range(n)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["fips", *columns])
+        writer.writerows([f"{10001 + i}", *row] for i, row in enumerate(cells))
+        t = parse_table(_write(tmp_path, "mixed.csv", buf.getvalue()), "DP02")
+
+        expected = [[ingest._to_float(c) for c in row] for row in cells]
+        assert t.rejected.tolist() == [[v is None for v in row] for row in expected]
+        np.testing.assert_array_equal(
+            t.values, np.array(expected, dtype=np.float64)  # None becomes NaN
+        )
+        assert t.rejected.any(axis=0).tolist() == [False, False, False, True, True, True]
+
+    def test_numbers_held_in_a_few_bytes_per_cell(self, tmp_path):
+        n, p = 3000, 200
+        cells = np.random.default_rng(0).uniform(0, 100, (n, p)).round(1)
+        lines = ["fips," + ",".join(f"c{j}" for j in range(p))]
+        lines += [f"{10001 + i}," + ",".join(map(str, row)) for i, row in enumerate(cells.tolist())]
+        path = _write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
+        parse_table(_write(tmp_path, "warm.csv", "fips,x\n01001,1\n"), "DP02")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = parse_table(path, "DP02")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.values, cells)
+        # 8 bytes of float64 and 1 of mask per cell; a str per cell is ~50
+        assert held / (n * p) <= 12
 
 
 class TestCleanFeatures:
@@ -212,6 +274,27 @@ class TestCleanFeatures:
             "13121": "not_in_all_feature_tables",
             "42003": "not_in_all_feature_tables",
         }
+
+    def test_bad_cell_outside_common_counties_ignored(self, tmp_path):
+        # 42003 is absent from DP03, so its "(X)" neither drops column a nor
+        # counts as a bad cell; 13121's does both for column b
+        dp02 = "fips,a,b\n01001,1,5\n13121,2,(X)\n42003,(X),7\n"
+        dp03 = "fips,c\n01001,3\n13121,4\n"
+        features, report = clean_features(
+            [
+                parse_table(_write(tmp_path, "d2.csv", dp02), "DP02"),
+                parse_table(_write(tmp_path, "d3.csv", dp03), "DP03"),
+            ]
+        )
+        assert features.fips == ("01001", "13121")
+        assert features.names == ("a", "c")
+        assert features.values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        assert report.dropped_missing_columns == [
+            {"table": "DP02", "column": "b", "reason": "missing_or_non_numeric", "bad_cells": 1}
+        ]
+        assert report.dropped_counties == [
+            {"fips": "42003", "reason": "not_in_all_feature_tables", "detail": ["DP03"]}
+        ]
 
     def test_rejects_election_table(self, tmp_path):
         e = parse_table(_write(tmp_path, "e.csv", ELECTION_2016), "election")
