@@ -65,19 +65,12 @@ class CvSettings:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        _check_settings(self.eps, self.tol, self.max_iter)
-
-
-def _check_settings(
-    eps: float = DEFAULT_PATH_EPS, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> None:
-    """The range rule for the path and solver settings, wherever they are given."""
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be a finite number above 0, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError(f"eps must be in (0, 1), got {self.eps}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be a finite number above 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -385,7 +378,7 @@ def alpha_path(
         )
     if n_alphas < 1:
         raise ConfigError("n_alphas must be at least 1")
-    _check_settings(eps=eps)
+    CvSettings(eps=eps)  # the range rule for eps
     Xs = np.asarray(Xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
@@ -430,7 +423,7 @@ def cross_validate(
         raise DataError(f"cannot split {n} rows into {k} folds")
     if not l1_grid:
         raise ConfigError("l1_grid is empty")
-    _check_settings(eps, tol, max_iter)
+    CvSettings(eps=eps, tol=tol, max_iter=max_iter)  # the range rule
 
     names = tuple(f"c{j}" for j in range(X.shape[1]))
     perm = substream(seed, 0).permutation(n)

@@ -16,7 +16,7 @@ import json
 import re
 import zipfile
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -117,9 +117,8 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
     def to_numbers(columns, rows):
         values = [np.empty((0, len(columns)))]
         rejected = [np.empty((0, len(columns)), dtype=bool)]
-        suspect: list[int] = []
         while chunk := [cells for _, cells in islice(rows, _CHUNK_ROWS)]:
-            block, bad = _to_floats(chunk, len(columns), suspect)
+            block, bad = _to_floats(chunk, len(columns))
             values.append(block)
             rejected.append(bad)
         return np.concatenate(values), np.concatenate(rejected)
@@ -215,36 +214,23 @@ def _to_float(cell: str) -> float | None:
         return None
 
 
-def _to_floats(rows, width: int, suspect: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _to_floats(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of `width` string cells as a float64 block, and the mask of the
     cells _to_float rejects (NaN in the block).
 
     float() gives _to_float's value for every cell it accepts, surrounding
-    whitespace included, so one float() pass converts the block. The
-    columns in `suspect` stay out of that pass, and every column goes
-    column by column when it fails: a column with a cell float() rejects
-    is read by _to_float and joins `suspect`, so a column of "(X)" fails
-    the pass once per table, not once per chunk.
+    whitespace included, so each column goes through float() and only a
+    column with a cell float() rejects is read again by _to_float.
     """
     values = np.empty((len(rows), width))
     rejected = np.zeros((len(rows), width), dtype=bool)
-    fast = [j for j in range(width) if j not in suspect]
-    try:
-        cells = chain.from_iterable(map(_cells_getter(fast), rows))
-        parsed = np.fromiter(map(float, cells), np.float64, len(rows) * len(fast))
-        values[:, fast] = parsed.reshape(len(rows), len(fast))
-        slow = list(suspect)
-    except ValueError:
-        slow = list(range(width))
-    for j, cells in zip(slow, zip(*map(_cells_getter(slow), rows))):
+    for j, cells in enumerate(zip(*rows)):
         try:
             values[:, j] = list(map(float, cells))
         except ValueError:
             parsed = list(map(_to_float, cells))
             values[:, j] = np.array(parsed, dtype=np.float64)  # None becomes NaN
             rejected[:, j] = [v is None for v in parsed]
-            if j not in suspect:
-                suspect.append(j)
     return values, rejected
 
 

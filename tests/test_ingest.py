@@ -142,7 +142,6 @@ class TestParseTable:
         assert t.values.shape == t.rejected.shape == (2, 0)
         assert t.names == {"01001": "A", "13121": "B"}
 
-
     def test_mixed_cells_read_as_to_float(self, tmp_path):
         # more rows than one conversion chunk, with rejected cells first
         # seen early, late and throughout, among padded and separated ones
