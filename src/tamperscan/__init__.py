@@ -32,7 +32,6 @@ from .data_model import (
     Dataset,
     StandardizationParams,
     SyntheticSpec,
-    VoteTally,
     apply_standardization,
     generate_synthetic,
     standardize,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .elastic_net import (
 )
 from .errors import ConfigError, DataError, NumericalError, TamperscanError
 from .ingest import (
+    SOURCE_IDS,
     assemble_dataset,
     clean_features,
     dataset_sha256,
@@ -199,20 +201,22 @@ def cmd_ingest(run: Run) -> int:
     man = run.man
     if not man.inputs:
         raise ConfigError("manifest has no [inputs] section")
-    demo_tables = []
-    elections = []
+    # every key is classified before any file is read
+    demo_inputs, election_inputs = [], []
     for key, path in sorted(man.inputs.items()):
-        if key.startswith("dp"):
-            demo_tables.append(parse_table(path, key.upper(), delimiter=man.delimiter))
-        elif key.startswith("election_"):
-            year = int(key.split("_", 1)[1])
-            elections.append(parse_election(path, year, delimiter=man.delimiter))
+        election = re.fullmatch(r"election_([0-9]+)", key)
+        if election:
+            election_inputs.append((path, int(election[1])))
+        elif key.startswith("dp") and key.upper() in SOURCE_IDS:
+            demo_inputs.append((path, key.upper()))
         else:
             raise ConfigError(f"unrecognized input key {key!r} (want dpNN or election_YYYY)")
-    if not demo_tables:
+    if not demo_inputs:
         raise ConfigError("no demographic tables among inputs")
-    if not elections:
+    if not election_inputs:
         raise ConfigError("no election files among inputs")
+    demo_tables = [parse_table(path, sid, man.delimiter) for path, sid in demo_inputs]
+    elections = [parse_election(path, year, man.delimiter) for path, year in election_inputs]
     features, report = clean_features(demo_tables)
     del demo_tables  # free the parsed tables before assembly copies the features
     dataset, join_report = assemble_dataset(features, elections, man.target_year)

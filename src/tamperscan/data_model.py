@@ -55,26 +55,6 @@ class CountyKey:
 
 
 @dataclass(frozen=True)
-class VoteTally:
-    """Two-party vote counts for one county in one election year."""
-
-    year: int
-    rep_votes: int
-    dem_votes: int
-
-    def __post_init__(self):
-        if self.rep_votes < 0 or self.dem_votes < 0:
-            raise DataError(
-                f"negative vote count in year {self.year}: "
-                f"rep={self.rep_votes} dem={self.dem_votes}"
-            )
-
-    @property
-    def total(self) -> int:
-        return self.rep_votes + self.dem_votes
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Aligned feature matrix plus per-year vote tallies for n counties.
 

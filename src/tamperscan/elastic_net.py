@@ -151,7 +151,7 @@ def _gram(Xs, y):
     return Xs.T @ Xs / n, Xs.T @ (y - y.mean()) / n
 
 
-def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
+def _descend(G, c, penalty, tol, max_iter, beta):
     """Coordinate-descent sweeps on `beta` in place, Anderson-accelerated.
 
     Returns (sweeps, converged, extrapolations).
@@ -170,11 +170,10 @@ def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
     differences, (U U')z = 1 is solved and the candidate is the z/sum(z)
     weighted sum of the last _ANDERSON_K iterates. The candidate replaces
     beta only if it lowers the objective 1/2 beta'G beta - c'beta +
-    gamma |beta|_1 + ridge/2 |beta|^2 (and `loss`, when given); a singular
-    or non-finite system is skipped. The window restarts either way.
-    Extrapolation is not a sweep and never ends the descent: it stops when a
-    full sweep moves no coefficient by `tol` or more. If `loss` (beta ->
-    penalized loss) is given, a sweep that raises it is a NumericalError.
+    gamma |beta|_1 + ridge/2 |beta|^2; a singular or non-finite system is
+    skipped. The window restarts either way. Extrapolation is not a sweep
+    and never ends the descent: it stops when a full sweep moves no
+    coefficient by `tol` or more.
     """
     p = c.shape[0]
     ridge = penalty.alpha * (1.0 - penalty.l1_ratio)
@@ -203,7 +202,6 @@ def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
 
     window = [beta.copy()]
     extrapolations = 0
-    prev_obj = np.inf
     for sweep in range(1, max_iter + 1):
         max_delta = 0.0
         for rows, coords in blocks:
@@ -231,26 +229,15 @@ def _descend(G, c, penalty, tol, max_iter, beta, loss=None):
                     b[j] = beta[j] = new
                     if abs(d) > max_delta:
                         max_delta = abs(d)
-        if loss is not None:
-            obj = loss(beta)
-            if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
-                raise NumericalError(
-                    f"objective rose from {prev_obj!r} to {obj!r} on sweep {sweep}"
-                )
-            prev_obj = obj
         if max_delta < tol:
             return sweep, True, extrapolations
         window.append(beta.copy())
         if len(window) > _ANDERSON_K:
             candidate = _extrapolate(np.array(window))
             if candidate is not None and cov_objective(candidate) < cov_objective(beta):
-                # under `loss`, the residual form must find it lower too
-                cand_obj = prev_obj if loss is None else loss(candidate)
-                if loss is None or cand_obj < prev_obj:
-                    beta[:] = candidate
-                    b = beta.tolist()
-                    prev_obj = cand_obj
-                    extrapolations += 1
+                beta[:] = candidate
+                b = beta.tolist()
+                extrapolations += 1
             window = [beta.copy()]
     return max_iter, p == 0, extrapolations
 
@@ -302,7 +289,6 @@ def fit(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     warm_start: np.ndarray | None = None,
-    check_objective: bool = False,
 ) -> FitModel:
     """Fit on an already-standardized design matrix.
 
@@ -330,11 +316,7 @@ def fit(
 
     beta = np.zeros(Xs.shape[1]) if warm_start is None else np.array(warm_start, dtype=np.float64)
     G, c = _gram(Xs, y)
-    loss = None
-    if check_objective:
-        def loss(b):
-            return objective(Xs, y, b, float(np.mean(y - Xs @ b)), penalty)
-    sweeps, converged, extrapolations = _descend(G, c, penalty, tol, max_iter, beta, loss)
+    sweeps, converged, extrapolations = _descend(G, c, penalty, tol, max_iter, beta)
     intercept = float(np.mean(y - Xs @ beta))
     if not converged:
         warnings.warn(

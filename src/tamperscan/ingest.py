@@ -1,11 +1,13 @@
 """Parsing and cleaning of demographic profile tables and election returns.
 
-The pipeline is: parse each delimiter-separated file, turning its cells into
-numbers as they are read, drop margin-of-error and duplicate feature
-columns, drop columns that are missing or non-numeric for any county,
-inner-join everything on FIPS, exclude Alaska, and append prior-election
-vote shares as extra features. Every drop is recorded in a CleaningReport
-with a machine-readable reason code; nothing is imputed.
+The pipeline is: parse each delimiter-separated file, demographic table or
+election returns alike, with one reader that turns its cells into numbers as
+they are read (a vote count must then be a whole, non-negative number), drop
+margin-of-error and duplicate feature columns, drop columns that are missing
+or non-numeric for any county, inner-join everything on FIPS, exclude
+Alaska, and append prior-election vote shares as extra features. Every drop
+is recorded in a CleaningReport with a machine-readable reason code; nothing
+is imputed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, VoteTally, write_atomically, write_csv, write_json
+from .data_model import CountyKey, Dataset, write_atomically, write_csv, write_json
 from .errors import ConfigError, DataError, SchemaError
 from .fips import normalize_fips, state_for_fips
 
@@ -38,6 +40,9 @@ _NAME_HEADERS = {"name", "county", "county_name", "geographic area name"}
 # Rows whose string cells parse_table holds at once, between reading and
 # converting them.
 _CHUNK_ROWS = 256
+
+# float64 holds every whole vote count up to here exactly
+_MAX_VOTES = 2.0**53
 
 DATASET_FORMAT = "tamperscan-dataset"
 DATASET_FORMAT_VERSION = 1
@@ -84,9 +89,21 @@ class FeatureTable:
 
 @dataclass(frozen=True)
 class ElectionTable:
+    """Two-party vote counts of one election year, one row per county in
+    file order: `rep[i]` and `dem[i]` are county `fips[i]`'s (`row_of` maps
+    a fips back to i), read-only int64 arrays."""
+
     year: int
-    tallies: dict[str, VoteTally]
+    fips: tuple[str, ...]
+    rep: np.ndarray
+    dem: np.ndarray
     names: dict[str, str] = field(default_factory=dict)
+    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rep.flags.writeable = False
+        self.dem.flags.writeable = False
+        object.__setattr__(self, "row_of", {f: i for i, f in enumerate(self.fips)})
 
 
 @dataclass
@@ -112,36 +129,6 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
     excluded from the feature columns. Ragged rows and repeated fips are
     hard errors. Feature cells become float64 a chunk of rows at a time, so
     no string cell outlives its chunk.
-    """
-
-    def to_numbers(columns, rows):
-        values = [np.empty((0, len(columns)))]
-        rejected = [np.empty((0, len(columns)), dtype=bool)]
-        while chunk := [cells for _, cells in islice(rows, _CHUNK_ROWS)]:
-            block, bad = _to_floats(chunk, len(columns))
-            values.append(block)
-            rejected.append(bad)
-        return np.concatenate(values), np.concatenate(rejected)
-
-    columns, fips, names, (values, rejected) = _read_table(path, delimiter, to_numbers)
-    return RawTable(
-        source_id=source_id,
-        columns=columns,
-        fips=fips,
-        values=values,
-        rejected=rejected,
-        names=names,
-    )
-
-
-def _read_table(path, delimiter: str, convert):
-    """Read one header-rowed delimited file, as parse_table describes,
-    through `convert`.
-
-    `convert(columns, rows)` gets the feature column names and an iterator
-    of (fips, feature cells) over the data rows in file order, and must
-    exhaust it. Returns the columns, the fips in file order, the display
-    names by fips and what `convert` returned.
     """
     path = Path(path)
     if not path.exists():
@@ -184,10 +171,21 @@ def _read_table(path, delimiter: str, convert):
                 seen[fips] = None
                 if name_idx is not None and row[name_idx].strip():
                     names[fips] = row[name_idx].strip()
-                yield fips, pick_features(row)
+                yield pick_features(row)
 
-        converted = convert(columns, rows())
-    return columns, tuple(seen), names, converted
+        cells = rows()
+        blocks = [_to_floats([], len(columns))]
+        while chunk := list(islice(cells, _CHUNK_ROWS)):
+            blocks.append(_to_floats(chunk, len(columns)))
+    values, rejected = map(np.concatenate, zip(*blocks))
+    return RawTable(
+        source_id=source_id,
+        columns=columns,
+        fips=tuple(seen),
+        values=values,
+        rejected=rejected,
+        names=names,
+    )
 
 
 def _cells_getter(idx: list[int]):
@@ -307,10 +305,8 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     if not names:
         raise DataError("no feature columns survive cleaning")
 
-    county_names: dict[str, str] = {}
-    for t in tables:
-        for f, n in t.names.items():
-            county_names.setdefault(f, n)
+    # the first table, in precedence order, that names a county names it
+    county_names = {f: n for t in reversed(tables) for f, n in t.names.items()}
     return (
         FeatureTable(
             fips=fips_order,
@@ -322,47 +318,32 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     )
 
 
-def _to_votes(cell: str, column: str, fips: str) -> int:
-    s = cell.strip().replace(",", "")
-    try:
-        v = int(s)
-    except ValueError:
-        raise DataError(
-            f"county {fips}: {column}={cell!r} is not an integer vote count"
-        ) from None
-    if v < 0:
-        raise DataError(f"county {fips}: negative {column} {v}")
-    return v
-
-
 def parse_election(path, year: int, delimiter: str = ",") -> ElectionTable:
     """Parse election returns: columns fips, rep_votes, dem_votes.
 
-    The file is read as parse_table reads one; vote cells become integers
-    as they are read.
+    The file is read by parse_table, so a vote cell reads as any cell does;
+    it must then be a finite, non-negative whole number (at most 2**53).
     """
-
-    def to_tallies(columns, rows):
-        lowered = [c.lower() for c in columns]
-        try:
-            rep_idx = lowered.index("rep_votes")
-            dem_idx = lowered.index("dem_votes")
-        except ValueError:
-            raise SchemaError(
-                f"{path}: election file needs rep_votes and dem_votes columns, "
-                f"found {list(columns)}"
-            ) from None
-        return {
-            fips: VoteTally(
-                year=year,
-                rep_votes=_to_votes(cells[rep_idx], "rep_votes", fips),
-                dem_votes=_to_votes(cells[dem_idx], "dem_votes", fips),
-            )
-            for fips, cells in rows
-        }
-
-    _, _, names, tallies = _read_table(path, delimiter, to_tallies)
-    return ElectionTable(year=year, tallies=tallies, names=names)
+    table = parse_table(path, "election", delimiter)
+    lowered = [c.lower() for c in table.columns]
+    try:
+        cols = [lowered.index("rep_votes"), lowered.index("dem_votes")]
+    except ValueError:
+        raise SchemaError(
+            f"{path}: election file needs rep_votes and dem_votes columns, "
+            f"found {list(table.columns)}"
+        ) from None
+    votes = table.values[:, cols]
+    # a rejected cell is NaN, which fails every comparison
+    bad = ~((votes >= 0) & (votes <= _MAX_VOTES) & (votes == np.floor(votes)))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        county, column, v = table.fips[i], ("rep_votes", "dem_votes")[k], votes[i, k]
+        if v < 0:
+            raise DataError(f"county {county}: negative {column} {v:g}")
+        raise DataError(f"county {county}: {column} is not a whole vote count")
+    rep, dem = votes.T.astype(np.int64)
+    return ElectionTable(year=year, fips=table.fips, rep=rep, dem=dem, names=table.names)
 
 
 def assemble_dataset(
@@ -388,15 +369,16 @@ def assemble_dataset(
 
     feature_fips = set(features.fips)
     for year in years:
-        for f in sorted(set(by_year[year].tallies) - feature_fips):
+        for f in sorted(by_year[year].row_of.keys() - feature_fips):
             if not any(d["fips"] == f for d in report.dropped_counties):
                 report.dropped_counties.append(
                     {"fips": f, "reason": "not_in_demographics"}
                 )
 
+    totals = {y: (e.rep + e.dem).tolist() for y, e in by_year.items()}
     kept: list[str] = []
     for f in features.fips:
-        missing = [y for y in years if f not in by_year[y].tallies]
+        missing = [y for y in years if f not in by_year[y].row_of]
         if missing:
             report.dropped_counties.append(
                 {"fips": f, "reason": "absent_from_election", "detail": missing}
@@ -409,7 +391,7 @@ def assemble_dataset(
         if state == "AK":
             report.dropped_counties.append({"fips": f, "reason": "alaska"})
             continue
-        zero_years = [y for y in years if by_year[y].tallies[f].total == 0]
+        zero_years = [y for y in years if totals[y][by_year[y].row_of[f]] == 0]
         if zero_years:
             report.dropped_counties.append(
                 {"fips": f, "reason": "zero_two_party_total", "detail": zero_years}
@@ -420,8 +402,12 @@ def assemble_dataset(
         raise ConfigError("no counties left after join and cleaning")
 
     row_of = {f: i for i, f in enumerate(features.fips)}
-    idx = np.array([row_of[f] for f in kept], dtype=np.intp)
-    X = features.values[idx]
+    X = features.values[np.array([row_of[f] for f in kept], dtype=np.intp)]
+    rep, dem = {}, {}
+    for y in years:
+        e = by_year[y]
+        idx = np.array([e.row_of[f] for f in kept], dtype=np.intp)
+        rep[y], dem[y] = e.rep[idx], e.dem[idx]
     names = list(features.names)
     for year in years:
         if year == target_year:
@@ -429,11 +415,7 @@ def assemble_dataset(
         col_name = f"share_{year}"
         if col_name in names:
             continue
-        t = by_year[year].tallies
-        shares = np.array(
-            [t[f].rep_votes / t[f].total for f in kept], dtype=np.float64
-        )
-        X = np.column_stack([X, shares])
+        X = np.column_stack([X, rep[year] / (rep[year] + dem[year])])
         names.append(col_name)
 
     def display_name(f: str) -> str:
@@ -447,14 +429,6 @@ def assemble_dataset(
     keys = [
         CountyKey(fips=f, state=state_for_fips(f), name=display_name(f)) for f in kept
     ]
-    rep = {
-        y: np.array([by_year[y].tallies[f].rep_votes for f in kept], dtype=np.int64)
-        for y in years
-    }
-    dem = {
-        y: np.array([by_year[y].tallies[f].dem_votes for f in kept], dtype=np.int64)
-        for y in years
-    }
     dataset = Dataset.build(
         keys=keys, feature_names=names, X=X, rep=rep, dem=dem, target_year=target_year
     )

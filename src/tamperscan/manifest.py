@@ -198,6 +198,9 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
     sweep_k_step = _get_int(cp, "sweep", "k_step")
     if sweep_k_step is not None and sweep_k_step < 1:
         raise ConfigError(f"[sweep] k_step must be at least 1, got {sweep_k_step}")
+    delimiter = _get(cp, "inputs", "delimiter", ",")
+    if len(delimiter) != 1:
+        raise ConfigError(f"[inputs] delimiter must be one character, got {delimiter!r}")
     out_override = overrides.get("out")
     dataset_raw = _get(cp, "data", "dataset")
 
@@ -206,7 +209,7 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         sha256=manifest_hash(path, overrides),
         out_dir=resolve(out_override) if out_override else resolve(_get(cp, "run", "out_dir", "out")),
         target_year=_get_int(cp, "run", "target_year", 2020),
-        delimiter=_get(cp, "inputs", "delimiter", ","),
+        delimiter=delimiter,
         inputs=inputs,
         dataset_path=resolve(dataset_raw) if dataset_raw else None,
         cv=cv,

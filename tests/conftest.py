@@ -57,3 +57,34 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def replayed_objectives(Xs, y, penalty, sweeps, tol=1e-5):
+    """The solver's penalized loss at its start and after each of its first
+    `sweeps` sweeps (extrapolation included), and the extrapolations it
+    accepted over them.
+
+    _descend is deterministic, so rerunning it from the same start with
+    max_iter = k replays the production trajectory up to sweep k. The replay
+    stops early at the sweep where the solver converges.
+    """
+    from tamperscan.elastic_net import _descend, _gram, objective
+
+    def loss(beta):
+        return objective(Xs, y, beta, float(np.mean(y - Xs @ beta)), penalty)
+
+    G, c = _gram(Xs, y)
+    losses, extrapolations = [loss(np.zeros(Xs.shape[1]))], 0
+    for k in range(1, sweeps + 1):
+        beta = np.zeros(Xs.shape[1])
+        _, converged, extrapolations = _descend(G, c, penalty, tol, k, beta)
+        losses.append(loss(beta))
+        if converged:
+            break
+    return losses, extrapolations
+
+
+def assert_monotone(losses, rel=1e-12):
+    """No loss rises above the one before it by more than `rel` relative."""
+    for k, (before, after) in enumerate(zip(losses, losses[1:]), start=1):
+        assert after <= before + rel * max(1.0, abs(before)), (k, before, after)

@@ -43,6 +43,8 @@ from tamperscan import (
 from tamperscan.cli import main as cli_main
 from tamperscan.scenarios import score_eval_set
 
+from conftest import assert_monotone, replayed_objectives
+
 DATA_DIR = os.environ.get("TAMPERSCAN_DATA_DIR", "")
 needs_data = pytest.mark.skipif(
     not DATA_DIR,
@@ -161,13 +163,17 @@ def test_solver_oracles():
     best = grid[np.argmin(losses)]
     assert abs(model.coefficients[0] - best) <= 1e-6
 
-    # objective never increases between sweeps (checked inside the solver)
+    # objective never increases between sweeps of the production trajectory
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(120, 15))
         y = X[:, 0] - 2 * X[:, 3] + 0.05 * rng.normal(size=120)
         Xs, params = standardize(X, [f"x{j}" for j in range(15)])
-        fit(Xs, y, PenaltyConfig(alpha=0.01, l1_ratio=0.5), params, check_objective=True)
+        penalty = PenaltyConfig(alpha=0.01, l1_ratio=0.5)
+        losses, _ = replayed_objectives(Xs, y, penalty, 10_000)
+        assert_monotone(losses)
+        model = fit(Xs, y, penalty, params)
+        assert len(losses) == model.training_meta["iterations"] + 1
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

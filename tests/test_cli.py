@@ -626,6 +626,20 @@ class TestExitCodes:
         assert f"config error: [calibrate] {key} must be a non-empty list" in capsys.readouterr().err
         assert not (tmp_path / "out" / "calibration.csv").exists()
 
+    @pytest.mark.parametrize("key", ["election_20x", "election_", "dp04"])
+    def test_bad_input_key_is_2_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, key):
+        from tamperscan import cli
+
+        (tmp_path / "dp02.csv").write_text("fips,a\n01001,1\n")
+        (tmp_path / "e.csv").write_text("fips,rep_votes,dem_votes\n01001,1,2\n")
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[inputs]\ndp02 = dp02.csv\n{key} = e.csv\n")
+        tables = counting(monkeypatch, cli, "parse_table")
+        elections = counting(monkeypatch, cli, "parse_election")
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        assert f"config error: unrecognized input key {key!r}" in capsys.readouterr().err
+        assert tables == elections == []
+
     def test_unknown_input_key_is_2(self, tmp_path, capsys):
         manifest = tmp_path / "run.ini"
         manifest.write_text("[inputs]\nmystery = x.csv\n")

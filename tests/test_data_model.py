@@ -11,7 +11,6 @@ from tamperscan import (
     NumericalError,
     SchemaError,
     SyntheticSpec,
-    VoteTally,
     apply_standardization,
     generate_synthetic,
     standardize,
@@ -51,13 +50,6 @@ class TestVoteShare:
         # independent computation through exact rational arithmetic
         expected = float(Fraction(264553, 264553 + 597170))
         assert _share(264553, 597170) == expected
-
-    def test_negative_votes_rejected(self):
-        with pytest.raises(DataError):
-            VoteTally(2020, -1, 10)
-
-    def test_total(self):
-        assert VoteTally(2020, 264553, 597170).total == 861723
 
 
 class TestStandardize:

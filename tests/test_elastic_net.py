@@ -25,6 +25,8 @@ from tamperscan.elastic_net import (
     model_to_dict,
 )
 
+from conftest import assert_monotone, replayed_objectives
+
 
 def _standardized(X, names=None):
     names = names or [f"c{j}" for j in range(X.shape[1])]
@@ -172,24 +174,26 @@ class TestKktConditions:
 
 class TestObjective:
     def test_monotone_under_check(self):
-        # the solver itself raises if any sweep increases the penalized loss
+        # the production trajectory, replayed sweep by sweep up to convergence
         for seed in (5, 6, 7):
             X, y = _random_problem(seed, n=50, p=10, noise=1.0)
             Xs, params = _standardized(X)
-            fit(
-                Xs, y, PenaltyConfig(alpha=0.02, l1_ratio=0.7), params,
-                tol=1e-11, max_iter=50_000, check_objective=True,
-            )
+            penalty = PenaltyConfig(alpha=0.02, l1_ratio=0.7)
+            losses, _ = replayed_objectives(Xs, y, penalty, 50_000, tol=1e-11)
+            assert_monotone(losses)
+            model = fit(Xs, y, penalty, params, tol=1e-11, max_iter=50_000)
+            assert len(losses) == model.training_meta["iterations"] + 1
+            assert losses[-1] == model.training_meta["objective"]
 
     def test_check_holds_through_accepted_extrapolations(self):
         X, y = _collinear_problem(0)
         Xs, params = _standardized(X)
-        model = fit(
-            Xs, y, PenaltyConfig(alpha=0.001, l1_ratio=0.5), params,
-            tol=1e-9, max_iter=100_000, check_objective=True,
-        )
+        penalty = PenaltyConfig(alpha=0.001, l1_ratio=0.5)
+        model = fit(Xs, y, penalty, params, tol=1e-9, max_iter=100_000)
         assert model.training_meta["converged"]
-        assert model.training_meta["extrapolations"] > 0
+        losses, extrapolations = replayed_objectives(Xs, y, penalty, 150, tol=1e-9)
+        assert_monotone(losses)
+        assert extrapolations >= 4
 
     def test_training_meta_records_final_objective(self):
         X, y = _random_problem(8)

@@ -102,6 +102,18 @@ class TestParseTable:
         with pytest.raises(DataError, match="duplicate fips 01001"):
             parse_table(p, "DP02")
 
+    @pytest.mark.parametrize("read", [parse_table, parse_election], ids=["table", "election"])
+    def test_duplicate_fips_in_any_input(self, tmp_path, read):
+        p = _write(tmp_path, "bad.csv", "fips,rep_votes,dem_votes\n01001,1,2\n1001,3,4\n")
+        with pytest.raises(DataError, match="duplicate fips 01001"):
+            read(p, "DP02" if read is parse_table else 2020)
+
+    @pytest.mark.parametrize("read", [parse_table, parse_election], ids=["table", "election"])
+    def test_ragged_row_in_any_input_reports_line_number(self, tmp_path, read):
+        p = _write(tmp_path, "bad.csv", "fips,rep_votes,dem_votes\n01001,1,2\n13121,3\n")
+        with pytest.raises(DataError, match="line 3 has 2 cells"):
+            read(p, "DP02" if read is parse_table else 2020)
+
     def test_repeated_header(self, tmp_path):
         p = _write(tmp_path, "bad.csv", "fips,x,x\n01001,1,2\n")
         with pytest.raises(SchemaError, match="repeated"):
@@ -309,14 +321,41 @@ class TestCleanFeatures:
 class TestParseElection:
     def test_thousands_separator_votes(self, tmp_path):
         e = parse_election(_write(tmp_path, "e.csv", ELECTION_2020), 2020)
-        assert e.tallies["01001"].rep_votes == 19838
-        assert e.tallies["01001"].dem_votes == 7503
+        assert e.fips == ("01001", "13121", "42003")
+        assert e.rep.dtype == e.dem.dtype == np.int64
+        assert e.rep.tolist() == [19838, 137240, 282913]
+        assert e.dem[e.row_of["01001"]] == 7503
+        assert e.names["01001"] == "Autauga"
+        assert not e.rep.flags.writeable and not e.dem.flags.writeable
 
     def test_byte_order_mark_dropped(self, tmp_path):
         (tmp_path / "bom.csv").write_bytes(BOM + ELECTION_2016.encode("utf-8"))
         e = parse_election(tmp_path / "bom.csv", 2016)
-        assert e == parse_election(_write(tmp_path, "e.csv", ELECTION_2016), 2016)
-        assert e.tallies["01001"].rep_votes == 18172
+        plain = parse_election(_write(tmp_path, "e.csv", ELECTION_2016), 2016)
+        assert (e.year, e.fips, e.names) == (plain.year, plain.fips, plain.names)
+        assert np.array_equal(e.rep, plain.rep) and np.array_equal(e.dem, plain.dem)
+        assert e.rep[e.row_of["01001"]] == 18172
+
+    @pytest.mark.parametrize(
+        "cell, votes", [('"1,234"', 1234), ('" 12 "', 12), ("12.0", 12), ("1.2e4", 12000)]
+    )
+    def test_vote_cell_read_as_any_cell(self, tmp_path, cell, votes):
+        p = _write(tmp_path, "e.csv", f"fips,rep_votes,dem_votes\n01001,4,5\n13121,3,{cell}\n")
+        assert parse_election(p, 2020).dem.tolist() == [5, votes]
+
+    @pytest.mark.parametrize(
+        "cell, match",
+        [
+            ("12.5", "13121: dem_votes is not a whole"), ("abc", "13121: dem_votes is not a whole"),
+            ("", "13121: dem_votes is not a whole"), ("inf", "13121: dem_votes is not a whole"),
+            ("nan", "13121: dem_votes is not a whole"), ("1e300", "13121: dem_votes is not a whole"),
+            ("-1", "13121: negative dem_votes -1"),
+        ],
+    )
+    def test_bad_vote_cell_names_county_and_column(self, tmp_path, cell, match):
+        p = _write(tmp_path, "e.csv", f"fips,rep_votes,dem_votes\n01001,4,5\n13121,3,{cell}\n")
+        with pytest.raises(DataError, match=match):
+            parse_election(p, 2020)
 
     def test_missing_vote_columns(self, tmp_path):
         p = _write(tmp_path, "e.csv", "fips,votes\n01001,5\n")

@@ -172,6 +172,14 @@ class TestLoadManifest:
             load_manifest(path)
         assert str(err.value) == f"[cv] {message}"
 
+    @pytest.mark.parametrize("value", [";;", "\t", ", ,"])
+    def test_delimiter_must_be_one_character(self, tmp_path, value):
+        # configparser strips the value, so a tab arrives as ""
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[inputs]\ndelimiter = {value}\n")
+        with pytest.raises(ConfigError, match=r"\[inputs\] delimiter must be one character"):
+            load_manifest(path)
+
     def test_unparseable_ini(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("not an ini at all [[[")
