@@ -200,7 +200,11 @@ def standardize(
         scale=_readonly(scale[keep]),
         dropped=dropped,
     )
-    Xs = (X[:, keep] - params.mean) / params.scale
+    # one copy, centred and scaled in place: the same operations as
+    # (X[:, keep] - mean) / scale without a second matrix
+    Xs = X[:, keep]
+    Xs -= params.mean
+    Xs /= params.scale
     return Xs, params
 
 
@@ -226,7 +230,9 @@ def apply_standardization(
     if missing:
         raise SchemaError(f"features missing from input: {missing[:5]}")
     cols = np.array([pos[n] for n in params.names], dtype=np.intp)
-    out = (X[:, cols] - params.mean) / params.scale
+    out = X[:, cols]
+    out -= params.mean
+    out /= params.scale
     return out[0] if vector else out
 
 

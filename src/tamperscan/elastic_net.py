@@ -65,6 +65,8 @@ class CvSettings:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
+        if len(set(self.l1_grid)) != len(self.l1_grid):
+            raise ConfigError(f"l1_grid repeats an l1_ratio: {list(self.l1_grid)}")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.tol < math.inf:
@@ -370,6 +372,32 @@ def alpha_path(
     return np.geomspace(alpha_max, eps * alpha_max, num=n_alphas)
 
 
+def _score_fold(X, y, train_idx, val_idx, names, grids, tol, max_iter):
+    """Validation MSE of one CV fold along each l1_ratio's alpha grid.
+
+    Returns one row of MSEs per l1_ratio, in the order of `grids`, and the
+    count of path points that hit `max_iter`. Every array the fold builds
+    dies when it returns.
+    """
+    Xs_tr, params = standardize(X[train_idx], names)
+    Xs_val = apply_standardization(params, names, X[val_idx])
+    y_tr, y_val = y[train_idx], y[val_idx]
+    G, c = _gram(Xs_tr, y_tr)
+    rows = []
+    unconverged = 0
+    for l1, alphas in grids.items():
+        beta = np.zeros(Xs_tr.shape[1])
+        row = np.empty(alphas.shape[0])
+        for a_i, alpha in enumerate(alphas):
+            penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1)
+            unconverged += not _descend(G, c, penalty, tol, max_iter, beta)[1]
+            pred = float(np.mean(y_tr - Xs_tr @ beta)) + Xs_val @ beta
+            err = y_val - pred
+            row[a_i] = float(err @ err) / y_val.shape[0]
+        rows.append(row)
+    return rows, unconverged
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -387,10 +415,13 @@ def cross_validate(
 
     Rows are shuffled by a seeded permutation and split into k near-equal
     folds. Alpha paths are computed once per l1_ratio on the full
-    standardized data; each training fold is re-standardized from its own
-    rows so no information leaks from held-out counties, and its G and c
-    serve every l1_ratio's warm-started path. Path points that hit
-    `max_iter` are counted and reported in one ConvergenceWarning.
+    standardized data, which is dropped once the grids exist. Each fold is
+    scored by _score_fold: its training rows are re-standardized from
+    themselves so no information leaks from held-out counties, and its G
+    and c serve every l1_ratio's warm-started path. A fold's arrays live
+    only while it is scored, and its MSE rows are assembled in fold order.
+    Path points that hit `max_iter` are counted and reported in one
+    ConvergenceWarning. A repeated l1_ratio is a ConfigError.
 
     Pass `alphas` to use one explicit grid for every l1_ratio (required if
     the grid contains l1_ratio = 0). `threads` is accepted and ignored: the
@@ -405,34 +436,28 @@ def cross_validate(
         raise DataError(f"cannot split {n} rows into {k} folds")
     if not l1_grid:
         raise ConfigError("l1_grid is empty")
-    CvSettings(eps=eps, tol=tol, max_iter=max_iter)  # the range rule
+    CvSettings(l1_grid=tuple(l1_grid), eps=eps, tol=tol, max_iter=max_iter)  # the range rule
 
     names = tuple(f"c{j}" for j in range(X.shape[1]))
     perm = substream(seed, 0).permutation(n)
     folds = np.array_split(perm, k)
 
-    Xs_full, _ = standardize(X, names)
     if alphas is not None:
         grids = {l1: np.asarray(alphas, dtype=np.float64) for l1 in l1_grid}
     else:
+        Xs_full, _ = standardize(X, names)
         grids = {l1: alpha_path(Xs_full, y, l1, n_alphas, eps) for l1 in l1_grid}
+        del Xs_full
 
     mse = {l1: np.empty((k, grids[l1].shape[0])) for l1 in l1_grid}
     unconverged = 0
     for fold_i, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(perm, val_idx)
-        Xs_tr, params = standardize(X[train_idx], names)
-        Xs_val = apply_standardization(params, names, X[val_idx])
-        y_tr, y_val = y[train_idx], y[val_idx]
-        G, c = _gram(Xs_tr, y_tr)
-        for l1 in l1_grid:
-            beta = np.zeros(Xs_tr.shape[1])
-            for a_i, alpha in enumerate(grids[l1]):
-                penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1)
-                unconverged += not _descend(G, c, penalty, tol, max_iter, beta)[1]
-                pred = float(np.mean(y_tr - Xs_tr @ beta)) + Xs_val @ beta
-                err = y_val - pred
-                mse[l1][fold_i, a_i] = float(err @ err) / y_val.shape[0]
+        rows, fold_unconverged = _score_fold(
+            X, y, np.setdiff1d(perm, val_idx), val_idx, names, grids, tol, max_iter
+        )
+        for l1, row in zip(l1_grid, rows):
+            mse[l1][fold_i] = row
+        unconverged += fold_unconverged
     if unconverged:
         total = k * sum(grids[l1].shape[0] for l1 in l1_grid)
         warnings.warn(

@@ -5,9 +5,10 @@ election returns alike, with one reader that turns its cells into numbers as
 they are read (a vote count must then be a whole, non-negative number), drop
 margin-of-error and duplicate feature columns, drop columns that are missing
 or non-numeric for any county, inner-join everything on FIPS, exclude
-Alaska, and append prior-election vote shares as extra features. Every drop
-is recorded in a CleaningReport with a machine-readable reason code; nothing
-is imputed.
+Alaska, and append prior-election vote shares as extra features. A
+demographic table's margin-of-error columns are recognized by their header
+and never read as numbers. Every drop is recorded in a CleaningReport with a
+machine-readable reason code; nothing is imputed.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class RawTable:
     _to_float reads it (thousands separators dropped) when float() does
     not. A cell that neither reads, such as "(X)" or "", is NaN in `values`
     and True in `rejected`. Both arrays are read-only.
+
+    `moe_columns` names a demographic table's margin-of-error columns in
+    header order. They are not in `columns`: their cells are never read.
     """
 
     source_id: str
@@ -65,6 +69,7 @@ class RawTable:
     values: np.ndarray
     rejected: np.ndarray
     names: dict[str, str] = field(default_factory=dict)
+    moe_columns: tuple[str, ...] = ()
     row_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,9 +131,12 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
 
     The fips column (matched case-insensitively) is normalized to 5 digits;
     a county display-name column, when present, is captured separately and
-    excluded from the feature columns. Ragged rows and repeated fips are
-    hard errors. Feature cells become float64 a chunk of rows at a time, so
-    no string cell outlives its chunk.
+    excluded from the feature columns. In a demographic table, a column
+    whose header matches DEFAULT_MOE_PATTERN is listed in `moe_columns` and
+    its cells are skipped unread. Ragged rows, repeated fips and repeated
+    column headers (margin-of-error ones included) are hard errors. Feature
+    cells become float64 a chunk of rows at a time, so no string cell
+    outlives its chunk.
     """
     path = Path(path)
     if not path.exists():
@@ -146,14 +154,17 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
             raise SchemaError(f"{path}: no fips column in header")
         fips_idx = lowered.index("fips")
         name_idx = next((i for i, h in enumerate(lowered) if h in _NAME_HEADERS), None)
-        feature_idx = [
-            i for i in range(len(header)) if i != fips_idx and i != name_idx
-        ]
-        pick_features = _cells_getter(feature_idx)
-        columns = pick_features(stripped)
-        if len(set(columns)) != len(columns):
-            dupes = sorted({c for c in columns if columns.count(c) > 1})
+        data_idx = [i for i in range(len(header)) if i != fips_idx and i != name_idx]
+        data_columns = [stripped[i] for i in data_idx]
+        if len(set(data_columns)) != len(data_columns):
+            dupes = sorted({c for c in data_columns if data_columns.count(c) > 1})
             raise SchemaError(f"{path}: repeated column headers {dupes}")
+        is_moe = [
+            source_id != "election" and bool(DEFAULT_MOE_PATTERN.search(c)) for c in data_columns
+        ]
+        moe_columns = tuple(c for c, moe in zip(data_columns, is_moe) if moe)
+        pick_features = _cells_getter([i for i, moe in zip(data_idx, is_moe) if not moe])
+        columns = pick_features(stripped)
 
         seen: dict[str, None] = {}
         names: dict[str, str] = {}
@@ -185,6 +196,7 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
         values=values,
         rejected=rejected,
         names=names,
+        moe_columns=moe_columns,
     )
 
 
@@ -234,7 +246,8 @@ def _to_floats(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     """Apply the column-cleaning rules to demographic tables, in order:
-    margin-of-error columns out, duplicate identifiers resolved by
+    margin-of-error columns out (parse_table has already left them unread,
+    so they are only reported), duplicate identifiers resolved by
     DP02 > DP03 > DP05 precedence, then any column with a rejected cell
     among the common counties."""
     tables = list(tables)
@@ -264,13 +277,12 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     blocks: list[np.ndarray] = []
     seen_names: dict[str, str] = {}
     for t in tables:
+        report.dropped_moe_columns.extend(
+            {"table": t.source_id, "column": col, "reason": "margin_of_error"}
+            for col in t.moe_columns
+        )
         candidates = []
         for j, col in enumerate(t.columns):
-            if DEFAULT_MOE_PATTERN.search(col):
-                report.dropped_moe_columns.append(
-                    {"table": t.source_id, "column": col, "reason": "margin_of_error"}
-                )
-                continue
             if col in seen_names:
                 report.dropped_duplicate_columns.append(
                     {

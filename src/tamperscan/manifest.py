@@ -84,9 +84,18 @@ def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _no_repeats(section, key, values: tuple) -> tuple:
+    """`values`, unless one of them appears twice: a repeat would only
+    repeat work and outputs."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"[{section}] {key} repeats {v!r}")
+    return values
+
+
 def _get_grid(cp, section, key, kind, default):
-    """A non-empty comma-separated list of finite `kind` values, or `default`
-    when the key is absent."""
+    """A non-empty comma-separated list of distinct finite `kind` values, or
+    `default` when the key is absent."""
 
     def parse(raw):
         values = tuple(kind(v) for v in _split(raw))
@@ -95,7 +104,7 @@ def _get_grid(cp, section, key, kind, default):
         return values
 
     what = "a non-empty list of " + ("integers" if kind is int else "finite numbers")
-    return _get_parsed(cp, section, key, parse, what, default)
+    return _no_repeats(section, key, _get_parsed(cp, section, key, parse, what, default))
 
 
 def _get_states(cp, section, key) -> tuple[str, ...]:
@@ -106,7 +115,7 @@ def _get_states(cp, section, key) -> tuple[str, ...]:
     for s in states:
         if len(s) != 2 or not s.isalpha():
             raise ConfigError(f"[{section}] {key}: {s!r} is not a state abbreviation")
-    return states
+    return _no_repeats(section, key, states)
 
 
 def manifest_hash(path: Path, overrides: dict | None = None) -> str:

@@ -618,6 +618,27 @@ class TestExitCodes:
         assert main(["fit", "--manifest", str(manifest)]) == 2
         assert f"config error: [{section}] {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, repeated",
+        [
+            ("sweep", "states", "GA, GA", "'GA'"), ("blind", "train_states", "al, TX, AL", "'AL'"),
+            ("blind", "eval_states", "GA, MI, GA", "'GA'"), ("cv", "l1_grid", "1.0, 0.5, 1", "1.0"),
+            ("calibrate", "z_grid", "3, 5, 3.0", "3.0"), ("calibrate", "n_grid", "100, 100", "100"),
+        ],
+    )
+    def test_repeated_list_entry_is_2(
+        self, workspace, tmp_path, monkeypatch, capsys, section, key, value, repeated
+    ):
+        # a repeat would sweep a state twice or run every fold's path twice
+        cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(
+            f"[data]\ndataset = {workspace / 'out' / 'dataset.csv'}\n\n[{section}]\n{key} = {value}\n"
+        )
+        assert main(["fit", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {key} repeats {repeated}\n"
+        assert cv_calls == []
+
     @pytest.mark.parametrize("key", ["z_grid", "n_grid"])
     def test_empty_calibrate_grid_is_2_and_writes_nothing(self, tmp_path, capsys, key):
         manifest = tmp_path / "run.ini"

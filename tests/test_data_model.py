@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,22 @@ class TestStandardize:
         row = apply_standardization(params, ["a", "b"], X[1])
         assert row.shape == (2,)
         assert np.array_equal(row, Xs[1])
+
+    def test_peak_memory_is_one_copy(self):
+        # the retained columns are copied once and centred and scaled in place
+        rng = np.random.default_rng(8)
+        F = rng.normal(size=(1500, 3))
+        X = F @ rng.normal(size=(3, 120)) + 0.05 * rng.normal(size=(1500, 120))
+        names = [f"c{j}" for j in range(120)]
+        standardize(X[:10], names)  # warm-up
+        tracemalloc.start()
+        try:
+            Xs, params = standardize(X, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Xs, (X - params.mean) / params.scale)
+        assert peak <= 1.5 * X.nbytes
 
 
 class TestDataset:

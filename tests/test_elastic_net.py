@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -537,6 +538,28 @@ class TestCrossValidate:
             if name == "eps":
                 with pytest.raises(ConfigError, match="eps"):
                     alpha_path(_standardized(X)[0], y, 1.0, n_alphas=5, eps=value)
+
+
+    def test_rejects_repeated_l1_ratio(self):
+        X, y = _random_problem(39, n=40, p=3)
+        with pytest.raises(ConfigError, match="repeats an l1_ratio"):
+            cross_validate(X, y, l1_grid=(0.5, 1.0, 1.0), n_alphas=5)
+        with pytest.raises(ConfigError, match="repeats an l1_ratio"):
+            elastic_net.CvSettings(l1_grid=(1.0, 1.0))
+
+    def test_peak_memory_is_a_few_design_copies(self):
+        # a fold's arrays die before the next fold is built, and the full
+        # standardized design only lives while the alpha grids are made
+        # (a loose tol: tracemalloc slows the kernel's float arithmetic ~10x)
+        X, y = _collinear_problem(43, n=1500, p=120)
+        cross_validate(X[:60], y[:60], l1_grid=(1.0,), k=3, n_alphas=5)  # warm-up
+        tracemalloc.start()
+        try:
+            cross_validate(X, y, l1_grid=(1.0,), k=3, n_alphas=5, tol=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * X.nbytes
 
 
 class TestSerialization:

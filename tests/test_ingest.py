@@ -70,16 +70,48 @@ class TestParseTable:
 
     def test_name_column_excluded_from_features(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
-        assert t.columns == ("pct_bachelor", "pct_veteran", "pct_bachelor MOE")
+        assert t.columns == ("pct_bachelor", "pct_veteran")
+        assert t.moe_columns == ("pct_bachelor MOE",)
         assert t.names["01001"] == "Autauga, Alabama"
 
     def test_cells_kept_verbatim(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
         assert t.values.dtype == np.float64
-        assert t.values[t.row_of["01001"]].tolist() == [21.5, 8.2, 1.1]
-        assert t.values.tolist() == [[21.5, 8.2, 1.1], [44.3, 5.0, 0.9], [35.1, 7.7, 1.0]]
+        assert t.values[t.row_of["01001"]].tolist() == [21.5, 8.2]
+        assert t.values.tolist() == [[21.5, 8.2], [44.3, 5.0], [35.1, 7.7]]
         assert not t.rejected.any()
         assert not t.values.flags.writeable and not t.rejected.flags.writeable
+
+    def test_moe_cells_never_read(self, tmp_path):
+        # an MOE column of junk changes nothing about the columns that are read
+        with_moe = (
+            "fips,pct_a,pct_a MOE,pct_b\n"
+            "01001,1.5,(X),x\n"
+            "13121,2.5,abc,4.0\n"
+            "42003,(X),,5.0\n"
+        )
+        without = "fips,pct_a,pct_b\n01001,1.5,x\n13121,2.5,4.0\n42003,(X),5.0\n"
+        t = parse_table(_write(tmp_path, "moe.csv", with_moe), "DP02")
+        plain = parse_table(_write(tmp_path, "plain.csv", without), "DP02")
+        assert t.columns == plain.columns == ("pct_a", "pct_b")
+        assert np.array_equal(t.values, plain.values, equal_nan=True)
+        assert np.array_equal(t.rejected, plain.rejected)
+        assert t.rejected.tolist() == [[False, True], [False, False], [True, False]]
+
+    def test_moe_columns_in_header_order(self, tmp_path):
+        p = _write(
+            tmp_path, "a.csv",
+            "z_moe,fips,a,Margin of Error b,NAME,b,a MOE\n1,01001,2,3,X,4,5\n",
+        )
+        t = parse_table(p, "DP05")
+        assert t.moe_columns == ("z_moe", "Margin of Error b", "a MOE")
+        assert t.columns == ("a", "b")
+        assert t.values.tolist() == [[2.0, 4.0]]
+
+    def test_repeated_moe_header(self, tmp_path):
+        p = _write(tmp_path, "bad.csv", "fips,x,x_moe,x_moe\n01001,1,2,3\n")
+        with pytest.raises(SchemaError, match=r"repeated column headers \['x_moe'\]"):
+            parse_table(p, "DP02")
 
     def test_byte_order_mark_dropped(self, tmp_path):
         (tmp_path / "bom.csv").write_bytes(BOM + DP02.encode("utf-8"))
