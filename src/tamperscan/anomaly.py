@@ -13,6 +13,7 @@ All p-value conventions are two-sided in both directions of conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -233,9 +234,6 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
     return np.minimum(z, sigma)
 
 
-_extreme_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
 def mc_extremes(config: McConfig, threads: int = 1) -> np.ndarray:
     """Sorted per-trial max|u| table for the null of N clean counties.
 
@@ -245,17 +243,15 @@ def mc_extremes(config: McConfig, threads: int = 1) -> np.ndarray:
     null is a binary search, not a re-simulation. Nothing is kept across
     processes: a draw of 10^5 trials takes tens of milliseconds.
     """
-    cache_key = (config.trials, config.n_counties, config.seed)
-    hit = _extreme_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return _cached_table(config)
+
+
+# bounded, because calibrate's grid looks up many (trials, N, seed)
+@functools.lru_cache(maxsize=8)
+def _cached_table(config: McConfig) -> np.ndarray:
+    """The read-only table of `config`, shared by every caller."""
     table = _draw_table(config)
     table.flags.writeable = False
-    _extreme_cache[cache_key] = table
-    # keep the cache bounded when many (trials, N, seed) are looked up, as
-    # calibrate's grid does
-    while len(_extreme_cache) > 8:
-        _extreme_cache.pop(next(iter(_extreme_cache)))
     return table
 
 

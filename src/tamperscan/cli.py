@@ -45,8 +45,6 @@ from .manifest import RunManifest, load_manifest
 from .scenarios import (
     BlindContext,
     BlindSpec,
-    Direction,
-    InjectionSpec,
     counterfactual_winner,
     inject_flips,
     prepare_blind_context,
@@ -323,15 +321,9 @@ def cmd_blind(run: Run) -> int:
 
 
 def cmd_inject(run: Run) -> int:
-    man = run.man
     dataset, digest = run.load()
     spec = run.blind_spec()
-    inj_cfg = man.require("injection", "an [injection] section")
-    inj = InjectionSpec(
-        fips=inj_cfg["fips"],
-        k=inj_cfg["k"],
-        direction=Direction.parse(inj_cfg["direction"]),
-    )
+    inj = run.man.require("injection", "an [injection] section")
     if not any(k.fips == inj.fips and k.state in spec.eval_states for k in dataset.keys):
         raise ConfigError(f"injection county {inj.fips} is not in the evaluation set")
     tampered = inject_flips(dataset, inj)  # a k beyond the county's tally fails before the fit
@@ -476,14 +468,13 @@ def _parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True, help="path to the run manifest (INI)")
-        p.add_argument("--out", default=None, help="override the manifest output directory")
+        p.add_argument("--out", default=None, help="output directory in place of [run] "
+                       "out_dir; a relative path is taken from the working directory")
         p.add_argument(
             "--threads", type=int, default=1,
             help="ignored, but must be at least 1: every command runs on one "
             "thread, and no output depends on this value",
         )
-        p.add_argument("--trials", type=int, default=None, help="override Monte Carlo trial count")
-        p.add_argument("--seed", type=int, default=None, help="override every seed in the manifest")
         p.set_defaults(func=func)
     return parser
 
@@ -497,8 +488,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        overrides = {"trials": args.trials, "seed": args.seed, "out": args.out}
-        man = load_manifest(args.manifest, overrides)
+        man = load_manifest(args.manifest, args.out)
         out = man.out_dir
         out.mkdir(parents=True, exist_ok=True)
         run = Run(

@@ -54,7 +54,11 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class CvSettings:
-    """Everything cross_validate needs beyond the data itself."""
+    """Everything cross_validate needs beyond the data itself.
+
+    Construction applies the one range rule for each setting, so a manifest,
+    `cross_validate` and `alpha_path` reject the same values.
+    """
 
     l1_grid: tuple[float, ...] = DEFAULT_L1_GRID
     n_alphas: int = DEFAULT_N_ALPHAS
@@ -65,8 +69,17 @@ class CvSettings:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
+        if not self.l1_grid:
+            raise ConfigError("l1_grid is empty")
+        for l1 in self.l1_grid:
+            if not 0.0 < l1 <= 1.0:
+                raise ConfigError(f"l1_grid values must be in (0, 1], got {l1}")
         if len(set(self.l1_grid)) != len(self.l1_grid):
             raise ConfigError(f"l1_grid repeats an l1_ratio: {list(self.l1_grid)}")
+        if self.n_alphas < 1:
+            raise ConfigError(f"n_alphas must be at least 1, got {self.n_alphas}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.tol < math.inf:
@@ -353,16 +366,10 @@ def alpha_path(
     """Geometric alpha grid from alpha_max down to eps*alpha_max.
 
     alpha_max is the smallest penalty at which every coefficient is exactly
-    zero: max_j |x_j . (y - mean(y))| / (n * l1_ratio).
+    zero: max_j |x_j . (y - mean(y))| / (n * l1_ratio). `l1_ratio`,
+    `n_alphas` and `eps` follow CvSettings' range rule.
     """
-    if l1_ratio <= 0:
-        raise ConfigError(
-            "alpha_path requires l1_ratio > 0; for pure ridge supply an "
-            "explicit alpha grid instead"
-        )
-    if n_alphas < 1:
-        raise ConfigError("n_alphas must be at least 1")
-    CvSettings(eps=eps)  # the range rule for eps
+    CvSettings(l1_grid=(l1_ratio,), n_alphas=n_alphas, eps=eps)
     Xs = np.asarray(Xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
@@ -421,22 +428,18 @@ def cross_validate(
     and c serve every l1_ratio's warm-started path. A fold's arrays live
     only while it is scored, and its MSE rows are assembled in fold order.
     Path points that hit `max_iter` are counted and reported in one
-    ConvergenceWarning. A repeated l1_ratio is a ConfigError.
+    ConvergenceWarning. The settings follow CvSettings' range rule, so an
+    out-of-range or repeated value is a ConfigError.
 
-    Pass `alphas` to use one explicit grid for every l1_ratio (required if
-    the grid contains l1_ratio = 0). `threads` is accepted and ignored: the
-    solver holds the GIL, so CV runs on one thread.
+    Pass `alphas` to use one explicit grid for every l1_ratio. `threads` is
+    accepted and ignored: the solver holds the GIL, so CV runs on one thread.
     """
+    CvSettings(tuple(l1_grid), n_alphas, eps, k, seed, tol, max_iter)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
-    if k < 2:
-        raise ConfigError(f"need at least 2 folds, got {k}")
     if n < k:
         raise DataError(f"cannot split {n} rows into {k} folds")
-    if not l1_grid:
-        raise ConfigError("l1_grid is empty")
-    CvSettings(l1_grid=tuple(l1_grid), eps=eps, tol=tol, max_iter=max_iter)  # the range rule
 
     names = tuple(f"c{j}" for j in range(X.shape[1]))
     perm = substream(seed, 0).permutation(n)

@@ -1,9 +1,10 @@
 """Run manifests: one INI file that pins every input, grid, and seed.
 
 A manifest plus its input files fully determines every output byte; the
-manifest's sha256 (folded together with any command-line overrides that
-change results) is embedded in each file a command writes, so any report
-can be traced back to the exact configuration that produced it.
+sha256 of the manifest's bytes is embedded in each file a command writes,
+so any report can be traced back to the exact configuration that produced
+it. Every setting is range-checked when the manifest loads, by the type
+that holds it, so a bad value exits before any input is read.
 
 Paths inside a manifest are resolved relative to the manifest file itself.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +20,9 @@ from pathlib import Path
 from .anomaly import DEFAULT_MC_TRIALS, MIN_MC_TRIALS
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .fips import normalize_fips
+from .scenarios import Direction, InjectionSpec
 
 DEFAULT_MC_SEED = 0
 DEFAULT_CALIBRATE_Z = (3.0, 4.0, 5.1, 5.3, 5.5)
@@ -41,7 +43,7 @@ class RunManifest:
     mc_seed: int
     train_states: tuple[str, ...]
     eval_states: tuple[str, ...]
-    injection: dict | None
+    injection: InjectionSpec | None
     sweep_states: tuple[str, ...]
     sweep_k_step: int | None
     synth: SyntheticSpec | None
@@ -118,34 +120,21 @@ def _get_states(cp, section, key) -> tuple[str, ...]:
     return _no_repeats(section, key, states)
 
 
-def manifest_hash(path: Path, overrides: dict | None = None) -> str:
-    """sha256 of the manifest bytes, folded with result-changing overrides.
-
-    Only overrides that change computed values (trials, seed) enter the
-    hash; --threads and --out never do, so re-running with a different
-    --threads or output location still yields matching hashes.
-    """
-    h = hashlib.sha256(Path(path).read_bytes())
-    overrides = overrides or {}
-    effective = {
-        k: overrides[k] for k in ("trials", "seed") if overrides.get(k) is not None
-    }
-    if effective:
-        h.update(b"\x00overrides\x00")
-        h.update(json.dumps(effective, sort_keys=True).encode())
-    return h.hexdigest()
+def manifest_hash(path: Path) -> str:
+    """sha256 of the manifest's bytes, as `sha256sum` prints it."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_manifest(path, overrides: dict | None = None) -> RunManifest:
-    """Parse and validate a manifest, applying CLI overrides.
+def load_manifest(path, out=None) -> RunManifest:
+    """Parse a manifest and check every setting in it.
 
-    Overrides: `trials` replaces [mc] trials; `seed` replaces every seed in
-    the file (cv, mc, synth); `out` replaces [run] out_dir.
+    `out`, when given, replaces [run] out_dir; a relative `out` is taken
+    from the working directory, as a command-line path is. It is the one
+    setting that comes from outside the file, and it changes no result.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"manifest file not found: {path}")
-    overrides = overrides or {}
     cp = configparser.ConfigParser()
     try:
         cp.read(path, encoding="utf-8-sig")
@@ -158,14 +147,12 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         q = Path(p)
         return q if q.is_absolute() else base / q
 
-    seed_override = overrides.get("seed")
-
     cv_values = dict(
         l1_grid=_get_grid(cp, "cv", "l1_grid", float, CvSettings.l1_grid),
         n_alphas=_get_int(cp, "cv", "n_alphas", CvSettings.n_alphas),
         eps=_get_float(cp, "cv", "eps", CvSettings.eps),
         folds=_get_int(cp, "cv", "folds", CvSettings.folds),
-        seed=seed_override if seed_override is not None else _get_int(cp, "cv", "seed", CvSettings.seed),
+        seed=_get_int(cp, "cv", "seed", CvSettings.seed),
         tol=_get_float(cp, "cv", "tol", CvSettings.tol),
         max_iter=_get_int(cp, "cv", "max_iter", CvSettings.max_iter),
     )
@@ -188,7 +175,10 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
         direction = _get(cp, "injection", "direction")
         if fips is None or k is None or direction is None:
             raise ConfigError("[injection] needs fips, k, and direction")
-        injection = {"fips": fips.zfill(5), "k": k, "direction": direction}
+        try:
+            injection = InjectionSpec(normalize_fips(fips), k, Direction.parse(direction))
+        except (ConfigError, DataError) as err:
+            raise ConfigError(f"[injection] {err}") from None
 
     synth = None
     if cp.has_section("synth"):
@@ -197,11 +187,10 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
             n_features=_get_int(cp, "synth", "n_features", SyntheticSpec.n_features),
             n_active=_get_int(cp, "synth", "n_active", SyntheticSpec.n_active),
             noise_sd=_get_float(cp, "synth", "noise_sd", SyntheticSpec.noise_sd),
-            seed=seed_override if seed_override is not None else _get_int(cp, "synth", "seed", SyntheticSpec.seed),
+            seed=_get_int(cp, "synth", "seed", SyntheticSpec.seed),
         )
 
-    trials_override = overrides.get("trials")
-    mc_trials = trials_override if trials_override is not None else _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
+    mc_trials = _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
     if mc_trials < MIN_MC_TRIALS:
         raise ConfigError(f"need at least {MIN_MC_TRIALS} trials for a p-value, got {mc_trials}")
     sweep_k_step = _get_int(cp, "sweep", "k_step")
@@ -210,20 +199,19 @@ def load_manifest(path, overrides: dict | None = None) -> RunManifest:
     delimiter = _get(cp, "inputs", "delimiter", ",")
     if len(delimiter) != 1:
         raise ConfigError(f"[inputs] delimiter must be one character, got {delimiter!r}")
-    out_override = overrides.get("out")
     dataset_raw = _get(cp, "data", "dataset")
 
     return RunManifest(
         path=path,
-        sha256=manifest_hash(path, overrides),
-        out_dir=resolve(out_override) if out_override else resolve(_get(cp, "run", "out_dir", "out")),
+        sha256=manifest_hash(path),
+        out_dir=Path(out).absolute() if out else resolve(_get(cp, "run", "out_dir", "out")),
         target_year=_get_int(cp, "run", "target_year", 2020),
         delimiter=delimiter,
         inputs=inputs,
         dataset_path=resolve(dataset_raw) if dataset_raw else None,
         cv=cv,
         mc_trials=mc_trials,
-        mc_seed=seed_override if seed_override is not None else _get_int(cp, "mc", "seed", DEFAULT_MC_SEED),
+        mc_seed=_get_int(cp, "mc", "seed", DEFAULT_MC_SEED),
         train_states=_get_states(cp, "blind", "train_states"),
         eval_states=_get_states(cp, "blind", "eval_states"),
         injection=injection,

@@ -70,12 +70,7 @@ class InjectionSpec:
 
     def __post_init__(self):
         if self.k < 0:
-            raise ConfigError(f"flip count must be non-negative, got {self.k}")
-
-    @property
-    def reversed(self) -> "InjectionSpec":
-        other = Direction.D_TO_R if self.direction is Direction.R_TO_D else Direction.R_TO_D
-        return replace(self, direction=other)
+            raise ConfigError(f"flip count k must be non-negative, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ are never replaced with synthetic substitutes.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_sweep_monotone_and_injection_reversible():
 
     inj = InjectionSpec(fips=ds.subset_states(["GA"]).keys[0].fips, k=1234,
                         direction=Direction.R_TO_D)
-    restored = inject_flips(inject_flips(ds, inj), inj.reversed)
+    restored = inject_flips(inject_flips(ds, inj), replace(inj, direction=Direction.D_TO_R))
     for year in ds.years:
         assert np.array_equal(restored.rep[year], ds.rep[year])
         assert np.array_equal(restored.dem[year], ds.dem[year])

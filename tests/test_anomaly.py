@@ -233,9 +233,9 @@ class TestMonteCarlo:
 
     def test_table_deterministic_across_thread_counts(self):
         cfg = McConfig(n_counties=30, trials=5000, seed=7)
-        anomaly._extreme_cache.clear()
+        anomaly._cached_table.cache_clear()
         t1 = mc_extremes(cfg, threads=1).copy()
-        anomaly._extreme_cache.clear()
+        anomaly._cached_table.cache_clear()
         t4 = mc_extremes(cfg, threads=4)
         assert np.array_equal(t1, t4)
 

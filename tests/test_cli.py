@@ -113,7 +113,7 @@ def _subprocess_env():
 
 def _new_process():
     """Empty the in-process MC table cache, as a fresh CLI process starts."""
-    anomaly._extreme_cache.clear()
+    anomaly._cached_table.cache_clear()
 
 
 class TestSynth:
@@ -178,14 +178,6 @@ class TestFit:
             county = scored[row["fips"]]
             assert float(row["local_sigma"]) == county["local_sigma"], row["fips"]
             assert float(row["global_sigma"]) == county["global_sigma"], row["fips"]
-
-    def test_seed_override_changes_hash(self, workspace, tmp_path_factory):
-        out = tmp_path_factory.mktemp("fit_seed")
-        assert main(
-            ["fit", "--manifest", _man(workspace), "--out", str(out), "--seed", "99"]
-        ) == 0
-        first = (out / "ranking.csv").read_text().splitlines()[0]
-        assert first != f"# manifest_sha256={_hash_of(workspace)}"
 
     def test_summary_printed(self, workspace, tmp_path_factory, capsys):
         out = tmp_path_factory.mktemp("fit_print")
@@ -329,15 +321,17 @@ class TestReuseAcrossCommands:
     def test_changed_trials_keep_the_blinded_fit(self, private_ws, monkeypatch, capsys):
         man, out = _man(private_ws), private_ws / "out"
         assert main(["blind", "--manifest", man]) == 0
+        manifest = private_ws / "run.ini"
+        manifest.write_text(manifest.read_text().replace("trials = 20000", "trials = 30000"))
         capsys.readouterr()
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         for cmd in ("inject", "sweep"):
-            assert main([cmd, "--manifest", man, "--trials", "30000"]) == 0
+            assert main([cmd, "--manifest", man]) == 0
         assert len(cv_calls) == 0
         assert capsys.readouterr().err == ""
         for cmd in ("inject", "sweep"):
             fresh = private_ws / f"fresh_{cmd}"
-            assert main([cmd, "--manifest", man, "--trials", "30000", "--out", str(fresh)]) == 0
+            assert main([cmd, "--manifest", man, "--out", str(fresh)]) == 0
             for f in _outputs(fresh):
                 assert (out / f.name).read_bytes() == f.read_bytes(), (cmd, f.name)
 
@@ -480,15 +474,30 @@ class TestIngest:
 def test_synth_with_out_writes_the_dataset_fit_reads(private_ws):
     """[data] dataset names where synth writes and fit reads, whatever --out is."""
     man, o3 = _man(private_ws), private_ws / "o3"
-    assert main(["synth", "--manifest", man, "--out", str(o3), "--seed", "5"]) == 0
+    manifest = private_ws / "run.ini"
+    manifest.write_text(manifest.read_text().replace("seed = 11", "seed = 5"))
+    assert main(["synth", "--manifest", man, "--out", str(o3)]) == 0
     assert not (o3 / "dataset.csv").exists()
-    assert main(["fit", "--manifest", man, "--out", str(o3), "--seed", "5"]) == 0
-    spec = dataclasses.replace(load_manifest(man).synth, seed=5)
-    expected, _ = generate_synthetic(spec)
+    assert main(["fit", "--manifest", man, "--out", str(o3)]) == 0
+    expected, _ = generate_synthetic(load_manifest(man).synth)
     shares = dict(zip((k.fips for k in expected.keys), expected.shares().tolist()))
     scored = json.loads((o3 / "scores.json").read_text())["counties"]
     assert len(scored) == expected.n
     assert all(c["actual_share"] == shares[c["fips"]] for c in scored)
+
+
+def test_relative_out_is_taken_from_the_working_directory(tmp_path, monkeypatch):
+    """--out, as any command-line path, is relative to the working directory;
+    paths inside the manifest stay relative to the manifest."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "run.ini").write_text(
+        "[data]\ndataset = data.csv\n\n[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--manifest", "sub/run.ini", "--out", "relout"]) == 0
+    assert (tmp_path / "relout" / "true_coefficients.json").exists()
+    assert (tmp_path / "sub" / "data.csv").exists()
+    assert not (tmp_path / "sub" / "relout").exists()
 
 
 class TestExitCodes:
@@ -567,29 +576,48 @@ class TestExitCodes:
         assert cv_calls == [] and draws == []
 
     @pytest.mark.parametrize(
-        "cmd, edit, extra, code, message",
+        "cmd, edit, code, message",
         [
-            ("blind", None, ["--trials", "10"], 2,
+            ("blind", (r"\ntrials = 20000\n", "\ntrials = 10\n"), 2,
              "config error: need at least 1000 trials for a p-value, got 10"),
-            ("sweep", ("\nstates = GA\n", "\nstates = GA\nk_step = 0\n"), [], 2,
+            ("sweep", (r"\nstates = GA\n", "\nstates = GA\nk_step = 0\n"), 2,
              "config error: [sweep] k_step must be at least 1, got 0"),
-            ("inject", ("\nk = 40000\n", "\nk = 100000000\n"), [], 3,
+            ("inject", (r"\nk = 40000\n", "\nk = 100000000\n"), 3,
              "data error: cannot flip 100000000 Republican votes in county"),
+            ("blind", (r"\nl1_grid = .*\n", "\nl1_grid = 1.5\n"), 2,
+             "config error: [cv] l1_grid values must be in (0, 1], got 1.5\n"),
+            ("blind", (r"\nl1_grid = .*\n", "\nl1_grid = 0\n"), 2,
+             "config error: [cv] l1_grid values must be in (0, 1], got 0.0\n"),
+            ("blind", (r"\nn_alphas = 20\n", "\nn_alphas = 20\nfolds = 1\n"), 2,
+             "config error: [cv] folds must be at least 2, got 1\n"),
+            ("blind", (r"\nn_alphas = 20\n", "\nn_alphas = 0\n"), 2,
+             "config error: [cv] n_alphas must be at least 1, got 0\n"),
+            ("inject", (r"\ndirection = .*\n", "\ndirection = sideways\n"), 2,
+             "config error: [injection] direction must be R_to_D or D_to_R, got 'sideways'\n"),
+            ("inject", (r"\nk = 40000\n", "\nk = -5\n"), 2,
+             "config error: [injection] flip count k must be non-negative, got -5\n"),
+            ("inject", (r"\nfips = \d+\n", "\nfips = 1300x\n"), 2,
+             "config error: [injection] invalid FIPS code '1300x'\n"),
         ],
-        ids=["trials", "k_step", "k"],
+        ids=["trials", "k_step", "k", "l1_above_1", "l1_zero", "one_fold", "no_alphas",
+             "direction", "negative_k", "fips"],
     )
     def test_bad_request_fails_before_any_work(
-        self, private_ws, monkeypatch, capsys, cmd, edit, extra, code, message
+        self, private_ws, monkeypatch, capsys, cmd, edit, code, message
     ):
+        from tamperscan import cli
+
         manifest = private_ws / "run.ini"
-        if edit is not None:
-            text = manifest.read_text()
-            assert edit[0] in text
-            manifest.write_text(text.replace(*edit))
+        text, edits = re.subn(*edit, manifest.read_text())
+        assert edits == 1
+        manifest.write_text(text)
+        hashes = counting(monkeypatch, cli, "dataset_sha256")
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         draws = counting(monkeypatch, anomaly, "_draw_table")
-        assert main([cmd, "--manifest", str(manifest), *extra]) == code
+        assert main([cmd, "--manifest", str(manifest)]) == code
         assert cv_calls == [] and draws == []
+        if code == 2:
+            assert hashes == []  # rejected when the manifest loads
         assert capsys.readouterr().err.startswith(message)
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):

@@ -526,6 +526,11 @@ class TestCrossValidate:
             ("tol", -1.0),
             ("tol", float("nan")),
             ("max_iter", 0),
+            ("n_alphas", 0),
+            ("l1_grid", ()),
+            ("l1_grid", (0.0, 1.0)),
+            ("l1_grid", (1.5,)),
+            ("l1_grid", (float("nan"),)),
         ],
     )
     def test_rejects_out_of_range_settings(self, name, value):
@@ -534,7 +539,7 @@ class TestCrossValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=name):
-                cross_validate(X, y, l1_grid=(1.0,), n_alphas=5, **{name: value})
+                cross_validate(X, y, **{"l1_grid": (1.0,), "n_alphas": 5, name: value})
             if name == "eps":
                 with pytest.raises(ConfigError, match="eps"):
                     alpha_path(_standardized(X)[0], y, 1.0, n_alphas=5, eps=value)

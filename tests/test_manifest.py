@@ -1,6 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from tamperscan import ConfigError, load_manifest, manifest_hash
+from tamperscan import ConfigError, Direction, InjectionSpec, load_manifest, manifest_hash
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "run2020.ini"
 
 FULL = """\
 [run]
@@ -74,7 +79,7 @@ class TestLoadManifest:
         assert man.mc_seed == 3
         assert man.train_states == ("TX", "AL")  # file order preserved
         assert man.eval_states == ("GA", "PA")
-        assert man.injection == {"fips": "13121", "k": 2500, "direction": "D_to_R"}
+        assert man.injection == InjectionSpec("13121", 2500, Direction.D_TO_R)
         assert man.sweep_states == ("GA", "PA")
         assert man.sweep_k_step == 500
         assert man.synth.n_counties == 40
@@ -107,22 +112,14 @@ class TestLoadManifest:
         with pytest.raises(ConfigError, match=r"\[data\]"):
             man.require("dataset_path", "[data] dataset = <path>")
 
-    def test_seed_override_reaches_every_seed(self, full_manifest):
-        man = load_manifest(full_manifest, {"seed": 123})
-        assert man.cv.seed == 123
-        assert man.mc_seed == 123
-        assert man.synth.seed == 123
-
     def test_trials_and_out_overrides(self, full_manifest, tmp_path):
-        man = load_manifest(full_manifest, {"trials": 9999, "out": str(tmp_path / "elsewhere")})
+        full_manifest.write_text(FULL.replace("trials = 5000", "trials = 9999"))
+        man = load_manifest(full_manifest, str(tmp_path / "elsewhere"))
         assert man.mc_trials == 9999
         assert man.out_dir == tmp_path / "elsewhere"
 
-    def test_none_overrides_ignored(self, full_manifest):
-        a = load_manifest(full_manifest)
-        b = load_manifest(full_manifest, {"trials": None, "seed": None, "out": None})
-        assert a.sha256 == b.sha256
-        assert a.mc_trials == b.mc_trials
+    def test_demo_injection(self):
+        assert load_manifest(DEMO).injection == InjectionSpec("26163", 70000, Direction.R_TO_D)
 
     def test_bad_state_code(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -138,9 +135,10 @@ class TestLoadManifest:
 
     def test_too_few_trials_and_zero_k_step_rejected(self, full_manifest, tmp_path):
         # rejected when the manifest loads, so even commands that draw no MC
-        # null (sweep --trials 0) fail before any work
+        # null (sweep) fail before any work
+        full_manifest.write_text(FULL.replace("trials = 5000", "trials = 0"))
         with pytest.raises(ConfigError, match="at least 1000 trials"):
-            load_manifest(full_manifest, {"trials": 0})
+            load_manifest(full_manifest)
         path = tmp_path / "bad.ini"
         path.write_text("[sweep]\nk_step = 0\n")
         with pytest.raises(ConfigError, match="k_step must be at least 1, got 0"):
@@ -197,15 +195,9 @@ class TestManifestHash:
         other.write_text(FULL.replace("trials = 5000", "trials = 6000"))
         assert manifest_hash(other) != manifest_hash(full_manifest)
 
-    def test_result_changing_overrides_fold_in(self, full_manifest):
-        base = manifest_hash(full_manifest)
-        assert manifest_hash(full_manifest, {"seed": 5}) != base
-        assert manifest_hash(full_manifest, {"trials": 777}) != base
-        assert manifest_hash(full_manifest, {"seed": 5, "trials": 777}) != manifest_hash(
-            full_manifest, {"seed": 5}
-        )
-
     def test_cosmetic_overrides_do_not(self, full_manifest):
-        base = manifest_hash(full_manifest)
-        assert manifest_hash(full_manifest, {"out": "/somewhere/else"}) == base
-        assert manifest_hash(full_manifest, {"threads": 8}) == base
+        # the stamp is what `sha256sum` prints for the file, wherever outputs go
+        digest = hashlib.sha256(full_manifest.read_bytes()).hexdigest()
+        assert manifest_hash(full_manifest) == digest
+        for out in (None, "/somewhere/else", "relative"):
+            assert load_manifest(full_manifest, out).sha256 == digest

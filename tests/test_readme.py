@@ -1,9 +1,13 @@
-"""The README's library quick start runs as printed and shows what it claims."""
+"""The README runs and documents what the package does: the library quick
+start runs as printed and shows what it claims, and the CLI flags it lists
+are the ones the CLI takes."""
 
+import argparse
 import re
 from pathlib import Path
 
 from tamperscan import fit_width, score_counties
+from tamperscan.cli import _parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +20,18 @@ def test_quick_start_prints_the_three_most_anomalous_counties(capsys):
     resid = namespace["resid"]
     top = score_counties(resid, fit_width(resid))[:3]
     assert [line.rsplit(" ", 2)[0] for line in lines] == [s.key.name for s in top]
+
+
+def test_common_flags_name_every_subcommand_option():
+    """README's "Common flags" names exactly the long options every
+    subcommand takes besides --manifest and --help."""
+    (paragraph,) = re.findall(r"^Common flags:.*?(?=\n\n)", README.read_text(), re.S | re.M)
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    (subparsers,) = (
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in subparsers.choices.items():
+        options = {
+            opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")
+        }
+        assert options - {"--manifest", "--help"} == documented, name
