@@ -67,29 +67,21 @@ class Run:
     dataset_cache: Path  # the binary copy of the dataset, kept for later commands on `out`
 
     def load(self) -> tuple[Dataset, str]:
-        """The dataset and its dataset_sha256, hashed once per command.
+        """The dataset at dataset_path and its dataset_sha256, hashed once per command.
 
         The dataset is read from the binary cache in dataset_cache when that
         is current, and otherwise parsed from the CSV and cached there.
         """
-        path = self.man.require("dataset_path", "[data] dataset = <path to dataset.csv>")
+        path = self.man.dataset_path
         digest = dataset_sha256(path)
         return load_dataset(path, cache_dir=self.dataset_cache, digest=digest), digest
 
     def save(self, dataset: Dataset) -> Path:
-        """Write the dataset where `load` reads it: [data] dataset when the
-        manifest sets it, <out>/dataset.csv otherwise."""
-        path = self.man.dataset_path or self.out / "dataset.csv"
+        """Write the dataset where `load` reads it: the manifest's dataset_path."""
+        path = self.man.dataset_path
         path.parent.mkdir(parents=True, exist_ok=True)
         save_dataset(dataset, path, manifest_hash=self.man.sha256, cache_dir=self.dataset_cache)
         return path
-
-    def blind_spec(self) -> BlindSpec:
-        return BlindSpec(
-            train_states=frozenset(self.man.require("train_states", "[blind] train_states")),
-            eval_states=frozenset(self.man.require("eval_states", "[blind] eval_states")),
-            cv=self.man.cv,
-        )
 
     def write_json(self, name: str, doc: dict) -> None:
         """Write `doc` to <out>/<name>, stamped with the manifest hash."""
@@ -197,8 +189,6 @@ def _print_top(scores, top_n: int = 10) -> None:
 
 def cmd_ingest(run: Run) -> int:
     man = run.man
-    if not man.inputs:
-        raise ConfigError("manifest has no [inputs] section")
     # every key is classified before any file is read
     demo_inputs, election_inputs = [], []
     for key, path in sorted(man.inputs.items()):
@@ -278,8 +268,8 @@ def cmd_fit(run: Run) -> int:
 
 
 def cmd_blind(run: Run) -> int:
+    spec = run.man.require("blind", "a [blind] section")
     dataset, digest = run.load()
-    spec = run.blind_spec()
     ctx = prepare_blind_context(dataset, spec)
     result = score_eval_set(ctx, dataset, run.mc)
 
@@ -321,9 +311,9 @@ def cmd_blind(run: Run) -> int:
 
 
 def cmd_inject(run: Run) -> int:
-    dataset, digest = run.load()
-    spec = run.blind_spec()
+    spec = run.man.require("blind", "a [blind] section")
     inj = run.man.require("injection", "an [injection] section")
+    dataset, digest = run.load()
     if not any(k.fips == inj.fips and k.state in spec.eval_states for k in dataset.keys):
         raise ConfigError(f"injection county {inj.fips} is not in the evaluation set")
     tampered = inject_flips(dataset, inj)  # a k beyond the county's tally fails before the fit
@@ -371,12 +361,9 @@ def cmd_inject(run: Run) -> int:
 
 def cmd_sweep(run: Run) -> int:
     man, out = run.man, run.out
-    dataset, digest = run.load()
-    spec = run.blind_spec()
+    spec = man.require("blind", "a [blind] section")
     states = man.require("sweep_states", "[sweep] states")
-    for state in states:
-        if state not in spec.eval_states:
-            raise ConfigError(f"sweep state {state} is not in the evaluation set")
+    dataset, digest = run.load()
     ctx = _blind_context(run, dataset, spec, digest)
     all_curves = []
     for state in states:

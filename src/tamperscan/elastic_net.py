@@ -71,11 +71,11 @@ class CvSettings:
     def __post_init__(self):
         if not self.l1_grid:
             raise ConfigError("l1_grid is empty")
-        for l1 in self.l1_grid:
+        for i, l1 in enumerate(self.l1_grid):
             if not 0.0 < l1 <= 1.0:
                 raise ConfigError(f"l1_grid values must be in (0, 1], got {l1}")
-        if len(set(self.l1_grid)) != len(self.l1_grid):
-            raise ConfigError(f"l1_grid repeats an l1_ratio: {list(self.l1_grid)}")
+            if l1 in self.l1_grid[:i]:
+                raise ConfigError(f"l1_grid repeats {l1!r}")
         if self.n_alphas < 1:
             raise ConfigError(f"n_alphas must be at least 1, got {self.n_alphas}")
         if self.folds < 2:

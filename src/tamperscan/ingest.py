@@ -56,8 +56,8 @@ class RawTable:
     `values[i, j]` is the cell of county `fips[i]` (`row_of` maps a fips
     back to i) in column `columns[j]`, as float() reads it, or as
     _to_float reads it (thousands separators dropped) when float() does
-    not. A cell that neither reads, such as "(X)" or "", is NaN in `values`
-    and True in `rejected`. Both arrays are read-only.
+    not. A cell that neither reads, such as "(X)" or "", is NaN. `values`
+    is read-only.
 
     `moe_columns` names a demographic table's margin-of-error columns in
     header order. They are not in `columns`: their cells are never read.
@@ -67,7 +67,6 @@ class RawTable:
     columns: tuple[str, ...]
     fips: tuple[str, ...]
     values: np.ndarray
-    rejected: np.ndarray
     names: dict[str, str] = field(default_factory=dict)
     moe_columns: tuple[str, ...] = ()
     row_of: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -78,7 +77,6 @@ class RawTable:
                 f"unknown source_id {self.source_id!r}; expected one of {SOURCE_IDS}"
             )
         self.values.flags.writeable = False
-        self.rejected.flags.writeable = False
         object.__setattr__(self, "row_of", {f: i for i, f in enumerate(self.fips)})
 
 
@@ -188,13 +186,11 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
         blocks = [_to_floats([], len(columns))]
         while chunk := list(islice(cells, _CHUNK_ROWS)):
             blocks.append(_to_floats(chunk, len(columns)))
-    values, rejected = map(np.concatenate, zip(*blocks))
     return RawTable(
         source_id=source_id,
         columns=columns,
         fips=tuple(seen),
-        values=values,
-        rejected=rejected,
+        values=np.concatenate(blocks),
         names=names,
         moe_columns=moe_columns,
     )
@@ -224,32 +220,29 @@ def _to_float(cell: str) -> float | None:
         return None
 
 
-def _to_floats(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `width` string cells as a float64 block, and the mask of the
-    cells _to_float rejects (NaN in the block).
+def _to_floats(rows, width: int) -> np.ndarray:
+    """Rows of `width` string cells as a float64 block, NaN where _to_float
+    reads no number.
 
     float() gives _to_float's value for every cell it accepts, surrounding
     whitespace included, so each column goes through float() and only a
     column with a cell float() rejects is read again by _to_float.
     """
     values = np.empty((len(rows), width))
-    rejected = np.zeros((len(rows), width), dtype=bool)
     for j, cells in enumerate(zip(*rows)):
         try:
             values[:, j] = list(map(float, cells))
         except ValueError:
-            parsed = list(map(_to_float, cells))
-            values[:, j] = np.array(parsed, dtype=np.float64)  # None becomes NaN
-            rejected[:, j] = [v is None for v in parsed]
-    return values, rejected
+            values[:, j] = np.array(list(map(_to_float, cells)), dtype=np.float64)  # None is NaN
+    return values
 
 
 def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     """Apply the column-cleaning rules to demographic tables, in order:
     margin-of-error columns out (parse_table has already left them unread,
     so they are only reported), duplicate identifiers resolved by
-    DP02 > DP03 > DP05 precedence, then any column with a rejected cell
-    among the common counties."""
+    DP02 > DP03 > DP05 precedence, then any column with a cell that is not
+    a finite number (unreadable cells are NaN) among the common counties."""
     tables = list(tables)
     if not tables:
         raise ConfigError("clean_features needs at least one table")
@@ -298,7 +291,7 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
 
         # the table's rows of the common counties, in fips order
         rows = np.array([t.row_of[f] for f in fips_order], dtype=np.intp)
-        bad_cells = np.count_nonzero(t.rejected[np.ix_(rows, candidates)], axis=0)
+        bad_cells = np.count_nonzero(~np.isfinite(t.values)[np.ix_(rows, candidates)], axis=0)
         kept = []
         for j, bad in zip(candidates, bad_cells.tolist()):
             if bad:
@@ -346,7 +339,7 @@ def parse_election(path, year: int, delimiter: str = ",") -> ElectionTable:
             f"found {list(table.columns)}"
         ) from None
     votes = table.values[:, cols]
-    # a rejected cell is NaN, which fails every comparison
+    # an unreadable cell is NaN, which fails every comparison
     bad = ~((votes >= 0) & (votes <= _MAX_VOTES) & (votes == np.floor(votes)))
     if bad.any():
         i, k = np.argwhere(bad)[0]

@@ -3,8 +3,9 @@
 A manifest plus its input files fully determines every output byte; the
 sha256 of the manifest's bytes is embedded in each file a command writes,
 so any report can be traced back to the exact configuration that produced
-it. Every setting is range-checked when the manifest loads, by the type
-that holds it, so a bad value exits before any input is read.
+it. Every setting a command reads is resolved and checked when the manifest
+loads, each rule once, in the type that holds it, so a bad value exits with
+its section named before any input is read.
 
 Paths inside a manifest are resolved relative to the manifest file itself.
 """
@@ -17,12 +18,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .anomaly import DEFAULT_MC_TRIALS, MIN_MC_TRIALS
+from .anomaly import DEFAULT_MC_TRIALS, McConfig
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
 from .errors import ConfigError, DataError
 from .fips import normalize_fips
-from .scenarios import Direction, InjectionSpec
+from .scenarios import BlindSpec, Direction, InjectionSpec
 
 DEFAULT_MC_SEED = 0
 DEFAULT_CALIBRATE_Z = (3.0, 4.0, 5.1, 5.3, 5.5)
@@ -37,12 +38,13 @@ class RunManifest:
     target_year: int
     delimiter: str
     inputs: dict
-    dataset_path: Path | None
+    dataset_path: Path
     cv: CvSettings
     mc_trials: int
     mc_seed: int
     train_states: tuple[str, ...]
     eval_states: tuple[str, ...]
+    blind: BlindSpec | None
     injection: InjectionSpec | None
     sweep_states: tuple[str, ...]
     sweep_k_step: int | None
@@ -86,6 +88,14 @@ def _split(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _in_section(section: str, build):
+    """`build()`, its ConfigError or DataError re-raised naming `[section]`."""
+    try:
+        return build()
+    except (ConfigError, DataError) as err:
+        raise ConfigError(f"[{section}] {err}") from None
+
+
 def _no_repeats(section, key, values: tuple) -> tuple:
     """`values`, unless one of them appears twice: a repeat would only
     repeat work and outputs."""
@@ -93,6 +103,10 @@ def _no_repeats(section, key, values: tuple) -> tuple:
         if v in values[:i]:
             raise ConfigError(f"[{section}] {key} repeats {v!r}")
     return values
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(map(float, _split(raw)))
 
 
 def _get_grid(cp, section, key, kind, default):
@@ -110,10 +124,7 @@ def _get_grid(cp, section, key, kind, default):
 
 
 def _get_states(cp, section, key) -> tuple[str, ...]:
-    raw = _get(cp, section, key)
-    if not raw:
-        return ()
-    states = tuple(s.upper() for s in _split(raw))
+    states = tuple(s.upper() for s in _split(_get(cp, section, key, "")))
     for s in states:
         if len(s) != 2 or not s.isalpha():
             raise ConfigError(f"[{section}] {key}: {s!r} is not a state abbreviation")
@@ -126,12 +137,16 @@ def manifest_hash(path: Path) -> str:
 
 
 def load_manifest(path, out=None) -> RunManifest:
-    """Parse a manifest and check every setting in it.
+    """Parse a manifest, and resolve and check every setting a command reads.
 
     `out`, when given, replaces [run] out_dir; a relative `out` is taken
     from the working directory, as a command-line path is. It is the one
     setting that comes from outside the file, and it changes no result.
+    Every command writes and reads the dataset at [data] dataset, or at
+    <out_dir>/dataset.csv when that key is unset.
     """
+    if out == "":
+        raise ConfigError("--out must name a directory, got ''")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"manifest file not found: {path}")
@@ -143,12 +158,12 @@ def load_manifest(path, out=None) -> RunManifest:
 
     base = path.resolve().parent
 
-    def resolve(p: str) -> Path:
+    def resolve(p) -> Path:
         q = Path(p)
         return q if q.is_absolute() else base / q
 
     cv_values = dict(
-        l1_grid=_get_grid(cp, "cv", "l1_grid", float, CvSettings.l1_grid),
+        l1_grid=_get_parsed(cp, "cv", "l1_grid", _floats, "a list of numbers", CvSettings.l1_grid),
         n_alphas=_get_int(cp, "cv", "n_alphas", CvSettings.n_alphas),
         eps=_get_float(cp, "cv", "eps", CvSettings.eps),
         folds=_get_int(cp, "cv", "folds", CvSettings.folds),
@@ -156,17 +171,13 @@ def load_manifest(path, out=None) -> RunManifest:
         tol=_get_float(cp, "cv", "tol", CvSettings.tol),
         max_iter=_get_int(cp, "cv", "max_iter", CvSettings.max_iter),
     )
-    try:
-        cv = CvSettings(**cv_values)
-    except ConfigError as err:
-        raise ConfigError(f"[cv] {err}") from None
+    cv = _in_section("cv", lambda: CvSettings(**cv_values))
 
-    inputs = {}
-    if cp.has_section("inputs"):
-        for key in cp.options("inputs"):
-            if key == "delimiter":
-                continue
-            inputs[key] = resolve(cp.get("inputs", key).strip())
+    inputs = {
+        key: resolve(value.strip())
+        for key, value in (cp.items("inputs") if cp.has_section("inputs") else ())
+        if key != "delimiter"
+    }
 
     injection = None
     if cp.has_section("injection"):
@@ -175,10 +186,9 @@ def load_manifest(path, out=None) -> RunManifest:
         direction = _get(cp, "injection", "direction")
         if fips is None or k is None or direction is None:
             raise ConfigError("[injection] needs fips, k, and direction")
-        try:
-            injection = InjectionSpec(normalize_fips(fips), k, Direction.parse(direction))
-        except (ConfigError, DataError) as err:
-            raise ConfigError(f"[injection] {err}") from None
+        injection = _in_section(
+            "injection", lambda: InjectionSpec(normalize_fips(fips), k, Direction.parse(direction))
+        )
 
     synth = None
     if cp.has_section("synth"):
@@ -191,31 +201,42 @@ def load_manifest(path, out=None) -> RunManifest:
         )
 
     mc_trials = _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
-    if mc_trials < MIN_MC_TRIALS:
-        raise ConfigError(f"need at least {MIN_MC_TRIALS} trials for a p-value, got {mc_trials}")
+    mc_seed = _get_int(cp, "mc", "seed", DEFAULT_MC_SEED)
+    _in_section("mc", lambda: McConfig(1, trials=mc_trials, seed=mc_seed))  # any N checks trials
+
+    train_states = _get_states(cp, "blind", "train_states")
+    eval_states = _get_states(cp, "blind", "eval_states")
+    blind = None
+    if train_states or eval_states:
+        blind = _in_section("blind", lambda: BlindSpec(train_states, eval_states, cv))
+    sweep_states = _get_states(cp, "sweep", "states")
+    for state in sweep_states:
+        if state not in eval_states:
+            raise ConfigError(f"[sweep] state {state} is not in [blind] eval_states")
     sweep_k_step = _get_int(cp, "sweep", "k_step")
     if sweep_k_step is not None and sweep_k_step < 1:
         raise ConfigError(f"[sweep] k_step must be at least 1, got {sweep_k_step}")
     delimiter = _get(cp, "inputs", "delimiter", ",")
     if len(delimiter) != 1:
         raise ConfigError(f"[inputs] delimiter must be one character, got {delimiter!r}")
-    dataset_raw = _get(cp, "data", "dataset")
+    out_dir = resolve(_get(cp, "run", "out_dir", "out")) if out is None else Path(out).absolute()
 
     return RunManifest(
         path=path,
         sha256=manifest_hash(path),
-        out_dir=Path(out).absolute() if out else resolve(_get(cp, "run", "out_dir", "out")),
+        out_dir=out_dir,
         target_year=_get_int(cp, "run", "target_year", 2020),
         delimiter=delimiter,
         inputs=inputs,
-        dataset_path=resolve(dataset_raw) if dataset_raw else None,
+        dataset_path=resolve(_get(cp, "data", "dataset") or out_dir / "dataset.csv"),
         cv=cv,
         mc_trials=mc_trials,
-        mc_seed=_get_int(cp, "mc", "seed", DEFAULT_MC_SEED),
-        train_states=_get_states(cp, "blind", "train_states"),
-        eval_states=_get_states(cp, "blind", "eval_states"),
+        mc_seed=mc_seed,
+        train_states=train_states,
+        eval_states=eval_states,
+        blind=blind,
         injection=injection,
-        sweep_states=_get_states(cp, "sweep", "states"),
+        sweep_states=sweep_states,
         sweep_k_step=sweep_k_step,
         synth=synth,
         calibrate_z=_get_grid(cp, "calibrate", "z_grid", float, DEFAULT_CALIBRATE_Z),

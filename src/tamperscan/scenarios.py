@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .anomaly import McNull, Scoring, analytic_sigma_curve, score_model
+from .anomaly import McNull, Scoring, analytic_sigma_curve, fit_width, residuals, score_model
 from .data_model import Dataset, _readonly, open_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
@@ -294,10 +294,9 @@ def sweep(
         raise ConfigError(f"state {state} is exactly tied; sweep undefined")
     if context.spec != blind:
         raise ConfigError("supplied context was prepared for a different blind spec")
-    base = score_eval_set(context, dataset)
-    pred_by_fips = {k.fips: float(p) for k, p in zip(base.residuals.keys, base.residuals.predicted)}
-    n_eval = base.residuals.n
-    width = base.width.width
+    base = residuals(context.model, dataset.subset_states(blind.eval_states))
+    pred_by_fips = {k.fips: float(p) for k, p in zip(base.keys, base.predicted)}
+    width = fit_width(base).width
 
     sub = dataset.subset_states([state])
     year = dataset.target_year
@@ -317,7 +316,7 @@ def sweep(
             if ks[-1] != k_max:
                 ks = np.append(ks, k_max)
             sigmas = _curve_sigmas(
-                rep, dem, pred_by_fips[key.fips], width, ks, direction, n_eval
+                rep, dem, pred_by_fips[key.fips], width, ks, direction, base.n
             )
             hits = np.flatnonzero(sigmas >= DETECTION_SIGMA)
             curves.append(

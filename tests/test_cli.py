@@ -486,6 +486,19 @@ def test_synth_with_out_writes_the_dataset_fit_reads(private_ws):
     assert all(c["actual_share"] == shares[c["fips"]] for c in scored)
 
 
+def test_without_data_section_synth_writes_the_dataset_fit_reads(tmp_path):
+    """Without [data] dataset, both commands use <out>/dataset.csv."""
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(
+        "[run]\nout_dir = out\n\n[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n\n"
+        "[cv]\nl1_grid = 1.0\nn_alphas = 5\n\n[mc]\ntrials = 1000\n"
+    )
+    assert main(["synth", "--manifest", str(manifest)]) == 0
+    assert (tmp_path / "out" / "dataset.csv").exists()
+    assert main(["fit", "--manifest", str(manifest)]) == 0
+    assert (tmp_path / "out" / "ranking.csv").exists()
+
+
 def test_relative_out_is_taken_from_the_working_directory(tmp_path, monkeypatch):
     """--out, as any command-line path, is relative to the working directory;
     paths inside the manifest stay relative to the manifest."""
@@ -505,11 +518,20 @@ class TestExitCodes:
         assert main(["fit", "--manifest", "/does/not/exist.ini"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_fit_without_dataset_section_is_2(self, tmp_path, capsys):
+    def test_fit_without_a_dataset_is_3(self, tmp_path, capsys):
+        # without [data], the dataset is <out>/dataset.csv, which is not there
         manifest = tmp_path / "run.ini"
         manifest.write_text("[run]\nout_dir = out\n")
-        assert main(["fit", "--manifest", str(manifest)]) == 2
-        assert "[data]" in capsys.readouterr().err
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        assert "data error: dataset file not found" in capsys.readouterr().err
+
+    def test_empty_out_is_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--manifest", str(manifest), "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: --out must name a directory, got ''\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
     def test_missing_dataset_file_is_3(self, tmp_path, capsys):
         manifest = tmp_path / "run.ini"
@@ -553,12 +575,15 @@ class TestExitCodes:
     def test_sweep_state_outside_eval_set_is_2_before_any_work(
         self, private_ws, monkeypatch, capsys
     ):
+        from tamperscan import cli
+
         manifest = private_ws / "run.ini"
         manifest.write_text(manifest.read_text().replace("\nstates = GA\n", "\nstates = GA, TX\n"))
+        hashes = counting(monkeypatch, cli, "dataset_sha256")
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         assert main(["sweep", "--manifest", str(manifest)]) == 2
-        assert "sweep state TX is not in the evaluation set" in capsys.readouterr().err
-        assert cv_calls == []
+        assert "[sweep] state TX is not in [blind] eval_states" in capsys.readouterr().err
+        assert cv_calls == [] and hashes == []
         assert list((private_ws / "out").glob("sweep_*")) == []
 
     def test_injection_outside_eval_set_is_2_before_any_work(
@@ -579,7 +604,7 @@ class TestExitCodes:
         "cmd, edit, code, message",
         [
             ("blind", (r"\ntrials = 20000\n", "\ntrials = 10\n"), 2,
-             "config error: need at least 1000 trials for a p-value, got 10"),
+             "config error: [mc] need at least 1000 trials for a p-value, got 10"),
             ("sweep", (r"\nstates = GA\n", "\nstates = GA\nk_step = 0\n"), 2,
              "config error: [sweep] k_step must be at least 1, got 0"),
             ("inject", (r"\nk = 40000\n", "\nk = 100000000\n"), 3,
@@ -598,9 +623,16 @@ class TestExitCodes:
              "config error: [injection] flip count k must be non-negative, got -5\n"),
             ("inject", (r"\nfips = \d+\n", "\nfips = 1300x\n"), 2,
              "config error: [injection] invalid FIPS code '1300x'\n"),
+            ("blind", (r"\neval_states = ", "\neval_states = TX, "), 2,
+             "config error: [blind] states in both train and eval sets: ['TX']\n"),
+            ("inject", (r"\neval_states = .*\n", "\n"), 2,
+             "config error: [blind] train and eval state sets must both be non-empty\n"),
+            ("sweep", (r"\nstates = GA\n", "\nstates = GA, TX\n"), 2,
+             "config error: [sweep] state TX is not in [blind] eval_states\n"),
         ],
         ids=["trials", "k_step", "k", "l1_above_1", "l1_zero", "one_fold", "no_alphas",
-             "direction", "negative_k", "fips"],
+             "direction", "negative_k", "fips", "blind_overlap", "blind_one_sided",
+             "sweep_state"],
     )
     def test_bad_request_fails_before_any_work(
         self, private_ws, monkeypatch, capsys, cmd, edit, code, message

@@ -79,8 +79,8 @@ class TestParseTable:
         assert t.values.dtype == np.float64
         assert t.values[t.row_of["01001"]].tolist() == [21.5, 8.2]
         assert t.values.tolist() == [[21.5, 8.2], [44.3, 5.0], [35.1, 7.7]]
-        assert not t.rejected.any()
-        assert not t.values.flags.writeable and not t.rejected.flags.writeable
+        assert not np.isnan(t.values).any()
+        assert not t.values.flags.writeable
 
     def test_moe_cells_never_read(self, tmp_path):
         # an MOE column of junk changes nothing about the columns that are read
@@ -95,8 +95,7 @@ class TestParseTable:
         plain = parse_table(_write(tmp_path, "plain.csv", without), "DP02")
         assert t.columns == plain.columns == ("pct_a", "pct_b")
         assert np.array_equal(t.values, plain.values, equal_nan=True)
-        assert np.array_equal(t.rejected, plain.rejected)
-        assert t.rejected.tolist() == [[False, True], [False, False], [True, False]]
+        assert np.isnan(t.values).tolist() == [[False, True], [False, False], [True, False]]
 
     def test_moe_columns_in_header_order(self, tmp_path):
         p = _write(
@@ -121,7 +120,7 @@ class TestParseTable:
             plain.source_id, plain.columns, plain.fips, plain.names
         )
         assert np.array_equal(t.values, plain.values)
-        assert np.array_equal(t.rejected, plain.rejected)
+        assert not np.isnan(t.values).any()
         assert t.columns[0] == "pct_bachelor"
 
     def test_missing_fips_column(self, tmp_path):
@@ -177,13 +176,13 @@ class TestParseTable:
         assert t.columns == ("x",)
         assert t.fips == ("01001", "13121")
         assert t.values.tolist() == [[5.0], [6.0]]
-        assert t.rejected.tolist() == [[False], [False]]
+        assert np.isnan(t.values).tolist() == [[False], [False]]
 
     def test_no_feature_columns(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", "fips,name\n01001,A\n13121,B\n"), "DP02")
         assert t.columns == ()
         assert t.fips == ("01001", "13121")
-        assert t.values.shape == t.rejected.shape == (2, 0)
+        assert t.values.shape == (2, 0)
         assert t.names == {"01001": "A", "13121": "B"}
 
     def test_mixed_cells_read_as_to_float(self, tmp_path):
@@ -207,11 +206,11 @@ class TestParseTable:
         t = parse_table(_write(tmp_path, "mixed.csv", buf.getvalue()), "DP02")
 
         expected = [[ingest._to_float(c) for c in row] for row in cells]
-        assert t.rejected.tolist() == [[v is None for v in row] for row in expected]
+        assert np.isnan(t.values).tolist() == [[v is None for v in row] for row in expected]
         np.testing.assert_array_equal(
             t.values, np.array(expected, dtype=np.float64)  # None becomes NaN
         )
-        assert t.rejected.any(axis=0).tolist() == [False, False, False, True, True, True]
+        assert np.isnan(t.values).any(axis=0).tolist() == [False, False, False, True, True, True]
 
     def test_numbers_held_in_a_few_bytes_per_cell(self, tmp_path):
         n, p = 3000, 200
@@ -228,7 +227,7 @@ class TestParseTable:
         finally:
             tracemalloc.stop()
         assert np.array_equal(t.values, cells)
-        # 8 bytes of float64 and 1 of mask per cell; a str per cell is ~50
+        # 8 bytes of float64 per cell; a str per cell is ~50
         assert held / (n * p) <= 12
 
 
@@ -268,6 +267,15 @@ class TestCleanFeatures:
         assert features.names == ("good",)
         assert report.dropped_missing_columns[0]["column"] == "partial"
         assert report.dropped_missing_columns[0]["bad_cells"] == 1
+
+    def test_non_finite_cell_drops_its_column(self, tmp_path):
+        # float() reads "inf" and "nan", but neither is a feature value
+        dp02 = "fips,good,infinite,undefined\n01001,1.0,inf,2.0\n13121,2.0,3.0,nan\n42003,3.0,-inf,4.0\n"
+        features, report = clean_features([parse_table(_write(tmp_path, "x.csv", dp02), "DP02")])
+        assert features.names == ("good",)
+        assert [(d["column"], d["bad_cells"]) for d in report.dropped_missing_columns] == [
+            ("infinite", 2), ("undefined", 1)
+        ]
 
     def test_padded_and_separated_cells_parse_as_to_float(self, tmp_path):
         separated = ["  1.5 ", '"1,234"', "\t-2e3", '" 12,345.25 "', "7"]

@@ -109,8 +109,8 @@ class TestLoadManifest:
         path = tmp_path / "min.ini"
         path.write_text("[run]\n")
         man = load_manifest(path)
-        with pytest.raises(ConfigError, match=r"\[data\]"):
-            man.require("dataset_path", "[data] dataset = <path>")
+        with pytest.raises(ConfigError, match=r"\[synth\]"):
+            man.require("synth", "a [synth] section")
 
     def test_trials_and_out_overrides(self, full_manifest, tmp_path):
         full_manifest.write_text(FULL.replace("trials = 5000", "trials = 9999"))

@@ -1,13 +1,13 @@
 """The README runs and documents what the package does: the library quick
-start runs as printed and shows what it claims, and the CLI flags it lists
-are the ones the CLI takes."""
+start and the minimal manifest run as printed, the quick start shows what
+it claims, and the CLI flags it lists are the ones the CLI takes."""
 
 import argparse
 import re
 from pathlib import Path
 
 from tamperscan import fit_width, score_counties
-from tamperscan.cli import _parser
+from tamperscan.cli import _parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +35,14 @@ def test_common_flags_name_every_subcommand_option():
             opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")
         }
         assert options - {"--manifest", "--help"} == documented, name
+
+
+def test_minimal_manifest_runs_as_printed(tmp_path, monkeypatch):
+    """The README's minimal manifest needs nothing else: synth writes the
+    dataset where fit, blind and sweep read it."""
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    (tmp_path / "run.ini").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    for command in ("synth", "fit", "blind", "sweep"):
+        assert main([command, "--manifest", "run.ini"]) == 0, command
+    assert (tmp_path / "out" / "sweep_GA.csv").exists()
