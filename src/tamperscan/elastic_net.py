@@ -14,9 +14,11 @@ cross-validation over an (l1_ratio, alpha) grid.
 `fit` and `cross_validate` share one covariance-form kernel (Friedman, Hastie
 & Tibshirani, J. Stat. Softw. 33(1), 2010): G = Xs'Xs/n and c = Xs'(y - ybar)/n
 are formed once per fit or CV fold, so a coordinate update is scalar
-arithmetic. G.beta is evaluated in blocks of coordinates: one small
-matrix-vector product per block, and scalar updates within the block when a
-coefficient moves (see `_descend`).
+arithmetic, and q = G.beta is kept exact by adding d G[j] to it whenever
+coefficient j moves by d. A sweep runs in C (`_sweep.c`, compiled into the
+user's cache on first use) or, where that cannot be built or loaded, in
+`_sweep_py`, which does the same IEEE operations in the same order: no output
+depends on which one ran, and `training_meta["sweep"]` records it.
 
 On collinear designs cyclic descent crawls, so every _ANDERSON_K sweeps the
 kernel tries one Anderson extrapolation of its recent iterates (Bertrand &
@@ -27,9 +29,16 @@ sweep that moves no coefficient by `tol` or more.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +52,6 @@ DEFAULT_PATH_EPS = 1e-4
 DEFAULT_L1_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 CV_SEED = 2020
 
-# Coordinates per block of the blocked Gauss-Seidel evaluation of G.beta.
-_BLOCK = 12
 # Sweeps between Anderson extrapolation steps of the kernel.
 _ANDERSON_K = 5
 
@@ -169,45 +176,30 @@ def _gram(Xs, y):
 def _descend(G, c, penalty, tol, max_iter, beta):
     """Coordinate-descent sweeps on `beta` in place, Anderson-accelerated.
 
-    Returns (sweeps, converged, extrapolations).
+    Returns (sweeps, converged, extrapolations). G, c and beta are float64
+    and C-contiguous.
 
-    Coordinate j's update soft-thresholds rho = c_j - q_j + G_jj beta_j,
-    where q = G.beta holds every move made so far. q is evaluated block by
-    block (Gauss-Seidel): at the start of a block of _BLOCK coordinates its
-    entries are G[block].beta, which already holds the moves of earlier
-    blocks, and a move of d in coordinate j adds d G_jk to the entries of
-    the block's later coordinates k. In exact arithmetic this is the plain
-    cyclic update. A coordinate at zero whose |c_j - q_j| is within the l1
-    threshold stays at zero and is skipped.
+    Each sweep is one call of the compiled sweep, or of `_sweep_py` where it
+    is unavailable; both keep q = G.beta exact with one full-row update per
+    move, and give bit-identical iterates.
 
     Every _ANDERSON_K sweeps, the last _ANDERSON_K + 1 iterates are
     extrapolated (Bertrand & Massias, AISTATS 2021): with U their successive
     differences, (U U')z = 1 is solved and the candidate is the z/sum(z)
     weighted sum of the last _ANDERSON_K iterates. The candidate replaces
     beta only if it lowers the objective 1/2 beta'G beta - c'beta +
-    gamma |beta|_1 + ridge/2 |beta|^2; a singular or non-finite system is
-    skipped. The window restarts either way. Extrapolation is not a sweep
-    and never ends the descent: it stops when a full sweep moves no
-    coefficient by `tol` or more.
+    gamma |beta|_1 + ridge/2 |beta|^2, and q is then recomputed as G @ beta;
+    a singular or non-finite system is skipped. The window restarts either
+    way. Extrapolation is not a sweep and never ends the descent: it stops
+    when a full sweep moves no coefficient by `tol` or more.
     """
     p = c.shape[0]
     ridge = penalty.alpha * (1.0 - penalty.l1_ratio)
     gamma = penalty.alpha * penalty.l1_ratio
-    diag, c_list, b = G.diagonal().tolist(), c.tolist(), beta.tolist()
-    # per block: its rows of G, and per coordinate that can move its index,
-    # position in the block, c_j, G_jj, update denominator and the G_jk of
-    # the block's later coordinates
-    blocks = [
-        (
-            G[j0:j0 + _BLOCK],
-            [
-                (j, j - j0, c_list[j], diag[j], diag[j] + ridge, G[j, j + 1:j0 + _BLOCK].tolist())
-                for j in range(j0, min(j0 + _BLOCK, p))
-                if diag[j] + ridge != 0.0
-            ],
-        )
-        for j0 in range(0, p, _BLOCK)
-    ]
+    diag = G.diagonal().copy()
+    denom = diag + ridge
+    q = G @ beta
+    sweep_once = _compiled_sweep() or _sweep_py
 
     def cov_objective(x):
         return (
@@ -218,43 +210,126 @@ def _descend(G, c, penalty, tol, max_iter, beta):
     window = [beta.copy()]
     extrapolations = 0
     for sweep in range(1, max_iter + 1):
-        max_delta = 0.0
-        for rows, coords in blocks:
-            qb = (rows @ beta).tolist()
-            for j, i, cj, gjj, dj, later in coords:
-                old = b[j]
-                if old == 0.0:
-                    rho = cj - qb[i]
-                    if -gamma <= rho <= gamma:
-                        continue
-                else:
-                    rho = cj - qb[i] + gjj * old
-                if rho > gamma:
-                    new = (rho - gamma) / dj
-                elif rho < -gamma:
-                    new = (rho + gamma) / dj
-                else:
-                    new = 0.0
-                d = new - old
-                if d != 0.0:
-                    k = i
-                    for g in later:
-                        k += 1
-                        qb[k] += d * g
-                    b[j] = beta[j] = new
-                    if abs(d) > max_delta:
-                        max_delta = abs(d)
-        if max_delta < tol:
+        if sweep_once(G, c, diag, denom, beta, q, gamma) < tol:
             return sweep, True, extrapolations
         window.append(beta.copy())
         if len(window) > _ANDERSON_K:
             candidate = _extrapolate(np.array(window))
             if candidate is not None and cov_objective(candidate) < cov_objective(beta):
                 beta[:] = candidate
-                b = beta.tolist()
+                q = G @ beta
                 extrapolations += 1
             window = [beta.copy()]
     return max_iter, p == 0, extrapolations
+
+
+def _sweep_py(G, c, diag, denom, beta, q, gamma):
+    """One cyclic sweep on `beta` and q = G.beta in place; returns the
+    largest move. The reference for the compiled sweep in `_sweep.c`.
+
+    Coordinate j's update soft-thresholds rho = c_j - q_j + G_jj beta_j by
+    gamma and divides by denom_j = G_jj + ridge; a coordinate with denom_j 0
+    never moves. A coordinate at zero whose |c_j - q_j| is within gamma stays
+    at zero and is skipped. A move of d adds d G[j] to q, as a product
+    rounded and then a sum rounded, the C code's order without contraction.
+    """
+    tmp = np.empty_like(q)
+    b = beta.tolist()
+    max_delta = 0.0
+    for j, (cj, gjj, dj) in enumerate(zip(c.tolist(), diag.tolist(), denom.tolist())):
+        if dj == 0.0:
+            continue
+        old = b[j]
+        if old == 0.0:
+            rho = cj - q.item(j)
+            if -gamma <= rho <= gamma:
+                continue
+        else:
+            rho = cj - q.item(j) + gjj * old
+        if rho > gamma:
+            new = (rho - gamma) / dj
+        elif rho < -gamma:
+            new = (rho + gamma) / dj
+        else:
+            new = 0.0
+        d = new - old
+        if d != 0.0:
+            np.multiply(G[j], d, out=tmp)
+            np.add(q, tmp, out=q)
+            beta[j] = new
+            max_delta = max(max_delta, abs(d))
+    return max_delta
+
+
+_SWEEP_SOURCE = Path(__file__).with_name("_sweep.c")
+_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _compiler() -> list[str]:
+    """The C compiler this Python was built with, as the head of an argv."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def _compiled_sweep():
+    """The sweep function of `_sweep.c`, built on first use; None if it cannot
+    be built or loaded, so the caller runs `_sweep_py`.
+
+    The shared object lives in $XDG_CACHE_HOME/tamperscan (when that is an
+    absolute path; otherwise ~/.cache/tamperscan), so later processes load
+    it without compiling. Its name holds the sha256 of the source, the
+    compiler flags and the extension suffix, then the sha256 of its own
+    bytes: it is written under a temporary name and moved into place, and a
+    file whose bytes do not match its name (truncated, say, which would
+    crash the loader) is never loaded but rebuilt. Nothing is compiled or
+    loaded at import time.
+    """
+    # imported here: a command that fits nothing does not pay for them
+    import subprocess
+    import sysconfig
+
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    flags = (*_SWEEP_FLAGS, "-I" + sysconfig.get_paths()["include"])
+    try:
+        key = hashlib.sha256(_SWEEP_SOURCE.read_bytes())
+        key.update("\0".join((*flags, suffix)).encode())
+        xdg = os.environ.get("XDG_CACHE_HOME", "")  # relative: not valid, so ignored
+        cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "tamperscan"
+        stem = f"_sweep-{key.hexdigest()[:16]}"
+        for path in cache.glob(f"{stem}-*{suffix}"):
+            if path.name == f"{stem}-{_digest(path)}{suffix}":
+                return _load_sweep(path)
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [*_compiler(), *flags, str(_SWEEP_SOURCE), "-o", tmp],
+                check=True, capture_output=True, timeout=120,
+            )
+            path = cache / f"{stem}-{_digest(tmp)}{suffix}"
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return _load_sweep(path)
+    except (OSError, subprocess.SubprocessError, ImportError):
+        return None
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def _load_sweep(path):
+    name = f"{__package__}._sweep"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module.sweep
 
 
 def _extrapolate(iterates):
@@ -311,9 +386,10 @@ def fit(
     under `standardization`; passing raw features silently changes the
     penalty's meaning. Hitting `max_iter` before the tolerance emits a
     non-fatal ConvergenceWarning and is recorded in training_meta, as are
-    the sweeps (`iterations`), the accepted extrapolations (`extrapolations`)
-    and the solution's relative duality gap (`rel_gap`, reported, not a stop
-    rule).
+    the sweeps (`iterations`), the accepted extrapolations (`extrapolations`),
+    the solution's relative duality gap (`rel_gap`, reported, not a stop
+    rule) and the sweep implementation that ran (`sweep`: "compiled" or
+    "python").
     """
     Xs = np.asarray(Xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -352,6 +428,7 @@ def fit(
             "objective": obj,
             "rel_gap": _relative_gap(Xs, y, beta, intercept, penalty, obj),
             "tol": tol,
+            "sweep": "python" if _compiled_sweep() is None else "compiled",
         },
     )
 
@@ -432,7 +509,8 @@ def cross_validate(
     out-of-range or repeated value is a ConfigError.
 
     Pass `alphas` to use one explicit grid for every l1_ratio. `threads` is
-    accepted and ignored: the solver holds the GIL, so CV runs on one thread.
+    accepted and ignored: CV runs on one thread. The compiled sweep releases
+    the GIL, but the Anderson steps and predictions between sweeps hold it.
     """
     CvSettings(tuple(l1_grid), n_alphas, eps, k, seed, tol, max_iter)
     X = np.asarray(X, dtype=np.float64)

@@ -192,13 +192,14 @@ def load_manifest(path, out=None) -> RunManifest:
 
     synth = None
     if cp.has_section("synth"):
-        synth = SyntheticSpec(
+        synth_values = dict(
             n_counties=_get_int(cp, "synth", "n_counties", SyntheticSpec.n_counties),
             n_features=_get_int(cp, "synth", "n_features", SyntheticSpec.n_features),
             n_active=_get_int(cp, "synth", "n_active", SyntheticSpec.n_active),
             noise_sd=_get_float(cp, "synth", "noise_sd", SyntheticSpec.noise_sd),
             seed=_get_int(cp, "synth", "seed", SyntheticSpec.seed),
         )
+        synth = _in_section("synth", lambda: SyntheticSpec(**synth_values))
 
     mc_trials = _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
     mc_seed = _get_int(cp, "mc", "seed", DEFAULT_MC_SEED)

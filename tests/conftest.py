@@ -4,6 +4,15 @@ import pytest
 from tamperscan import CountyKey, Dataset
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _sweep_cache(tmp_path_factory):
+    """Build the compiled sweep under the session's temporary directory, not
+    the user's cache; CLI subprocesses inherit the same directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 def make_dataset(
     counties,
     feature_names=("f_a", "f_b"),

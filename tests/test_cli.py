@@ -699,6 +699,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: [{section}] {key} repeats {repeated}\n"
         assert cv_calls == []
 
+    def test_bad_synth_value_is_2_and_names_its_section(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[synth]\nn_counties = 60\nn_features = 4\nn_active = 9\n")
+        assert main(["synth", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == "config error: [synth] n_active exceeds n_features\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["z_grid", "n_grid"])
     def test_empty_calibrate_grid_is_2_and_writes_nothing(self, tmp_path, capsys, key):
         manifest = tmp_path / "run.ini"

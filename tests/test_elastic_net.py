@@ -1,4 +1,5 @@
 import json
+import shutil
 import tracemalloc
 import warnings
 
@@ -26,7 +27,7 @@ from tamperscan.elastic_net import (
     model_to_dict,
 )
 
-from conftest import assert_monotone, replayed_objectives
+from conftest import assert_monotone, counting, replayed_objectives
 
 
 def _standardized(X, names=None):
@@ -273,9 +274,10 @@ class TestConvergenceWarning:
 
 
 class TestKernelMatchesResidualForm:
-    """With extrapolation switched off, the blocked covariance-form sweep is
-    the plain cyclic update: same sweep count and coefficients as the
-    residual-form reference, along cold and warm-started paths."""
+    """With extrapolation switched off, the covariance-form sweep, which adds
+    a full row of G to q = G.beta per move, is the plain cyclic update: same
+    sweep count and coefficients as the residual-form reference, along cold
+    and warm-started paths."""
 
     @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -299,6 +301,112 @@ class TestKernelMatchesResidualForm:
             assert model.training_meta["iterations"] == sweeps
             assert np.max(np.abs(coefs - ref)) <= 1e-12
             assert model.intercept == pytest.approx(float(np.mean(y - Xs @ ref)), abs=1e-12)
+
+
+@pytest.fixture
+def compiled():
+    sweep = elastic_net._compiled_sweep()
+    if sweep is None:
+        pytest.skip("the compiled sweep did not build here")
+    return sweep
+
+
+@pytest.fixture
+def empty_sweep_cache(monkeypatch, tmp_path):
+    """An empty compiled-sweep cache, with no compiled sweep loaded yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    elastic_net._compiled_sweep.cache_clear()
+    yield tmp_path / "tamperscan"
+    elastic_net._compiled_sweep.cache_clear()
+
+
+def _have_compiler():
+    return shutil.which(elastic_net._compiler()[0]) is not None
+
+
+class TestCompiledSweep:
+    """The C sweep against its Python reference, its build cache and its
+    fallback."""
+
+    @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bit_identical_to_python_after_every_sweep(self, compiled, monkeypatch, l1_ratio, warm):
+        X, y = _collinear_problem(0)
+        Xs, _ = _standardized(X)
+        G, c = elastic_net._gram(Xs, y)
+        runs = {}
+        for name, sweep in (("compiled", compiled), ("python", elastic_net._sweep_py)):
+            trace, extrapolations = [], 0
+
+            def traced(*args, sweep=sweep, trace=trace):
+                max_delta = sweep(*args)
+                trace.append((args[4].tobytes(), args[5].tobytes(), max_delta))
+                return max_delta
+
+            monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda traced=traced: traced)
+            beta = np.zeros(Xs.shape[1])
+            for alpha in np.geomspace(0.05, 0.0005, 4):
+                if not warm:
+                    beta = np.zeros(Xs.shape[1])
+                penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1_ratio)
+                _, converged, accepted = elastic_net._descend(G, c, penalty, 1e-9, 100_000, beta)
+                assert converged
+                extrapolations += accepted
+            runs[name] = (trace, beta.tobytes(), extrapolations)
+        assert runs["compiled"] == runs["python"]
+        assert runs["python"][2] > 0
+
+    def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_sweep_cache, monkeypatch):
+        X, y = _collinear_problem(1)
+        Xs, params = _standardized(X)
+
+        def run():
+            model = fit(Xs, y, PenaltyConfig(alpha=0.001, l1_ratio=0.5), params, tol=1e-9)
+            return model, cross_validate(X, y, l1_grid=(0.5, 1.0), k=3, n_alphas=5)
+
+        real_compiler = elastic_net._compiler
+        monkeypatch.setattr(elastic_net, "_compiler", lambda: ["tamperscan-no-such-cc"])
+        py_model, py_cv = run()
+        assert py_model.training_meta["sweep"] == "python"
+        assert list(empty_sweep_cache.iterdir()) == []  # no temporary file left behind
+
+        monkeypatch.setattr(elastic_net, "_compiler", real_compiler)
+        elastic_net._compiled_sweep.cache_clear()
+        model, cv = run()
+        expected = "compiled" if _have_compiler() else "python"
+        assert model.training_meta["sweep"] == expected
+        assert model.coefficients.tobytes() == py_model.coefficients.tobytes()
+        assert model.intercept == py_model.intercept
+        assert {**model.training_meta, "sweep": "python"} == py_model.training_meta
+        assert cv == py_cv
+
+    def test_cache_is_reused_and_a_truncated_file_rebuilt(self, empty_sweep_cache, monkeypatch):
+        if not _have_compiler():
+            pytest.skip("no C compiler on PATH")
+        builds = counting(monkeypatch, elastic_net, "_compiler")
+        assert elastic_net._compiled_sweep() is not None
+        [built] = empty_sweep_cache.iterdir()
+        elastic_net._compiled_sweep.cache_clear()
+        assert elastic_net._compiled_sweep() is not None
+        assert len(builds) == 1
+
+        # the first kilobyte of a good build under its name, in a second
+        # cache: a file this process never loaded, so rewriting it is safe
+        other = empty_sweep_cache.parent / "other"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(other))
+        truncated = other / "tamperscan" / built.name
+        truncated.parent.mkdir(parents=True)
+        truncated.write_bytes(built.read_bytes()[:1024])
+        elastic_net._compiled_sweep.cache_clear()
+        assert elastic_net._compiled_sweep() is not None
+        assert len(builds) == 2
+        assert truncated.read_bytes() == built.read_bytes()
+
+    def test_loads_where_a_compiler_is_on_path(self):
+        # a broken _sweep.c fails here instead of silently running Python
+        if not _have_compiler():
+            pytest.skip("no C compiler on PATH")
+        assert elastic_net._compiled_sweep() is not None
 
 
 class TestKernelCertifiedOracle:
@@ -582,6 +690,8 @@ class TestSerialization:
         assert np.array_equal(loaded.standardization.mean, model.standardization.mean)
         assert np.array_equal(predict(loaded, X, names), predict(model, X, names))
         assert model.training_meta["extrapolations"] > 0
+        built = elastic_net._compiled_sweep() is not None
+        assert model.training_meta["sweep"] == ("compiled" if built else "python")
         assert loaded.training_meta == model.training_meta
 
     def test_model_dict_rejects_wrong_format(self):
