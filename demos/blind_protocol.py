@@ -54,9 +54,10 @@ def main():
     # tamper with the biggest questioned-state county and rescore. the
     # context is reusable: training never saw these states.
     ev = dataset.subset_states(SPEC.eval_states)
-    i = int(np.argmax(ev.rep[ev.target_year] + ev.dem[ev.target_year]))
+    totals = ev.rep + ev.dem
+    i = int(np.argmax(totals))
     victim = ev.keys[i]
-    k = int(0.04 * (ev.rep[ev.target_year][i] + ev.dem[ev.target_year][i]))
+    k = int(0.04 * totals[i])
     print(f"\ninjecting {k:,} flips R to D into {victim.name} ({victim.fips}, {victim.state})")
 
     inj = InjectionSpec(fips=victim.fips, k=k, direction=Direction.R_TO_D)

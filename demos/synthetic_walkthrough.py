@@ -54,8 +54,7 @@ def main():
     analyze(dataset, "untampered")
 
     # flip ballots in the biggest county: share moves by 8x the noise width
-    year = dataset.target_year
-    totals = dataset.rep[year] + dataset.dem[year]
+    totals = dataset.rep + dataset.dem
     i = int(np.argmax(totals))
     k = int(round(8 * SPEC.noise_sd * totals[i]))
     victim = dataset.keys[i]

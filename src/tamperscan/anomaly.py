@@ -445,12 +445,8 @@ def size_correlation(resid: ResidualSet, dataset: Dataset) -> float:
     """
     if resid.n < 3:
         raise DataError(f"need at least 3 counties for a correlation, got {resid.n}")
-    year = dataset.target_year
     idx = np.array([dataset.index_of(k.fips) for k in resid.keys], dtype=np.intp)
-    totals = (dataset.rep[year] + dataset.dem[year])[idx]
-    if np.any(totals <= 0):
-        raise DataError("zero two-party total in correlation input")
-    x = np.log(totals.astype(np.float64))
+    x = np.log((dataset.rep + dataset.dem)[idx].astype(np.float64))
     y = np.abs(resid.residual)
     xc = x - x.mean()
     yc = y - y.mean()

@@ -79,13 +79,22 @@ class Run:
     def save(self, dataset: Dataset) -> Path:
         """Write the dataset where `load` reads it: the manifest's dataset_path."""
         path = self.man.dataset_path
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(path.parent, "the dataset's directory")
         save_dataset(dataset, path, manifest_hash=self.man.sha256, cache_dir=self.dataset_cache)
         return path
 
     def write_json(self, name: str, doc: dict) -> None:
         """Write `doc` to <out>/<name>, stamped with the manifest hash."""
         write_json(self.out / name, {"manifest_sha256": self.man.sha256, **doc})
+
+
+def _make_dir(path: Path, what: str) -> None:
+    """Create directory `path` and its parents, or raise a ConfigError naming
+    it: every path a command writes to comes from the manifest or --out."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create {what} {path}: {err.strerror or err}") from None
 
 
 def _blind_key(spec: BlindSpec, digest: str) -> dict:
@@ -477,7 +486,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         man = load_manifest(args.manifest, args.out)
         out = man.out_dir
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out, "the output directory")
         run = Run(
             man=man,
             out=out,

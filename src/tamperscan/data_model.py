@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,18 +57,20 @@ class CountyKey:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned feature matrix plus per-year vote tallies for n counties.
+    """Aligned feature matrix plus target-year vote tallies for n counties.
 
     Column order of `X` matches `feature_names` and is identical for every
-    county. Alaska counties are rejected (the state does not report results
-    at the county level).
+    county; earlier elections enter only as share_<year> features. Every
+    county has non-negative tallies with a positive two-party total, and a
+    county that breaks this is named in the error. Alaska counties are
+    rejected (the state does not report results at the county level).
     """
 
     keys: tuple[CountyKey, ...]
     feature_names: tuple[str, ...]
     X: np.ndarray                      # (n, p) float64, read-only
-    rep: dict[int, np.ndarray]         # year -> (n,) int64, read-only
-    dem: dict[int, np.ndarray]         # year -> (n,) int64, read-only
+    rep: np.ndarray                    # (n,) int64, read-only, target year
+    dem: np.ndarray                    # (n,) int64, read-only, target year
     target_year: int
 
     def __post_init__(self):
@@ -88,8 +91,20 @@ class Dataset:
                 raise DataError(f"Alaska county {key.fips} not allowed in a Dataset")
         if not np.all(np.isfinite(self.X)):
             raise DataError("feature matrix contains non-finite entries")
-        if self.target_year not in self.rep or self.target_year not in self.dem:
-            raise DataError(f"no tallies stored for target year {self.target_year}")
+        if self.rep.shape != (n,) or self.dem.shape != (n,):
+            raise DataError(
+                f"tally shapes {self.rep.shape} and {self.dem.shape} inconsistent "
+                f"with {n} counties"
+            )
+        bad = np.flatnonzero((self.rep < 0) | (self.dem < 0) | (self.rep + self.dem <= 0))
+        if bad.size:
+            i = bad[0]
+            r, d = int(self.rep[i]), int(self.dem[i])
+            what = "a negative vote count" if min(r, d) < 0 else "a zero two-party total"
+            raise DataError(
+                f"county {self.keys[i].fips} has {what} in {self.target_year} "
+                f"(rep {r}, dem {d})"
+            )
         object.__setattr__(self, "_index", index)  # fips -> row, for index_of
 
     @property
@@ -100,10 +115,6 @@ class Dataset:
     def p(self) -> int:
         return len(self.feature_names)
 
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rep))
-
     @classmethod
     def build(cls, keys, feature_names, X, rep, dem, target_year) -> "Dataset":
         """Construct with defensive copies and read-only arrays."""
@@ -111,22 +122,14 @@ class Dataset:
             keys=tuple(keys),
             feature_names=tuple(feature_names),
             X=_readonly(np.asarray(X, dtype=np.float64)),
-            rep={y: _readonly(np.asarray(v, dtype=np.int64)) for y, v in rep.items()},
-            dem={y: _readonly(np.asarray(v, dtype=np.int64)) for y, v in dem.items()},
+            rep=_readonly(np.asarray(rep, dtype=np.int64)),
+            dem=_readonly(np.asarray(dem, dtype=np.int64)),
             target_year=int(target_year),
         )
 
     def shares(self) -> np.ndarray:
         """Target-year vote shares for every county."""
-        year = self.target_year
-        totals = self.rep[year] + self.dem[year]
-        bad = np.flatnonzero(totals <= 0)
-        if bad.size:
-            raise DataError(
-                f"zero two-party total in county {self.keys[bad[0]].fips} "
-                f"(year {year})"
-            )
-        return self.rep[year] / totals
+        return self.rep / (self.rep + self.dem)
 
     def index_of(self, fips: str) -> int:
         try:
@@ -140,8 +143,8 @@ class Dataset:
             keys=[self.keys[i] for i in idx],
             feature_names=self.feature_names,
             X=self.X[idx],
-            rep={y: v[idx] for y, v in self.rep.items()},
-            dem={y: v[idx] for y, v in self.dem.items()},
+            rep=self.rep[idx],
+            dem=self.dem[idx],
             target_year=self.target_year,
         )
 
@@ -236,6 +239,12 @@ def apply_standardization(
     return out[0] if vector else out
 
 
+# States used to label synthetic counties, cycled in this order. Alaska is
+# deliberately absent. Each state has county codes 001-999.
+_SYNTHETIC_STATES = ("AL", "AZ", "CA", "CO", "GA", "MI", "MT", "PA", "TX", "WI", "WY")
+_MAX_SYNTHETIC_COUNTIES = 999 * len(_SYNTHETIC_STATES)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for the deterministic synthetic-election generator."""
@@ -247,17 +256,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_active < 0:
+            raise ConfigError(f"n_active must be non-negative, got {self.n_active}")
         if self.n_active > self.n_features:
             raise ConfigError("n_active exceeds n_features")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be non-negative")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ConfigError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
         if self.n_counties < 1 or self.n_features < 1:
             raise ConfigError("n_counties and n_features must be positive")
-
-
-# States used to label synthetic counties, cycled in this order. Alaska is
-# deliberately absent.
-_SYNTHETIC_STATES = ("AL", "AZ", "CA", "CO", "GA", "MI", "MT", "PA", "TX", "WI", "WY")
+        if self.n_counties > _MAX_SYNTHETIC_COUNTIES:
+            raise ConfigError(
+                f"n_counties must be at most {_MAX_SYNTHETIC_COUNTIES:,} "
+                f"({len(_SYNTHETIC_STATES)} states x 999 county codes), got {self.n_counties}"
+            )
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
@@ -367,8 +378,8 @@ def generate_synthetic(
         keys=keys,
         feature_names=names,
         X=X,
-        rep={target_year: rep},
-        dem={target_year: dem},
+        rep=rep,
+        dem=dem,
         target_year=target_year,
     )
     return dataset, _readonly(beta)

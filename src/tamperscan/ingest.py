@@ -46,7 +46,7 @@ _CHUNK_ROWS = 256
 _MAX_VOTES = 2.0**53
 
 DATASET_FORMAT = "tamperscan-dataset"
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -358,9 +358,10 @@ def assemble_dataset(
 
     Alaska is excluded entirely. Vote shares from every non-target election
     year are appended as features named share_<year> (skipped when a column
-    of that name already exists, which keeps re-assembly idempotent).
-    Counties failing the join, lacking a usable state, or with a zero
-    two-party total in any year are dropped and reported.
+    of that name already exists, which keeps re-assembly idempotent); the
+    Dataset keeps the target year's tallies only. Counties failing the join,
+    lacking a usable state, or with a zero two-party total in any year are
+    dropped and reported.
     """
     by_year: dict[int, ElectionTable] = {}
     for e in elections:
@@ -408,20 +409,16 @@ def assemble_dataset(
 
     row_of = {f: i for i, f in enumerate(features.fips)}
     X = features.values[np.array([row_of[f] for f in kept], dtype=np.intp)]
-    rep, dem = {}, {}
-    for y in years:
-        e = by_year[y]
-        idx = np.array([e.row_of[f] for f in kept], dtype=np.intp)
-        rep[y], dem[y] = e.rep[idx], e.dem[idx]
     names = list(features.names)
     for year in years:
+        e = by_year[year]
+        idx = np.array([e.row_of[f] for f in kept], dtype=np.intp)
+        rep, dem = e.rep[idx], e.dem[idx]
         if year == target_year:
-            continue
-        col_name = f"share_{year}"
-        if col_name in names:
-            continue
-        X = np.column_stack([X, rep[year] / (rep[year] + dem[year])])
-        names.append(col_name)
+            tallies = rep, dem
+        elif f"share_{year}" not in names:
+            X = np.column_stack([X, rep / (rep + dem)])
+            names.append(f"share_{year}")
 
     def display_name(f: str) -> str:
         if f in features.county_names:
@@ -434,9 +431,7 @@ def assemble_dataset(
     keys = [
         CountyKey(fips=f, state=state_for_fips(f), name=display_name(f)) for f in kept
     ]
-    dataset = Dataset.build(
-        keys=keys, feature_names=names, X=X, rep=rep, dem=dem, target_year=target_year
-    )
+    dataset = Dataset.build(keys, names, X, *tallies, target_year)
     return dataset, report
 
 
@@ -450,31 +445,23 @@ _CACHE_FILE = "dataset.npz"
 def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=None) -> None:
     """Write the canonical dataset pair: <csv_path> and <stem>_meta.json.
 
-    Floats are written with repr so a load is bit-for-bit faithful. With
-    `cache_dir`, the binary cache that load_dataset reads there is written
-    too, from the dataset in memory.
+    The CSV's columns are fips, state, name, rep_<target year>,
+    dem_<target year> and the features. Floats are written with repr so a
+    load is bit-for-bit faithful. With `cache_dir`, the binary cache that
+    load_dataset reads there is written too, from the dataset in memory.
     """
     csv_path = Path(csv_path)
-    years = dataset.years
-    header = ["fips", "state", "name"]
-    for y in years:
-        header += [f"rep_{y}", f"dem_{y}"]
-    header += list(dataset.feature_names)
-
-    def rows():
-        for i, key in enumerate(dataset.keys):
-            row = [key.fips, key.state, key.name]
-            for y in years:
-                row += [str(int(dataset.rep[y][i])), str(int(dataset.dem[y][i]))]
-            yield row + list(map(repr, dataset.X[i].tolist()))
-
+    header = _csv_header(dataset.target_year, dataset.feature_names)
+    rows = (
+        [key.fips, key.state, key.name, str(r), str(d), *map(repr, x.tolist())]
+        for key, r, d, x in zip(dataset.keys, dataset.rep.tolist(), dataset.dem.tolist(), dataset.X)
+    )
     comment = f"manifest_sha256={manifest_hash}" if manifest_hash else ""
-    write_csv(csv_path, header, rows(), comment=comment)
+    write_csv(csv_path, header, rows, comment=comment)
     meta = {
         "format": DATASET_FORMAT,
         "version": DATASET_FORMAT_VERSION,
         "target_year": dataset.target_year,
-        "years": list(years),
         "n_counties": dataset.n,
         "n_features": dataset.p,
         "feature_names": list(dataset.feature_names),
@@ -483,6 +470,10 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=
     write_json(_meta_path(csv_path), meta)
     if cache_dir is not None:
         _write_cache(Path(cache_dir) / _CACHE_FILE, dataset_sha256(csv_path), dataset)
+
+
+def _csv_header(year: int, feature_names) -> list[str]:
+    return ["fips", "state", "name", f"rep_{year}", f"dem_{year}", *feature_names]
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -544,17 +535,12 @@ def _read_meta(csv_path: Path) -> dict:
 def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     """Parse a canonical dataset CSV column block by column block with numpy's
     C reader: the keys, the vote counts and the features."""
-    years = [int(y) for y in meta["years"]]
     feature_names = list(meta["feature_names"])
 
     with open(csv_path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     header = next(csv.reader(lines[:1]), [])
-    expected = ["fips", "state", "name"]
-    for y in years:
-        expected += [f"rep_{y}", f"dem_{y}"]
-    expected += feature_names
-    if header != expected:
+    if header != _csv_header(meta["target_year"], feature_names):
         raise SchemaError(f"{csv_path}: header does not match metadata")
 
     rows = lines[1:]
@@ -565,19 +551,18 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
             row = next(csv.reader([line]), [])
             if len(row) != width:
                 raise DataError(f"{csv_path}: ragged data row for fips {row[0] if row else '?'}")
-    n_counts = 2 * len(years)
     try:
         keys = _columns(rows, str, range(3))
-        counts = _columns(rows, np.int64, range(3, 3 + n_counts))
-        X = _columns(rows, np.float64, range(3 + n_counts, width))
+        counts = _columns(rows, np.int64, range(3, 5))
+        X = _columns(rows, np.float64, range(5, width))
     except ValueError as err:
         raise DataError(f"{csv_path}: {err}") from None
     return Dataset.build(
         keys=[CountyKey(*key) for key in keys.tolist()],
         feature_names=feature_names,
         X=X,
-        rep={y: counts[:, 2 * t] for t, y in enumerate(years)},
-        dem={y: counts[:, 2 * t + 1] for t, y in enumerate(years)},
+        rep=counts[:, 0],
+        dem=counts[:, 1],
         target_year=int(meta["target_year"]),
     )
 
@@ -598,8 +583,8 @@ def _write_cache(path: Path, digest: str, dataset: Dataset) -> None:
         "fips": np.array([k.fips for k in dataset.keys], dtype=str),
         "state": np.array([k.state for k in dataset.keys], dtype=str),
         "name": np.array([k.name for k in dataset.keys], dtype=str),
-        "rep": np.stack([dataset.rep[y] for y in dataset.years]),
-        "dem": np.stack([dataset.dem[y] for y in dataset.years]),
+        "rep": dataset.rep,
+        "dem": dataset.dem,
     }
     write_atomically(path, lambda fh: np.savez(fh, allow_pickle=False, **arrays))
 
@@ -612,17 +597,8 @@ def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
             a = {name: npz[name] for name in ("digest", "X", "fips", "state", "name", "rep", "dem")}
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    years = [int(y) for y in meta["years"]]
     n, p = meta.get("n_counties"), len(meta["feature_names"])
-    shapes = {
-        "digest": (),
-        "X": (n, p),
-        "fips": (n,),
-        "state": (n,),
-        "name": (n,),
-        "rep": (len(years), n),
-        "dem": (len(years), n),
-    }
+    shapes = {"digest": (), "X": (n, p), "fips": (n,), "state": (n,), "name": (n,)}
     if (
         any(a[name].shape != shape for name, shape in shapes.items())
         or any(a[name].dtype.kind != "U" for name in ("digest", "fips", "state", "name"))
@@ -641,8 +617,8 @@ def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
             ],
             feature_names=meta["feature_names"],
             X=a["X"],
-            rep=dict(zip(years, a["rep"])),
-            dem=dict(zip(years, a["dem"])),
+            rep=a["rep"],
+            dem=a["dem"],
             target_year=int(meta["target_year"]),
         )
     except DataError:

@@ -110,16 +110,18 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def _get_grid(cp, section, key, kind, default):
-    """A non-empty comma-separated list of distinct finite `kind` values, or
-    `default` when the key is absent."""
+    """A non-empty comma-separated list of distinct values, finite numbers
+    when `kind` is float and positive integers when it is int, or `default`
+    when the key is absent."""
+    valid = math.isfinite if kind is float else (lambda n: n >= 1)
 
     def parse(raw):
         values = tuple(kind(v) for v in _split(raw))
-        if not values or not all(map(math.isfinite, values)):
-            raise ValueError("empty grid or non-finite value")
+        if not values or not all(map(valid, values)):
+            raise ValueError("empty grid or invalid value")
         return values
 
-    what = "a non-empty list of " + ("integers" if kind is int else "finite numbers")
+    what = "a non-empty list of " + ("finite numbers" if kind is float else "positive integers")
     return _no_repeats(section, key, _get_parsed(cp, section, key, parse, what, default))
 
 

@@ -180,13 +180,11 @@ def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
 
     R_to_D removes k from the Republican tally and adds k to the Democratic
     tally (so the two-party total is conserved and the share moves by
-    exactly -k/T); D_to_R is the mirror image. No other county and no other
-    year changes.
+    exactly -k/T); D_to_R is the mirror image. No other county changes.
     """
     i = dataset.index_of(spec.fips)
-    year = dataset.target_year
-    rep = dataset.rep[year].copy()
-    dem = dataset.dem[year].copy()
+    rep = dataset.rep.copy()
+    dem = dataset.dem.copy()
     source = rep[i] if spec.direction is Direction.R_TO_D else dem[i]
     if spec.k > source:
         party = "Republican" if spec.direction is Direction.R_TO_D else "Democratic"
@@ -200,17 +198,13 @@ def inject_flips(dataset: Dataset, spec: InjectionSpec) -> Dataset:
     else:
         dem[i] -= spec.k
         rep[i] += spec.k
-    new_rep = dict(dataset.rep)
-    new_dem = dict(dataset.dem)
-    new_rep[year] = rep
-    new_dem[year] = dem
     return Dataset.build(
         keys=dataset.keys,
         feature_names=dataset.feature_names,
         X=dataset.X,
-        rep=new_rep,
-        dem=new_dem,
-        target_year=year,
+        rep=rep,
+        dem=dem,
+        target_year=dataset.target_year,
     )
 
 
@@ -219,8 +213,8 @@ def state_summary(dataset: Dataset, state: str) -> StateSummary:
     sub = dataset.subset_states([state])
     return StateSummary(
         state=state,
-        rep_total=float(sub.rep[sub.target_year].sum()),
-        dem_total=float(sub.dem[sub.target_year].sum()),
+        rep_total=float(sub.rep.sum()),
+        dem_total=float(sub.dem.sum()),
     )
 
 
@@ -233,7 +227,7 @@ def counterfactual_winner(dataset: Dataset, model: FitModel, state: str) -> Stat
     """
     sub = dataset.subset_states([state])
     pred = np.clip(predict(model, sub.X, sub.feature_names), 0.0, 1.0)
-    totals = (sub.rep[sub.target_year] + sub.dem[sub.target_year]).astype(np.float64)
+    totals = (sub.rep + sub.dem).astype(np.float64)
     rep = pred * totals
     return StateSummary(
         state=state,
@@ -299,15 +293,12 @@ def sweep(
     width = fit_width(base).width
 
     sub = dataset.subset_states([state])
-    year = dataset.target_year
     step = k_step if k_step is not None else max(1, margin // 50)
     if step < 1:
         raise ConfigError(f"k_step must be at least 1, got {step}")
 
     curves = []
-    for i, key in enumerate(sub.keys):
-        rep = int(sub.rep[year][i])
-        dem = int(sub.dem[year][i])
+    for key, rep, dem in zip(sub.keys, sub.rep.tolist(), sub.dem.tolist()):
         for direction, source in ((Direction.R_TO_D, rep), (Direction.D_TO_R, dem)):
             if source <= margin:
                 continue

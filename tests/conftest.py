@@ -13,26 +13,12 @@ def _sweep_cache(tmp_path_factory):
         yield
 
 
-def make_dataset(
-    counties,
-    feature_names=("f_a", "f_b"),
-    years=(2016, 2020),
-    target_year=2020,
-):
-    """Hand-built dataset from (fips, state, name, features, {year: (rep, dem)}) rows."""
-    keys = []
-    X = []
-    rep = {y: [] for y in years}
-    dem = {y: [] for y in years}
-    for fips, state, name, feats, tallies in counties:
-        keys.append(CountyKey(fips=fips, state=state, name=name))
-        X.append(feats)
-        for y in years:
-            r, d = tallies[y]
-            rep[y].append(r)
-            dem[y].append(d)
+def make_dataset(counties, feature_names=("f_a", "f_b"), target_year=2020):
+    """Hand-built dataset from (fips, state, name, features, (rep, dem)) rows."""
+    fips, states, names, X, tallies = zip(*counties)
+    rep, dem = zip(*tallies)
     return Dataset.build(
-        keys=keys,
+        keys=[CountyKey(*key) for key in zip(fips, states, names)],
         feature_names=feature_names,
         X=np.array(X, dtype=float),
         rep=rep,
@@ -43,16 +29,17 @@ def make_dataset(
 
 @pytest.fixture
 def six_county_dataset():
-    """Two states, three counties each, two years, simple integer tallies."""
+    """Two states, three counties each, simple integer 2020 tallies; the
+    2016 election enters as the share_2016 feature."""
     rows = [
-        ("13001", "GA", "Appling", [1.0, 10.0], {2016: (300, 200), 2020: (600, 400)}),
-        ("13003", "GA", "Atkinson", [2.0, 20.0], {2016: (100, 100), 2020: (250, 250)}),
-        ("13005", "GA", "Bacon", [3.0, 15.0], {2016: (400, 100), 2020: (700, 300)}),
-        ("42001", "PA", "Adams", [4.0, 30.0], {2016: (150, 350), 2020: (2000, 3000)}),
-        ("42003", "PA", "Allegheny", [5.0, 25.0], {2016: (90, 110), 2020: (4000, 6000)}),
-        ("42005", "PA", "Armstrong", [6.0, 35.0], {2016: (120, 80), 2020: (5500, 4500)}),
+        ("13001", "GA", "Appling", [1.0, 10.0, 0.6], (600, 400)),
+        ("13003", "GA", "Atkinson", [2.0, 20.0, 0.5], (250, 250)),
+        ("13005", "GA", "Bacon", [3.0, 15.0, 0.8], (700, 300)),
+        ("42001", "PA", "Adams", [4.0, 30.0, 0.3], (2000, 3000)),
+        ("42003", "PA", "Allegheny", [5.0, 25.0, 0.45], (4000, 6000)),
+        ("42005", "PA", "Armstrong", [6.0, 35.0, 0.6], (5500, 4500)),
     ]
-    return make_dataset(rows)
+    return make_dataset(rows, feature_names=("f_a", "f_b", "share_2016"))
 
 
 def counting(monkeypatch, module, name):

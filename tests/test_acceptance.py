@@ -194,10 +194,10 @@ def test_synthetic_injection_detected_and_null_clean():
 
     # inject a share shift of 8x the noise SD into the biggest county that
     # has the Republican votes to give up
-    totals = ds.rep[ds.target_year] + ds.dem[ds.target_year]
+    totals = ds.rep + ds.dem
     for i in np.argsort(totals)[::-1]:
         k = int(round(8 * spec.noise_sd * totals[i]))
-        if ds.rep[ds.target_year][i] >= k:
+        if ds.rep[i] >= k:
             break
     target = ds.keys[int(i)].fips
     tampered = inject_flips(ds, InjectionSpec(fips=target, k=k, direction=Direction.R_TO_D))
@@ -247,9 +247,8 @@ def test_sweep_monotone_and_injection_reversible():
     inj = InjectionSpec(fips=ds.subset_states(["GA"]).keys[0].fips, k=1234,
                         direction=Direction.R_TO_D)
     restored = inject_flips(inject_flips(ds, inj), replace(inj, direction=Direction.D_TO_R))
-    for year in ds.years:
-        assert np.array_equal(restored.rep[year], ds.rep[year])
-        assert np.array_equal(restored.dem[year], ds.dem[year])
+    assert np.array_equal(restored.rep, ds.rep)
+    assert np.array_equal(restored.dem, ds.dem)
     assert np.array_equal(restored.X, ds.X)
     assert restored.keys == ds.keys
 

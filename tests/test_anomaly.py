@@ -401,10 +401,10 @@ class TestDiagnostics:
             rows.append(
                 (
                     f"13{2 * i + 1:03d}", "GA", f"C{i}", [float(i), 0.5],
-                    {2020: (t // 2, t - t // 2)},
+                    (t // 2, t - t // 2),
                 )
             )
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         resid = ResidualSet.build(
             ds.keys,
             actual=np.log10([t for t in totals]) / 100.0,
@@ -414,20 +414,20 @@ class TestDiagnostics:
 
     def test_size_correlation_needs_three(self):
         rows = [
-            ("13001", "GA", "A", [1.0, 2.0], {2020: (10, 10)}),
-            ("13003", "GA", "B", [2.0, 3.0], {2020: (20, 20)}),
+            ("13001", "GA", "A", [1.0, 2.0], (10, 10)),
+            ("13003", "GA", "B", [2.0, 3.0], (20, 20)),
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         resid = ResidualSet.build(ds.keys, [0.1, 0.2], [0.0, 0.0])
         with pytest.raises(DataError):
             size_correlation(resid, ds)
 
     def test_size_correlation_constant_residuals(self):
         rows = [
-            (f"13{2 * i + 1:03d}", "GA", f"C{i}", [float(i), 0.0], {2020: (10 * (i + 1), 10)})
+            (f"13{2 * i + 1:03d}", "GA", f"C{i}", [float(i), 0.0], (10 * (i + 1), 10))
             for i in range(5)
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         resid = ResidualSet.build(ds.keys, np.full(5, 0.3), np.zeros(5))
         with pytest.raises(NumericalError):
             size_correlation(resid, ds)

@@ -72,7 +72,7 @@ def workspace(tmp_path_factory):
     assert main(["synth", "--manifest", str(manifest)]) == 0
     ds = load_dataset(ws / "out" / "dataset.csv")
     mi = ds.subset_states(["MI"])
-    big = mi.keys[int(np.argmax(mi.rep[2020] + mi.dem[2020]))].fips
+    big = mi.keys[int(np.argmax(mi.rep + mi.dem))].fips
     manifest.write_text(MANIFEST.format(fips=big))
     return ws
 
@@ -101,9 +101,8 @@ def _assert_cache_matches_csv(out, monkeypatch):
     assert cached.keys == parsed.keys
     assert cached.feature_names == parsed.feature_names
     assert cached.target_year == parsed.target_year
-    for y in parsed.years:
-        assert np.array_equal(cached.rep[y], parsed.rep[y])
-        assert np.array_equal(cached.dem[y], parsed.dem[y])
+    assert np.array_equal(cached.rep, parsed.rep)
+    assert np.array_equal(cached.dem, parsed.dem)
 
 
 def _subprocess_env():
@@ -305,7 +304,7 @@ class TestReuseAcrossCommands:
             # move votes in a training county, so a stale model would score differently
             ds = load_dataset(out / "dataset.csv")
             i = next(i for i, k in enumerate(ds.keys) if k.state == "TX")
-            flip = InjectionSpec(ds.keys[i].fips, int(ds.rep[2020][i]) // 2, Direction.R_TO_D)
+            flip = InjectionSpec(ds.keys[i].fips, int(ds.rep[i]) // 2, Direction.R_TO_D)
             save_dataset(inject_flips(ds, flip), out / "dataset.csv", _hash_of(private_ws))
         capsys.readouterr()
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
@@ -562,10 +561,10 @@ class TestExitCodes:
         from tamperscan.ingest import dataset_sha256, save_dataset
 
         rows = [
-            (f"13{2 * i + 1:03d}", "GA", f"C{i}", [1.0, 1.0], {2020: (i + 5, 10)})
+            (f"13{2 * i + 1:03d}", "GA", f"C{i}", [1.0, 1.0], (i + 5, 10))
             for i in range(12)
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         save_dataset(ds, tmp_path / "flat.csv")
         manifest = tmp_path / "run.ini"
         manifest.write_text("[data]\ndataset = flat.csv\n")
@@ -661,7 +660,8 @@ class TestExitCodes:
         "section, key, value",
         [
             ("cv", "l1_grid", "0.5, abc"), ("calibrate", "z_grid", "3, x"),
-            ("calibrate", "n_grid", "100, 3.5"), ("calibrate", "z_grid", "3, nan"),
+            ("calibrate", "n_grid", "100, 3.5"), ("calibrate", "n_grid", "0, 100"),
+            ("calibrate", "n_grid", "100, -3"), ("calibrate", "z_grid", "3, nan"),
             ("calibrate", "z_grid", "inf"), ("cv", "eps", "0"), ("cv", "tol", "0"),
             ("cv", "tol", "-1"), ("cv", "tol", "nan"), ("cv", "max_iter", "0"),
         ],
@@ -700,11 +700,76 @@ class TestExitCodes:
         assert cv_calls == []
 
     def test_bad_synth_value_is_2_and_names_its_section(self, tmp_path, capsys):
+        cases = {
+            ("n_active", "9"): "n_active exceeds n_features",
+            ("n_active", "-1"): "n_active must be non-negative, got -1",
+            ("noise_sd", "nan"): "noise_sd must be finite and non-negative, got nan",
+            ("noise_sd", "inf"): "noise_sd must be finite and non-negative, got inf",
+            ("noise_sd", "-0.1"): "noise_sd must be finite and non-negative, got -0.1",
+            ("n_counties", "11000"):
+                "n_counties must be at most 10,989 (11 states x 999 county codes), got 11000",
+        }
         manifest = tmp_path / "run.ini"
-        manifest.write_text("[synth]\nn_counties = 60\nn_features = 4\nn_active = 9\n")
+        for (key, value), message in cases.items():
+            settings = {"n_counties": "60", "n_features": "4", "n_active": "2", key: value}
+            manifest.write_text("[synth]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+            assert main(["synth", "--manifest", str(manifest)]) == 2, (key, value)
+            assert capsys.readouterr().err == f"config error: [synth] {message}\n"
+            assert not (tmp_path / "out").exists()
+        manifest.write_text("[synth]\nn_counties = 10989\n")
+        assert load_manifest(manifest).synth.n_counties == 10989
+
+    def test_output_directory_that_cannot_be_made_is_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n")
+        (tmp_path / "afile").write_text("")
+        assert main(["synth", "--manifest", str(manifest), "--out", str(tmp_path / "afile")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create the output directory {tmp_path / 'afile'}: ")
+
+    def test_dataset_directory_that_cannot_be_made_is_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        (tmp_path / "afile").write_text("")
+        manifest.write_text(
+            "[run]\nout_dir = out\n\n[data]\ndataset = afile/x/dataset.csv\n\n"
+            "[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n"
+        )
         assert main(["synth", "--manifest", str(manifest)]) == 2
-        assert capsys.readouterr().err == "config error: [synth] n_active exceeds n_features\n"
-        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot create the dataset's directory {tmp_path / 'afile' / 'x'}: "
+        )
+
+    @pytest.mark.parametrize(
+        "tally, message",
+        [("-500,600", "has a negative vote count in 2020 (rep -500, dem 600)"),
+         ("0,0", "has a zero two-party total in 2020 (rep 0, dem 0)")],
+        ids=["negative", "zero_total"],
+    )
+    def test_bad_tally_in_the_dataset_is_3_and_names_the_county(
+        self, tmp_path, capsys, tally, message
+    ):
+        ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2))
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = first.split(",")
+        path.write_text(header + ",".join(cells[:3] + [tally] + cells[5:]) + "".join(rest))
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[data]\ndataset = dataset.csv\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == f"data error: county {cells[0]} {message}\n"
+
+    def test_version_1_dataset_is_3(self, tmp_path, capsys):
+        ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2))
+        save_dataset(ds, tmp_path / "dataset.csv")
+        meta_path = tmp_path / "dataset_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "version": 1, "years": [2020]}))
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[data]\ndataset = dataset.csv\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        assert f"{meta_path}: unsupported version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["z_grid", "n_grid"])
     def test_empty_calibrate_grid_is_2_and_writes_nothing(self, tmp_path, capsys, key):

@@ -39,7 +39,7 @@ class TestCountyKey:
 
 def _share(rep, dem):
     """Dataset.shares for one county with the given tally."""
-    ds = make_dataset([("26163", "MI", "Wayne", [1.0, 2.0], {2020: (rep, dem)})], years=(2020,))
+    ds = make_dataset([("26163", "MI", "Wayne", [1.0, 2.0], (rep, dem))])
     return ds.shares()[0]
 
 
@@ -137,14 +137,14 @@ class TestStandardize:
 class TestDataset:
     def test_duplicate_fips_rejected(self):
         rows = [
-            ("13001", "GA", "A", [1.0, 2.0], {2016: (1, 1), 2020: (1, 1)}),
-            ("13001", "GA", "B", [3.0, 4.0], {2016: (1, 1), 2020: (1, 1)}),
+            ("13001", "GA", "A", [1.0, 2.0], (1, 1)),
+            ("13001", "GA", "B", [3.0, 4.0], (1, 1)),
         ]
         with pytest.raises(DataError, match="duplicate"):
             make_dataset(rows)
 
     def test_alaska_rejected(self):
-        rows = [("02013", "AK", "Aleutians", [1.0, 2.0], {2016: (1, 1), 2020: (1, 1)})]
+        rows = [("02013", "AK", "Aleutians", [1.0, 2.0], (1, 1))]
         with pytest.raises(DataError, match="Alaska"):
             make_dataset(rows)
 
@@ -154,31 +154,50 @@ class TestDataset:
                 keys=[CountyKey("13001", "GA", "A")],
                 feature_names=("a", "b"),
                 X=np.zeros((1, 3)),
-                rep={2020: [1]},
-                dem={2020: [1]},
+                rep=[1],
+                dem=[1],
                 target_year=2020,
             )
 
     def test_shares(self, six_county_dataset):
         ds = six_county_dataset
         assert ds.shares()[0] == 0.6
-        assert ds.rep[2016][1] / (ds.rep[2016][1] + ds.dem[2016][1]) == 0.5
+        assert ds.X[1, ds.feature_names.index("share_2016")] == 0.5
 
     def test_zero_total_share_names_county(self):
         rows = [
-            ("13001", "GA", "A", [1.0, 2.0], {2020: (0, 0)}),
-            ("13003", "GA", "B", [3.0, 4.0], {2020: (5, 5)}),
+            ("13001", "GA", "A", [1.0, 2.0], (0, 0)),
+            ("13003", "GA", "B", [3.0, 4.0], (5, 5)),
         ]
-        ds = make_dataset(rows, years=(2020,))
-        with pytest.raises(DataError, match="13001"):
-            ds.shares()
+        with pytest.raises(DataError, match="county 13001 has a zero two-party total"):
+            make_dataset(rows)
+
+    def test_negative_count_names_county(self):
+        rows = [
+            ("13001", "GA", "A", [1.0, 2.0], (5, 5)),
+            ("13003", "GA", "B", [3.0, 4.0], (-500, 600)),
+        ]
+        with pytest.raises(DataError, match="county 13003 has a negative vote count in 2020"):
+            make_dataset(rows)
+
+    def test_tallies_must_be_one_per_county(self):
+        with pytest.raises(DataError, match="tally shapes"):
+            Dataset.build(
+                keys=[CountyKey("13001", "GA", "A")],
+                feature_names=("a",),
+                X=np.zeros((1, 1)),
+                rep=[[1, 2]],
+                dem=[[1, 2]],
+                target_year=2020,
+            )
 
     def test_subset_alignment(self, six_county_dataset):
         ds = six_county_dataset
         sub = ds.subset([4, 1])
         assert [k.fips for k in sub.keys] == ["42003", "13003"]
         assert np.array_equal(sub.X[0], ds.X[4])
-        assert sub.rep[2016][1] == ds.rep[2016][1]
+        assert sub.rep[1] == ds.rep[1]
+        assert sub.X[1, 2] == ds.X[1, 2]  # share_2016
 
     def test_subset_states(self, six_county_dataset):
         ga = six_county_dataset.subset_states({"GA"})
@@ -197,10 +216,7 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 99.0
         with pytest.raises(ValueError):
-            ds.rep[2020][0] = 99
-
-    def test_years_sorted(self, six_county_dataset):
-        assert six_county_dataset.years == (2016, 2020)
+            ds.rep[0] = 99
 
 
 class TestSubstream:
@@ -221,7 +237,7 @@ class TestSynthetic:
         ds1, b1 = generate_synthetic(spec)
         ds2, b2 = generate_synthetic(spec)
         assert np.array_equal(ds1.X, ds2.X)
-        assert np.array_equal(ds1.rep[2020], ds2.rep[2020])
+        assert np.array_equal(ds1.rep, ds2.rep)
         assert np.array_equal(b1, b2)
         assert [k.fips for k in ds1.keys] == [k.fips for k in ds2.keys]
 
@@ -243,7 +259,7 @@ class TestSynthetic:
         ds, _ = generate_synthetic(spec)
         shares = ds.shares()
         assert shares.min() >= 0.0 and shares.max() <= 1.0
-        totals = ds.rep[2020] + ds.dem[2020]
+        totals = ds.rep + ds.dem
         assert totals.min() >= 10**3 - 1
         assert totals.max() <= 10**6 + 1
 
@@ -255,7 +271,7 @@ class TestSynthetic:
         X = ds.X
         noise = substream(13, 2).normal(0.0, spec.noise_sd, size=100)
         cont = np.clip(logistic(0.1 + X @ beta) + noise, 0.02, 0.98)
-        totals = ds.rep[2020] + ds.dem[2020]
+        totals = ds.rep + ds.dem
         assert np.all(np.abs(ds.shares() - cont) <= 0.5 / totals + 1e-12)
 
     def test_mean_share_near_intercept_level(self):

@@ -535,17 +535,15 @@ class TestDatasetRoundTrip:
         assert back.feature_names == ds.feature_names
         assert [k.fips for k in back.keys] == [k.fips for k in ds.keys]
         assert [k.name for k in back.keys] == [k.name for k in ds.keys]
-        assert back.years == ds.years
-        for y in ds.years:
-            assert np.array_equal(back.rep[y], ds.rep[y])
-            assert np.array_equal(back.dem[y], ds.dem[y])
+        assert np.array_equal(back.rep, ds.rep)
+        assert np.array_equal(back.dem, ds.dem)
         assert back.target_year == ds.target_year
 
     def test_csv_bytes_match_per_scalar_repr(self, tmp_path):
         rows = [
-            ("35013", "NM", "Doña Ana County", [0.1 + 0.2, -0.0], {2016: (3, 4), 2020: (5, 6)}),
-            ("35001", "NM", "Comma, County", [1e-300, 123456789.12345679], {2016: (7, 8), 2020: (9, 10)}),
-            ("35005", "NM", 'Quote "Q" County', [-1 / 3, 5.0], {2016: (11, 12), 2020: (13, 14)}),
+            ("35013", "NM", "Doña Ana County", [0.1 + 0.2, -0.0], (5, 6)),
+            ("35001", "NM", "Comma, County", [1e-300, 123456789.12345679], (9, 10)),
+            ("35005", "NM", 'Quote "Q" County', [-1 / 3, 5.0], (13, 14)),
         ]
         ds = make_dataset(rows)
         path = tmp_path / "dataset.csv"
@@ -555,22 +553,20 @@ class TestDatasetRoundTrip:
         buf = io.StringIO(newline="")
         buf.write("# manifest_sha256=deadbeef\n")
         writer = csv.writer(buf)
-        writer.writerow(["fips", "state", "name", "rep_2016", "dem_2016", "rep_2020", "dem_2020",
-                         *ds.feature_names])
+        writer.writerow(["fips", "state", "name", "rep_2020", "dem_2020", *ds.feature_names])
         for i, key in enumerate(ds.keys):
-            tallies = [str(int(v[y][i])) for y in ds.years for v in (ds.rep, ds.dem)]
-            writer.writerow([key.fips, key.state, key.name, *tallies,
+            writer.writerow([key.fips, key.state, key.name, str(int(ds.rep[i])), str(int(ds.dem[i])),
                              *[repr(float(v)) for v in ds.X[i]]])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
         assert [k.name for k in load_dataset(path).keys] == [r[2] for r in rows]
 
     def test_awkward_cells_load_bit_exact(self, tmp_path):
         rows = [
-            ("35013", "NM", "Doña Ana County", [-0.0, 5e-324, 0.1 + 0.2], {2016: (3, 4), 2020: (5, 6)}),
+            ("35013", "NM", "Doña Ana County", [-0.0, 5e-324, 0.1 + 0.2], (5, 6)),
             ("35001", "NM", "Comma, County", [1 / 3, -2.2250738585072014e-308, 1.7976931348623157e308],
-             {2016: (7, 8), 2020: (9, 10)}),
+             (9, 10)),
             ("35005", "NM", 'Quote "Q", Ñ', [123456789.12345679, -9.8765432109876543e-5, 0.0],
-             {2016: (11, 12), 2020: (13, 14)}),
+             (13, 14)),
         ]
         ds = make_dataset(rows, feature_names=("f_a", "f_b", "f_c"))
         path = tmp_path / "dataset.csv"
@@ -581,14 +577,14 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize(
         "row",
-        ["35099,NM,Short County,1,2,3,4,0.5\r\n",
-         "35099,NM,Long County,1,2,3,4,0.5,0.5,0.5\r\n",
-         '35099,NM,"Long, County",1,2,3,4,0.5,0.5,0.5\r\n',
-         '35099,NM,"Quoted, County",1,2,3,4,0.5\r\n'],
+        ["35099,NM,Short County,1,2,0.5\r\n",
+         "35099,NM,Long County,1,2,0.5,0.5,0.5\r\n",
+         '35099,NM,"Long, County",1,2,0.5,0.5,0.5\r\n',
+         '35099,NM,"Quoted, County",1,2,0.5\r\n'],
         ids=["short", "long", "long-quoted", "short-quoted"],
     )
     def test_ragged_row_is_data_error(self, tmp_path, row):
-        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], {2016: (3, 4), 2020: (5, 6)})])
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], (5, 6))])
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path)
         with open(path, "a", newline="", encoding="utf-8") as fh:
@@ -597,11 +593,11 @@ class TestDatasetRoundTrip:
             load_dataset(path)
 
     def test_unparseable_cell_is_data_error(self, tmp_path):
-        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], {2016: (3, 4), 2020: (5, 6)})])
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], (5, 6))])
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path)
         with open(path, "a", newline="", encoding="utf-8") as fh:
-            fh.write("35099,NM,B,1,2,3,4,0.5,zero\r\n")
+            fh.write("35099,NM,B,1,2,0.5,zero\r\n")
         with pytest.raises(DataError, match="could not convert"):
             load_dataset(path)
 
@@ -629,10 +625,8 @@ def _assert_same_dataset(a, b):
     assert a.keys == b.keys
     assert a.feature_names == b.feature_names
     assert a.target_year == b.target_year
-    assert list(a.rep) == list(b.rep) and list(a.dem) == list(b.dem)
-    for y in a.years:
-        assert a.rep[y].dtype == b.rep[y].dtype and np.array_equal(a.rep[y], b.rep[y])
-        assert a.dem[y].dtype == b.dem[y].dtype and np.array_equal(a.dem[y], b.dem[y])
+    assert a.rep.dtype == b.rep.dtype and np.array_equal(a.rep, b.rep)
+    assert a.dem.dtype == b.dem.dtype and np.array_equal(a.dem, b.dem)
 
 
 class TestDatasetCache:
@@ -689,7 +683,9 @@ class TestDatasetCache:
             assert str(npz["digest"]) == dataset_sha256(path)
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage", "float32", "int32_tallies", "short", "nan", "bad_fips"]
+        "damage",
+        ["truncated", "garbage", "float32", "int32_tallies", "short", "nan", "bad_fips",
+         "negative_tally"],
     )
     def test_invalid_cache_is_ignored(self, saved, monkeypatch, damage):
         ds, path, cache = saved
@@ -709,6 +705,8 @@ class TestDatasetCache:
                 arrays["X"] = arrays["X"][:-1]
             elif damage == "nan":
                 arrays["X"][0, 0] = np.nan
+            elif damage == "negative_tally":
+                arrays["rep"][0] = -500
             else:
                 arrays["fips"] = np.array(["x" * 5] * len(arrays["fips"]))
             np.savez(file, **arrays)

@@ -57,7 +57,7 @@ def context(synth, blind_spec):
 
 def _largest_eval_county(ds, ctx, state="GA"):
     sub = ds.subset_states([state])
-    i = int(np.argmax(sub.rep[ds.target_year] + sub.dem[ds.target_year]))
+    i = int(np.argmax(sub.rep + sub.dem))
     return sub.keys[i].fips
 
 
@@ -90,43 +90,40 @@ class TestInjectFlips:
         ds = six_county_dataset
         out = inject_flips(ds, InjectionSpec("13001", 100, Direction.R_TO_D))
         i = out.index_of("13001")
-        assert out.rep[2020][i] == 500
-        assert out.dem[2020][i] == 500
+        assert out.rep[i] == 500
+        assert out.dem[i] == 500
         assert out.shares()[i] == 0.5
         j = ds.index_of("13001")
-        assert out.rep[2020][i] + out.dem[2020][i] == ds.rep[2020][j] + ds.dem[2020][j]
+        assert out.rep[i] + out.dem[i] == ds.rep[j] + ds.dem[j]
 
     def test_d_to_r_mirror(self, six_county_dataset):
         out = inject_flips(six_county_dataset, InjectionSpec("13001", 100, Direction.D_TO_R))
         i = out.index_of("13001")
-        assert out.rep[2020][i] == 700
-        assert out.dem[2020][i] == 300
+        assert out.rep[i] == 700
+        assert out.dem[i] == 300
 
     def test_everything_else_untouched(self, six_county_dataset):
         ds = six_county_dataset
         out = inject_flips(ds, InjectionSpec("13001", 100, Direction.R_TO_D))
         i = ds.index_of("13001")
         mask = np.arange(ds.n) != i
-        assert np.array_equal(out.rep[2020][mask], ds.rep[2020][mask])
-        assert np.array_equal(out.dem[2020][mask], ds.dem[2020][mask])
-        assert np.array_equal(out.rep[2016], ds.rep[2016])
-        assert np.array_equal(out.dem[2016], ds.dem[2016])
-        assert np.array_equal(out.X, ds.X)
+        assert np.array_equal(out.rep[mask], ds.rep[mask])
+        assert np.array_equal(out.dem[mask], ds.dem[mask])
+        assert np.array_equal(out.X, ds.X)  # share_2016 included
         assert out.keys == ds.keys
 
     def test_zero_flips_is_identity(self, six_county_dataset):
         ds = six_county_dataset
         out = inject_flips(ds, InjectionSpec("13001", 0, Direction.R_TO_D))
-        assert np.array_equal(out.rep[2020], ds.rep[2020])
-        assert np.array_equal(out.dem[2020], ds.dem[2020])
+        assert np.array_equal(out.rep, ds.rep)
+        assert np.array_equal(out.dem, ds.dem)
 
     def test_reverse_restores_exactly(self, six_county_dataset):
         ds = six_county_dataset
         spec = InjectionSpec("42003", 1234, Direction.R_TO_D)
         back = inject_flips(inject_flips(ds, spec), replace(spec, direction=Direction.D_TO_R))
-        for y in ds.years:
-            assert np.array_equal(back.rep[y], ds.rep[y])
-            assert np.array_equal(back.dem[y], ds.dem[y])
+        assert np.array_equal(back.rep, ds.rep)
+        assert np.array_equal(back.dem, ds.dem)
 
     def test_shortfall_names_county_and_deficit(self, six_county_dataset):
         with pytest.raises(DataError, match=r"13001.*short 100"):
@@ -144,10 +141,10 @@ class TestInjectFlips:
 class TestStateSummary:
     def test_two_county_state(self):
         rows = [
-            ("30001", "MT", "A", [1.0, 2.0], {2020: (10, 20)}),
-            ("30003", "MT", "B", [2.0, 1.0], {2020: (30, 15)}),
+            ("30001", "MT", "A", [1.0, 2.0], (10, 20)),
+            ("30003", "MT", "B", [2.0, 1.0], (30, 15)),
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         s = state_summary(ds, "MT")
         assert s.rep_total == 40 and s.dem_total == 35
         assert s.winner == "R"
@@ -160,10 +157,10 @@ class TestStateSummary:
 
     def test_tie(self):
         rows = [
-            ("30001", "MT", "A", [1.0, 2.0], {2020: (10, 20)}),
-            ("30003", "MT", "B", [2.0, 1.0], {2020: (20, 10)}),
+            ("30001", "MT", "A", [1.0, 2.0], (10, 20)),
+            ("30003", "MT", "B", [2.0, 1.0], (20, 10)),
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         assert state_summary(ds, "MT").winner == "tie"
 
 
@@ -243,9 +240,9 @@ class TestSweep:
         sub = synth.subset_states(["GA"])
         expected = set()
         for i, key in enumerate(sub.keys):
-            if int(sub.rep[2020][i]) > margin:
+            if int(sub.rep[i]) > margin:
                 expected.add((key.fips, Direction.R_TO_D))
-            if int(sub.dem[2020][i]) > margin:
+            if int(sub.dem[i]) > margin:
                 expected.add((key.fips, Direction.D_TO_R))
         assert {(c.fips, c.direction) for c in ga_curves} == expected
         assert len(ga_curves) > 0
@@ -258,7 +255,7 @@ class TestSweep:
         sub = synth.subset_states(["GA"])
         for c in ga_curves:
             i = sub.index_of(c.fips)
-            source = int(sub.rep[2020][i] if c.direction is Direction.R_TO_D else sub.dem[2020][i])
+            source = int(sub.rep[i] if c.direction is Direction.R_TO_D else sub.dem[i])
             ks = c.ks.tolist()
             assert ks[0] == 0
             assert ks[-1] == min(source, 2 * margin)
@@ -309,13 +306,13 @@ class TestSweep:
 
     def test_tied_state_rejected(self):
         rows = [
-            ("30001", "MT", "A", [1.0, 2.0], {2020: (10, 20)}),
-            ("30003", "MT", "B", [2.0, 1.0], {2020: (20, 10)}),
+            ("30001", "MT", "A", [1.0, 2.0], (10, 20)),
+            ("30003", "MT", "B", [2.0, 1.0], (20, 10)),
         ] + [
-            (f"48{2 * i + 1:03d}", "TX", f"T{i}", [3.0 + i, (i * 7) % 5], {2020: (30 + 4 * i, 10 + i)})
+            (f"48{2 * i + 1:03d}", "TX", f"T{i}", [3.0 + i, (i * 7) % 5], (30 + 4 * i, 10 + i))
             for i in range(8)
         ]
-        ds = make_dataset(rows, years=(2020,))
+        ds = make_dataset(rows)
         spec = BlindSpec(train_states={"TX"}, eval_states={"MT"}, cv=FAST_CV)
         ctx = prepare_blind_context(ds, spec)
         with pytest.raises(ConfigError, match="tied"):
