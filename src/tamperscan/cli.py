@@ -212,8 +212,8 @@ def cmd_ingest(run: Run) -> int:
         raise ConfigError("no demographic tables among inputs")
     if not election_inputs:
         raise ConfigError("no election files among inputs")
-    demo_tables = [parse_table(path, sid, man.delimiter) for path, sid in demo_inputs]
-    elections = [parse_election(path, year, man.delimiter) for path, year in election_inputs]
+    demo_tables = [parse_table(path, sid) for path, sid in demo_inputs]
+    elections = [parse_election(path, year) for path, year in election_inputs]
     features, report = clean_features(demo_tables)
     del demo_tables  # free the parsed tables before assembly copies the features
     dataset, join_report = assemble_dataset(features, elections, man.target_year)

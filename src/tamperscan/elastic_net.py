@@ -16,9 +16,10 @@ cross-validation over an (l1_ratio, alpha) grid.
 are formed once per fit or CV fold, so a coordinate update is scalar
 arithmetic, and q = G.beta is kept exact by adding d G[j] to it whenever
 coefficient j moves by d. A sweep runs in C (`_sweep.c`, compiled into the
-user's cache on first use) or, where that cannot be built or loaded, in
-`_sweep_py`, which does the same IEEE operations in the same order: no output
-depends on which one ran, and `training_meta["sweep"]` records it.
+user's cache on first use, called through ctypes) or, where that cannot be
+built or loaded, in `_sweep_py`, which does the same IEEE operations in the
+same order: no output depends on which one ran, and `training_meta["sweep"]`
+records it.
 
 On collinear designs cyclic descent crawls, so every _ANDERSON_K sweeps the
 kernel tries one Anderson extrapolation of its recent iterates (Bertrand &
@@ -29,10 +30,9 @@ sweep that moves no coefficient by `tol` or more.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
-import importlib.machinery
-import importlib.util
 import math
 import os
 import tempfile
@@ -177,18 +177,19 @@ def _descend(G, c, penalty, tol, max_iter, beta):
     """Coordinate-descent sweeps on `beta` in place, Anderson-accelerated.
 
     Returns (sweeps, converged, extrapolations). G, c and beta are float64
-    and C-contiguous.
+    and C-contiguous, or `_bind_sweep` raises ValueError.
 
     Each sweep is one call of the compiled sweep, or of `_sweep_py` where it
-    is unavailable; both keep q = G.beta exact with one full-row update per
-    move, and give bit-identical iterates.
+    is unavailable, bound to the arrays once by `_bind_sweep`; both keep
+    q = G.beta exact with one full-row update per move, and give
+    bit-identical iterates.
 
     Every _ANDERSON_K sweeps, the last _ANDERSON_K + 1 iterates are
     extrapolated (Bertrand & Massias, AISTATS 2021): with U their successive
     differences, (U U')z = 1 is solved and the candidate is the z/sum(z)
     weighted sum of the last _ANDERSON_K iterates. The candidate replaces
     beta only if it lowers the objective 1/2 beta'G beta - c'beta +
-    gamma |beta|_1 + ridge/2 |beta|^2, and q is then recomputed as G @ beta;
+    gamma |beta|_1 + ridge/2 |beta|^2, and q is then recomputed in place;
     a singular or non-finite system is skipped. The window restarts either
     way. Extrapolation is not a sweep and never ends the descent: it stops
     when a full sweep moves no coefficient by `tol` or more.
@@ -199,7 +200,7 @@ def _descend(G, c, penalty, tol, max_iter, beta):
     diag = G.diagonal().copy()
     denom = diag + ridge
     q = G @ beta
-    sweep_once = _compiled_sweep() or _sweep_py
+    sweep_once = _bind_sweep(G, c, diag, denom, beta, q)
 
     def cov_objective(x):
         return (
@@ -210,14 +211,14 @@ def _descend(G, c, penalty, tol, max_iter, beta):
     window = [beta.copy()]
     extrapolations = 0
     for sweep in range(1, max_iter + 1):
-        if sweep_once(G, c, diag, denom, beta, q, gamma) < tol:
+        if sweep_once(gamma) < tol:
             return sweep, True, extrapolations
         window.append(beta.copy())
         if len(window) > _ANDERSON_K:
             candidate = _extrapolate(np.array(window))
             if candidate is not None and cov_objective(candidate) < cov_objective(beta):
                 beta[:] = candidate
-                q = G @ beta
+                q[:] = G @ beta
                 extrapolations += 1
             window = [beta.copy()]
     return max_iter, p == 0, extrapolations
@@ -275,48 +276,46 @@ def _compiler() -> list[str]:
 
 @functools.cache
 def _compiled_sweep():
-    """The sweep function of `_sweep.c`, built on first use; None if it cannot
-    be built or loaded, so the caller runs `_sweep_py`.
+    """The `sweep` function of `_sweep.c` as a ctypes function, built on first
+    use; None if it cannot be built or loaded, so the caller runs `_sweep_py`.
 
-    The shared object lives in $XDG_CACHE_HOME/tamperscan (when that is an
+    The shared library lives in $XDG_CACHE_HOME/tamperscan (when that is an
     absolute path; otherwise ~/.cache/tamperscan), so later processes load
-    it without compiling. Its name holds the sha256 of the source, the
-    compiler flags and the extension suffix, then the sha256 of its own
-    bytes: it is written under a temporary name and moved into place, and a
-    file whose bytes do not match its name (truncated, say, which would
-    crash the loader) is never loaded but rebuilt. Nothing is compiled or
-    loaded at import time.
+    it without compiling. `_sweep.c` is plain C, so the build needs no
+    Python headers and one library serves every Python version. Its name
+    holds the sha256 of the source and the compiler flags, then the sha256
+    of its own bytes: it is written under a temporary name and moved into
+    place, and a file whose bytes do not match its name (truncated, say,
+    which would crash the loader) is never loaded but rebuilt. Nothing is
+    compiled or loaded at import time.
     """
-    # imported here: a command that fits nothing does not pay for them
+    # imported here: a command that fits nothing does not pay for it
     import subprocess
-    import sysconfig
 
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    flags = (*_SWEEP_FLAGS, "-I" + sysconfig.get_paths()["include"])
     try:
         key = hashlib.sha256(_SWEEP_SOURCE.read_bytes())
-        key.update("\0".join((*flags, suffix)).encode())
+        key.update("\0".join(_SWEEP_FLAGS).encode())
         xdg = os.environ.get("XDG_CACHE_HOME", "")  # relative: not valid, so ignored
         cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "tamperscan"
         stem = f"_sweep-{key.hexdigest()[:16]}"
-        for path in cache.glob(f"{stem}-*{suffix}"):
-            if path.name == f"{stem}-{_digest(path)}{suffix}":
+        for path in cache.glob(f"{stem}-*.so"):
+            if path.name == f"{stem}-{_digest(path)}.so":
                 return _load_sweep(path)
         cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
             subprocess.run(
-                [*_compiler(), *flags, str(_SWEEP_SOURCE), "-o", tmp],
+                [*_compiler(), *_SWEEP_FLAGS, str(_SWEEP_SOURCE), "-o", tmp],
                 check=True, capture_output=True, timeout=120,
             )
-            path = cache / f"{stem}-{_digest(tmp)}{suffix}"
+            path = cache / f"{stem}-{_digest(tmp)}.so"
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         return _load_sweep(path)
-    except (OSError, subprocess.SubprocessError, ImportError):
+    except (OSError, subprocess.SubprocessError):
         return None
 
 
@@ -325,11 +324,38 @@ def _digest(path) -> str:
 
 
 def _load_sweep(path):
-    name = f"{__package__}._sweep"
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
-    return module.sweep
+    sweep = ctypes.CDLL(str(path)).sweep
+    sweep.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_ssize_t, ctypes.c_double)
+    sweep.restype = ctypes.c_double
+    return sweep
+
+
+def _bind_sweep(G, c, diag, denom, beta, q):
+    """One sweep on these arrays as a function of gamma, returning the largest
+    move: the compiled sweep with its pointers bound once, or `_sweep_py`.
+
+    The C code trusts its pointers, so every array must be float64 and
+    C-contiguous, G p x p and the rest p long, and beta and q writable;
+    anything else is a ValueError here. The pointers are read once, so the
+    caller updates beta and q in place and never rebinds them.
+    """
+    arrays = {"G": G, "c": c, "diag": diag, "denom": denom, "beta": beta, "q": q}
+    p = len(c)
+    for name, a in arrays.items():
+        shape = (p, p) if name == "G" else (p,)
+        if a.dtype != np.float64 or a.shape != shape or not a.flags.c_contiguous:
+            raise ValueError(f"sweep: {name} must be a C-contiguous float64 array of shape {shape}")
+    if not (beta.flags.writeable and q.flags.writeable):
+        raise ValueError("sweep: beta and q must be writable")
+    sweep = _compiled_sweep()
+    if sweep is None:
+        return functools.partial(_sweep_py, *arrays.values())
+    g, cv, dg, dn, b, qv = (a.ctypes.data for a in arrays.values())
+
+    def bound(gamma, arrays=arrays):  # the default holds the arrays the pointers point into
+        return sweep(g, cv, dg, dn, b, qv, p, gamma)
+
+    return bound
 
 
 def _extrapolate(iterates):

@@ -524,18 +524,27 @@ def _read_meta(csv_path: Path) -> dict:
     if not meta_path.exists():
         raise SchemaError(f"missing dataset metadata file {meta_path}")
     with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != DATASET_FORMAT:
+        try:
+            meta = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise SchemaError(f"{meta_path}: not JSON: {err}") from None
+    if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
         raise SchemaError(f"{meta_path}: not a dataset metadata file")
     if meta.get("version") != DATASET_FORMAT_VERSION:
         raise SchemaError(f"{meta_path}: unsupported version {meta.get('version')!r}")
+    for key in ("target_year", "n_counties"):
+        if type(meta.get(key)) is not int:
+            raise SchemaError(f"{meta_path}: {key} must be an integer, got {meta.get(key)!r}")
+    names = meta.get("feature_names")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise SchemaError(f"{meta_path}: feature_names must be a list of strings")
     return meta
 
 
 def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     """Parse a canonical dataset CSV column block by column block with numpy's
     C reader: the keys, the vote counts and the features."""
-    feature_names = list(meta["feature_names"])
+    feature_names = meta["feature_names"]
 
     with open(csv_path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -563,7 +572,7 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
         X=X,
         rep=counts[:, 0],
         dem=counts[:, 1],
-        target_year=int(meta["target_year"]),
+        target_year=meta["target_year"],
     )
 
 
@@ -597,7 +606,7 @@ def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
             a = {name: npz[name] for name in ("digest", "X", "fips", "state", "name", "rep", "dem")}
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    n, p = meta.get("n_counties"), len(meta["feature_names"])
+    n, p = meta["n_counties"], len(meta["feature_names"])
     shapes = {"digest": (), "X": (n, p), "fips": (n,), "state": (n,), "name": (n,)}
     if (
         any(a[name].shape != shape for name, shape in shapes.items())
@@ -619,7 +628,7 @@ def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
             X=a["X"],
             rep=a["rep"],
             dem=a["dem"],
-            target_year=int(meta["target_year"]),
+            target_year=meta["target_year"],
         )
     except DataError:
         return None

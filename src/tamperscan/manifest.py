@@ -36,7 +36,6 @@ class RunManifest:
     sha256: str
     out_dir: Path
     target_year: int
-    delimiter: str
     inputs: dict
     dataset_path: Path
     cv: CvSettings
@@ -178,7 +177,6 @@ def load_manifest(path, out=None) -> RunManifest:
     inputs = {
         key: resolve(value.strip())
         for key, value in (cp.items("inputs") if cp.has_section("inputs") else ())
-        if key != "delimiter"
     }
 
     injection = None
@@ -219,9 +217,6 @@ def load_manifest(path, out=None) -> RunManifest:
     sweep_k_step = _get_int(cp, "sweep", "k_step")
     if sweep_k_step is not None and sweep_k_step < 1:
         raise ConfigError(f"[sweep] k_step must be at least 1, got {sweep_k_step}")
-    delimiter = _get(cp, "inputs", "delimiter", ",")
-    if len(delimiter) != 1:
-        raise ConfigError(f"[inputs] delimiter must be one character, got {delimiter!r}")
     out_dir = resolve(_get(cp, "run", "out_dir", "out")) if out is None else Path(out).absolute()
 
     return RunManifest(
@@ -229,7 +224,6 @@ def load_manifest(path, out=None) -> RunManifest:
         sha256=manifest_hash(path),
         out_dir=out_dir,
         target_year=_get_int(cp, "run", "target_year", 2020),
-        delimiter=delimiter,
         inputs=inputs,
         dataset_path=resolve(_get(cp, "data", "dataset") or out_dir / "dataset.csv"),
         cv=cv,

@@ -771,6 +771,37 @@ class TestExitCodes:
         assert main(["fit", "--manifest", str(manifest)]) == 3
         assert f"{meta_path}: unsupported version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("{not json", "not JSON"),
+            ("[]", "not a dataset metadata file"),
+            ({"target_year": None}, "target_year must be an integer, got None"),
+            ({"target_year": "2020"}, "target_year must be an integer, got '2020'"),
+            ({"n_counties": None}, "n_counties must be an integer, got None"),
+            ({"n_counties": 60.0}, "n_counties must be an integer, got 60.0"),
+            ({"feature_names": None}, "feature_names must be a list of strings"),
+            ({"feature_names": "f0,f1,f2,f3"}, "feature_names must be a list of strings"),
+            ({"feature_names": ["f0", 1, "f2", "f3"]}, "feature_names must be a list of strings"),
+        ],
+        ids=["not_json", "not_an_object", "no_target_year", "text_target_year", "no_n_counties",
+             "float_n_counties", "no_feature_names", "text_feature_names", "number_feature_name"],
+    )
+    def test_malformed_dataset_metadata_is_3_and_names_the_file(self, tmp_path, capsys, edit, message):
+        # `edit` is the file's new text, or keys to replace (None: delete)
+        ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2))
+        save_dataset(ds, tmp_path / "dataset.csv")
+        meta_path = tmp_path / "dataset_meta.json"
+        if not isinstance(edit, str):
+            meta = {**json.loads(meta_path.read_text()), **edit}
+            edit = json.dumps({k: v for k, v in meta.items() if v is not None})
+        meta_path.write_text(edit)
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[data]\ndataset = dataset.csv\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {meta_path}: {message}"), err
+
     @pytest.mark.parametrize("key", ["z_grid", "n_grid"])
     def test_empty_calibrate_grid_is_2_and_writes_nothing(self, tmp_path, capsys, key):
         manifest = tmp_path / "run.ini"

@@ -334,16 +334,23 @@ class TestCompiledSweep:
         X, y = _collinear_problem(0)
         Xs, _ = _standardized(X)
         G, c = elastic_net._gram(Xs, y)
+        bind = elastic_net._bind_sweep
         runs = {}
-        for name, sweep in (("compiled", compiled), ("python", elastic_net._sweep_py)):
+        for name, sweep in (("compiled", compiled), ("python", None)):
             trace, extrapolations = [], 0
 
-            def traced(*args, sweep=sweep, trace=trace):
-                max_delta = sweep(*args)
-                trace.append((args[4].tobytes(), args[5].tobytes(), max_delta))
-                return max_delta
+            def traced_bind(G, c, diag, denom, beta, q, trace=trace):
+                bound = bind(G, c, diag, denom, beta, q)
 
-            monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda traced=traced: traced)
+                def traced(gamma):
+                    max_delta = bound(gamma)
+                    trace.append((beta.tobytes(), q.tobytes(), max_delta))
+                    return max_delta
+
+                return traced
+
+            monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda sweep=sweep: sweep)
+            monkeypatch.setattr(elastic_net, "_bind_sweep", traced_bind)
             beta = np.zeros(Xs.shape[1])
             for alpha in np.geomspace(0.05, 0.0005, 4):
                 if not warm:
@@ -355,6 +362,29 @@ class TestCompiledSweep:
             runs[name] = (trace, beta.tobytes(), extrapolations)
         assert runs["compiled"] == runs["python"]
         assert runs["python"][2] > 0
+
+    @pytest.mark.parametrize("bad", ["short_vector", "strided_G", "float32", "read_only_beta"])
+    def test_bind_checks_every_array_before_any_call(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda: lambda *args: calls.append(args))
+        p = 4
+        arrays = {
+            "G": np.eye(p), "c": np.ones(p), "diag": np.ones(p), "denom": np.ones(p),
+            "beta": np.zeros(p), "q": np.zeros(p),
+        }
+        elastic_net._bind_sweep(**arrays)(0.5)
+        assert len(calls) == 1  # the unaltered arrays bind and call through
+        if bad == "short_vector":
+            arrays["denom"] = np.ones(p - 1)
+        elif bad == "strided_G":
+            arrays["G"] = np.eye(2 * p)[::2, ::2]
+        elif bad == "float32":
+            arrays["c"] = arrays["c"].astype(np.float32)
+        else:
+            arrays["beta"].flags.writeable = False
+        with pytest.raises(ValueError, match="sweep: "):
+            elastic_net._bind_sweep(**arrays)
+        assert len(calls) == 1
 
     def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_sweep_cache, monkeypatch):
         X, y = _collinear_problem(1)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tamperscan import ConfigError, Direction, InjectionSpec, load_manifest, manifest_hash
+from tamperscan.cli import main
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "run2020.ini"
 
@@ -15,7 +16,6 @@ out_dir = results
 [inputs]
 dp02 = raw/dp02.csv
 election_2016 = raw/e16.csv
-delimiter = ;
 
 [data]
 dataset = results/dataset.csv
@@ -69,7 +69,6 @@ class TestLoadManifest:
         assert man.target_year == 2016
         assert man.out_dir == tmp_path / "results"
         assert man.inputs["dp02"] == tmp_path / "raw/dp02.csv"
-        assert man.delimiter == ";"
         assert man.dataset_path == tmp_path / "results/dataset.csv"
         assert man.cv.l1_grid == (0.3, 1.0)
         assert man.cv.n_alphas == 25
@@ -95,7 +94,6 @@ class TestLoadManifest:
         assert man.out_dir == tmp_path / "out"
         assert man.mc_trials == 100_000
         assert man.mc_seed == 0
-        assert man.delimiter == ","
         assert man.calibrate_z == (3.0, 4.0, 5.1, 5.3, 5.5)
         assert man.calibrate_n == (100, 381, 3112)
         assert man.synth is None
@@ -170,13 +168,14 @@ class TestLoadManifest:
             load_manifest(path)
         assert str(err.value) == f"[cv] {message}"
 
-    @pytest.mark.parametrize("value", [";;", "\t", ", ,"])
-    def test_delimiter_must_be_one_character(self, tmp_path, value):
-        # configparser strips the value, so a tab arrives as ""
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[inputs]\ndelimiter = {value}\n")
-        with pytest.raises(ConfigError, match=r"\[inputs\] delimiter must be one character"):
-            load_manifest(path)
+    @pytest.mark.parametrize("value", [";", ";;", "\t", ", ,"])
+    def test_delimiter_is_an_unrecognized_input_key(self, tmp_path, capsys, value):
+        # inputs are comma-separated; a delimiter key is just an unknown input
+        path = tmp_path / "run.ini"
+        path.write_text(f"[inputs]\ndp02 = dp02.csv\nelection_2020 = e.csv\ndelimiter = {value}\n")
+        assert not hasattr(load_manifest(path), "delimiter")
+        assert main(["ingest", "--manifest", str(path)]) == 2
+        assert "config error: unrecognized input key 'delimiter'" in capsys.readouterr().err
 
     def test_unparseable_ini(self, tmp_path):
         path = tmp_path / "bad.ini"
