@@ -18,10 +18,10 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
+from . import _kernels
 from .data_model import CountyKey, Dataset, substream, write_csv, write_json
 from .elastic_net import FitModel, predict
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
@@ -36,12 +36,6 @@ MIN_MC_TRIALS = 1_000
 # MC streams live at indices >= 2**32 so they can never collide with the
 # low-numbered streams used for synthesis and fold shuffling on the same seed.
 _MC_STREAM_BASE = 1 << 32
-
-# Special functions come from the standard library: math.erfc and the
-# standard normal quantile (NormalDist, Wichura's AS241), mapped over arrays
-# where arrays flow.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-_normal_quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 # A local tail counts as underflowed once exp(-z^2/2) leaves the normal
 # float64 range, that is once z^2/2 exceeds this.
@@ -196,6 +190,44 @@ def fit_width(resid: ResidualSet | np.ndarray) -> WidthFit:
     return WidthFit(width=width, clip_iterations=iterations, n_used=int(mask.sum()))
 
 
+# Special functions give the standard library's bits: erfc is the C library's,
+# as math.erfc calls it, and the standard normal quantile is Wichura's AS241
+# with the exact operations of statistics.NormalDist().inv_cdf. Over arrays
+# they run in `_kernels.c`; where that cannot be built or loaded, the
+# `_py` references map the standard library functions instead.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc of each element of the 1-D float64 array `x`."""
+    return _elementwise("erfc_array", _erfc_py, x)
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each element of the 1-D float64 array
+    `p`, every one of which must lie in (0, 1)."""
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
+        raise NumericalError("a normal quantile needs every p in (0, 1)")
+    return _elementwise("normal_quantile", _normal_quantile_py, p)
+
+
+def _elementwise(kernel: str, reference, x: np.ndarray) -> np.ndarray:
+    lib = _kernels.library()
+    if lib is None:
+        return reference(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    getattr(lib, kernel)(x.ctypes.data, out.ctypes.data, x.size)
+    return out
+
+
+def _erfc_py(x: np.ndarray) -> np.ndarray:
+    return np.frompyfunc(math.erfc, 1, 1)(x).astype(np.float64)
+
+
+def _normal_quantile_py(p: np.ndarray) -> np.ndarray:
+    from statistics import NormalDist  # only this fallback needs it
+
+    return np.frompyfunc(NormalDist().inv_cdf, 1, 1)(p).astype(np.float64)
+
+
 def two_sided_p(sigma: float) -> float:
     """Two-sided normal tail probability at the given sigma level."""
     if not np.isfinite(sigma):
@@ -223,14 +255,14 @@ def analytic_sigma_curve(z_values: np.ndarray, n_counties: int) -> np.ndarray:
     if n_counties == 1:
         return z.copy()
     x = z / math.sqrt(2.0)
-    p_local = np.where(x * x > _LOG_FLOAT_MAX, 0.0, _erfc(x).astype(np.float64))
+    p_local = np.where(x * x > _LOG_FLOAT_MAX, 0.0, _erfc(x))
     with np.errstate(divide="ignore"):
         p_global = -np.expm1(n_counties * np.log1p(-p_local))
     # a global tail of 0 has sigma +inf, so the result caps at |z|
     tail = 0.5 * p_global
     sigma = np.full_like(z, np.inf)
     lifted = tail > 0.0
-    sigma[lifted] = -_normal_quantile(tail[lifted]).astype(np.float64) + 0.0
+    sigma[lifted] = -_normal_quantile(tail[lifted]) + 0.0
     return np.minimum(z, sigma)
 
 
@@ -267,7 +299,7 @@ def _draw_table(config: McConfig) -> np.ndarray:
     k = substream(config.seed, _MC_STREAM_BASE).integers(0, 1 << 52, size=config.trials)
     v = (k + 0.5) * 2.0**-52
     q = -np.expm1(np.log(v) / config.n_counties)
-    return np.sort(-_normal_quantile(0.5 * q).astype(np.float64)) + 0.0
+    return np.sort(-_normal_quantile(0.5 * q)) + 0.0
 
 
 def _mc_sigmas(z: np.ndarray, config: McConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +313,7 @@ def _mc_sigmas(z: np.ndarray, config: McConfig) -> tuple[np.ndarray, np.ndarray]
     sigma = np.empty_like(z)
     sigma[bounded] = analytic_sigma_curve(z[bounded], config.n_counties)
     tail = 0.5 * (counts[~bounded] / config.trials)
-    sigma[~bounded] = np.minimum(
-        z[~bounded], -_normal_quantile(tail).astype(np.float64) + 0.0
-    )
+    sigma[~bounded] = np.minimum(z[~bounded], -_normal_quantile(tail) + 0.0)
     return counts, sigma
 
 

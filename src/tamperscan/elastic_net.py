@@ -15,7 +15,7 @@ cross-validation over an (l1_ratio, alpha) grid.
 & Tibshirani, J. Stat. Softw. 33(1), 2010): G = Xs'Xs/n and c = Xs'(y - ybar)/n
 are formed once per fit or CV fold, so a coordinate update is scalar
 arithmetic, and q = G.beta is kept exact by adding d G[j] to it whenever
-coefficient j moves by d. A sweep runs in C (`_sweep.c`, compiled into the
+coefficient j moves by d. A sweep runs in C (`_kernels.c`, compiled into the
 user's cache on first use, called through ctypes) or, where that cannot be
 built or loaded, in `_sweep_py`, which does the same IEEE operations in the
 same order: no output depends on which one ran, and `training_meta["sweep"]`
@@ -30,18 +30,14 @@ sweep that moves no coefficient by `tol` or more.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .data_model import StandardizationParams, apply_standardization, standardize, substream
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError, SchemaError
 
@@ -226,7 +222,7 @@ def _descend(G, c, penalty, tol, max_iter, beta):
 
 def _sweep_py(G, c, diag, denom, beta, q, gamma):
     """One cyclic sweep on `beta` and q = G.beta in place; returns the
-    largest move. The reference for the compiled sweep in `_sweep.c`.
+    largest move. The reference for the compiled sweep in `_kernels.c`.
 
     Coordinate j's update soft-thresholds rho = c_j - q_j + G_jj beta_j by
     gamma and divides by denom_j = G_jj + ridge; a coordinate with denom_j 0
@@ -262,72 +258,11 @@ def _sweep_py(G, c, diag, denom, beta, q, gamma):
     return max_delta
 
 
-_SWEEP_SOURCE = Path(__file__).with_name("_sweep.c")
-_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _compiler() -> list[str]:
-    """The C compiler this Python was built with, as the head of an argv."""
-    import shlex
-    import sysconfig
-
-    return shlex.split(sysconfig.get_config_var("CC") or "cc")
-
-
-@functools.cache
 def _compiled_sweep():
-    """The `sweep` function of `_sweep.c` as a ctypes function, built on first
-    use; None if it cannot be built or loaded, so the caller runs `_sweep_py`.
-
-    The shared library lives in $XDG_CACHE_HOME/tamperscan (when that is an
-    absolute path; otherwise ~/.cache/tamperscan), so later processes load
-    it without compiling. `_sweep.c` is plain C, so the build needs no
-    Python headers and one library serves every Python version. Its name
-    holds the sha256 of the source and the compiler flags, then the sha256
-    of its own bytes: it is written under a temporary name and moved into
-    place, and a file whose bytes do not match its name (truncated, say,
-    which would crash the loader) is never loaded but rebuilt. Nothing is
-    compiled or loaded at import time.
-    """
-    # imported here: a command that fits nothing does not pay for it
-    import subprocess
-
-    try:
-        key = hashlib.sha256(_SWEEP_SOURCE.read_bytes())
-        key.update("\0".join(_SWEEP_FLAGS).encode())
-        xdg = os.environ.get("XDG_CACHE_HOME", "")  # relative: not valid, so ignored
-        cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "tamperscan"
-        stem = f"_sweep-{key.hexdigest()[:16]}"
-        for path in cache.glob(f"{stem}-*.so"):
-            if path.name == f"{stem}-{_digest(path)}.so":
-                return _load_sweep(path)
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run(
-                [*_compiler(), *_SWEEP_FLAGS, str(_SWEEP_SOURCE), "-o", tmp],
-                check=True, capture_output=True, timeout=120,
-            )
-            path = cache / f"{stem}-{_digest(tmp)}.so"
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return _load_sweep(path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
-def _load_sweep(path):
-    sweep = ctypes.CDLL(str(path)).sweep
-    sweep.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_ssize_t, ctypes.c_double)
-    sweep.restype = ctypes.c_double
-    return sweep
+    """The `sweep` function of `_kernels.c`, or None where the kernel library
+    cannot be built or loaded, so the caller runs `_sweep_py`."""
+    lib = _kernels.library()
+    return None if lib is None else lib.sweep
 
 
 def _bind_sweep(G, c, diag, denom, beta, q):

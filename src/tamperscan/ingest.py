@@ -542,8 +542,8 @@ def _read_meta(csv_path: Path) -> dict:
 
 
 def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
-    """Parse a canonical dataset CSV column block by column block with numpy's
-    C reader: the keys, the vote counts and the features."""
+    """Parse a canonical dataset CSV: the keys and vote counts of each line
+    split off in Python, the feature tails in one pass of numpy's C reader."""
     feature_names = meta["feature_names"]
 
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -552,22 +552,27 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     if header != _csv_header(meta["target_year"], feature_names):
         raise SchemaError(f"{csv_path}: header does not match metadata")
 
-    rows = lines[1:]
     width = len(header)
-    for line in rows:
-        # only a quoted name can hold a comma, so other lines are checked by count
-        if line.count(",") != width - 1 or '"' in line:
+    keys, tallies, tails = [], [], []
+    for line in lines[1:]:
+        # only a quoted name can hold a comma, so other lines are split and checked by count
+        if '"' in line or line.count(",") != width - 1:
             row = next(csv.reader([line]), [])
             if len(row) != width:
                 raise DataError(f"{csv_path}: ragged data row for fips {row[0] if row else '?'}")
+            cells = [*row[:5], ",".join(row[5:])]
+        else:
+            cells = line.split(",", 5)
+        keys.append(CountyKey(*cells[:3]))
+        tallies.append(f"{cells[3]},{cells[4]}")
+        tails.append(cells[5] if len(cells) > 5 else "")
     try:
-        keys = _columns(rows, str, range(3))
-        counts = _columns(rows, np.int64, range(3, 5))
-        X = _columns(rows, np.float64, range(5, width))
+        counts = _columns(tallies, np.int64, 3, 2)
+        X = _columns(tails, np.float64, 5, width - 5)
     except ValueError as err:
         raise DataError(f"{csv_path}: {err}") from None
     return Dataset.build(
-        keys=[CountyKey(*key) for key in keys.tolist()],
+        keys=keys,
         feature_names=feature_names,
         X=X,
         rep=counts[:, 0],
@@ -576,13 +581,17 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
     )
 
 
-def _columns(rows: list[str], dtype, cols: range) -> np.ndarray:
-    """Columns `cols` of CSV data lines as a (len(rows), len(cols)) array."""
-    if not rows or not cols:
-        return np.empty((len(rows), len(cols)), dtype=dtype)
-    return np.loadtxt(
-        rows, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=cols, ndmin=2
-    )
+def _columns(lines: list[str], dtype, first: int, width: int) -> np.ndarray:
+    """Lines of `width` comma-separated cells, the data row's columns `first`
+    onwards, as a (len(lines), width) array."""
+    if not lines or not width:
+        return np.empty((len(lines), width), dtype=dtype)
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        # numpy counts columns from 1 within these lines; report the row's
+        message = re.sub(r"column (\d+)", lambda m: f"column {first + int(m[1])}", str(err))
+        raise ValueError(message) from None
 
 
 def _write_cache(path: Path, digest: str, dataset: Dataset) -> None:

@@ -1,16 +1,31 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from tamperscan import CountyKey, Dataset
+from tamperscan import CountyKey, Dataset, _kernels
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _sweep_cache(tmp_path_factory):
-    """Build the compiled sweep under the session's temporary directory, not
+def _kernel_cache(tmp_path_factory):
+    """Build the compiled kernels under the session's temporary directory, not
     the user's cache; CLI subprocesses inherit the same directory."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache, with no kernel library loaded yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernels.library.cache_clear()
+    yield tmp_path / "tamperscan"
+    _kernels.library.cache_clear()
+
+
+def have_compiler():
+    return shutil.which(_kernels.compiler()[0]) is not None
 
 
 def make_dataset(counties, feature_names=("f_a", "f_b"), target_year=2020):

@@ -29,11 +29,11 @@ from tamperscan import (
     write_ranking_csv,
     write_scores_json,
 )
-from tamperscan import anomaly
+from tamperscan import _kernels, anomaly
 from tamperscan.anomaly import ResidualSet
 from tamperscan.data_model import substream
 
-from conftest import make_dataset
+from conftest import have_compiler, make_dataset
 
 
 def _analytic(z, n):
@@ -51,8 +51,8 @@ def _keys(n, state="GA", start=1):
 
 def _scalar_reference(local_z, n_counties, special):
     """The conversion one z at a time on scipy's erfc and ndtri (`special` is
-    scipy.special), kept as an oracle for analytic_sigma_curve, which runs on
-    the standard library."""
+    scipy.special), kept as an oracle for analytic_sigma_curve, which gives
+    the standard library's bits."""
     z = abs(float(local_z))
     if n_counties == 1:
         return z
@@ -279,6 +279,101 @@ class TestMonteCarlo:
     def test_trial_floor_enforced(self):
         with pytest.raises(ConfigError):
             McConfig(n_counties=10, trials=10)
+
+
+def _neighbours(p, steps=64):
+    """p and the `steps` floats on either side of it."""
+    out = [p]
+    down = up = p
+    for _ in range(steps):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, 1.0)
+        out += [down, up]
+    return out
+
+
+@pytest.fixture
+def kernels():
+    lib = _kernels.library()
+    if lib is None:
+        pytest.skip("the compiled kernels did not build here")
+    return lib
+
+
+class TestSpecialFunctions:
+    """The compiled erfc and normal quantile against their standard-library
+    references, bit for bit, and the outputs built on them with and without
+    the compiled library."""
+
+    def test_quantile_bit_identical_to_the_standard_library(self, kernels):
+        rng = np.random.default_rng(25)
+        p = np.concatenate([
+            rng.random(400_000),  # mostly |p - 0.5| <= 0.425
+            # both tails; r > 5 once p < exp(-25), and the upper one runs through 1 - p
+            10.0 ** -rng.uniform(0.0, 308.0, 200_000), 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 100_000),
+            rng.uniform(0.0, 0.075, 100_000), rng.uniform(0.925, 1.0, 100_000),
+            np.exp(-rng.uniform(20.0, 30.0, 100_000)),  # around r = 5
+            # the branch boundaries: |p - 0.5| = 0.425 and p = exp(-25)
+            *map(_neighbours, (0.075, 0.925, 0.5 - 0.425, 0.5 + 0.425, math.exp(-25.0))),
+            _neighbours(1.0 - math.exp(-25.0)),
+            # subnormal p, the smallest normal p, 1 - 2^-53 and p = 1/2
+            rng.integers(1, 2**52, 10_000) * 2.0**-1074, [5e-324, 2.0**-1022],
+            [1.0 - 2.0**-53, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+        ])
+        p = p[(p > 0.0) & (p < 1.0)]
+        assert p.size >= 10**6
+        compiled = anomaly._normal_quantile(p)
+        assert compiled.tobytes() == anomaly._normal_quantile_py(p).tobytes()
+        assert anomaly._normal_quantile(np.array([0.5])).tobytes() == np.array([0.0]).tobytes()
+
+    def test_erfc_bit_identical_to_the_standard_library(self, kernels):
+        rng = np.random.default_rng(25)
+        x = np.concatenate([
+            np.linspace(-10.0, 30.0, 1_000_001), rng.uniform(-10.0, 30.0, 1_000_000),
+            # the C library's breakpoints, 0 and the tail that underflows
+            *map(_neighbours, (0.84375, 1.25, 2.857142857142857, 6.0, 26.5, 27.3, 28.0)),
+            [0.0, -0.0, 5e-324, -5e-324],
+        ])
+        assert anomaly._erfc(x).tobytes() == anomaly._erfc_py(x).tobytes()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0, 1.5, np.nan, -np.inf, np.inf])
+    def test_quantile_outside_the_unit_interval_is_refused_on_both_paths(
+        self, monkeypatch, compiled, bad
+    ):
+        calls = []
+        fake = type("Kernels", (), {"normal_quantile": lambda *args: calls.append(args)})
+        monkeypatch.setattr(_kernels, "library", lambda: fake if compiled else None)
+        with pytest.raises(NumericalError, match=r"needs every p in \(0, 1\)"):
+            anomaly._normal_quantile(np.array([0.25, bad]))
+        assert calls == []
+
+    def test_curves_and_mc_null_bit_equal_without_a_compiler(self, empty_kernel_cache, monkeypatch):
+        z = np.concatenate([np.linspace(-9.0, 9.0, 3601), [0.0, 1e-300, 37.5, 38.5, 41.0]])
+
+        def run():
+            anomaly._cached_table.cache_clear()
+            out = {}
+            for n in (2, 381, 3112):
+                config = McConfig(n_counties=n, trials=20_000, seed=n)
+                counts, sigmas = anomaly._mc_sigmas(z, config)
+                out[n] = (
+                    analytic_sigma_curve(z, n).tobytes(),
+                    anomaly._draw_table(config).tobytes(),
+                    counts.tobytes(),
+                    sigmas.tobytes(),
+                )
+            return out
+
+        real_compiler = _kernels.compiler
+        monkeypatch.setattr(_kernels, "compiler", lambda: ["tamperscan-no-such-cc"])
+        python = run()
+        assert _kernels.library() is None
+        monkeypatch.setattr(_kernels, "compiler", real_compiler)
+        _kernels.library.cache_clear()
+        compiled = run()
+        anomaly._cached_table.cache_clear()
+        assert (_kernels.library() is not None) == have_compiler()
+        assert compiled == python
 
 
 class TestScoreCounties:

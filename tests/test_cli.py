@@ -842,6 +842,18 @@ def test_cli_import_loads_no_network_modules():
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_builds_no_kernel_and_loads_no_statistics():
+    """The compiled kernels load on first use, and only their Python
+    fallback imports statistics."""
+    code = (
+        "import sys, tamperscan.cli; from tamperscan import _kernels; "
+        "print(_kernels.library.cache_info().misses, 'statistics' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 False\n"
+
+
 def test_fit_prints_non_ascii_names_under_an_ascii_locale(tmp_path):
     ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2, seed=3))
     renamed = dataclasses.replace(

@@ -1,5 +1,4 @@
 import json
-import shutil
 import tracemalloc
 import warnings
 
@@ -17,7 +16,7 @@ from tamperscan import (
     predict,
     standardize,
 )
-from tamperscan import elastic_net
+from tamperscan import _kernels, elastic_net
 from tamperscan.data_model import substream
 from tamperscan.elastic_net import (
     _extrapolate,
@@ -27,7 +26,7 @@ from tamperscan.elastic_net import (
     model_to_dict,
 )
 
-from conftest import assert_monotone, counting, replayed_objectives
+from conftest import assert_monotone, counting, have_compiler, replayed_objectives
 
 
 def _standardized(X, names=None):
@@ -311,19 +310,6 @@ def compiled():
     return sweep
 
 
-@pytest.fixture
-def empty_sweep_cache(monkeypatch, tmp_path):
-    """An empty compiled-sweep cache, with no compiled sweep loaded yet."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    elastic_net._compiled_sweep.cache_clear()
-    yield tmp_path / "tamperscan"
-    elastic_net._compiled_sweep.cache_clear()
-
-
-def _have_compiler():
-    return shutil.which(elastic_net._compiler()[0]) is not None
-
-
 class TestCompiledSweep:
     """The C sweep against its Python reference, its build cache and its
     fallback."""
@@ -386,7 +372,7 @@ class TestCompiledSweep:
             elastic_net._bind_sweep(**arrays)
         assert len(calls) == 1
 
-    def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_sweep_cache, monkeypatch):
+    def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_kernel_cache, monkeypatch):
         X, y = _collinear_problem(1)
         Xs, params = _standardized(X)
 
@@ -394,47 +380,47 @@ class TestCompiledSweep:
             model = fit(Xs, y, PenaltyConfig(alpha=0.001, l1_ratio=0.5), params, tol=1e-9)
             return model, cross_validate(X, y, l1_grid=(0.5, 1.0), k=3, n_alphas=5)
 
-        real_compiler = elastic_net._compiler
-        monkeypatch.setattr(elastic_net, "_compiler", lambda: ["tamperscan-no-such-cc"])
+        real_compiler = _kernels.compiler
+        monkeypatch.setattr(_kernels, "compiler", lambda: ["tamperscan-no-such-cc"])
         py_model, py_cv = run()
         assert py_model.training_meta["sweep"] == "python"
-        assert list(empty_sweep_cache.iterdir()) == []  # no temporary file left behind
+        assert list(empty_kernel_cache.iterdir()) == []  # no temporary file left behind
 
-        monkeypatch.setattr(elastic_net, "_compiler", real_compiler)
-        elastic_net._compiled_sweep.cache_clear()
+        monkeypatch.setattr(_kernels, "compiler", real_compiler)
+        _kernels.library.cache_clear()
         model, cv = run()
-        expected = "compiled" if _have_compiler() else "python"
+        expected = "compiled" if have_compiler() else "python"
         assert model.training_meta["sweep"] == expected
         assert model.coefficients.tobytes() == py_model.coefficients.tobytes()
         assert model.intercept == py_model.intercept
         assert {**model.training_meta, "sweep": "python"} == py_model.training_meta
         assert cv == py_cv
 
-    def test_cache_is_reused_and_a_truncated_file_rebuilt(self, empty_sweep_cache, monkeypatch):
-        if not _have_compiler():
+    def test_cache_is_reused_and_a_truncated_file_rebuilt(self, empty_kernel_cache, monkeypatch):
+        if not have_compiler():
             pytest.skip("no C compiler on PATH")
-        builds = counting(monkeypatch, elastic_net, "_compiler")
-        assert elastic_net._compiled_sweep() is not None
-        [built] = empty_sweep_cache.iterdir()
-        elastic_net._compiled_sweep.cache_clear()
-        assert elastic_net._compiled_sweep() is not None
+        builds = counting(monkeypatch, _kernels, "compiler")
+        assert _kernels.library() is not None
+        [built] = empty_kernel_cache.iterdir()
+        _kernels.library.cache_clear()
+        assert _kernels.library() is not None
         assert len(builds) == 1
 
         # the first kilobyte of a good build under its name, in a second
         # cache: a file this process never loaded, so rewriting it is safe
-        other = empty_sweep_cache.parent / "other"
+        other = empty_kernel_cache.parent / "other"
         monkeypatch.setenv("XDG_CACHE_HOME", str(other))
         truncated = other / "tamperscan" / built.name
         truncated.parent.mkdir(parents=True)
         truncated.write_bytes(built.read_bytes()[:1024])
-        elastic_net._compiled_sweep.cache_clear()
-        assert elastic_net._compiled_sweep() is not None
+        _kernels.library.cache_clear()
+        assert _kernels.library() is not None
         assert len(builds) == 2
         assert truncated.read_bytes() == built.read_bytes()
 
     def test_loads_where_a_compiler_is_on_path(self):
-        # a broken _sweep.c fails here instead of silently running Python
-        if not _have_compiler():
+        # a broken _kernels.c fails here instead of silently running Python
+        if not have_compiler():
             pytest.skip("no C compiler on PATH")
         assert elastic_net._compiled_sweep() is not None
 
