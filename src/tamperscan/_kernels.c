@@ -1,19 +1,24 @@
 /* The compiled kernels of tamperscan: plain C with no Python headers, built
  * into a shared library and called through ctypes by _kernels.library().
  *
- * Each function is the twin of a Python reference and does the same IEEE
- * operations in the same order, so both give the same bits:
+ * Each function is the twin of a Python reference and gives the same bits
+ * (the same bytes, for the formatter):
  *
  *   sweep            elastic_net._sweep_py
  *   normal_quantile  statistics.NormalDist().inv_cdf (anomaly._normal_quantile_py)
  *   erfc_array       math.erfc (anomaly._erfc_py)
+ *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
+ *                    (data_model.format_floats)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
  * and the Horner steps may round once instead of twice. The callers check
- * shapes, dtypes and the domain before any call.
+ * shapes, dtypes and the domain before any call; format_values checks its
+ * own, and returns -1 for the caller to run the reference instead.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 /* One cyclic coordinate-descent sweep of the covariance-form elastic net.
  *
@@ -148,4 +153,232 @@ erfc_array(const double *x, double *out, ptrdiff_t n)
 {
     for (ptrdiff_t i = 0; i < n; i++)
         out[i] = erfc(x[i]);
+}
+
+/* Text for floats: format_values writes repr(x) and '%.2f' % x from x =
+ * m * 2^e with exact integer arithmetic, for zero and 2^-60 <= |x| < 2^52.
+ * It declines any other value (NaN, +-inf, subnormal, tiny or large), and
+ * every value where the compiler has no unsigned __int128.
+ */
+
+/* The decimal digits of n at p; returns their count. */
+static int
+put_uint(char *p, uint64_t n)
+{
+    char tmp[20];
+    int len = 0;
+
+    do {
+        tmp[len++] = (char)('0' + n % 10);
+        n /= 10;
+    } while (n);
+    for (int i = 0; i < len; i++)
+        p[i] = tmp[len - 1 - i];
+    return len;
+}
+
+/* '%d' % x, which is int(x) in decimal, for |x| < 2^52. */
+static int
+put_int(char *p, double x)
+{
+    if (!(fabs(x) < 4503599627370496.0))  /* NaN fails too */
+        return -1;
+    int64_t v = (int64_t)x;  /* truncates toward zero, as int() does */
+    if (v < 0) {
+        *p = '-';
+        return 1 + put_uint(p + 1, (uint64_t)-v);
+    }
+    return put_uint(p, (uint64_t)v);
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* |x| = m * 2^e with m in [2^52, 2^53) and -112 <= e <= -1 when
+ * 2^-60 <= |x| < 2^52; returns 0 for any other x. */
+static int
+split(double x, uint64_t *m, int *e)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    if (biased < 1023 - 60 || biased > 1023 + 51)
+        return 0;
+    *m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    *e = biased - 1075;
+    return 1;
+}
+
+/* repr(x): the shortest digits that read back as x, chosen as David Gay's
+ * dtoa does in mode 0 (Steele and White's free-format rule), laid out as
+ * float_repr lays them out. Writes at most 24 bytes. */
+static int
+put_repr(char *p, double x)
+{
+    char *start = p, frac[40];
+    int nf = -1, e, up;  /* nf < 0: dig is still the integer part */
+    uint64_t m;
+
+    if (signbit(x))
+        *p++ = '-';
+    if (x == 0.0) {
+        memcpy(p, "0.0", 3);
+        return (int)(p - start) + 3;
+    }
+    if (!split(x, &m, &e))
+        return -1;
+    /* Every integer digit, m >> -e, is needed: the gap to either neighbour
+     * is at most 1/2. The fraction is R / D with D = 2^s, and mlo / D and
+     * mhi / D are the half-gaps below and above x, the one below halved
+     * when m = 2^52. Each fraction digit multiplies all three by 10. */
+    int s = 2 - e;
+    u128 D = (u128)1 << s, R = ((u128)m << 2) & (D - 1);
+    u128 mlo = m == UINT64_C(1) << 52 ? 1 : 2, mhi = 2;
+    uint64_t integer = (uint64_t)((u128)m >> -e), dig = integer;
+    for (;;) {
+        /* Stop once dropping R (low) or rounding up (high) stays within a
+         * half-gap; if both do, take the nearer digit, and the even one at a
+         * tie. A boundary x -+ half-gap has 1 - e fraction digits, one more
+         * than x, so R never lands on one, and dtoa's rule for a boundary
+         * (it counts when m is even) never applies in this range. */
+        int low = R < mlo, high = R + mhi > D;
+        if (low || high) {
+            up = high && (!low || (R << 1) > D || ((R << 1) == D && (dig & 1)));
+            break;
+        }
+        if (nf >= 0)
+            frac[nf] = (char)('0' + dig);
+        if (++nf == (int)sizeof frac)
+            return -1;  /* never: 18 leading zeros and 17 digits at most */
+        R *= 10;
+        mlo *= 10;
+        mhi *= 10;
+        dig = (uint64_t)(R >> s);
+        R &= D - 1;
+    }
+    if (nf < 0) {
+        integer += up;
+        nf = 0;
+    } else if (dig + up > 9) {
+        return -1;  /* never: the digit before would have stopped */
+    } else {
+        frac[nf++] = (char)('0' + dig + up);
+    }
+
+    if (integer > 0 || nf == 0) {
+        p += put_uint(p, integer);
+        *p++ = '.';
+        if (nf == 0)
+            *p++ = '0';
+        memcpy(p, frac, nf);
+        return (int)(p - start) + nf;
+    }
+    int zeros = 0;
+    while (frac[zeros] == '0')
+        zeros++;
+    if (zeros < 4) {  /* 1e-4 <= |x| < 1 */
+        memcpy(p, "0.", 2);
+        memcpy(p + 2, frac, nf);
+        return (int)(p - start) + 2 + nf;
+    }
+    *p++ = frac[zeros];
+    if (nf - zeros > 1) {
+        *p++ = '.';
+        memcpy(p, frac + zeros + 1, nf - zeros - 1);
+        p += nf - zeros - 1;
+    }
+    /* |x| >= 2^-60 > 1e-19, so the exponent has two digits */
+    int exp10 = zeros + 1;
+    memcpy(p, "e-", 2);
+    p[2] = (char)('0' + exp10 / 10);
+    p[3] = (char)('0' + exp10 % 10);
+    return (int)(p - start) + 4;
+}
+
+/* '%.2f' % x: x * 100 = m * 100 / 2^-e rounded half to even, with x's sign
+ * even when that is zero. Writes at most 20 bytes. */
+static int
+put_fixed2(char *p, double x)
+{
+    char *start = p;
+    int e;
+    uint64_t m;
+
+    if (signbit(x))
+        *p++ = '-';
+    if (x == 0.0) {
+        memcpy(p, "0.00", 4);
+        return (int)(p - start) + 4;
+    }
+    if (!split(x, &m, &e))
+        return -1;
+    u128 v = (u128)m * 100, half = (u128)1 << (-e - 1), r = v & ((half << 1) - 1);
+    uint64_t q = (uint64_t)(v >> -e);
+    if (r > half || (r == half && (q & 1)))
+        q++;
+    p += put_uint(p, q / 100);
+    p[0] = '.';
+    p[1] = (char)('0' + q / 10 % 10);
+    p[2] = (char)('0' + q % 10);
+    return (int)(p - start) + 3;
+}
+#else
+static int
+put_repr(char *p, double x)
+{
+    (void)p;
+    (void)x;
+    return -1;
+}
+
+static int
+put_fixed2(char *p, double x)
+{
+    (void)p;
+    (void)x;
+    return -1;
+}
+#endif
+
+/* (layout * reps) % tuple(x[:n]) as Python computes it, for a layout whose
+ * conversions are %r, %.2f, %d and %%, into out, which holds cap bytes;
+ * returns the length. Returns -1 if the layout has any other conversion,
+ * the conversions do not take exactly n values, a value is declined or out
+ * has fewer than 32 bytes to spare before a value; the caller then runs
+ * the reference. */
+ptrdiff_t
+format_values(const char *layout, ptrdiff_t reps, const double *x, ptrdiff_t n,
+              char *out, ptrdiff_t cap)
+{
+    const double *end = x + n;
+    ptrdiff_t len = 0;
+
+    for (ptrdiff_t r = 0; r < reps; r++) {
+        for (const char *c = layout; *c; c++) {
+            int w;
+            if (*c != '%' || c[1] == '%') {
+                if (len == cap)
+                    return -1;
+                out[len++] = *c;
+                c += *c == '%';
+                continue;
+            }
+            if (cap - len < 32 || x == end)
+                return -1;
+            c++;
+            if (*c == 'r')
+                w = put_repr(out + len, *x++);
+            else if (*c == 'd')
+                w = put_int(out + len, *x++);
+            else if (c[0] == '.' && c[1] == '2' && c[2] == 'f') {
+                c += 2;
+                w = put_fixed2(out + len, *x++);
+            } else
+                return -1;
+            if (w < 0)
+                return -1;
+            len += w;
+        }
+    }
+    return x == end ? len : -1;
 }

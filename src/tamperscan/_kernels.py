@@ -14,10 +14,13 @@ import functools
 import hashlib
 import os
 import tempfile
+import time
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# a build deletes every other cached library last written longer ago than this
+STALE_AFTER_S = 30 * 24 * 3600
 
 
 def compiler() -> list[str]:
@@ -41,7 +44,7 @@ def library():
     of its own bytes: it is written under a temporary name and moved into
     place, and a file whose bytes do not match its name (truncated, say,
     which would crash the loader) is never loaded but rebuilt. Nothing is
-    compiled or loaded at import time.
+    compiled or loaded at import time, and a load deletes nothing.
     """
     try:
         key = hashlib.sha256(SOURCE.read_bytes())
@@ -58,7 +61,13 @@ def library():
 
 
 def _build(cache: Path, stem: str) -> Path:
-    """Compile SOURCE into `cache` as `<stem>-<digest>.so`; OSError if that fails."""
+    """Compile SOURCE into `cache` as `<stem>-<digest>.so`; OSError if that fails.
+
+    A new build then deletes every other cached library, of this version or
+    another, last written more than 30 days ago, including those of the
+    earlier `_sweep.c`. One in use by another version is at worst rebuilt
+    once a month: its fresh copy survives this version's next build.
+    """
     # imported here: loading a cached library does not pay for it
     import subprocess
 
@@ -78,7 +87,18 @@ def _build(cache: Path, stem: str) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(cache, keep=path)
     return path
+
+
+def _prune(cache: Path, keep: Path) -> None:
+    cutoff = time.time() - STALE_AFTER_S
+    for old in [*cache.glob("_kernels-*.so"), *cache.glob("_sweep-*.so")]:
+        try:
+            if old != keep and old.stat().st_mtime < cutoff:
+                old.unlink()
+        except OSError:
+            pass  # another process removed or replaced it first
 
 
 def _digest(path) -> str:
@@ -92,4 +112,9 @@ def _load(path):
     for elementwise in (lib.normal_quantile, lib.erfc_array):
         elementwise.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
         elementwise.restype = None
+    lib.format_values.argtypes = (
+        ctypes.c_char_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p,
+        ctypes.c_ssize_t,
+    )
+    lib.format_values.restype = ctypes.c_ssize_t
     return lib

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data_model import format_floats
 from .errors import ConfigError
 from .scenarios import Direction, SweepCurve
 
@@ -38,7 +39,11 @@ def _escape(text: str) -> str:
 
 
 def sweep_chart_svg(curves: list[SweepCurve], state: str, comment: str = "") -> str:
-    """Render the detection curves of one state to an SVG document string."""
+    """Render the detection curves of one state to an SVG document string.
+
+    Each polyline's points are "%.2f,%.2f" pairs joined by spaces, written
+    by one `format_floats` call, so in C where it is available.
+    """
     curves = [c for c in curves if c.state == state]
     if not curves:
         raise ConfigError(f"no sweep curves for state {state}")
@@ -127,7 +132,7 @@ def sweep_chart_svg(curves: list[SweepCurve], state: str, comment: str = "") -> 
         # sx and sy over whole arrays: the same float64 operations in the same order
         x = MARGIN_LEFT + plot_w * (curve.ks / k_max)
         y = MARGIN_TOP + plot_h * (1.0 - curve.sigmas / sigma_max)
-        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(np.column_stack([x, y]).ravel().tolist())
+        points = format_floats(" %.2f,%.2f", np.column_stack([x, y]), reps=x.size)[1:]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.2" stroke-opacity="0.75">'

@@ -21,7 +21,9 @@ from pathlib import Path
 
 from . import __version__, anomaly, charts
 from .anomaly import McNull, Scoring, residuals, score_model, size_correlation
-from .data_model import Dataset, generate_synthetic, write_csv, write_json
+from .data_model import (
+    Dataset, csv_prefix, format_floats, generate_synthetic, open_csv, write_csv, write_json,
+)
 from .elastic_net import (
     MODEL_FORMAT_VERSION,
     cv_result_from_dict,
@@ -159,8 +161,9 @@ def _write_scores(run: Run, prefix: str, scoring: Scoring, **meta) -> None:
     """<prefix>ranking.csv, <prefix>scores.json and <prefix>residuals.csv.
 
     The residuals file is a FIPS-keyed export for choropleth tools, at full
-    precision. Its sigmas are the scored ones, so they agree with the ranking
-    and the scores JSON whichever null (analytic or MC) produced them.
+    precision (repr, through `format_floats`). Its sigmas are the scored
+    ones, so they agree with the ranking and the scores JSON whichever null
+    (analytic or MC) produced them.
     """
     scores = scoring.scores
     anomaly.write_ranking_csv(scores, run.out / f"{prefix}ranking.csv", comment=run.comment)
@@ -178,11 +181,12 @@ def _write_scores(run: Run, prefix: str, scoring: Scoring, **meta) -> None:
         },
     )
     header = ["fips", "residual", "local_sigma", "global_sigma"]
-    rows = (
-        [s.key.fips, repr(s.residual), repr(s.local_sigma), repr(s.global_sigma)]
-        for s in sorted(scores, key=lambda s: s.key.fips)
-    )
-    write_csv(run.out / f"{prefix}residuals.csv", header, rows, comment=run.comment)
+    rows = sorted(scores, key=lambda s: s.key.fips)
+    with open_csv(run.out / f"{prefix}residuals.csv", header, run.comment) as fh:
+        fh.write(format_floats(
+            "".join([csv_prefix([s.key.fips]) + ",%r,%r,%r\r\n" for s in rows]),
+            [(s.residual, s.local_sigma, s.global_sigma) for s in rows],
+        ))
 
 
 def _print_top(scores, top_n: int = 10) -> None:

@@ -8,6 +8,7 @@ construction and all operations are pure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, DataError, NumericalError, SchemaError
 from .fips import FIPS_PREFIX_BY_STATE, state_for_fips
 
@@ -315,6 +317,44 @@ def write_csv(path, header, rows, comment: str = "") -> None:
     """Write a CSV file: a `# comment` line when given, the header, then `rows`."""
     with open_csv(path, header, comment) as fh:
         csv.writer(fh).writerows(rows)
+
+
+def csv_prefix(fields) -> str:
+    """`fields` as csv.writer writes them at the start of a row, without the
+    line terminator and with every % doubled, to head a `format_floats`
+    layout."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[: -len("\r\n")].replace("%", "%%")
+
+
+def format_floats(layout: str, values, reps: int = 1) -> str:
+    """`(layout * reps) % tuple(values)` for float64 `values` and a layout
+    whose conversions are %r, %.2f and %d, with %% for a literal %.
+
+    `format_values` in `_kernels.c` writes the same bytes into a buffer
+    sized for this one call. It declines NaN, infinities, subnormals and
+    nonzero magnitudes outside [2^-60, 2^52), and the expression above then
+    runs, as it does where `_kernels.library()` is None.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    lib = _kernels.library()
+    if lib is not None:
+        text = _format_compiled(lib, layout.encode(), values, reps)
+        if text is not None:
+            return text
+    return (layout * reps) % tuple(values.ravel().tolist())
+
+
+def _format_compiled(lib, layout: bytes, values: np.ndarray, reps: int) -> str | None:
+    """`format_floats` in C, or None where `format_values` declines."""
+    if b"\0" in layout:  # C would read the layout only up to its first NUL
+        return None
+    # a value takes at most 24 bytes and needs 32 to spare before it
+    cap = len(layout) * reps + 24 * values.size + 32
+    out = np.empty(cap, dtype=np.uint8)
+    n = lib.format_values(layout, reps, values.ctypes.data, values.size, out.ctypes.data, cap)
+    return None if n < 0 else out[:n].tobytes().decode()
 
 
 def write_json(path, doc: dict) -> None:

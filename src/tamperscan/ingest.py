@@ -25,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import CountyKey, Dataset, write_atomically, write_csv, write_json
+from .data_model import (
+    CountyKey, Dataset, csv_prefix, format_floats, open_csv, write_atomically, write_json,
+)
 from .errors import ConfigError, DataError, SchemaError
 from .fips import normalize_fips, state_for_fips
 
@@ -447,17 +449,18 @@ def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=
 
     The CSV's columns are fips, state, name, rep_<target year>,
     dem_<target year> and the features. Floats are written with repr so a
-    load is bit-for-bit faithful. With `cache_dir`, the binary cache that
-    load_dataset reads there is written too, from the dataset in memory.
+    load is bit-for-bit faithful; each row is one `format_floats` call, so
+    its features are written in C where it is available. With `cache_dir`,
+    the binary cache that load_dataset reads there is written too, from the
+    dataset in memory.
     """
     csv_path = Path(csv_path)
     header = _csv_header(dataset.target_year, dataset.feature_names)
-    rows = (
-        [key.fips, key.state, key.name, str(r), str(d), *map(repr, x.tolist())]
-        for key, r, d, x in zip(dataset.keys, dataset.rep.tolist(), dataset.dem.tolist(), dataset.X)
-    )
+    features = ",%r" * dataset.p + "\r\n"
     comment = f"manifest_sha256={manifest_hash}" if manifest_hash else ""
-    write_csv(csv_path, header, rows, comment=comment)
+    with open_csv(csv_path, header, comment) as fh:
+        for key, r, d, x in zip(dataset.keys, dataset.rep.tolist(), dataset.dem.tolist(), dataset.X):
+            fh.write(format_floats(csv_prefix([key.fips, key.state, key.name, r, d]) + features, x))
     meta = {
         "format": DATASET_FORMAT,
         "version": DATASET_FORMAT_VERSION,

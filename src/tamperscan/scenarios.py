@@ -10,15 +10,13 @@ detectability curve and the constrained/unconstrained classification.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .anomaly import McNull, Scoring, analytic_sigma_curve, fit_width, residuals, score_model
-from .data_model import Dataset, _readonly, open_csv
+from .data_model import Dataset, _readonly, csv_prefix, format_floats, open_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
 
@@ -342,22 +340,15 @@ def write_sweep_csv(curves, path, comment: str = "") -> None:
 
     The bytes are those of csv.writer rows [fips, county, state, direction,
     str(k), repr(sigma)]: the four curve fields are csv-quoted once per
-    curve, and k and sigma never need quoting.
+    curve, and k and sigma never need quoting. Each curve's rows are one
+    `format_floats` call, so they are written in C where it is available;
+    k, a vote count, is exact as a float64 and %d writes it as str(k).
     """
     header = ["fips", "county", "state", "direction", "k", "global_sigma"]
     with open_csv(path, header, comment) as fh:
         for c in curves:
-            prefix = _csv_prefix([c.fips, c.county, c.state, c.direction.value])
-            rows = zip(c.ks.tolist(), c.sigmas.tolist())
-            fh.write("".join([f"{prefix}{k},{sigma!r}\r\n" for k, sigma in rows]))
-
-
-def _csv_prefix(fields) -> str:
-    """`fields` as csv.writer writes them at the start of a row, with the
-    delimiter that follows the last one."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([*fields, ""])
-    return buf.getvalue()[: -len("\r\n")]
+            layout = csv_prefix([c.fips, c.county, c.state, c.direction.value]) + ",%d,%r\r\n"
+            fh.write(format_floats(layout, np.column_stack([c.ks, c.sigmas]), reps=c.ks.size))
 
 
 def sweep_summary(curves) -> dict:

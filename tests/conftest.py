@@ -24,6 +24,24 @@ def empty_kernel_cache(monkeypatch, tmp_path):
     _kernels.library.cache_clear()
 
 
+@pytest.fixture
+def kernels():
+    """The compiled kernel library; skips the test where it does not build."""
+    lib = _kernels.library()
+    if lib is None:
+        pytest.skip("the compiled kernels did not build here")
+    return lib
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel_path(request, monkeypatch):
+    """Runs a test with the compiled kernels (where they build) and again
+    with `_kernels.library()` None, so only the Python references run."""
+    if request.param == "python":
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    return request.param
+
+
 def have_compiler():
     return shutil.which(_kernels.compiler()[0]) is not None
 

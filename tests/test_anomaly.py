@@ -291,14 +291,6 @@ def _neighbours(p, steps=64):
     return out
 
 
-@pytest.fixture
-def kernels():
-    lib = _kernels.library()
-    if lib is None:
-        pytest.skip("the compiled kernels did not build here")
-    return lib
-
-
 class TestSpecialFunctions:
     """The compiled erfc and normal quantile against their standard-library
     references, bit for bit, and the outputs built on them with and without

@@ -85,7 +85,7 @@ def test_identical_input_gives_identical_bytes(curves, tmp_path):
 
 
 @pytest.mark.parametrize("margin", [2500, 40_000])
-def test_polyline_points_match_per_sample_formatting(margin):
+def test_polyline_points_match_per_sample_formatting(margin, kernel_path):
     rng = np.random.default_rng(5)
     curves = []
     for i, (n, top) in enumerate(((40, 3.7), (57, 8.123456789), (3, 0.1 + 0.2))):

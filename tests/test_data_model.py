@@ -16,7 +16,7 @@ from tamperscan import (
     generate_synthetic,
     standardize,
 )
-from tamperscan.data_model import logistic, substream
+from tamperscan.data_model import _format_compiled, format_floats, logistic, substream
 
 from conftest import make_dataset
 
@@ -291,3 +291,80 @@ class TestSynthetic:
             SyntheticSpec(noise_sd=-0.1)
         with pytest.raises(ConfigError):
             SyntheticSpec(n_counties=0)
+
+
+def _fast_range(rng, n):
+    """n doubles with random signs, mantissas and exponents, 2^-60 <= |x| < 2^52."""
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << 63
+    biased = rng.integers(1023 - 60, 1023 + 52, n, dtype=np.uint64) << 52
+    return (sign | biased | rng.integers(0, 2**52, n, dtype=np.uint64)).view(np.float64)
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestFormatFloats:
+    """The compiled `format_values` against repr and '%.2f', byte for byte."""
+
+    @staticmethod
+    def _assert_compiled_matches(lib, values, layout, reference):
+        values = np.asarray(values, dtype=np.float64)
+        text = _format_compiled(lib, layout.encode(), values, values.size)
+        assert text is not None, "the C formatter declined a value in its range"
+        expected = "".join([reference(v) + "," for v in values.tolist()])
+        if text != expected:  # name the first value that differs, not a 20 MB diff
+            for v, got in zip(values.tolist(), text.split(",")):
+                assert got == reference(v), v
+
+    @pytest.mark.parametrize(
+        "layout, reference", [("%r,", repr), ("%.2f,", "%.2f".__mod__)], ids=["repr", "fixed2"]
+    )
+    def test_bit_identical_over_the_fast_range(self, kernels, layout, reference):
+        rng = np.random.default_rng(26)
+        one_decimal = np.concatenate([
+            np.arange(-200_000, 200_000) / 10, np.round(rng.uniform(-1e7, 1e7, 200_000), 1),
+        ])
+        # exact digit ties at 2^k + j / 2^(52 - k): the last digit is a half
+        ties = [2.0**k + rng.integers(0, 2 ** (60 - k), 10_000) * 2.0 ** (k - 52) for k in range(40, 52)]
+        nines = [float("9" * d + f"e{e}") for d in range(1, 17) for e in range(-19, 16 - d)]
+        switches = [1e-4, 9.999999999999999e-05, 1.0000000000000001e-4, 1e-19, 1e15, 0.5, 1.0]
+        values = np.concatenate([
+            _fast_range(rng, 1_000_000), one_decimal, *ties,
+            _with_neighbours(2.0 ** np.arange(-60, 52)), _with_neighbours(nines),
+            _with_neighbours(switches), [0.0, -0.0, 2.0**50 + 0.25, -(2.0**52 - 1)],
+        ])
+        values = values[(np.abs(values) >= 2.0**-60) & (np.abs(values) < 2.0**52) | (values == 0)]
+        assert values.size >= 1_300_000
+        self._assert_compiled_matches(kernels, values, layout, reference)
+
+    def test_known_bytes(self, kernels):
+        values = [2.0**50 + 0.25, 1e-4, 9.9e-5, 0.125, 0.375, -0.001, -0.0, 0.0]
+        text = _format_compiled(kernels, b"%r %.2f|", np.repeat(values, 2), len(values))
+        assert text.split("|")[:-1] == [
+            "1125899906842624.2 1125899906842624.25", "0.0001 0.00", "9.9e-05 0.00",
+            "0.125 0.12", "0.375 0.38", "-0.001 -0.00", "-0.0 -0.00", "0.0 0.00",
+        ]
+        # %d is int(), so it truncates toward zero; %% is a literal %
+        ints = [0.0, -0.0, 7.0, -0.5, 2.5, -(2.0**52 - 1)]
+        text = _format_compiled(kernels, b"%d%%,", np.array(ints), len(ints))
+        assert text == "".join("%d%%," % v for v in ints)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                                     1e300, 2.0**52, 1e16, 2.0**-61])
+    def test_out_of_range_values_decline_to_the_reference(self, kernels, bad):
+        values = np.array([0.1, bad, bad, 0.2])
+        assert _format_compiled(kernels, b"%r,%r %.2f,%r", values, 1) is None
+        assert format_floats("%r,%r %.2f,%r", values) == "%r,%r %.2f,%r" % tuple(values.tolist())
+
+    def test_other_layouts_decline_to_the_reference(self, kernels):
+        two = np.array([1.5, 2.0])
+        # another conversion, too few or too many values for the layout
+        for layout, values in (("%s|%r", two), ("%.3f|%r", two), ("%r|%r", two[:1]),
+                               ("%r|", two), ("%", two[:0]), ("a\0b", two[:0])):
+            assert _format_compiled(kernels, layout.encode(), values, 1) is None
+        assert format_floats("%s|%.3f", two) == "1.5|2.000"
+        assert format_floats("a\0b,%r\r\n", two[:1]) == "a\0b,1.5\r\n"
+        with pytest.raises(TypeError):
+            format_floats("%r|%r", two[:1])

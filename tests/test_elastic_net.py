@@ -1,4 +1,6 @@
 import json
+import os
+import time
 import tracemalloc
 import warnings
 
@@ -417,6 +419,35 @@ class TestCompiledSweep:
         assert _kernels.library() is not None
         assert len(builds) == 2
         assert truncated.read_bytes() == built.read_bytes()
+
+    def test_a_build_prunes_month_old_libraries_and_a_load_nothing(self, empty_kernel_cache):
+        if not have_compiler():
+            pytest.skip("no C compiler on PATH")
+        empty_kernel_cache.mkdir(parents=True)
+        stale = [
+            empty_kernel_cache / "_kernels-0123456789abcdef-0123456789abcdef.so",
+            empty_kernel_cache / "_sweep-0be965a73e490263-0123456789abcdef.cpython-311-x86_64-linux-gnu.so",
+        ]
+        survivors = [
+            empty_kernel_cache / "_kernels-fedcba9876543210-fedcba9876543210.so",  # fresh
+            empty_kernel_cache / "notes.txt",  # old, but not a kernel library
+        ]
+        month_ago = time.time() - 31 * 24 * 3600
+        for path in stale + survivors:
+            path.write_bytes(b"not a library")
+        for path in [*stale, survivors[1]]:
+            os.utime(path, (month_ago, month_ago))
+
+        assert _kernels.library() is not None  # builds
+        built = [p for p in empty_kernel_cache.glob("_kernels-*.so") if p not in survivors]
+        assert len(built) == 1
+        assert sorted(empty_kernel_cache.iterdir()) == sorted([*built, *survivors])
+
+        # a load of the cached library deletes nothing, however old
+        os.utime(survivors[0], (month_ago, month_ago))
+        _kernels.library.cache_clear()
+        assert _kernels.library() is not None
+        assert sorted(empty_kernel_cache.iterdir()) == sorted([*built, *survivors])
 
     def test_loads_where_a_compiler_is_on_path(self):
         # a broken _kernels.c fails here instead of silently running Python

@@ -539,7 +539,7 @@ class TestDatasetRoundTrip:
         assert np.array_equal(back.dem, ds.dem)
         assert back.target_year == ds.target_year
 
-    def test_csv_bytes_match_per_scalar_repr(self, tmp_path):
+    def test_csv_bytes_match_per_scalar_repr(self, tmp_path, kernel_path):
         rows = [
             ("35013", "NM", "Doña Ana County", [0.1 + 0.2, -0.0], (5, 6)),
             ("35001", "NM", "Comma, County", [1e-300, 123456789.12345679], (9, 10)),
@@ -560,7 +560,14 @@ class TestDatasetRoundTrip:
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
         assert [k.name for k in load_dataset(path).keys] == [r[2] for r in rows]
 
-    def test_awkward_cells_load_bit_exact(self, tmp_path):
+    def test_no_feature_rows(self, tmp_path, kernel_path):
+        ds = make_dataset([("35013", "NM", "A, B", [], (5, 6)), ("35001", "NM", "C", [], (9, 10))],
+                          feature_names=())
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        assert path.read_bytes() == b'fips,state,name,rep_2020,dem_2020\r\n35013,NM,"A, B",5,6\r\n35001,NM,C,9,10\r\n'
+
+    def test_awkward_cells_load_bit_exact(self, tmp_path, kernel_path):
         rows = [
             ("35013", "NM", "Doña Ana County", [-0.0, 5e-324, 0.1 + 0.2], (5, 6)),
             ("35001", "NM", "Comma, County", [1 / 3, -2.2250738585072014e-308, 1.7976931348623157e308],

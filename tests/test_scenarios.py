@@ -418,7 +418,7 @@ def _tricky_curves():
 
 
 class TestSweepExports:
-    def test_csv_bytes_match_csv_writer_rows(self, tmp_path):
+    def test_csv_bytes_match_csv_writer_rows(self, tmp_path, kernel_path):
         curves = _tricky_curves()
         path = tmp_path / "sweep_NM.csv"
         write_sweep_csv(curves, path, comment="manifest_sha256=ff")
