@@ -9,11 +9,14 @@
  *   erfc_array       math.erfc (anomaly._erfc_py)
  *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
  *                    (data_model.format_floats)
+ *   read_csv         csv.reader, then float() or _to_float per number cell
+ *                    (ingest._parse_table_py, ingest._parse_dataset_csv_py)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
  * and the Horner steps may round once instead of twice. The callers check
- * shapes, dtypes and the domain before any call; format_values checks its
- * own, and returns -1 for the caller to run the reference instead.
+ * shapes, dtypes and the domain before any call; format_values and
+ * read_csv check their own, and return -1 for the caller to run the
+ * reference instead.
  */
 #include <math.h>
 #include <stddef.h>
@@ -209,6 +212,53 @@ split(double x, uint64_t *m, int *e)
     return 1;
 }
 
+/* The digit loop of repr for x = m * 2^e, in an unsigned type T that holds
+ * 11 * 2^(2 - e): uint64_t for e >= -58, that is |x| >= 2^-6, and u128
+ * below. Every integer digit, m >> -e, is needed: the gap to either
+ * neighbour is at most 1/2. The fraction is R / D with D = 2^s, and mlo / D
+ * and mhi / D are the half-gaps below and above x, the one below halved
+ * when m = 2^52. Each fraction digit multiplies all three by 10.
+ *
+ * Writes the fraction digits before the last into frac (40 bytes), sets
+ * *dig to the last digit (the integer part when there is no fraction
+ * digit) and *up to whether it rounds up; returns the count written, -1
+ * when the integer part is the last digit, or -2 (never: 18 leading zeros
+ * and 17 digits at most) when frac fills.
+ *
+ * The loop stops once dropping R (low) or rounding up (high) stays within a
+ * half-gap; if both do, it takes the nearer digit, and the even one at a
+ * tie. A boundary x -+ half-gap has 1 - e fraction digits, one more than x,
+ * so R never lands on one, and dtoa's rule for a boundary (it counts when m
+ * is even) never applies in this range.
+ */
+#define REPR_DIGITS(NAME, T)                                                   \
+    static int NAME(uint64_t m, int e, char *frac, uint64_t *dig, int *up)     \
+    {                                                                          \
+        int s = 2 - e, nf = -1;                                                \
+        T D = (T)1 << s, R = ((T)m << 2) & (D - 1);                            \
+        T mlo = m == UINT64_C(1) << 52 ? 1 : 2, mhi = 2;                       \
+        *dig = -e < 53 ? m >> -e : 0;                                          \
+        for (;;) {                                                             \
+            int low = R < mlo, high = R + mhi > D;                             \
+            if (low || high) {                                                 \
+                *up = high && (!low || (R << 1) > D || ((R << 1) == D && (*dig & 1))); \
+                return nf;                                                     \
+            }                                                                  \
+            if (nf >= 0)                                                       \
+                frac[nf] = (char)('0' + *dig);                                 \
+            if (++nf == 40)                                                    \
+                return -2;                                                     \
+            R *= 10;                                                           \
+            mlo *= 10;                                                         \
+            mhi *= 10;                                                         \
+            *dig = (uint64_t)(R >> s);                                         \
+            R &= D - 1;                                                        \
+        }                                                                      \
+    }
+
+REPR_DIGITS(repr_digits64, uint64_t)
+REPR_DIGITS(repr_digits128, u128)
+
 /* repr(x): the shortest digits that read back as x, chosen as David Gay's
  * dtoa does in mode 0 (Steele and White's free-format rule), laid out as
  * float_repr lays them out. Writes at most 24 bytes. */
@@ -216,8 +266,8 @@ static int
 put_repr(char *p, double x)
 {
     char *start = p, frac[40];
-    int nf = -1, e, up;  /* nf < 0: dig is still the integer part */
-    uint64_t m;
+    int nf, e, up;
+    uint64_t m, dig;
 
     if (signbit(x))
         *p++ = '-';
@@ -227,35 +277,10 @@ put_repr(char *p, double x)
     }
     if (!split(x, &m, &e))
         return -1;
-    /* Every integer digit, m >> -e, is needed: the gap to either neighbour
-     * is at most 1/2. The fraction is R / D with D = 2^s, and mlo / D and
-     * mhi / D are the half-gaps below and above x, the one below halved
-     * when m = 2^52. Each fraction digit multiplies all three by 10. */
-    int s = 2 - e;
-    u128 D = (u128)1 << s, R = ((u128)m << 2) & (D - 1);
-    u128 mlo = m == UINT64_C(1) << 52 ? 1 : 2, mhi = 2;
-    uint64_t integer = (uint64_t)((u128)m >> -e), dig = integer;
-    for (;;) {
-        /* Stop once dropping R (low) or rounding up (high) stays within a
-         * half-gap; if both do, take the nearer digit, and the even one at a
-         * tie. A boundary x -+ half-gap has 1 - e fraction digits, one more
-         * than x, so R never lands on one, and dtoa's rule for a boundary
-         * (it counts when m is even) never applies in this range. */
-        int low = R < mlo, high = R + mhi > D;
-        if (low || high) {
-            up = high && (!low || (R << 1) > D || ((R << 1) == D && (dig & 1)));
-            break;
-        }
-        if (nf >= 0)
-            frac[nf] = (char)('0' + dig);
-        if (++nf == (int)sizeof frac)
-            return -1;  /* never: 18 leading zeros and 17 digits at most */
-        R *= 10;
-        mlo *= 10;
-        mhi *= 10;
-        dig = (uint64_t)(R >> s);
-        R &= D - 1;
-    }
+    nf = e >= -58 ? repr_digits64(m, e, frac, &dig, &up) : repr_digits128(m, e, frac, &dig, &up);
+    if (nf < -1)
+        return -1;
+    uint64_t integer = -e < 53 ? m >> -e : 0;
     if (nf < 0) {
         integer += up;
         nf = 0;
@@ -381,4 +406,190 @@ format_values(const char *layout, ptrdiff_t reps, const double *x, ptrdiff_t n,
         }
     }
     return x == end ? len : -1;
+}
+
+/* Reading delimited text: read_csv tokenises the rows of a file that
+ * csv.reader (default dialect, any ASCII delimiter) splits into the same
+ * cells, and converts its number cells when float() gives the value in
+ * one IEEE operation. Anything else it declines, and the caller runs the
+ * reference reader.
+ */
+
+/* The powers of ten that a double holds exactly. */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* The number that starts at p, when it is [+-]digits[.digits][e[+-]digits]
+ * (or with the digits before the point left out) and float() of it is one
+ * IEEE operation: its digits make an integer m <= 2^53, scaled by 10^k with
+ * |k| <= 22. m and 10^k are then exact doubles, so m * 10^k or m / 10^k
+ * rounds once, to the nearest double, which is float()'s value (Clinger,
+ * PLDI 1990). Sets *out and returns where the number ends, or returns NULL
+ * for any other text, which float() may still read. The caller checks that
+ * the cell ends where the number does. */
+static const unsigned char *
+decimal(const unsigned char *p, const unsigned char *end, double *out)
+{
+    uint64_t m = 0;
+    int neg = 0, digits = 0, k = 0;
+
+    if (p < end && (*p == '+' || *p == '-'))
+        neg = *p++ == '-';
+    for (; p < end && *p >= '0' && *p <= '9'; p++, digits++)
+        m = m * 10 + (uint64_t)(*p - '0');
+    if (p < end && *p == '.')
+        for (p++; p < end && *p >= '0' && *p <= '9'; p++, digits++, k--)
+            m = m * 10 + (uint64_t)(*p - '0');
+    if (digits == 0 || digits > 19)  /* 19 digits cannot overflow m */
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = 0, e = 0, edigits = 0;
+        if (++p < end && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        for (; p < end && *p >= '0' && *p <= '9'; p++, edigits++)
+            if (e < 1000)
+                e = e * 10 + (*p - '0');
+        if (!edigits)
+            return NULL;
+        k += eneg ? -e : e;
+    }
+    if (m > UINT64_C(1) << 53 || k < -22 || k > 22)
+        return NULL;
+    double v = k < 0 ? (double)m / POW10[-k] : (double)m * POW10[k];
+    *out = neg ? -v : v;
+    return p;
+}
+
+/* The number of lines in s[0:len], a last one without '\n' included. */
+ptrdiff_t
+count_lines(const char *s, ptrdiff_t len)
+{
+    ptrdiff_t n = 0;
+    const char *p = s, *end = s + len;
+
+    while ((p = memchr(p, '\n', (size_t)(end - p))) != NULL) {
+        n++;
+        p++;
+    }
+    return n + (len > 0 && s[len - 1] != '\n');
+}
+
+/* Read `rows` rows of `width` cells from s[0:len], which holds exactly
+ * those rows, each ended by "\n", "\r\n" or (the last) the end of s.
+ * kinds[c] says what column c holds:
+ *
+ *   'n'  a number, written to values (rows x the number of 'n' columns,
+ *        row-major) where decimal() reads the whole cell. Any other cell
+ *        is slow: its index in values and its byte span, quotes included,
+ *        go to slow (cap rows of three) for the caller to convert.
+ *   'f'  a fips code: 1-5 ASCII digits are written to fips (rows x 5
+ *        bytes) zero-padded; five NULs mark any other cell. Its span goes
+ *        to spans, as a 't' cell's does.
+ *   't'  text: its byte span, quotes included, goes to spans (rows x the
+ *        number of 'f' and 't' columns, start and end).
+ *   '-'  skipped, its content unread.
+ *
+ * A quoted cell is one whose first byte is '"'; it ends at the next '"'
+ * that is not doubled. Returns the number of slow cells, or -1 where the
+ * file strays from what csv.reader reads the same way or where the caller
+ * would need more than spans: a delimiter that is not ASCII, is a quote,
+ * CR, LF or NUL, or can be part of a number; a quote anywhere but around a
+ * whole cell, a quoted line end, a lone "\r", a blank line, a row with
+ * another number of cells, a NUL byte, a byte >= 0x80 outside an 'f' or 't'
+ * cell, a cell longer than max_cell bytes (csv.reader's field_size_limit),
+ * or more than cap slow cells.
+ */
+ptrdiff_t
+read_csv(const char *text, ptrdiff_t len, int delim, const char *kinds, ptrdiff_t width,
+         ptrdiff_t rows, ptrdiff_t max_cell, double *values, char *fips, ptrdiff_t *spans,
+         ptrdiff_t *slow, ptrdiff_t cap)
+{
+    const unsigned char *s = (const unsigned char *)text, *p = s, *end = s + len;
+    ptrdiff_t nvalue = 0, nslow = 0;
+    unsigned char stop[256] = {0};  /* the bytes that end or spoil an unquoted run */
+
+    if (delim <= 0 || delim >= 0x80 || strchr("\"\r\n+-.0123456789eE", delim))
+        return -1;
+    stop['"'] = stop['\n'] = stop['\r'] = stop[0] = stop[delim] = 1;
+    memset(stop + 0x80, 1, 0x80);
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        if (p == end || *p == '\n' || *p == '\r')
+            return -1;
+        for (ptrdiff_t c = 0; c < width; c++) {
+            const unsigned char *cell = p, *a, *b, *num = NULL;  /* the content is [a, b) */
+            char kind = kinds[c];
+            int high = 0, quoted = *p == '"';
+            double v = 0.0;
+            if (quoted) {
+                for (p++;; p++) {
+                    if (p == end || *p == '\n' || *p == '\r' || *p == 0)
+                        return -1;  /* unterminated, or a quoted line end */
+                    if (*p == '"' && (p + 1 == end || p[1] != '"'))
+                        break;
+                    p += *p == '"';  /* a doubled quote stays in the content */
+                    high |= *p >= 0x80;
+                }
+                a = cell + 1;
+                b = p++;
+                if (kind == 'n' && decimal(a, b, &v) == b)
+                    num = b;
+            } else {
+                if (kind == 'n' && (num = decimal(p, end, &v)) != NULL)
+                    p = num;
+                for (;;) {
+                    while (p < end && !stop[*p])
+                        p++;
+                    if (p == end || *p == delim || *p == '\n' || *p == '\r')
+                        break;
+                    if (*p < 0x80)
+                        return -1;  /* a quote inside the cell, or a NUL */
+                    high = 1;
+                    p++;
+                }
+                a = cell;
+                b = p;
+            }
+            if (b - a > max_cell)
+                return -1;
+            if (c + 1 < width) {
+                if (p == end || *p++ != delim)
+                    return -1;  /* too few cells, or text after a closing quote */
+            } else if (p < end) {
+                p += *p == '\r';
+                if (p == end || *p++ != '\n')
+                    return -1;  /* too many cells, a lone CR, or text after a quote */
+            }
+
+            if (high && kind != 'f' && kind != 't')
+                return -1;
+            if (kind == 'n') {
+                if (num == b) {
+                    values[nvalue] = v;
+                } else {
+                    if (nslow == cap)
+                        return -1;
+                    slow[3 * nslow] = nvalue;
+                    slow[3 * nslow + 1] = cell - s;
+                    slow[3 * nslow + 2] = b - s + quoted;
+                    nslow++;
+                }
+                nvalue++;
+            } else if (kind == 'f' || kind == 't') {
+                *spans++ = cell - s;
+                *spans++ = b - s + quoted;
+            }
+            if (kind == 'f') {
+                ptrdiff_t n = b - a, digits = n >= 1 && n <= 5;
+                for (ptrdiff_t i = 0; digits && i < n; i++)
+                    digits = a[i] >= '0' && a[i] <= '9';
+                char *out = fips + 5 * r;
+                memset(out, digits ? '0' : 0, 5);
+                if (digits)
+                    memcpy(out + 5 - n, a, (size_t)n);
+            }
+        }
+    }
+    return p == end ? nslow : -1;
 }

@@ -13,6 +13,7 @@ machine-readable reason code; nothing is imputed.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .data_model import (
     CountyKey, Dataset, csv_prefix, format_floats, open_csv, write_atomically, write_json,
 )
@@ -134,68 +136,248 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
     excluded from the feature columns. In a demographic table, a column
     whose header matches DEFAULT_MOE_PATTERN is listed in `moe_columns` and
     its cells are skipped unread. Ragged rows, repeated fips and repeated
-    column headers (margin-of-error ones included) are hard errors. Feature
-    cells become float64 a chunk of rows at a time, so no string cell
-    outlives its chunk.
+    column headers (margin-of-error ones included) are hard errors, and so
+    is a file that is not UTF-8.
+
+    `read_csv` in `_kernels.c` reads the file through a read-only map where
+    it can; where it declines the file, or `_kernels.library()` is None,
+    `_parse_table_py`, its reference, reads it instead.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    # utf-8-sig drops the byte-order mark spreadsheet exports start with
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        stripped = [h.strip() for h in header]
-        lowered = [h.lower() for h in stripped]
-        if "fips" not in lowered:
-            raise SchemaError(f"{path}: no fips column in header")
-        fips_idx = lowered.index("fips")
-        name_idx = next((i for i, h in enumerate(lowered) if h in _NAME_HEADERS), None)
-        data_idx = [i for i in range(len(header)) if i != fips_idx and i != name_idx]
-        data_columns = [stripped[i] for i in data_idx]
-        if len(set(data_columns)) != len(data_columns):
-            dupes = sorted({c for c in data_columns if data_columns.count(c) > 1})
-            raise SchemaError(f"{path}: repeated column headers {dupes}")
-        is_moe = [
-            source_id != "election" and bool(DEFAULT_MOE_PATTERN.search(c)) for c in data_columns
-        ]
-        moe_columns = tuple(c for c, moe in zip(data_columns, is_moe) if moe)
-        pick_features = _cells_getter([i for i, moe in zip(data_idx, is_moe) if not moe])
-        columns = pick_features(stripped)
-
-        seen: dict[str, None] = {}
-        names: dict[str, str] = {}
-
-        def rows():
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: line {reader.line_num} has {len(row)} cells, "
-                        f"header has {len(header)}"
-                    )
-                fips = normalize_fips(row[fips_idx])
-                if fips in seen:
-                    raise DataError(f"{path}: duplicate fips {fips}")
-                seen[fips] = None
-                if name_idx is not None and row[name_idx].strip():
-                    names[fips] = row[name_idx].strip()
-                yield pick_features(row)
-
-        cells = rows()
-        blocks = [_to_floats([], len(columns))]
-        while chunk := list(islice(cells, _CHUNK_ROWS)):
-            blocks.append(_to_floats(chunk, len(columns)))
+    parts = _read_mapped(path, _table_mapped, path, source_id, delimiter)
+    if parts is None:
+        parts = _parse_table_py(path, source_id, delimiter)
+    columns, moe_columns, fips, values, names = parts
     return RawTable(
         source_id=source_id,
         columns=columns,
-        fips=tuple(seen),
-        values=np.concatenate(blocks),
+        fips=fips,
+        values=values,
         names=names,
         moe_columns=moe_columns,
     )
+
+
+@dataclass(frozen=True)
+class _Header:
+    """Where a table's cells go, from its header row of `width` cells:
+    `fips` and `name` are column indices (`name` is None without a name
+    column) and `features` those of `columns`, the feature columns;
+    `moe_columns` are never read."""
+
+    width: int
+    fips: int
+    name: int | None
+    features: list[int]
+    columns: tuple[str, ...]
+    moe_columns: tuple[str, ...]
+
+
+def _header(path: Path, header: list[str], source_id: str) -> _Header:
+    stripped = [h.strip() for h in header]
+    lowered = [h.lower() for h in stripped]
+    if "fips" not in lowered:
+        raise SchemaError(f"{path}: no fips column in header")
+    fips_idx = lowered.index("fips")
+    name_idx = next((i for i, h in enumerate(lowered) if h in _NAME_HEADERS), None)
+    data_idx = [i for i in range(len(header)) if i != fips_idx and i != name_idx]
+    data_columns = [stripped[i] for i in data_idx]
+    if len(set(data_columns)) != len(data_columns):
+        dupes = sorted({c for c in data_columns if data_columns.count(c) > 1})
+        raise SchemaError(f"{path}: repeated column headers {dupes}")
+    is_moe = [
+        source_id != "election" and bool(DEFAULT_MOE_PATTERN.search(c)) for c in data_columns
+    ]
+    features = [i for i, moe in zip(data_idx, is_moe) if not moe]
+    return _Header(
+        width=len(header),
+        fips=fips_idx,
+        name=name_idx,
+        features=features,
+        columns=tuple(stripped[i] for i in features),
+        moe_columns=tuple(c for c, moe in zip(data_columns, is_moe) if moe),
+    )
+
+
+def _parse_table_py(path: Path, source_id: str, delimiter: str):
+    """parse_table's reference reader: csv.reader, then float64 a chunk of
+    rows at a time, so no string cell outlives its chunk. Returns columns,
+    moe_columns, fips, values and names."""
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports start with
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            head = _header(path, header, source_id)
+            pick_features = _cells_getter(head.features)
+            seen: dict[str, None] = {}
+            names: dict[str, str] = {}
+
+            def rows():
+                for row in reader:
+                    if len(row) != head.width:
+                        raise DataError(
+                            f"{path}: line {reader.line_num} has {len(row)} cells, "
+                            f"header has {head.width}"
+                        )
+                    fips = normalize_fips(row[head.fips])
+                    if fips in seen:
+                        raise DataError(f"{path}: duplicate fips {fips}")
+                    seen[fips] = None
+                    if head.name is not None and row[head.name].strip():
+                        names[fips] = row[head.name].strip()
+                    yield pick_features(row)
+
+            cells = rows()
+            blocks = [_to_floats([], len(head.columns))]
+            while chunk := list(islice(cells, _CHUNK_ROWS)):
+                blocks.append(_to_floats(chunk, len(head.columns)))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    return head.columns, head.moe_columns, tuple(seen), np.concatenate(blocks), names
+
+
+def _not_utf8(path: Path) -> DataError:
+    """The error for a file that does not decode as UTF-8, naming the offset
+    of its first undecodable byte."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        return DataError(f"{path}: not UTF-8 at byte {err.start}")
+    return DataError(f"{path}: not UTF-8")
+
+
+def _read_mapped(path: Path, read, *args):
+    """`read(lib, mm, *args)`, with `lib` the compiled kernels and `mm` the
+    file at `path` mapped read-only; None where `_kernels.library()` is None
+    or the file is empty (which cannot be mapped). The map is closed before
+    this returns.
+
+    The file is mapped rather than read into memory: a bytes copy of each
+    input would raise the peak memory of `ingest`.
+    """
+    # imported here: commands that read no file this way do not pay for it
+    import mmap
+
+    lib = _kernels.library()
+    if lib is None:
+        return None
+    with open(path, "rb") as fh:
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:
+            return None
+    with mm:
+        return read(lib, mm, *args)
+
+
+def _table_mapped(lib, mm, path: Path, source_id: str, delimiter: str):
+    """`_parse_table_py`'s result, read by `read_csv` from the map `mm`; None
+    where `read_csv` declines or a row would raise an error, which the
+    reference then raises."""
+    header = _mapped_line(mm, 3 if mm[:3] == codecs.BOM_UTF8 else 0)
+    if header is None or len(delimiter) != 1:
+        return None
+    try:
+        head = _header(path, header[0].split(delimiter), source_id)
+    except SchemaError:
+        return None  # the reader may meet an undecodable byte first
+    kinds = [b"-"] * head.width
+    for j in head.features:
+        kinds[j] = b"n"
+    kinds[head.fips] = b"f"
+    if head.name is not None:
+        kinds[head.name] = b"t"
+    read = _read_csv(lib, mm, header[1], delimiter, b"".join(kinds))
+    if read is None:
+        return None
+    values, fast_fips, spans, slow = read
+
+    flat = values.reshape(-1)
+    for i, a, b in slow.tolist():
+        cell = _unquote(mm[a:b])
+        try:
+            flat[i] = float(cell)
+        except ValueError:
+            v = _to_float(cell)
+            flat[i] = np.nan if v is None else v
+
+    # spans hold the fips and name cells in column order
+    at_fips = int(head.name is not None and head.name < head.fips)
+    fips = fast_fips.astype("U5").tolist()
+    names: dict[str, str] = {}
+    try:
+        for i in np.flatnonzero(fast_fips == b"").tolist():
+            fips[i] = normalize_fips(_unquote(mm[slice(*spans[i, at_fips].tolist())]))
+        if len(set(fips)) < len(fips):
+            return None  # a repeated fips
+        if head.name is not None:
+            for f, span in zip(fips, spans[:, 1 - at_fips].tolist()):
+                name = _unquote(mm[slice(*span)]).strip()
+                if name:
+                    names[f] = name
+    except (DataError, UnicodeDecodeError):
+        return None
+    return head.columns, head.moe_columns, tuple(fips), values, names
+
+
+def _mapped_line(mm, start: int):
+    """The text of the line at mm[start:] and the offset of the line after
+    it, or None unless the line is non-empty UTF-8 with no quote, CR or NUL:
+    csv.reader then splits it at the delimiter and nowhere else, and a
+    reader of lines sees one line."""
+    end = mm.find(b"\n", start)
+    line = mm[start : len(mm) if end < 0 else end].removesuffix(b"\r")
+    if not line or b'"' in line or b"\r" in line or b"\0" in line:
+        return None
+    try:
+        return line.decode(), len(mm) if end < 0 else end + 1
+    except UnicodeDecodeError:
+        return None
+
+
+def _read_csv(lib, mm, start: int, delimiter: str, kinds: bytes):
+    """Run `read_csv` over the rows at mm[start:], one column per byte of
+    `kinds` ('n', 'f', 't' or '-'). Returns its outputs, with every span
+    an offset into `mm`: the number cells as a float64 matrix, the fips
+    codes it wrote (as S5 strings, b"" where it wrote none), the spans of
+    the 'f' and 't' cells ((rows, columns, 2)) and the slow cells (index
+    into the matrix, start, end); None where `read_csv` declines.
+    """
+    data = np.frombuffer(mm, dtype=np.uint8)
+    try:
+        addr, size = data.ctypes.data + start, len(mm) - start
+        rows = lib.count_lines(addr, size)
+        values = np.empty((rows, kinds.count(b"n")))
+        fips = np.zeros(rows, dtype="S5")
+        spans = np.empty((rows, kinds.count(b"f") + kinds.count(b"t"), 2), dtype=np.intp)
+        # room for one slow cell in 64, at 3/8 of a byte per cell
+        cap = values.size // 64 + 256
+        slow = np.empty((cap, 3), dtype=np.intp)
+        n = lib.read_csv(
+            addr, size, ord(delimiter), kinds, len(kinds), rows, csv.field_size_limit(),
+            values.ctypes.data, fips.ctypes.data, spans.ctypes.data, slow.ctypes.data, cap,
+        )
+    finally:
+        del data  # the map cannot close while an array views it
+    if n < 0:
+        return None
+    slow = slow[:n]
+    slow[:, 1:] += start
+    return values, fips, spans + start, slow
+
+
+def _unquote(raw: bytes) -> str:
+    """The text of a cell from its bytes as `read_csv` spans them, quotes
+    included."""
+    if raw[:1] == b'"':
+        raw = raw[1:-1].replace(b'""', b'"')
+    return raw.decode()
 
 
 def _cells_getter(idx: list[int]):
@@ -443,24 +625,33 @@ def assemble_dataset(
 # directory: arrays in one uncompressed .npz, stamped with dataset_sha256.
 _CACHE_FILE = "dataset.npz"
 
+# Rows per `format_floats` call in save_dataset: few calls, and a buffer of
+# ~0.5 MB at 300 features
+_SAVE_ROWS = 64
+
 
 def save_dataset(dataset: Dataset, csv_path, manifest_hash: str = "", cache_dir=None) -> None:
     """Write the canonical dataset pair: <csv_path> and <stem>_meta.json.
 
     The CSV's columns are fips, state, name, rep_<target year>,
     dem_<target year> and the features. Floats are written with repr so a
-    load is bit-for-bit faithful; each row is one `format_floats` call, so
-    its features are written in C where it is available. With `cache_dir`,
-    the binary cache that load_dataset reads there is written too, from the
-    dataset in memory.
+    load is bit-for-bit faithful; each block of _SAVE_ROWS rows is one
+    `format_floats` call, so its features are written in C where it is
+    available. With `cache_dir`, the binary cache that load_dataset reads
+    there is written too, from the dataset in memory.
     """
     csv_path = Path(csv_path)
     header = _csv_header(dataset.target_year, dataset.feature_names)
     features = ",%r" * dataset.p + "\r\n"
     comment = f"manifest_sha256={manifest_hash}" if manifest_hash else ""
+    rows = zip(dataset.keys, dataset.rep.tolist(), dataset.dem.tolist())
     with open_csv(csv_path, header, comment) as fh:
-        for key, r, d, x in zip(dataset.keys, dataset.rep.tolist(), dataset.dem.tolist(), dataset.X):
-            fh.write(format_floats(csv_prefix([key.fips, key.state, key.name, r, d]) + features, x))
+        for start in range(0, dataset.n, _SAVE_ROWS):
+            layout = "".join(
+                csv_prefix([key.fips, key.state, key.name, r, d]) + features
+                for key, r, d in islice(rows, _SAVE_ROWS)
+            )
+            fh.write(format_floats(layout, dataset.X[start : start + _SAVE_ROWS]))
     meta = {
         "format": DATASET_FORMAT,
         "version": DATASET_FORMAT_VERSION,
@@ -545,14 +736,34 @@ def _read_meta(csv_path: Path) -> dict:
 
 
 def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
-    """Parse a canonical dataset CSV: the keys and vote counts of each line
-    split off in Python, the feature tails in one pass of numpy's C reader."""
-    feature_names = meta["feature_names"]
+    """Parse a canonical dataset CSV: with `read_csv` in `_kernels.c` through
+    a read-only map where it can, and otherwise with the reference,
+    `_parse_dataset_csv_py`."""
+    parts = _read_mapped(csv_path, _dataset_mapped, meta)
+    if parts is None:
+        parts = _parse_dataset_csv_py(csv_path, meta)
+    keys, X, rep, dem = parts
+    return Dataset.build(
+        keys=keys,
+        feature_names=meta["feature_names"],
+        X=X,
+        rep=rep,
+        dem=dem,
+        target_year=meta["target_year"],
+    )
 
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+
+def _parse_dataset_csv_py(csv_path: Path, meta: dict):
+    """The keys, features and vote counts of a dataset CSV: the keys and
+    vote counts of each line split off in Python, the feature tails in one
+    pass of numpy's C reader."""
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except UnicodeDecodeError:
+        raise _not_utf8(csv_path) from None
     header = next(csv.reader(lines[:1]), [])
-    if header != _csv_header(meta["target_year"], feature_names):
+    if header != _csv_header(meta["target_year"], meta["feature_names"]):
         raise SchemaError(f"{csv_path}: header does not match metadata")
 
     width = len(header)
@@ -574,14 +785,50 @@ def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
         X = _columns(tails, np.float64, 5, width - 5)
     except ValueError as err:
         raise DataError(f"{csv_path}: {err}") from None
-    return Dataset.build(
-        keys=keys,
-        feature_names=feature_names,
-        X=X,
-        rep=counts[:, 0],
-        dem=counts[:, 1],
-        target_year=meta["target_year"],
-    )
+    return keys, X, counts[:, 0], counts[:, 1]
+
+
+# Cells that numpy's loadtxt and float() both read, to the same double
+_PLAIN_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# Vote counts that loadtxt reads as int64 and int() to the same value
+_PLAIN_COUNT = re.compile(r"[0-9]{1,18}")
+
+
+def _dataset_mapped(lib, mm, meta: dict):
+    """`_parse_dataset_csv_py`'s result, read by `read_csv` from the map `mm`;
+    None where `read_csv` declines, a cell is one the reference might read
+    otherwise, or a key would raise an error, which the reference then
+    raises."""
+    header = _mapped_line(mm, 0)
+    while header is not None and header[0].startswith("#"):
+        header = _mapped_line(mm, header[1])
+    expected = _csv_header(meta["target_year"], meta["feature_names"])
+    if header is None or header[0].split(",") != expected:
+        return None
+    read = _read_csv(lib, mm, header[1], ",", b"ttttt" + b"n" * (len(expected) - 5))
+    if read is None:
+        return None
+    X, _, spans, slow = read
+
+    flat = X.reshape(-1)
+    for i, a, b in slow.tolist():
+        cell = _unquote(mm[a:b])
+        if not _PLAIN_FLOAT.fullmatch(cell):
+            return None
+        flat[i] = float(cell)
+
+    keys, rep, dem = [], [], []
+    try:
+        for row in spans.tolist():
+            fips, state, name, r, d = (_unquote(mm[a:b]) for a, b in row)
+            if not (_PLAIN_COUNT.fullmatch(r) and _PLAIN_COUNT.fullmatch(d)):
+                return None
+            keys.append(CountyKey(fips, state, name))
+            rep.append(int(r))
+            dem.append(int(d))
+    except (DataError, UnicodeDecodeError):
+        return None
+    return keys, X, rep, dem
 
 
 def _columns(lines: list[str], dtype, first: int, width: int) -> np.ndarray:

@@ -479,6 +479,51 @@ class TestRanking:
             assert row["global_sigma"] == s.global_sigma
 
 
+    @staticmethod
+    def _json_dump_bytes(scores, meta):
+        """What json.dump(indent=2) and a newline write for these scores."""
+        doc = {
+            "format": "tamperscan-scores",
+            "version": 1,
+            "meta": meta,
+            "counties": [
+                {
+                    "fips": s.key.fips, "county": s.key.name, "state": s.key.state,
+                    "actual_share": s.actual, "predicted_share": s.predicted,
+                    "residual": s.residual, "local_sigma": s.local_sigma,
+                    "global_sigma": s.global_sigma, "beyond_mc_table": s.beyond_mc_table,
+                }
+                for s in scores
+            ],
+        }
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.usefixtures("kernel_path")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [(0.1 + 0.2, 1 / 3, -0.0, 5.25, 4.0), (1e-300, 5e-324, 1e22, -123456.789, 0.0)],
+            [(0.5, 0.25, float("nan"), 1.0, 2.0), (0.5, 0.25, 0.25, float("inf"), 2.0)],
+            [],
+        ],
+        ids=["finite", "non-finite", "empty"],
+    )
+    def test_scores_json_bytes_match_json_dump(self, tmp_path, values):
+        names = ['Quote "Q" County', "Back\\slash 100% County", "Doña Ana ∑ County"]
+        scores = [
+            AnomalyScore(
+                key=CountyKey(f"35{2 * i + 1:03d}", "NM", names[i % len(names)]),
+                actual=a, predicted=p, residual=r, local_sigma=z, global_sigma=g,
+                beyond_mc_table=i % 2 == 1,
+            )
+            for i, (a, p, r, z, g) in enumerate(values * 2)
+        ]
+        meta = {"manifest_sha256": "abc", "width": 0.012, "mc_trials": 100000, "note": "50% \"q\""}
+        path = tmp_path / "scores.json"
+        write_scores_json(scores, path, meta=meta)
+        assert path.read_bytes() == self._json_dump_bytes(scores, meta)
+
+
 class TestDiagnostics:
     def test_size_correlation_sign(self):
         rows = []

@@ -548,6 +548,23 @@ class TestExitCodes:
         assert main(["ingest", "--manifest", str(manifest)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_3(self, tmp_path, capsys):
+        manifest = TestIngest._inputs(tmp_path)
+        path = tmp_path / "e2020.csv"
+        offset = path.stat().st_size + len("13013,Synth ")
+        with open(path, "ab") as fh:
+            fh.write(b"13013,Synth \xff County,1,2\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 3
+        assert f"e2020.csv: not UTF-8 at byte {offset}" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_is_3(self, private_ws, capsys):
+        path = private_ws / "out" / "dataset.csv"
+        offset = path.stat().st_size + len("13999,GA,")
+        with open(path, "ab") as fh:
+            fh.write(b"13999,GA,\xff County,1,2\r\n")
+        assert main(["fit", "--manifest", _man(private_ws)]) == 3
+        assert f"dataset.csv: not UTF-8 at byte {offset}" in capsys.readouterr().err
+
     def test_broken_dataset_is_3_despite_older_cache(self, private_ws, capsys):
         man, out = _man(private_ws), private_ws / "out"
         load_dataset(out / "dataset.csv", cache_dir=out / "dataset_cache")

@@ -21,7 +21,7 @@ from tamperscan import (
     parse_table,
     save_dataset,
 )
-from tamperscan import ingest
+from tamperscan import _kernels, ingest
 from tamperscan.data_model import SyntheticSpec, generate_synthetic
 from tamperscan.ingest import dataset_sha256
 
@@ -62,6 +62,7 @@ ELECTION_2016 = """fips,rep_votes,dem_votes
 """
 
 
+@pytest.mark.usefixtures("kernel_path")
 class TestParseTable:
     def test_zero_pads_fips(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", DP02), "DP02")
@@ -358,6 +359,7 @@ class TestCleanFeatures:
             clean_features([parse_table(_write(tmp_path, "x.csv", dp02), "DP02")])
 
 
+@pytest.mark.usefixtures("kernel_path")
 class TestParseElection:
     def test_thousands_separator_votes(self, tmp_path):
         e = parse_election(_write(tmp_path, "e.csv", ELECTION_2020), 2020)
@@ -411,6 +413,191 @@ class TestParseElection:
         p = _write(tmp_path, "e.csv", "fips,rep_votes,dem_votes\n01001,-1,4\n")
         with pytest.raises(DataError, match="negative"):
             parse_election(p, 2020)
+
+
+def _table_outcome(path, source_id="DP02", delimiter=","):
+    """Everything parse_table gives for a file, or the type and message of
+    its error."""
+    try:
+        t = parse_table(path, source_id, delimiter)
+    except (ConfigError, DataError) as err:
+        return type(err), str(err)
+    return t.columns, t.moe_columns, t.fips, t.values.shape, t.values.tobytes(), t.names
+
+
+def _reference(monkeypatch, read, *args):
+    """read(*args) with `_kernels.library()` None, so the reference readers run."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "library", lambda: None)
+        return read(*args)
+
+
+class TestCompiledReader:
+    """read_csv in _kernels.c reads what its references read, bit for bit,
+    and declines every file where it might not."""
+
+    @staticmethod
+    def _compiled_reads(path, source_id="DP02", delimiter=","):
+        read = ingest._read_mapped(path, ingest._table_mapped, path, source_id, delimiter)
+        return read is not None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'fips,name,x,y\n01001,"Comma, County",1,"1,234"\n13121,"Quote ""Q""",2,"5"\n',
+            b"fips,a,b,c,d,e\n01001,(X),N,, 7 ,\t8\t\n13121,1,2,3,4,5\n",
+            b"fips,a,b,c,d,e,f,g,h,i\n01001,1_000,inf,nan,-0,-0.0,1.,.5,007,1e\n",
+            b"fips,a,b,c,d,e,f,g,h\n01001,9007199254740993,9007199254740991,9007199254740992,"
+            b"1e22,1e23,0.30000000000000004,-1.7976931348623157e+308,2.5e-22\n",
+            BOM + b"fips,county,x\r\n01001,Autauga,1.5\r\n13121,Fulton,2.5",
+            b"fips,x\n01001,1.5\n13121,2.5",
+            "fips,x\n١٣١٢١,1\n".encode("utf-8"),
+            b"fips\tname\tx\n01001\tA, B\t1.5\n13121\t\"Q\tR\"\t2\n",
+            b"x,NAME,fips,x moe\n+3,Do\xc3\xb1a,\"13121\",1\n-.5,\"\",   7,2\n",
+        ],
+        ids=["quoted", "missing-and-padded", "float-syntax", "exactness", "bom-crlf",
+             "no-final-newline", "non-ascii-fips-digits", "tab", "key-columns"],
+    )
+    def test_reads_as_the_reference(self, tmp_path, monkeypatch, kernels, text):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text)
+        delimiter = "\t" if b"\t" in text.split(b"\n")[0] else ","
+        assert self._compiled_reads(path, delimiter=delimiter)
+        compiled = _table_outcome(path, "DP02", delimiter)
+        assert compiled == _reference(monkeypatch, _table_outcome, path, "DP02", delimiter)
+        assert isinstance(compiled[0], tuple)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"fips,x\n01001,1\r13121,2\n",
+            b"fips,x\n01001,1\n\n",
+            b"fips,x\n01001,1\n\n13121,2\n",
+            b'fips,name,x\n01001,"A,1\n',
+            b'fips,name,x\n01001,"A\nB",1\n',
+            b"fips,x\n01001,1\x002\n",
+            b"fips,x\n01001,\xc2\xbd\n",
+            b"fips,x\n01001,1,2\n",
+            b"fips,x,y\n01001,1\n",
+            b'fips,x\n01001,1"2\n',
+            b'fips,x\n01001,"1"2\n',
+            b"fips,x\n01001,1\n1001,2\n",
+            b"fips,x\n01001,1\n123456,2\n",
+            b"fips,name,x\n01001,Synth \xff County,1\n",
+            b'"fips",x\n01001,1\n',
+            b"a,b\n1,\xff\n",
+            b"fips,x\n" + b"".join(b"%d,(X)\n" % (1001 + i) for i in range(400)),
+        ],
+        ids=["lone-cr", "blank-last-line", "blank-line", "unterminated-quote", "quoted-newline",
+             "nul", "non-ascii-number", "long-row", "short-row", "inner-quote",
+             "text-after-quote", "duplicate-fips", "bad-fips", "not-utf8", "quoted-header",
+             "no-fips-and-not-utf8", "slow-cells-overflow"],
+    )
+    def test_declines_what_the_reference_must_read(self, tmp_path, monkeypatch, kernels, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        assert not self._compiled_reads(path)
+        assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path)
+
+    def test_bit_identical_on_a_million_cells(self, tmp_path, monkeypatch, kernels):
+        rng = np.random.default_rng(28)
+        n, p = 5000, 200
+        x = rng.normal(0.0, 1.0, (n, p)) * 10.0 ** rng.integers(-3, 7, p)
+        # formats whose cells decimal() reads, with one cell in 200 left to float()
+        formats = ["%.1f", "%d", "%.6f", "%.3e", "%.15g", "%.2f"]
+        columns = []
+        for j in range(p):
+            fmt = formats[j % len(formats)]
+            cells = [fmt % v for v in (x[:, j].astype(np.int64) if fmt == "%d" else x[:, j]).tolist()]
+            for i in rng.choice(n, size=n // 200, replace=False).tolist():
+                cells[i] = ["(X)", " 12.5 ", '"1,234.5"', "", repr(rng.normal())][i % 5]
+            columns.append(cells)
+        lines = ["fips,name," + ",".join(f"c{j}" for j in range(p))]
+        lines += [f"{10001 + i},County {i}," + ",".join(row) for i, row in enumerate(zip(*columns))]
+        path = tmp_path / "big.csv"
+        path.write_bytes("\n".join(lines).encode("ascii") + b"\n")
+        assert n * p >= 10**6
+        assert self._compiled_reads(path)
+        compiled = _table_outcome(path)
+        assert compiled == _reference(monkeypatch, _table_outcome, path)
+        assert 0 < np.isnan(np.frombuffer(compiled[4])).sum() < n * p // 200  # (X) and ""
+
+    def test_peak_memory_stays_near_the_values(self, tmp_path, kernels):
+        n, p = 3000, 200
+        cells = np.random.default_rng(0).uniform(0, 100, (n, p)).round(1)
+        lines = ["fips," + ",".join(f"c{j}" for j in range(p))]
+        lines += [f"{10001 + i}," + ",".join(map(str, row)) for i, row in enumerate(cells.tolist())]
+        path = _write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
+        parse_table(_write(tmp_path, "warm.csv", "fips,x\n01001,1\n"), "DP02")
+        tracemalloc.start()
+        try:
+            t = parse_table(path, "DP02")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.values, cells)
+        # 8 bytes of float64 per cell; a copy of the file would add ~5 more
+        assert peak / (n * p) <= 10
+
+    def test_dataset_read_as_the_reference(self, tmp_path, monkeypatch, kernels):
+        # features as ingest writes them from census tables: one decimal, and
+        # a full-precision prior share that decimal() leaves to float()
+        rng = np.random.default_rng(5)
+        rows = [
+            (f"{35001 + 2 * i}", "NM", name, [*rng.uniform(0, 100, 20).round(1), rng.uniform()],
+             (int(rng.integers(0, 10**6)), int(rng.integers(0, 10**6))))
+            for i, name in enumerate(["Doña Ana", "Comma, County", 'Quote "Q"', "100%", "Plain"] * 20)
+        ]
+        ds = make_dataset(rows, feature_names=(*(f"f{j}" for j in range(20)), "share_2016"))
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path, manifest_hash="abc")
+        meta = ingest._read_meta(path)
+        assert ingest._read_mapped(path, ingest._dataset_mapped, meta) is not None
+        _assert_same_dataset(load_dataset(path), ds)
+        _assert_same_dataset(_reference(monkeypatch, load_dataset, path), ds)
+
+    @pytest.mark.parametrize(
+        "row",
+        [b"35099,NM,B,1,2,1_000,0.5\r\n", b"35099,NM,B,1,2, 0.5,0.5\r\n", b"35099,NM,B,1,2,inf,0.5\r\n",
+         b"35099,NM,B,+1,2,0.5,0.5\r\n", b"35099,NM,B,1.0,2,0.5,0.5\r\n", b"# note\r\n",
+         b"35099,NM,B,1,2,0.5,0.5\r# x\n", b'35099,NM,"B"x,1,2,0.5,0.5\r\n',
+         b"35099,NM,B,1,2,0.5,0.5\r\n\r\n", b"3509,NM,B,1,2,0.5,0.5\r\n", b"35099,GA,B,1,2,0.5,0.5\r\n"],
+        ids=["underscore", "padded", "inf", "plus-tally", "float-tally", "comment", "lone-cr",
+             "text-after-quote", "blank-line", "short-fips", "wrong-state"],
+    )
+    def test_dataset_outcome_as_the_reference(self, tmp_path, monkeypatch, kernels, row):
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.25], (5, 6))])
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        with open(path, "ab") as fh:
+            fh.write(row)
+
+        def outcome():
+            try:
+                d = load_dataset(path)
+            except (DataError, ValueError) as err:
+                return type(err), str(err)
+            return d.keys, d.X.tobytes(), d.rep.tolist(), d.dem.tolist()
+
+        assert outcome() == _reference(monkeypatch, outcome)
+
+
+def test_non_utf8_election_file_is_data_error(tmp_path, kernel_path):
+    path = tmp_path / "e.csv"
+    head = ELECTION_2020.encode("utf-8") + b"01001,Synth "
+    path.write_bytes(head + b"\xff County,1,2\n")
+    with pytest.raises(DataError, match=f"e.csv: not UTF-8 at byte {len(head)}$"):
+        parse_election(path, 2020)
+
+
+def test_non_utf8_dataset_is_data_error(tmp_path, kernel_path):
+    ds = make_dataset([("35013", "NM", "A", [0.1, 0.25], (5, 6))])
+    path = tmp_path / "dataset.csv"
+    save_dataset(ds, path)
+    head = path.read_bytes() + b"35001,NM,B "
+    path.write_bytes(head + b"\xff,1,2,0.5,0.5\r\n")
+    with pytest.raises(DataError, match=f"dataset.csv: not UTF-8 at byte {len(head)}$"):
+        load_dataset(path)
 
 
 class TestAssembleDataset:
@@ -524,6 +711,7 @@ class TestAssembleDataset:
             assemble_dataset(features, [e16], 2020)
 
 
+@pytest.mark.usefixtures("kernel_path")
 class TestDatasetRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         ds, _ = generate_synthetic(SyntheticSpec(n_counties=40, n_features=6, n_active=2, seed=8))
