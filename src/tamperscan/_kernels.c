@@ -9,8 +9,10 @@
  *   erfc_array       math.erfc (anomaly._erfc_py)
  *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
  *                    (data_model.format_floats)
- *   read_csv         csv.reader, then float() or _to_float per number cell
- *                    (ingest._parse_table_py, ingest._parse_dataset_csv_py)
+ *   read_csv         csv.reader on comma-separated text, then float() or
+ *                    _to_float per number cell (ingest._parse_table_py,
+ *                    ingest._parse_dataset_csv_py; a dataset's vote
+ *                    counts are text cells, which ingest converts)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
  * and the Horner steps may round once instead of twice. The callers check
@@ -408,11 +410,11 @@ format_values(const char *layout, ptrdiff_t reps, const double *x, ptrdiff_t n,
     return x == end ? len : -1;
 }
 
-/* Reading delimited text: read_csv tokenises the rows of a file that
- * csv.reader (default dialect, any ASCII delimiter) splits into the same
- * cells, and converts its number cells when float() gives the value in
- * one IEEE operation. Anything else it declines, and the caller runs the
- * reference reader.
+/* Reading comma-separated text: read_csv tokenises the rows of a file
+ * that csv.reader (default dialect) splits into the same cells, and
+ * converts its number cells when float() gives the value in one IEEE
+ * operation. Anything else it declines, and the caller runs the reference
+ * reader.
  */
 
 /* The powers of ten that a double holds exactly. */
@@ -494,25 +496,22 @@ count_lines(const char *s, ptrdiff_t len)
  * A quoted cell is one whose first byte is '"'; it ends at the next '"'
  * that is not doubled. Returns the number of slow cells, or -1 where the
  * file strays from what csv.reader reads the same way or where the caller
- * would need more than spans: a delimiter that is not ASCII, is a quote,
- * CR, LF or NUL, or can be part of a number; a quote anywhere but around a
- * whole cell, a quoted line end, a lone "\r", a blank line, a row with
- * another number of cells, a NUL byte, a byte >= 0x80 outside an 'f' or 't'
- * cell, a cell longer than max_cell bytes (csv.reader's field_size_limit),
- * or more than cap slow cells.
+ * would need more than spans: a quote anywhere but around a whole cell, a
+ * quoted line end, a lone "\r", a blank line, a row with another number of
+ * cells, a NUL byte, a byte >= 0x80 outside an 'f' or 't' cell, a cell
+ * longer than max_cell bytes (csv.reader's field_size_limit), or more than
+ * cap slow cells.
  */
 ptrdiff_t
-read_csv(const char *text, ptrdiff_t len, int delim, const char *kinds, ptrdiff_t width,
-         ptrdiff_t rows, ptrdiff_t max_cell, double *values, char *fips, ptrdiff_t *spans,
-         ptrdiff_t *slow, ptrdiff_t cap)
+read_csv(const char *text, ptrdiff_t len, const char *kinds, ptrdiff_t width, ptrdiff_t rows,
+         ptrdiff_t max_cell, double *values, char *fips, ptrdiff_t *spans, ptrdiff_t *slow,
+         ptrdiff_t cap)
 {
     const unsigned char *s = (const unsigned char *)text, *p = s, *end = s + len;
     ptrdiff_t nvalue = 0, nslow = 0;
     unsigned char stop[256] = {0};  /* the bytes that end or spoil an unquoted run */
 
-    if (delim <= 0 || delim >= 0x80 || strchr("\"\r\n+-.0123456789eE", delim))
-        return -1;
-    stop['"'] = stop['\n'] = stop['\r'] = stop[0] = stop[delim] = 1;
+    stop['"'] = stop['\n'] = stop['\r'] = stop[0] = stop[','] = 1;
     memset(stop + 0x80, 1, 0x80);
     for (ptrdiff_t r = 0; r < rows; r++) {
         if (p == end || *p == '\n' || *p == '\r')
@@ -541,7 +540,7 @@ read_csv(const char *text, ptrdiff_t len, int delim, const char *kinds, ptrdiff_
                 for (;;) {
                     while (p < end && !stop[*p])
                         p++;
-                    if (p == end || *p == delim || *p == '\n' || *p == '\r')
+                    if (p == end || *p == ',' || *p == '\n' || *p == '\r')
                         break;
                     if (*p < 0x80)
                         return -1;  /* a quote inside the cell, or a NUL */
@@ -554,7 +553,7 @@ read_csv(const char *text, ptrdiff_t len, int delim, const char *kinds, ptrdiff_
             if (b - a > max_cell)
                 return -1;
             if (c + 1 < width) {
-                if (p == end || *p++ != delim)
+                if (p == end || *p++ != ',')
                     return -1;  /* too few cells, or text after a closing quote */
             } else if (p < end) {
                 p += *p == '\r';

@@ -120,7 +120,7 @@ def _load(path):
     lib.count_lines.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t)
     lib.count_lines.restype = ctypes.c_ssize_t
     lib.read_csv.argtypes = (
-        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_char_p, *(ctypes.c_ssize_t,) * 3,
+        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_char_p, *(ctypes.c_ssize_t,) * 3,
         *(ctypes.c_void_p,) * 4, ctypes.c_ssize_t,
     )
     lib.read_csv.restype = ctypes.c_ssize_t

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data_model import CountyKey, Dataset, format_floats, substream, write_csv, write_json
+from .data_model import CountyKey, Dataset, format_floats, substream, write_csv
 from .elastic_net import FitModel, predict
 from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
 
@@ -461,38 +461,32 @@ _COUNTY_JSON = """
 
 def write_scores_json(scores, path, meta: dict | None = None) -> None:
     """Full-precision JSON companion to the formatted CSV, in the order of
-    the ranked `scores`: `json.dump(doc, indent=2)` and a newline.
+    the ranked `scores`: what `json.dump(doc, indent=2)` and a newline write.
 
-    Where every value is a finite float and every `beyond_mc_table` a bool,
-    the `counties` array is one `format_floats` call (so its floats are
+    The `counties` array is one `format_floats` call (so its floats are
     written in C where it is available) on the layout json.dump gives it;
-    its floats are then repr's digits, as json writes them. Otherwise (JSON
-    writes NaN and Infinity, not repr's nan and inf) json writes it all.
+    its floats are then repr's digits, as json writes them. JSON has no
+    NaN or infinity, so a non-finite value raises NumericalError before the
+    file is opened; no scoring in this package gives one.
     """
     scores = list(scores)
     head = {"format": "tamperscan-scores", "version": 1, "meta": meta or {}}
     counties = _counties_json(scores)
-    if counties is None:
-        write_json(path, {**head, "counties": [_county_doc(s) for s in scores]})
-        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{json.dumps(head, indent=2)[:-2]},\n  "counties": {counties}\n}}\n')
 
 
-def _counties_json(scores) -> str | None:
+def _counties_json(scores) -> str:
     """The `counties` array of scores.json as json.dump(indent=2) writes it
-    there, from one `format_floats` call; None unless every value is a
-    finite float and every `beyond_mc_table` a bool."""
+    there, from one `format_floats` call."""
     if not scores:
         return "[]"
     rows = [(s.actual, s.predicted, s.residual, s.local_sigma, s.global_sigma) for s in scores]
-    if not all(isinstance(v, float) for row in rows for v in row) or not all(
-        type(s.beyond_mc_table) is bool for s in scores
-    ):
-        return None
     values = np.array(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        return None
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        county = scores[int(np.argmin(finite))].key.fips
+        raise NumericalError(f"county {county} has a non-finite score, which JSON cannot hold")
     layout = ",".join(
         _COUNTY_JSON % (
             _layout_json(s.key.fips), _layout_json(s.key.name), _layout_json(s.key.state),
@@ -506,20 +500,6 @@ def _counties_json(scores) -> str | None:
 def _layout_json(text: str) -> str:
     """`text` as a JSON string, with % doubled for a `format_floats` layout."""
     return json.dumps(text).replace("%", "%%")
-
-
-def _county_doc(s: AnomalyScore) -> dict:
-    return {
-        "fips": s.key.fips,
-        "county": s.key.name,
-        "state": s.key.state,
-        "actual_share": s.actual,
-        "predicted_share": s.predicted,
-        "residual": s.residual,
-        "local_sigma": s.local_sigma,
-        "global_sigma": s.global_sigma,
-        "beyond_mc_table": s.beyond_mc_table,
-    }
 
 
 def size_correlation(resid: ResidualSet, dataset: Dataset) -> float:

@@ -1,6 +1,6 @@
 """Parsing and cleaning of demographic profile tables and election returns.
 
-The pipeline is: parse each delimiter-separated file, demographic table or
+The pipeline is: parse each comma-separated file, demographic table or
 election returns alike, with one reader that turns its cells into numbers as
 they are read (a vote count must then be a whole, non-negative number), drop
 margin-of-error and duplicate feature columns, drop columns that are missing
@@ -46,7 +46,7 @@ _NAME_HEADERS = {"name", "county", "county_name", "geographic area name"}
 # converting them.
 _CHUNK_ROWS = 256
 
-# float64 holds every whole vote count up to here exactly
+# float64 holds every whole vote count below this exactly; 2**53 + 1 reads as it
 _MAX_VOTES = 2.0**53
 
 DATASET_FORMAT = "tamperscan-dataset"
@@ -128,8 +128,8 @@ class CleaningReport:
         )
 
 
-def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
-    """Parse one header-rowed delimited file into a RawTable of numbers.
+def parse_table(path, source_id: str) -> RawTable:
+    """Parse one header-rowed comma-separated file into a RawTable of numbers.
 
     The fips column (matched case-insensitively) is normalized to 5 digits;
     a county display-name column, when present, is captured separately and
@@ -144,11 +144,11 @@ def parse_table(path, source_id: str, delimiter: str = ",") -> RawTable:
     `_parse_table_py`, its reference, reads it instead.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    parts = _read_mapped(path, _table_mapped, path, source_id, delimiter)
+    parts = _read_mapped(path, _table_mapped, path, source_id)
     if parts is None:
-        parts = _parse_table_py(path, source_id, delimiter)
+        parts = _parse_table_py(path, source_id)
     columns, moe_columns, fips, values, names = parts
     return RawTable(
         source_id=source_id,
@@ -201,14 +201,14 @@ def _header(path: Path, header: list[str], source_id: str) -> _Header:
     )
 
 
-def _parse_table_py(path: Path, source_id: str, delimiter: str):
+def _parse_table_py(path: Path, source_id: str):
     """parse_table's reference reader: csv.reader, then float64 a chunk of
     rows at a time, so no string cell outlives its chunk. Returns columns,
     moe_columns, fips, values and names."""
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
@@ -276,15 +276,15 @@ def _read_mapped(path: Path, read, *args):
         return read(lib, mm, *args)
 
 
-def _table_mapped(lib, mm, path: Path, source_id: str, delimiter: str):
+def _table_mapped(lib, mm, path: Path, source_id: str):
     """`_parse_table_py`'s result, read by `read_csv` from the map `mm`; None
     where `read_csv` declines or a row would raise an error, which the
     reference then raises."""
     header = _mapped_line(mm, 3 if mm[:3] == codecs.BOM_UTF8 else 0)
-    if header is None or len(delimiter) != 1:
+    if header is None:
         return None
     try:
-        head = _header(path, header[0].split(delimiter), source_id)
+        head = _header(path, header[0].split(","), source_id)
     except SchemaError:
         return None  # the reader may meet an undecodable byte first
     kinds = [b"-"] * head.width
@@ -293,7 +293,7 @@ def _table_mapped(lib, mm, path: Path, source_id: str, delimiter: str):
     kinds[head.fips] = b"f"
     if head.name is not None:
         kinds[head.name] = b"t"
-    read = _read_csv(lib, mm, header[1], delimiter, b"".join(kinds))
+    read = _read_csv(lib, mm, header[1], b"".join(kinds))
     if read is None:
         return None
     values, fast_fips, spans, slow = read
@@ -329,7 +329,7 @@ def _table_mapped(lib, mm, path: Path, source_id: str, delimiter: str):
 def _mapped_line(mm, start: int):
     """The text of the line at mm[start:] and the offset of the line after
     it, or None unless the line is non-empty UTF-8 with no quote, CR or NUL:
-    csv.reader then splits it at the delimiter and nowhere else, and a
+    csv.reader then splits it at each comma and nowhere else, and a
     reader of lines sees one line."""
     end = mm.find(b"\n", start)
     line = mm[start : len(mm) if end < 0 else end].removesuffix(b"\r")
@@ -341,7 +341,7 @@ def _mapped_line(mm, start: int):
         return None
 
 
-def _read_csv(lib, mm, start: int, delimiter: str, kinds: bytes):
+def _read_csv(lib, mm, start: int, kinds: bytes):
     """Run `read_csv` over the rows at mm[start:], one column per byte of
     `kinds` ('n', 'f', 't' or '-'). Returns its outputs, with every span
     an offset into `mm`: the number cells as a float64 matrix, the fips
@@ -360,8 +360,8 @@ def _read_csv(lib, mm, start: int, delimiter: str, kinds: bytes):
         cap = values.size // 64 + 256
         slow = np.empty((cap, 3), dtype=np.intp)
         n = lib.read_csv(
-            addr, size, ord(delimiter), kinds, len(kinds), rows, csv.field_size_limit(),
-            values.ctypes.data, fips.ctypes.data, spans.ctypes.data, slow.ctypes.data, cap,
+            addr, size, kinds, len(kinds), rows, csv.field_size_limit(), values.ctypes.data,
+            fips.ctypes.data, spans.ctypes.data, slow.ctypes.data, cap,
         )
     finally:
         del data  # the map cannot close while an array views it
@@ -507,13 +507,13 @@ def clean_features(tables) -> tuple[FeatureTable, CleaningReport]:
     )
 
 
-def parse_election(path, year: int, delimiter: str = ",") -> ElectionTable:
+def parse_election(path, year: int) -> ElectionTable:
     """Parse election returns: columns fips, rep_votes, dem_votes.
 
     The file is read by parse_table, so a vote cell reads as any cell does;
-    it must then be a finite, non-negative whole number (at most 2**53).
+    it must then be non-negative and pass `_vote_counts`.
     """
-    table = parse_table(path, "election", delimiter)
+    table = parse_table(path, "election")
     lowered = [c.lower() for c in table.columns]
     try:
         cols = [lowered.index("rep_votes"), lowered.index("dem_votes")]
@@ -522,17 +522,26 @@ def parse_election(path, year: int, delimiter: str = ",") -> ElectionTable:
             f"{path}: election file needs rep_votes and dem_votes columns, "
             f"found {list(table.columns)}"
         ) from None
-    votes = table.values[:, cols]
+    votes, columns = table.values[:, cols], ("rep_votes", "dem_votes")
+    negative = np.argwhere(votes < 0)
+    if negative.size:
+        i, k = negative[0]
+        raise DataError(f"county {table.fips[i]}: negative {columns[k]} {votes[i, k]:g}")
+    rep, dem = _vote_counts(votes, table.fips, columns)
+    return ElectionTable(year=year, fips=table.fips, rep=rep, dem=dem, names=table.names)
+
+
+def _vote_counts(votes: np.ndarray, fips, columns) -> np.ndarray:
+    """The (n, 2) vote counts `votes` of counties `fips`, in `columns`, as a
+    (2, n) int64 array, under the one rule for a count in an election file
+    or a dataset pair: finite, whole and below 2**53 in size (2**53 + 1
+    reads as 2**53). The sign is the caller's to check."""
     # an unreadable cell is NaN, which fails every comparison
-    bad = ~((votes >= 0) & (votes <= _MAX_VOTES) & (votes == np.floor(votes)))
+    bad = ~((np.abs(votes) < _MAX_VOTES) & (votes == np.floor(votes)))
     if bad.any():
         i, k = np.argwhere(bad)[0]
-        county, column, v = table.fips[i], ("rep_votes", "dem_votes")[k], votes[i, k]
-        if v < 0:
-            raise DataError(f"county {county}: negative {column} {v:g}")
-        raise DataError(f"county {county}: {column} is not a whole vote count")
-    rep, dem = votes.T.astype(np.int64)
-    return ElectionTable(year=year, fips=table.fips, rep=rep, dem=dem, names=table.names)
+        raise DataError(f"county {fips[i]}: {columns[k]} is not a whole vote count")
+    return votes.T.astype(np.int64)
 
 
 def assemble_dataset(
@@ -679,11 +688,9 @@ def dataset_sha256(csv_path) -> str:
     csv_path = Path(csv_path)
     h = hashlib.sha256()
     for path in (csv_path, _meta_path(csv_path)):
-        try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            raise DataError(f"dataset file not found: {path}") from None
-        with fh:
+        if not path.is_file():
+            raise DataError(f"dataset file not found: {path}")
+        with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 16), b""):
                 h.update(block)
     return h.hexdigest()
@@ -694,28 +701,34 @@ def load_dataset(csv_path, cache_dir=None, digest: str | None = None) -> Dataset
 
     With `cache_dir`, the binary copy kept there is read instead of parsing
     the CSV when it is stamped with the pair's dataset_sha256 (`digest`,
-    computed here when not given) and holds valid arrays of the shapes the
-    metadata gives. A cache that is missing, stale or invalid is ignored:
-    the CSV is parsed and the cache rewritten. The CSV stays canonical.
+    computed here when not given). Whichever copy is read, `_build_dataset`
+    holds it to what the metadata states. A cache that is missing, stale,
+    invalid or at odds with its pair is ignored: the CSV is parsed, which
+    raises the pair's own error if it has one, and the cache rewritten. The
+    CSV stays canonical.
     """
     csv_path = Path(csv_path)
     meta = _read_meta(csv_path)
     if cache_dir is None:
-        return _parse_dataset_csv(csv_path, meta)
+        return _build_dataset(csv_path, meta, _parse_dataset_csv(csv_path, meta))
     cache = Path(cache_dir) / _CACHE_FILE
     digest = digest or dataset_sha256(csv_path)
-    dataset = _read_cache(cache, digest, meta)
-    if dataset is None:
-        dataset = _parse_dataset_csv(csv_path, meta)
-        _write_cache(cache, digest, dataset)
+    try:
+        parts = _read_cache(cache, digest)
+        if parts is not None:
+            return _build_dataset(csv_path, meta, parts)
+    except DataError:
+        pass  # a cache at odds with its pair
+    dataset = _build_dataset(csv_path, meta, _parse_dataset_csv(csv_path, meta))
+    _write_cache(cache, digest, dataset)
     return dataset
 
 
 def _read_meta(csv_path: Path) -> dict:
-    if not csv_path.exists():
+    if not csv_path.is_file():
         raise DataError(f"dataset file not found: {csv_path}")
     meta_path = _meta_path(csv_path)
-    if not meta_path.exists():
+    if not meta_path.is_file():
         raise SchemaError(f"missing dataset metadata file {meta_path}")
     with open(meta_path, encoding="utf-8") as fh:
         try:
@@ -726,37 +739,45 @@ def _read_meta(csv_path: Path) -> dict:
         raise SchemaError(f"{meta_path}: not a dataset metadata file")
     if meta.get("version") != DATASET_FORMAT_VERSION:
         raise SchemaError(f"{meta_path}: unsupported version {meta.get('version')!r}")
-    for key in ("target_year", "n_counties"):
+    for key in ("target_year", "n_counties", "n_features"):
         if type(meta.get(key)) is not int:
             raise SchemaError(f"{meta_path}: {key} must be an integer, got {meta.get(key)!r}")
     names = meta.get("feature_names")
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise SchemaError(f"{meta_path}: feature_names must be a list of strings")
+    if meta["n_features"] != len(names):
+        raise SchemaError(f"{meta_path}: n_features {meta['n_features']} is not len(feature_names)")
     return meta
 
 
-def _parse_dataset_csv(csv_path: Path, meta: dict) -> Dataset:
-    """Parse a canonical dataset CSV: with `read_csv` in `_kernels.c` through
-    a read-only map where it can, and otherwise with the reference,
-    `_parse_dataset_csv_py`."""
+def _build_dataset(csv_path: Path, meta: dict, parts) -> Dataset:
+    """The Dataset of the pair at `csv_path` from the parts one copy of it
+    holds: keys, features and (n, 2) vote counts. Every copy is built here,
+    so each is held to what the metadata states, and its vote counts to
+    `_vote_counts`."""
+    keys, X, votes = parts
+    if len(keys) != meta["n_counties"]:
+        raise SchemaError(
+            f"{csv_path} holds {len(keys)} counties, but {_meta_path(csv_path)} states "
+            f"n_counties {meta['n_counties']}"
+        )
+    columns = _csv_header(meta["target_year"], ())[3:]
+    rep, dem = _vote_counts(votes, [key.fips for key in keys], columns)
+    return Dataset.build(keys, meta["feature_names"], X, rep, dem, meta["target_year"])
+
+
+def _parse_dataset_csv(csv_path: Path, meta: dict):
+    """The parts of a dataset CSV, as `_parse_dataset_csv_py` gives them:
+    read by `read_csv` in `_kernels.c` through a read-only map where it can,
+    and otherwise by that reference."""
     parts = _read_mapped(csv_path, _dataset_mapped, meta)
-    if parts is None:
-        parts = _parse_dataset_csv_py(csv_path, meta)
-    keys, X, rep, dem = parts
-    return Dataset.build(
-        keys=keys,
-        feature_names=meta["feature_names"],
-        X=X,
-        rep=rep,
-        dem=dem,
-        target_year=meta["target_year"],
-    )
+    return _parse_dataset_csv_py(csv_path, meta) if parts is None else parts
 
 
 def _parse_dataset_csv_py(csv_path: Path, meta: dict):
-    """The keys, features and vote counts of a dataset CSV: the keys and
-    vote counts of each line split off in Python, the feature tails in one
-    pass of numpy's C reader."""
+    """The keys, features and (n, 2) vote counts of a dataset CSV: the keys
+    of each line split off in Python, the vote counts and the feature tails
+    in a pass each of numpy's C reader, as float64."""
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
@@ -781,31 +802,30 @@ def _parse_dataset_csv_py(csv_path: Path, meta: dict):
         tallies.append(f"{cells[3]},{cells[4]}")
         tails.append(cells[5] if len(cells) > 5 else "")
     try:
-        counts = _columns(tallies, np.int64, 3, 2)
-        X = _columns(tails, np.float64, 5, width - 5)
+        votes = _columns(tallies, 3, 2)
+        X = _columns(tails, 5, width - 5)
     except ValueError as err:
         raise DataError(f"{csv_path}: {err}") from None
-    return keys, X, counts[:, 0], counts[:, 1]
+    return keys, X, votes
 
 
 # Cells that numpy's loadtxt and float() both read, to the same double
 _PLAIN_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# Vote counts that loadtxt reads as int64 and int() to the same value
-_PLAIN_COUNT = re.compile(r"[0-9]{1,18}")
 
 
 def _dataset_mapped(lib, mm, meta: dict):
     """`_parse_dataset_csv_py`'s result, read by `read_csv` from the map `mm`;
     None where `read_csv` declines, a cell is one the reference might read
     otherwise, or a key would raise an error, which the reference then
-    raises."""
+    raises. The vote counts are text cells, converted here, so that the
+    features fill a matrix of their own."""
     header = _mapped_line(mm, 0)
     while header is not None and header[0].startswith("#"):
         header = _mapped_line(mm, header[1])
     expected = _csv_header(meta["target_year"], meta["feature_names"])
     if header is None or header[0].split(",") != expected:
         return None
-    read = _read_csv(lib, mm, header[1], ",", b"ttttt" + b"n" * (len(expected) - 5))
+    read = _read_csv(lib, mm, header[1], b"ttttt" + b"n" * (len(expected) - 5))
     if read is None:
         return None
     X, _, spans, slow = read
@@ -817,27 +837,26 @@ def _dataset_mapped(lib, mm, meta: dict):
             return None
         flat[i] = float(cell)
 
-    keys, rep, dem = [], [], []
+    keys, votes = [], []
     try:
         for row in spans.tolist():
             fips, state, name, r, d = (_unquote(mm[a:b]) for a, b in row)
-            if not (_PLAIN_COUNT.fullmatch(r) and _PLAIN_COUNT.fullmatch(d)):
+            if not (_PLAIN_FLOAT.fullmatch(r) and _PLAIN_FLOAT.fullmatch(d)):
                 return None
             keys.append(CountyKey(fips, state, name))
-            rep.append(int(r))
-            dem.append(int(d))
+            votes.append((float(r), float(d)))
     except (DataError, UnicodeDecodeError):
         return None
-    return keys, X, rep, dem
+    return keys, X, np.array(votes, dtype=np.float64).reshape(-1, 2)
 
 
-def _columns(lines: list[str], dtype, first: int, width: int) -> np.ndarray:
+def _columns(lines: list[str], first: int, width: int) -> np.ndarray:
     """Lines of `width` comma-separated cells, the data row's columns `first`
-    onwards, as a (len(lines), width) array."""
+    onwards, as a (len(lines), width) float64 array."""
     if not lines or not width:
-        return np.empty((len(lines), width), dtype=dtype)
+        return np.empty((len(lines), width))
     try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
         # numpy counts columns from 1 within these lines; report the row's
         message = re.sub(r"column (\d+)", lambda m: f"column {first + int(m[1])}", str(err))
@@ -857,37 +876,27 @@ def _write_cache(path: Path, digest: str, dataset: Dataset) -> None:
     write_atomically(path, lambda fh: np.savez(fh, allow_pickle=False, **arrays))
 
 
-def _read_cache(path: Path, digest: str, meta: dict) -> Dataset | None:
-    """The cached dataset, or None when the file is missing, stale or invalid."""
+def _read_cache(path: Path, digest: str):
+    """The parts of the cached copy, as `_parse_dataset_csv` gives a CSV's;
+    None when the file is missing, stale (stamped with another digest) or
+    not an archive of the arrays `_write_cache` writes: the features, and
+    the key and tally columns, one entry per county, with their dtypes. A
+    fips, state or name that makes no CountyKey raises DataError. What the
+    parts hold is `_build_dataset`'s to check."""
     try:
         # np.load given a path leaks the file when the archive is corrupt
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             a = {name: npz[name] for name in ("digest", "X", "fips", "state", "name", "rep", "dem")}
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    n, p = meta["n_counties"], len(meta["feature_names"])
-    shapes = {"digest": (), "X": (n, p), "fips": (n,), "state": (n,), "name": (n,)}
+    columns = [a[name] for name in ("fips", "state", "name", "rep", "dem")]
     if (
-        any(a[name].shape != shape for name, shape in shapes.items())
-        or any(a[name].dtype.kind != "U" for name in ("digest", "fips", "state", "name"))
+        str(a["digest"]) != digest
         or a["X"].dtype != np.float64
-        or a["rep"].dtype != np.int64
-        or a["dem"].dtype != np.int64
-        or str(a["digest"]) != digest
-        or not np.all(np.isfinite(a["X"]))
+        or any(c.dtype.kind != "U" for c in columns[:3])
+        or any(c.dtype != np.int64 for c in columns[3:])
+        or any(c.ndim != 1 or c.shape != columns[0].shape for c in columns)
     ):
         return None
-    try:
-        return Dataset.build(
-            keys=[
-                CountyKey(fips=f, state=st, name=nm)
-                for f, st, nm in zip(a["fips"].tolist(), a["state"].tolist(), a["name"].tolist())
-            ],
-            feature_names=meta["feature_names"],
-            X=a["X"],
-            rep=a["rep"],
-            dem=a["dem"],
-            target_year=meta["target_year"],
-        )
-    except DataError:
-        return None
+    keys = [CountyKey(*key) for key in zip(*(c.tolist() for c in columns[:3]))]
+    return keys, a["X"], np.stack(columns[3:], axis=1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,11 +150,20 @@ def load_manifest(path, out=None) -> RunManifest:
     if out == "":
         raise ConfigError("--out must name a directory, got ''")
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest file not found: {path}")
+    # read once: the hash stamped on every output is that of the text parsed
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"manifest file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read manifest {path}: {err.strerror or err}") from None
     cp = configparser.ConfigParser()
     try:
-        cp.read(path, encoding="utf-8-sig")
+        # as open() reads text: a byte-order mark dropped, any line ending read as \n
+        text = io.StringIO(data.decode().removeprefix("\ufeff"), newline=None)
+        cp.read_file(text, source=str(path))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"manifest {path} is not UTF-8 at byte {err.start}") from None
     except configparser.Error as err:
         raise ConfigError(f"cannot parse manifest {path}: {err}") from None
 
@@ -221,7 +231,7 @@ def load_manifest(path, out=None) -> RunManifest:
 
     return RunManifest(
         path=path,
-        sha256=manifest_hash(path),
+        sha256=hashlib.sha256(data).hexdigest(),
         out_dir=out_dir,
         target_year=_get_int(cp, "run", "target_year", 2020),
         inputs=inputs,

@@ -503,14 +503,30 @@ class TestRanking:
         "values",
         [
             [(0.1 + 0.2, 1 / 3, -0.0, 5.25, 4.0), (1e-300, 5e-324, 1e22, -123456.789, 0.0)],
-            [(0.5, 0.25, float("nan"), 1.0, 2.0), (0.5, 0.25, 0.25, float("inf"), 2.0)],
             [],
         ],
-        ids=["finite", "non-finite", "empty"],
+        ids=["finite", "empty"],
     )
     def test_scores_json_bytes_match_json_dump(self, tmp_path, values):
+        scores = self._named_scores(values)
+        meta = {"manifest_sha256": "abc", "width": 0.012, "mc_trials": 100000, "note": "50% \"q\""}
+        path = tmp_path / "scores.json"
+        write_scores_json(scores, path, meta=meta)
+        assert path.read_bytes() == self._json_dump_bytes(scores, meta)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_score_is_refused_before_the_file_opens(self, tmp_path, bad):
+        # JSON has no NaN or infinity, and json.dump would write them as bare words
+        scores = self._named_scores([(0.5, 0.25, 0.25, 1.0, 2.0), (0.5, 0.25, bad, 1.0, 2.0)])
+        path = tmp_path / "scores.json"
+        with pytest.raises(NumericalError, match="county 35003 has a non-finite score"):
+            write_scores_json(scores, path)
+        assert not path.exists()
+
+    @staticmethod
+    def _named_scores(values):
         names = ['Quote "Q" County', "Back\\slash 100% County", "Doña Ana ∑ County"]
-        scores = [
+        return [
             AnomalyScore(
                 key=CountyKey(f"35{2 * i + 1:03d}", "NM", names[i % len(names)]),
                 actual=a, predicted=p, residual=r, local_sigma=z, global_sigma=g,
@@ -518,10 +534,6 @@ class TestRanking:
             )
             for i, (a, p, r, z, g) in enumerate(values * 2)
         ]
-        meta = {"manifest_sha256": "abc", "width": 0.012, "mc_trials": 100000, "note": "50% \"q\""}
-        path = tmp_path / "scores.json"
-        write_scores_json(scores, path, meta=meta)
-        assert path.read_bytes() == self._json_dump_bytes(scores, meta)
 
 
 class TestDiagnostics:

@@ -517,6 +517,53 @@ class TestExitCodes:
         assert main(["fit", "--manifest", "/does/not/exist.ini"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_manifest_that_is_a_directory_is_2(self, tmp_path, capsys):
+        assert main(["fit", "--manifest", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read manifest {tmp_path}: ")
+
+    def test_manifest_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_bytes(b"[run]\nout_dir = out\n# \xff\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"config error: manifest {manifest} is not UTF-8 at byte 22\n"
+
+    def test_input_table_that_is_a_directory_is_3(self, tmp_path, capsys):
+        (tmp_path / "dp02.csv").mkdir()
+        (tmp_path / "e.csv").write_text("fips,rep_votes,dem_votes\n01001,1,2\n")
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[inputs]\ndp02 = dp02.csv\nelection_2020 = e.csv\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 3
+        assert f"data error: input file not found: {tmp_path / 'dp02.csv'}" in capsys.readouterr().err
+
+    def test_dataset_that_is_a_directory_is_3(self, tmp_path, capsys):
+        (tmp_path / "dataset.csv").mkdir()
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[data]\ndataset = dataset.csv\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        assert f"data error: dataset file not found: {tmp_path / 'dataset.csv'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cache", ["no_cache", "cache_of_the_short_csv"])
+    def test_dataset_short_of_its_county_count_is_3(self, tmp_path, capsys, cache):
+        ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2))
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path, cache_dir=tmp_path / "out" / "dataset_cache")
+        data = path.read_bytes()
+        path.write_bytes(data[: data.rindex(b"\n", 0, -1) + 1])  # the last county's row deleted
+        if cache == "cache_of_the_short_csv":
+            # stamped with the pair's digest, as a cache written from the
+            # 59 rows, before the county count was checked, would be
+            ingest._write_cache(
+                tmp_path / "out" / "dataset_cache" / "dataset.npz", dataset_sha256(path),
+                ds.subset(range(59)),
+            )
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[data]\ndataset = dataset.csv\n")
+        assert main(["fit", "--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path} holds 59 counties, but {tmp_path / 'dataset_meta.json'} "
+            "states n_counties 60\n"
+        )
+
     def test_fit_without_a_dataset_is_3(self, tmp_path, capsys):
         # without [data], the dataset is <out>/dataset.csv, which is not there
         manifest = tmp_path / "run.ini"
@@ -800,9 +847,12 @@ class TestExitCodes:
             ({"feature_names": None}, "feature_names must be a list of strings"),
             ({"feature_names": "f0,f1,f2,f3"}, "feature_names must be a list of strings"),
             ({"feature_names": ["f0", 1, "f2", "f3"]}, "feature_names must be a list of strings"),
+            ({"n_features": "4"}, "n_features must be an integer, got '4'"),
+            ({"n_features": 5}, "n_features 5 is not len(feature_names)"),
         ],
         ids=["not_json", "not_an_object", "no_target_year", "text_target_year", "no_n_counties",
-             "float_n_counties", "no_feature_names", "text_feature_names", "number_feature_name"],
+             "float_n_counties", "no_feature_names", "text_feature_names", "number_feature_name",
+             "text_n_features", "wrong_n_features"],
     )
     def test_malformed_dataset_metadata_is_3_and_names_the_file(self, tmp_path, capsys, edit, message):
         # `edit` is the file's new text, or keys to replace (None: delete)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -164,13 +165,6 @@ class TestParseTable:
         p = _write(tmp_path, "a.csv", "fips,x\n01001,1\n")
         with pytest.raises(ConfigError):
             parse_table(p, "DP99")
-
-    def test_tab_delimiter(self, tmp_path):
-        p = _write(tmp_path, "a.tsv", "fips\tx\n01001\t5\n")
-        t = parse_table(p, "DP02", delimiter="\t")
-        assert t.columns == ("x",)
-        assert t.fips == ("01001",)
-        assert t.values.tolist() == [[5.0]]
 
     def test_one_feature_column(self, tmp_path):
         t = parse_table(_write(tmp_path, "a.csv", "name,fips,x\nA,01001,5\nB,13121,6\n"), "DP02")
@@ -415,11 +409,11 @@ class TestParseElection:
             parse_election(p, 2020)
 
 
-def _table_outcome(path, source_id="DP02", delimiter=","):
+def _table_outcome(path, source_id="DP02"):
     """Everything parse_table gives for a file, or the type and message of
     its error."""
     try:
-        t = parse_table(path, source_id, delimiter)
+        t = parse_table(path, source_id)
     except (ConfigError, DataError) as err:
         return type(err), str(err)
     return t.columns, t.moe_columns, t.fips, t.values.shape, t.values.tobytes(), t.names
@@ -437,8 +431,8 @@ class TestCompiledReader:
     and declines every file where it might not."""
 
     @staticmethod
-    def _compiled_reads(path, source_id="DP02", delimiter=","):
-        read = ingest._read_mapped(path, ingest._table_mapped, path, source_id, delimiter)
+    def _compiled_reads(path, source_id="DP02"):
+        read = ingest._read_mapped(path, ingest._table_mapped, path, source_id)
         return read is not None
 
     @pytest.mark.parametrize(
@@ -452,19 +446,17 @@ class TestCompiledReader:
             BOM + b"fips,county,x\r\n01001,Autauga,1.5\r\n13121,Fulton,2.5",
             b"fips,x\n01001,1.5\n13121,2.5",
             "fips,x\n١٣١٢١,1\n".encode("utf-8"),
-            b"fips\tname\tx\n01001\tA, B\t1.5\n13121\t\"Q\tR\"\t2\n",
             b"x,NAME,fips,x moe\n+3,Do\xc3\xb1a,\"13121\",1\n-.5,\"\",   7,2\n",
         ],
         ids=["quoted", "missing-and-padded", "float-syntax", "exactness", "bom-crlf",
-             "no-final-newline", "non-ascii-fips-digits", "tab", "key-columns"],
+             "no-final-newline", "non-ascii-fips-digits", "key-columns"],
     )
     def test_reads_as_the_reference(self, tmp_path, monkeypatch, kernels, text):
-        path = tmp_path / "t.tsv"
+        path = tmp_path / "t.csv"
         path.write_bytes(text)
-        delimiter = "\t" if b"\t" in text.split(b"\n")[0] else ","
-        assert self._compiled_reads(path, delimiter=delimiter)
-        compiled = _table_outcome(path, "DP02", delimiter)
-        assert compiled == _reference(monkeypatch, _table_outcome, path, "DP02", delimiter)
+        assert self._compiled_reads(path)
+        compiled = _table_outcome(path)
+        assert compiled == _reference(monkeypatch, _table_outcome, path)
         assert isinstance(compiled[0], tuple)
 
     @pytest.mark.parametrize(
@@ -571,6 +563,9 @@ class TestCompiledReader:
         save_dataset(ds, path)
         with open(path, "ab") as fh:
             fh.write(row)
+        # the metadata counts the appended row, so the county count decides no case alone
+        meta = path.with_name("dataset_meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "n_counties": 2}))
 
         def outcome():
             try:
@@ -580,6 +575,37 @@ class TestCompiledReader:
             return d.keys, d.X.tobytes(), d.rep.tolist(), d.dem.tolist()
 
         assert outcome() == _reference(monkeypatch, outcome)
+
+
+@pytest.mark.parametrize(
+    "cell, count",
+    [("7", 7), ("7.0", 7), ("7.5", None), ("-1", None), ("(X)", None),
+     ("9007199254740991", 2**53 - 1), ("9007199254740993", None)],
+)
+def test_one_vote_count_rule_for_election_files_and_datasets(tmp_path, kernel_path, cell, count):
+    """A vote cell gets one verdict, a count or None for an error, whether an
+    election file or a dataset pair holds it. 2**53 + 1 reads as 2**53, so
+    both refuse 2**53."""
+    election = _write(tmp_path, "e.csv", f"fips,rep_votes,dem_votes\n35013,{cell},5\n")
+    path = tmp_path / "dataset.csv"
+    save_dataset(make_dataset([("35013", "NM", "A", [0.1, 0.25], (6, 5))]), path)
+    path.write_bytes(path.read_bytes().replace(b",A,6,5,", f",A,{cell},5,".encode()))
+
+    def verdict(read):
+        try:
+            return int(read()[0])
+        except DataError as err:
+            return str(err)
+
+    by_election = verdict(lambda: parse_election(election, 2020).rep)
+    by_dataset = verdict(lambda: load_dataset(path).rep)
+    if count is None:
+        assert isinstance(by_election, str) and isinstance(by_dataset, str)
+    else:
+        assert by_election == by_dataset == count
+    if cell in ("7.5", "9007199254740993"):
+        assert by_election == "county 35013: rep_votes is not a whole vote count"
+        assert by_dataset == "county 35013: rep_2020 is not a whole vote count"
 
 
 def test_non_utf8_election_file_is_data_error(tmp_path, kernel_path):
@@ -877,10 +903,33 @@ class TestDatasetCache:
         with np.load(cache / "dataset.npz") as npz:
             assert str(npz["digest"]) == dataset_sha256(path)
 
+    @pytest.mark.parametrize("odds", ["a_county_short", "a_feature_short", "tally_over_2_53"])
+    def test_cache_at_odds_with_its_pair_is_ignored(self, saved, monkeypatch, odds):
+        # stamped with the pair's digest, but not the pair's dataset
+        ds, path, cache = saved
+        if odds == "a_county_short":
+            other = ds.subset(range(ds.n - 1))
+        elif odds == "a_feature_short":
+            other = Dataset.build(
+                ds.keys, ds.feature_names[:-1], ds.X[:, :-1], ds.rep, ds.dem, ds.target_year
+            )
+        else:
+            rep = np.array(ds.rep)
+            rep[0] = 2**53 + 1
+            other = Dataset.build(ds.keys, ds.feature_names, ds.X, rep, ds.dem, ds.target_year)
+        ingest._write_cache(cache / "dataset.npz", dataset_sha256(path), other)
+        parses = self._parses(monkeypatch)
+        loaded = load_dataset(path, cache_dir=cache)
+        assert len(parses) == 1
+        _assert_same_dataset(loaded, load_dataset(path))
+        _assert_same_dataset(loaded, ds)
+        _assert_same_dataset(load_dataset(path, cache_dir=cache), ds)  # the rewritten cache
+        assert len(parses) == 2
+
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "garbage", "float32", "int32_tallies", "short", "nan", "bad_fips",
-         "negative_tally"],
+        ["truncated", "garbage", "float32", "int32_tallies", "short", "short_names", "nan",
+         "bad_fips", "negative_tally"],
     )
     def test_invalid_cache_is_ignored(self, saved, monkeypatch, damage):
         ds, path, cache = saved
@@ -898,6 +947,8 @@ class TestDatasetCache:
                 arrays["rep"] = arrays["rep"].astype(np.int32)
             elif damage == "short":
                 arrays["X"] = arrays["X"][:-1]
+            elif damage == "short_names":
+                arrays["name"] = arrays["name"][:-1]
             elif damage == "nan":
                 arrays["X"][0, 0] = np.nan
             elif damage == "negative_tally":
