@@ -4,7 +4,7 @@
  * Each function is the twin of a Python reference and gives the same bits
  * (the same bytes, for the formatter):
  *
- *   sweep            elastic_net._sweep_py
+ *   descend          elastic_net._descend_py (with descend_work, its size)
  *   normal_quantile  statistics.NormalDist().inv_cdf (anomaly._normal_quantile_py)
  *   erfc_array       math.erfc (anomaly._erfc_py)
  *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
@@ -15,7 +15,9 @@
  *                    counts are text cells, which ingest converts)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
- * and the Horner steps may round once instead of twice. The callers check
+ * and the Horner steps may round once instead of twice. Vectorizing, as -O2
+ * does to the q update (add_row), moves no bit: each q[k] stays one rounded
+ * product and one rounded sum, and no sum is reassociated. The callers check
  * shapes, dtypes and the domain before any call; format_values and
  * read_csv check their own, and return -1 for the caller to run the
  * reference instead.
@@ -25,16 +27,84 @@
 #include <stdint.h>
 #include <string.h>
 
-/* One cyclic coordinate-descent sweep of the covariance-form elastic net.
+/* The coordinate descent of one elastic-net path point in covariance form,
+ * Anderson-accelerated (Bertrand & Massias, AISTATS 2021).
  *
- * G is p x p, c, diag (G's diagonal), denom (diag + ridge), beta and q
- * (= G beta) have p entries, all float64 and C-contiguous; beta and q are
- * updated in place. The caller, elastic_net._bind_sweep, checks all of this.
- * Returns the largest |move|.
+ * G is p x p, c, beta and q have p entries, all float64 and C-contiguous;
+ * beta is updated in place, and q is set to G beta, then kept so. work holds
+ * descend_work(p, K) doubles. The caller, elastic_net._bind_descent, checks
+ * all of this. Every sum is a left-to-right sum of rounded terms (GCC
+ * vectorizes none of them without -ffast-math), so each result is the one
+ * its reference, elastic_net._descend_py, gets with np.add.accumulate.
  */
-double
-sweep(const double *G, const double *c, const double *diag, const double *denom,
-      double *beta, double *q, ptrdiff_t p, double gamma)
+
+/* a[0] * b[0] + a[1] * b[1] + ..., left to right, for n >= 1. */
+static double
+dot(const double *a, const double *b, ptrdiff_t n)
+{
+    double s = a[0] * b[0];
+
+    for (ptrdiff_t i = 1; i < n; i++)
+        s = s + a[i] * b[i];
+    return s;
+}
+
+/* 1/2 x.Gx - c.x + gamma |x|_1 + ridge/2 |x|^2, with Gx given as gx. */
+static double
+objective(const double *x, const double *gx, const double *c, ptrdiff_t p,
+          double gamma, double ridge)
+{
+    double l1 = fabs(x[0]);
+
+    for (ptrdiff_t i = 1; i < p; i++)
+        l1 = l1 + fabs(x[i]);
+    return 0.5 * dot(x, gx, p) - dot(c, x, p) + gamma * l1 + 0.5 * ridge * dot(x, x, p);
+}
+
+/* q += d row, one rounded product and one rounded sum per entry. Written
+ * out eight entries at a time, the loop body is vectorized at -O2 (GCC's
+ * straight-line SLP pass; its loop vectorizer skips a loop of unknown trip
+ * count there), and its speed no longer depends on where the linker puts
+ * it: a plain loop built at -O3 ran up to 30% slower or faster as unrelated
+ * code around it changed. */
+static void
+add_row(double *restrict q, const double *restrict row, double d, ptrdiff_t p)
+{
+    ptrdiff_t k = 0;
+
+    for (; k + 8 <= p; k += 8) {
+        q[k] = q[k] + d * row[k];
+        q[k + 1] = q[k + 1] + d * row[k + 1];
+        q[k + 2] = q[k + 2] + d * row[k + 2];
+        q[k + 3] = q[k + 3] + d * row[k + 3];
+        q[k + 4] = q[k + 4] + d * row[k + 4];
+        q[k + 5] = q[k + 5] + d * row[k + 5];
+        q[k + 6] = q[k + 6] + d * row[k + 6];
+        q[k + 7] = q[k + 7] + d * row[k + 7];
+    }
+    for (; k < p; k++)
+        q[k] = q[k] + d * row[k];
+}
+
+/* q = G beta as the sum of beta_j G[j] over the nonzero beta_j in j order,
+ * from zero, each added as a move of beta_j would be. */
+static void
+set_q(const double *G, const double *beta, double *q, ptrdiff_t p)
+{
+    for (ptrdiff_t k = 0; k < p; k++)
+        q[k] = 0.0;
+    for (ptrdiff_t j = 0; j < p; j++)
+        if (beta[j] != 0.0)
+            add_row(q, G + j * p, beta[j], p);
+}
+
+/* One cyclic sweep; returns the largest |move|. Coordinate j's update
+ * soft-thresholds rho = c_j - q_j + G_jj beta_j by gamma and divides by
+ * denom_j = G_jj + ridge; a coordinate with denom_j 0 never moves, and one
+ * at zero whose |c_j - q_j| is within gamma is skipped. */
+static double
+sweep(const double *G, const double *c, const double *denom, double *beta, double *q,
+      ptrdiff_t p, double gamma)
 {
     double max_delta = 0.0;
 
@@ -47,7 +117,7 @@ sweep(const double *G, const double *c, const double *diag, const double *denom,
             if (-gamma <= rho && rho <= gamma)
                 continue;
         } else {
-            rho = c[j] - q[j] + diag[j] * old;
+            rho = c[j] - q[j] + G[j * p + j] * old;
         }
         if (rho > gamma)
             new = (rho - gamma) / denom[j];
@@ -57,15 +127,177 @@ sweep(const double *G, const double *c, const double *diag, const double *denom,
             new = 0.0;
         double d = new - old;
         if (d != 0.0) {
-            const double *row = G + j * p;
-            for (ptrdiff_t k = 0; k < p; k++)
-                q[k] = q[k] + d * row[k];
+            add_row(q, G + j * p, d, p);
             beta[j] = new;
             if (fabs(d) > max_delta)
                 max_delta = fabs(d);
         }
     }
     return max_delta;
+}
+
+/* z = the solution of M z = (1, ..., 1) for the k x k matrix M, row-major
+ * and overwritten: Gaussian elimination with partial pivoting (the first
+ * largest |entry| of a column), then back substitution. Returns 0 at a
+ * zero or non-finite pivot. */
+static int
+solve_ones(double *M, double *z, ptrdiff_t k)
+{
+    for (ptrdiff_t i = 0; i < k; i++)
+        z[i] = 1.0;
+    for (ptrdiff_t col = 0; col < k; col++) {
+        ptrdiff_t piv = col;
+        for (ptrdiff_t r = col + 1; r < k; r++)
+            if (fabs(M[r * k + col]) > fabs(M[piv * k + col]))
+                piv = r;
+        double pivot = M[piv * k + col];
+        if (pivot == 0.0 || !isfinite(pivot))
+            return 0;
+        if (piv != col) {
+            for (ptrdiff_t j = col; j < k; j++) {
+                double t = M[col * k + j];
+                M[col * k + j] = M[piv * k + j];
+                M[piv * k + j] = t;
+            }
+            double t = z[col];
+            z[col] = z[piv];
+            z[piv] = t;
+        }
+        for (ptrdiff_t r = col + 1; r < k; r++) {
+            double f = M[r * k + col] / pivot;
+            for (ptrdiff_t j = col + 1; j < k; j++)
+                M[r * k + j] = M[r * k + j] - f * M[col * k + j];
+            z[r] = z[r] - f * z[col];
+        }
+    }
+    for (ptrdiff_t i = k - 1; i >= 0; i--) {
+        double s = z[i];
+        for (ptrdiff_t j = i + 1; j < k; j++)
+            s = s - M[i * k + j] * z[j];
+        z[i] = s / M[i * k + i];
+    }
+    return 1;
+}
+
+/* An accepted candidate whose weights have sum(|w|) above this gets its q
+ * from set_q, not from the combination: rounding in Q, scaled by large
+ * weights, drifted q from G beta by up to 1e-7 of max|G| |beta|_1 on a
+ * collinear design, and by 5e-13 with this bound. */
+#define EXACT_Q_ABOVE 1e3
+
+/* The Anderson candidate of the window's iterates X[0..K] (rows of p) and
+ * the q of X[1..K] (rows of Q): with U the rows X[a+1] - X[a], solve
+ * (U U')z = 1 and weight X[1..K] and Q by w = z / sum(z), summed over the
+ * rows in order; + 0.0 keeps a coefficient that is zero in every iterate
+ * +0.0. Writes the candidate, its q and sum(|w|) to spread; returns 0, and
+ * writes nothing certain, when the system is singular or anything is
+ * non-finite. */
+static int
+extrapolate(const double *X, const double *Q, double *U, double *M, double *w,
+            double *cand, double *cq, ptrdiff_t p, ptrdiff_t K, double *spread)
+{
+    for (ptrdiff_t a = 0; a < K; a++)
+        for (ptrdiff_t i = 0; i < p; i++)
+            U[a * p + i] = X[(a + 1) * p + i] - X[a * p + i];
+    for (ptrdiff_t a = 0; a < K; a++)
+        for (ptrdiff_t b = a; b < K; b++)
+            M[a * K + b] = M[b * K + a] = dot(U + a * p, U + b * p, p);
+    if (!solve_ones(M, w, K))
+        return 0;
+    double total = w[0];
+    for (ptrdiff_t a = 1; a < K; a++)
+        total = total + w[a];
+    for (ptrdiff_t a = 0; a < K; a++)
+        if (!isfinite(w[a]))
+            return 0;
+    if (total == 0.0 || !isfinite(total))
+        return 0;
+    for (ptrdiff_t a = 0; a < K; a++)
+        w[a] = w[a] / total;
+    *spread = fabs(w[0]);
+    for (ptrdiff_t a = 1; a < K; a++)
+        *spread = *spread + fabs(w[a]);
+    for (ptrdiff_t i = 0; i < p; i++) {
+        double x = w[0] * X[p + i], g = w[0] * Q[i];
+        for (ptrdiff_t a = 1; a < K; a++) {
+            x = x + w[a] * X[(a + 1) * p + i];
+            g = g + w[a] * Q[a * p + i];
+        }
+        cand[i] = x + 0.0;
+        cq[i] = g;
+    }
+    for (ptrdiff_t i = 0; i < p; i++)
+        if (!isfinite(cand[i]) || !isfinite(cq[i]))
+            return 0;
+    return 1;
+}
+
+/* The doubles of work that descend needs for p coefficients and a window
+ * of K sweeps. */
+ptrdiff_t
+descend_work(ptrdiff_t p, ptrdiff_t K)
+{
+    return (3 * K + 4) * p + K * K + K;
+}
+
+/* Sweeps on beta until one moves no coefficient by tol or more, or
+ * max_iter sweeps; returns 1 if it stopped on tol. counts[0] gets the
+ * sweeps and counts[1] the accepted extrapolations.
+ *
+ * q starts as set_q makes it, whatever it held: a warm start depends on
+ * beta alone, not on the descent that made it.
+ *
+ * With K > 0, every K sweeps the window's last K + 1 iterates give an
+ * Anderson candidate (extrapolate), whose q is the same combination of the
+ * iterates' q, so both objectives cost O(Kp). The candidate replaces beta
+ * and q only if its objective is lower than the current iterate's; q is
+ * then remade by set_q where the weights are large (EXACT_Q_ABOVE). A
+ * skipped or rejected step restarts the window all the same.
+ * Extrapolation is not a sweep and never ends the descent. K = 0 turns it
+ * off.
+ */
+int
+descend(const double *G, const double *c, double *beta, double *q, double *work,
+        ptrdiff_t p, ptrdiff_t K, double gamma, double ridge, double tol,
+        ptrdiff_t max_iter, ptrdiff_t *counts)
+{
+    double *denom = work, *X = denom + p, *Q = X + (K + 1) * p, *U = Q + K * p;
+    double *cand = U + K * p, *cq = cand + p, *M = cq + p, *w = M + K * K;
+    ptrdiff_t filled = 0, extrapolations = 0;
+    double spread;
+
+    for (ptrdiff_t j = 0; j < p; j++)
+        denom[j] = G[j * p + j] + ridge;
+    set_q(G, beta, q, p);
+    if (K > 0)
+        memcpy(X, beta, p * sizeof *X);
+    for (ptrdiff_t sweeps = 1; sweeps <= max_iter; sweeps++) {
+        if (sweep(G, c, denom, beta, q, p, gamma) < tol) {
+            counts[0] = sweeps;
+            counts[1] = extrapolations;
+            return 1;
+        }
+        if (K == 0)
+            continue;
+        memcpy(X + (filled + 1) * p, beta, p * sizeof *X);
+        memcpy(Q + filled * p, q, p * sizeof *Q);
+        if (++filled < K)
+            continue;
+        if (extrapolate(X, Q, U, M, w, cand, cq, p, K, &spread)
+            && objective(cand, cq, c, p, gamma, ridge) < objective(beta, q, c, p, gamma, ridge)) {
+            memcpy(beta, cand, p * sizeof *beta);
+            if (spread > EXACT_Q_ABOVE)
+                set_q(G, beta, q, p);
+            else
+                memcpy(q, cq, p * sizeof *q);
+            extrapolations++;
+        }
+        filled = 0;
+        memcpy(X, beta, p * sizeof *X);
+    }
+    counts[0] = max_iter;
+    counts[1] = extrapolations;
+    return 0;
 }
 
 /* The standard normal quantile of one p in (0, 1): Wichura's AS241 (Appl.

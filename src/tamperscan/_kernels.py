@@ -107,8 +107,13 @@ def _digest(path) -> str:
 
 def _load(path):
     lib = ctypes.CDLL(str(path))
-    lib.sweep.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_ssize_t, ctypes.c_double)
-    lib.sweep.restype = ctypes.c_double
+    lib.descend.argtypes = (
+        *(ctypes.c_void_p,) * 5, ctypes.c_ssize_t, ctypes.c_ssize_t, *(ctypes.c_double,) * 3,
+        ctypes.c_ssize_t, ctypes.c_void_p,
+    )
+    lib.descend.restype = ctypes.c_int
+    lib.descend_work.argtypes = (ctypes.c_ssize_t, ctypes.c_ssize_t)
+    lib.descend_work.restype = ctypes.c_ssize_t
     for elementwise in (lib.normal_quantile, lib.erfc_array):
         elementwise.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
         elementwise.restype = None

@@ -14,23 +14,28 @@ cross-validation over an (l1_ratio, alpha) grid.
 `fit` and `cross_validate` share one covariance-form kernel (Friedman, Hastie
 & Tibshirani, J. Stat. Softw. 33(1), 2010): G = Xs'Xs/n and c = Xs'(y - ybar)/n
 are formed once per fit or CV fold, so a coordinate update is scalar
-arithmetic, and q = G.beta is kept exact by adding d G[j] to it whenever
-coefficient j moves by d. A sweep runs in C (`_kernels.c`, compiled into the
-user's cache on first use, called through ctypes) or, where that cannot be
-built or loaded, in `_sweep_py`, which does the same IEEE operations in the
-same order: no output depends on which one ran, and `training_meta["sweep"]`
-records it.
+arithmetic, and q = G.beta is kept by adding d G[j] to it whenever
+coefficient j moves by d.
 
 On collinear designs cyclic descent crawls, so every _ANDERSON_K sweeps the
 kernel tries one Anderson extrapolation of its recent iterates (Bertrand &
 Massias, "Anderson acceleration of coordinate descent", AISTATS 2021) and
-keeps it only if it lowers the objective. The stop rule is unchanged: a full
-sweep that moves no coefficient by `tol` or more.
+keeps it only if it lowers the objective. The window keeps each iterate's
+q, so a candidate's q is the same combination of them, and both objectives
+are O(p): 1/2 beta.q - c.beta + gamma |beta|_1 + ridge/2 |beta|^2. The stop
+rule is a full sweep that moves no coefficient by `tol` or more.
+
+The whole descent of one path point (sweeps, window, the small solve,
+objectives and stop rule) is one call of `descend` in C (`_kernels.c`,
+compiled into the user's cache on first use, called through ctypes) or,
+where that cannot be built or loaded, of `_descend_py`, which does the same
+IEEE operations in the same order: every sum left to right, and the small
+system solved by the same fixed elimination on both sides. No output
+depends on which one ran, and `training_meta["sweep"]` records it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -50,6 +55,9 @@ CV_SEED = 2020
 
 # Sweeps between Anderson extrapolation steps of the kernel.
 _ANDERSON_K = 5
+# An accepted Anderson step whose weights have sum(|w|) above this remakes q
+# from beta (`_set_q`), as EXACT_Q_ABOVE in `_kernels.c` does.
+_EXACT_Q_ABOVE = 1e3
 
 MODEL_FORMAT = "tamperscan-model"
 MODEL_FORMAT_VERSION = 1
@@ -99,8 +107,8 @@ class PenaltyConfig:
     l1_ratio: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be a finite number at least 0, got {self.alpha}")
         if not 0.0 <= self.l1_ratio <= 1.0:
             raise ConfigError(f"l1_ratio must be in [0, 1], got {self.l1_ratio}")
 
@@ -169,144 +177,204 @@ def _gram(Xs, y):
     return Xs.T @ Xs / n, Xs.T @ (y - y.mean()) / n
 
 
-def _descend(G, c, penalty, tol, max_iter, beta):
-    """Coordinate-descent sweeps on `beta` in place, Anderson-accelerated.
-
-    Returns (sweeps, converged, extrapolations). G, c and beta are float64
-    and C-contiguous, or `_bind_sweep` raises ValueError.
-
-    Each sweep is one call of the compiled sweep, or of `_sweep_py` where it
-    is unavailable, bound to the arrays once by `_bind_sweep`; both keep
-    q = G.beta exact with one full-row update per move, and give
-    bit-identical iterates.
-
-    Every _ANDERSON_K sweeps, the last _ANDERSON_K + 1 iterates are
-    extrapolated (Bertrand & Massias, AISTATS 2021): with U their successive
-    differences, (U U')z = 1 is solved and the candidate is the z/sum(z)
-    weighted sum of the last _ANDERSON_K iterates. The candidate replaces
-    beta only if it lowers the objective 1/2 beta'G beta - c'beta +
-    gamma |beta|_1 + ridge/2 |beta|^2, and q is then recomputed in place;
-    a singular or non-finite system is skipped. The window restarts either
-    way. Extrapolation is not a sweep and never ends the descent: it stops
-    when a full sweep moves no coefficient by `tol` or more.
-    """
-    p = c.shape[0]
-    ridge = penalty.alpha * (1.0 - penalty.l1_ratio)
-    gamma = penalty.alpha * penalty.l1_ratio
-    diag = G.diagonal().copy()
-    denom = diag + ridge
-    q = G @ beta
-    sweep_once = _bind_sweep(G, c, diag, denom, beta, q)
-
-    def cov_objective(x):
-        return (
-            0.5 * float(x @ (G @ x)) - float(c @ x)
-            + gamma * float(np.abs(x).sum()) + 0.5 * ridge * float(x @ x)
-        )
-
-    window = [beta.copy()]
-    extrapolations = 0
-    for sweep in range(1, max_iter + 1):
-        if sweep_once(gamma) < tol:
-            return sweep, True, extrapolations
-        window.append(beta.copy())
-        if len(window) > _ANDERSON_K:
-            candidate = _extrapolate(np.array(window))
-            if candidate is not None and cov_objective(candidate) < cov_objective(beta):
-                beta[:] = candidate
-                q[:] = G @ beta
-                extrapolations += 1
-            window = [beta.copy()]
-    return max_iter, p == 0, extrapolations
-
-
-def _sweep_py(G, c, diag, denom, beta, q, gamma):
-    """One cyclic sweep on `beta` and q = G.beta in place; returns the
-    largest move. The reference for the compiled sweep in `_kernels.c`.
-
-    Coordinate j's update soft-thresholds rho = c_j - q_j + G_jj beta_j by
-    gamma and divides by denom_j = G_jj + ridge; a coordinate with denom_j 0
-    never moves. A coordinate at zero whose |c_j - q_j| is within gamma stays
-    at zero and is skipped. A move of d adds d G[j] to q, as a product
-    rounded and then a sum rounded, the C code's order without contraction.
-    """
-    tmp = np.empty_like(q)
-    b = beta.tolist()
-    max_delta = 0.0
-    for j, (cj, gjj, dj) in enumerate(zip(c.tolist(), diag.tolist(), denom.tolist())):
-        if dj == 0.0:
-            continue
-        old = b[j]
-        if old == 0.0:
-            rho = cj - q.item(j)
-            if -gamma <= rho <= gamma:
-                continue
-        else:
-            rho = cj - q.item(j) + gjj * old
-        if rho > gamma:
-            new = (rho - gamma) / dj
-        elif rho < -gamma:
-            new = (rho + gamma) / dj
-        else:
-            new = 0.0
-        d = new - old
-        if d != 0.0:
-            np.multiply(G[j], d, out=tmp)
-            np.add(q, tmp, out=q)
-            beta[j] = new
-            max_delta = max(max_delta, abs(d))
-    return max_delta
-
-
-def _compiled_sweep():
-    """The `sweep` function of `_kernels.c`, or None where the kernel library
-    cannot be built or loaded, so the caller runs `_sweep_py`."""
-    lib = _kernels.library()
-    return None if lib is None else lib.sweep
-
-
-def _bind_sweep(G, c, diag, denom, beta, q):
-    """One sweep on these arrays as a function of gamma, returning the largest
-    move: the compiled sweep with its pointers bound once, or `_sweep_py`.
+def _bind_descent(G, c, beta, q, tol, max_iter):
+    """The descent of one path point on these arrays, as a function of the
+    penalty returning (sweeps, converged, extrapolations): the compiled
+    `descend` of `_kernels.c` with its pointers bound once, or `_descend_py`
+    where the kernel library cannot be built or loaded. Both update beta in
+    place, set q to G.beta from it and keep it so, and give bit-identical
+    results.
 
     The C code trusts its pointers, so every array must be float64 and
     C-contiguous, G p x p and the rest p long, and beta and q writable;
     anything else is a ValueError here. The pointers are read once, so the
-    caller updates beta and q in place and never rebinds them.
+    caller updates beta and q in place and never rebinds them. A window of
+    _ANDERSON_K sweeps that max_iter cannot fill never extrapolates, and is
+    passed as 0 (off).
     """
-    arrays = {"G": G, "c": c, "diag": diag, "denom": denom, "beta": beta, "q": q}
+    arrays = {"G": G, "c": c, "beta": beta, "q": q}
     p = len(c)
     for name, a in arrays.items():
         shape = (p, p) if name == "G" else (p,)
         if a.dtype != np.float64 or a.shape != shape or not a.flags.c_contiguous:
-            raise ValueError(f"sweep: {name} must be a C-contiguous float64 array of shape {shape}")
+            raise ValueError(f"descend: {name} must be a C-contiguous float64 array of shape {shape}")
     if not (beta.flags.writeable and q.flags.writeable):
-        raise ValueError("sweep: beta and q must be writable")
-    sweep = _compiled_sweep()
-    if sweep is None:
-        return functools.partial(_sweep_py, *arrays.values())
-    g, cv, dg, dn, b, qv = (a.ctypes.data for a in arrays.values())
+        raise ValueError("descend: beta and q must be writable")
+    window = _ANDERSON_K if _ANDERSON_K <= max_iter else 0
+    lib = _kernels.library()
+    if lib is None:
+        def run(penalty):
+            gamma, ridge = _penalty_terms(penalty)
+            return _descend_py(G, c, beta, q, window, gamma, ridge, tol, max_iter)
 
-    def bound(gamma, arrays=arrays):  # the default holds the arrays the pointers point into
-        return sweep(g, cv, dg, dn, b, qv, p, gamma)
+        return run
+    work = np.empty(lib.descend_work(p, window))
+    counts = np.zeros(2, dtype=np.intp)
+    pointers = [a.ctypes.data for a in (G, c, beta, q, work)]
 
-    return bound
+    def run(penalty, arrays=(arrays, work, counts)):  # the default holds what the pointers point into
+        gamma, ridge = _penalty_terms(penalty)
+        converged = lib.descend(*pointers, p, window, gamma, ridge, tol, max_iter, counts.ctypes.data)
+        return int(counts[0]), bool(converged), int(counts[1])
+
+    return run
 
 
-def _extrapolate(iterates):
-    """Anderson candidate from rows x_0..x_K, or None if the system is singular
-    or the candidate non-finite."""
+def _penalty_terms(penalty):
+    """(gamma, ridge): the l1 and l2 weights alpha l1_ratio and alpha (1 - l1_ratio)."""
+    return penalty.alpha * penalty.l1_ratio, penalty.alpha * (1.0 - penalty.l1_ratio)
+
+
+def _descend_py(G, c, beta, q, window, gamma, ridge, tol, max_iter):
+    """The reference for `descend` in `_kernels.c`: its IEEE operations in
+    its order, so beta, q and both counts come out bit-identical.
+
+    q starts as `_set_q` makes it, so a warm start depends on beta alone.
+    Each sweep visits the coordinates in order: coordinate j's update
+    soft-thresholds rho = c_j - q_j + G_jj beta_j by gamma and divides by
+    denom_j = G_jj + ridge; a coordinate with denom_j 0 never moves, and one
+    at zero whose |c_j - q_j| is within gamma is skipped. A move of d adds
+    d G[j] to q, as a product rounded and then a sum rounded, the C code's
+    order without contraction. The descent stops after a sweep that moves
+    no coefficient by `tol` or more, or after `max_iter` sweeps.
+
+    Every `window` sweeps (0: never), the last window + 1 iterates give an
+    Anderson candidate (`_extrapolate_py`), whose q is the same combination
+    of the iterates' q, so both objectives (`_objective_py`) cost O(Kp). The
+    candidate replaces beta and q only if its objective is lower; where its
+    weights are large, `_set_q` then remakes q from beta, free of the
+    rounding they scale up. The window restarts either way. Extrapolation
+    is not a sweep and never ends the descent.
+    """
+    diag = G.diagonal()
+    coordinates = list(enumerate(zip(c.tolist(), diag.tolist(), (diag + ridge).tolist())))
+    tmp = np.empty(c.shape[0])
+    _set_q(G, beta, q, tmp)
+    iterates, qs = [beta.copy()], []
+    extrapolations = 0
+    for sweeps in range(1, max_iter + 1):
+        b = beta.tolist()
+        max_delta = 0.0
+        for j, (cj, gjj, dj) in coordinates:
+            if dj == 0.0:
+                continue
+            old = b[j]
+            if old == 0.0:
+                rho = cj - q.item(j)
+                if -gamma <= rho <= gamma:
+                    continue
+            else:
+                rho = cj - q.item(j) + gjj * old
+            if rho > gamma:
+                new = (rho - gamma) / dj
+            elif rho < -gamma:
+                new = (rho + gamma) / dj
+            else:
+                new = 0.0
+            d = new - old
+            if d != 0.0:
+                np.multiply(G[j], d, out=tmp)
+                np.add(q, tmp, out=q)
+                beta[j] = new
+                if abs(d) > max_delta:
+                    max_delta = abs(d)
+        if max_delta < tol:
+            return sweeps, True, extrapolations
+        if window == 0:
+            continue
+        iterates.append(beta.copy())
+        qs.append(q.copy())
+        if len(qs) < window:
+            continue
+        step = _extrapolate_py(np.array(iterates), np.array(qs))
+        if step is not None and (
+            _objective_py(*step[:2], c, gamma, ridge) < _objective_py(beta, q, c, gamma, ridge)
+        ):
+            beta[:], q[:] = step[:2]
+            if step[2] > _EXACT_Q_ABOVE:
+                _set_q(G, beta, q, tmp)
+            extrapolations += 1
+        iterates, qs = [beta.copy()], []
+    return max_iter, False, extrapolations
+
+
+def _set_q(G, beta, q, tmp):
+    """q = G.beta as the sum of beta_j G[j] over the nonzero beta_j in j
+    order, from zero, each added as a move of beta_j is: `set_q` in C."""
+    q[:] = 0.0
+    for j in np.flatnonzero(beta).tolist():
+        np.multiply(G[j], beta.item(j), out=tmp)
+        np.add(q, tmp, out=q)
+
+
+def _dot(a, b):
+    """a . b as a left-to-right sum of rounded products, as `dot` in C."""
+    return float(np.add.accumulate(a * b)[-1])
+
+
+def _objective_py(x, gx, c, gamma, ridge):
+    """1/2 x.Gx - c.x + gamma |x|_1 + ridge/2 |x|^2 in O(p), from gx = G.x."""
+    l1 = float(np.add.accumulate(np.abs(x))[-1])
+    return 0.5 * _dot(x, gx) - _dot(c, x) + gamma * l1 + 0.5 * ridge * _dot(x, x)
+
+
+def _extrapolate_py(iterates, qs):
+    """Anderson candidate (x, q, sum(|w|)) from the rows x_0..x_K and the q
+    of x_1..x_K, or None if the system is singular or anything non-finite.
+
+    With U the rows x_{a+1} - x_a, (U U')z = 1 is solved (`_solve_ones`) and
+    x_1..x_K and their q are weighted by w = z/sum(z), summed over the rows
+    in order; + 0.0 keeps a coefficient at zero in every iterate +0.0.
+    """
     U = np.diff(iterates, axis=0)
-    try:
-        z = np.linalg.solve(U @ U.T, np.ones(U.shape[0]))
-    except np.linalg.LinAlgError:
+    M = np.add.accumulate(U[:, None, :] * U[None, :, :], axis=2)[:, :, -1]
+    z = _solve_ones(M.tolist())
+    if z is None:
         return None
-    total = z.sum()
-    if not (np.all(np.isfinite(z)) and total != 0.0):
+    total = z[0]
+    for v in z[1:]:
+        total = total + v
+    if not (all(map(math.isfinite, z)) and total != 0.0 and math.isfinite(total)):
         return None
-    # + 0.0: a coefficient at zero in every iterate stays +0.0, never -0.0
-    candidate = (z / total) @ iterates[1:] + 0.0
-    return candidate if np.all(np.isfinite(candidate)) else None
+    weights = [v / total for v in z]
+    spread = abs(weights[0])
+    for v in weights[1:]:
+        spread = spread + abs(v)
+    w = np.array(weights)[:, None]
+    x = np.add.accumulate(w * iterates[1:], axis=0)[-1] + 0.0
+    gx = np.add.accumulate(w * qs, axis=0)[-1]
+    return (x, gx, spread) if np.all(np.isfinite(x)) and np.all(np.isfinite(gx)) else None
+
+
+def _solve_ones(M):
+    """z with M z = (1, ..., 1), for M a list of k rows (overwritten), by
+    Gaussian elimination with partial pivoting (the first largest |entry|
+    of a column) and back substitution, as `solve_ones` in C; None at a
+    zero or non-finite pivot."""
+    k = len(M)
+    z = [1.0] * k
+    for col in range(k):
+        piv = col
+        for r in range(col + 1, k):
+            if abs(M[r][col]) > abs(M[piv][col]):
+                piv = r
+        pivot = M[piv][col]
+        if pivot == 0.0 or not math.isfinite(pivot):
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        z[col], z[piv] = z[piv], z[col]
+        for r in range(col + 1, k):
+            f = M[r][col] / pivot
+            row, top = M[r], M[col]
+            for j in range(col + 1, k):
+                row[j] = row[j] - f * top[j]
+            z[r] = z[r] - f * z[col]
+    for i in range(k - 1, -1, -1):
+        s = z[i]
+        for j in range(i + 1, k):
+            s = s - M[i][j] * z[j]
+        z[i] = s / M[i][i]
+    return z
 
 
 def _relative_gap(Xs, y, beta, intercept, penalty, objective_value) -> float:
@@ -349,8 +417,9 @@ def fit(
     non-fatal ConvergenceWarning and is recorded in training_meta, as are
     the sweeps (`iterations`), the accepted extrapolations (`extrapolations`),
     the solution's relative duality gap (`rel_gap`, reported, not a stop
-    rule) and the sweep implementation that ran (`sweep`: "compiled" or
-    "python").
+    rule) and the descent implementation that ran (`sweep`: "compiled" or
+    "python"). `tol` and `max_iter` follow CvSettings' range rule, and a
+    `warm_start` must be p finite values, or a DataError.
     """
     Xs = np.asarray(Xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -366,9 +435,17 @@ def fit(
     if not (np.all(np.isfinite(Xs)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in design matrix or target")
 
-    beta = np.zeros(Xs.shape[1]) if warm_start is None else np.array(warm_start, dtype=np.float64)
+    CvSettings(tol=tol, max_iter=max_iter)
+    p = Xs.shape[1]
+    if warm_start is None:
+        beta = np.zeros(p)
+    else:
+        beta = np.array(warm_start, dtype=np.float64)
+        if beta.shape != (p,) or not np.all(np.isfinite(beta)):
+            raise DataError(f"warm_start must be {p} finite values, got shape {beta.shape}")
     G, c = _gram(Xs, y)
-    sweeps, converged, extrapolations = _descend(G, c, penalty, tol, max_iter, beta)
+    q = np.empty(p)
+    sweeps, converged, extrapolations = _bind_descent(G, c, beta, q, tol, max_iter)(penalty)
     intercept = float(np.mean(y - Xs @ beta))
     if not converged:
         warnings.warn(
@@ -389,7 +466,7 @@ def fit(
             "objective": obj,
             "rel_gap": _relative_gap(Xs, y, beta, intercept, penalty, obj),
             "tol": tol,
-            "sweep": "python" if _compiled_sweep() is None else "compiled",
+            "sweep": "python" if _kernels.library() is None else "compiled",
         },
     )
 
@@ -421,25 +498,33 @@ def _score_fold(X, y, train_idx, val_idx, names, grids, tol, max_iter):
     """Validation MSE of one CV fold along each l1_ratio's alpha grid.
 
     Returns one row of MSEs per l1_ratio, in the order of `grids`, and the
-    count of path points that hit `max_iter`. Every array the fold builds
-    dies when it returns.
+    count of path points that hit `max_iter`. Each path point is one
+    descent, warm-started from the point before it. A point's training
+    intercept is mean(y_tr) - m.beta, with m the column means of the
+    standardized training rows, in O(p); an l1_ratio's predictions are made
+    in one product once its path is done. Every array the fold builds dies
+    when it returns.
     """
     Xs_tr, params = standardize(X[train_idx], names)
     Xs_val = apply_standardization(params, names, X[val_idx])
     y_tr, y_val = y[train_idx], y[val_idx]
     G, c = _gram(Xs_tr, y_tr)
+    col_means = Xs_tr.mean(axis=0)
+    y_mean = float(y_tr.mean())
+    del Xs_tr  # n x p, and no longer needed: the descents use G, c and m
+    p = G.shape[0]
+    beta, q = np.empty(p), np.empty(p)
+    descend = _bind_descent(G, c, beta, q, tol, max_iter)
     rows = []
     unconverged = 0
     for l1, alphas in grids.items():
-        beta = np.zeros(Xs_tr.shape[1])
-        row = np.empty(alphas.shape[0])
+        beta[:] = 0.0
+        path = np.empty((alphas.shape[0], p))
         for a_i, alpha in enumerate(alphas):
-            penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1)
-            unconverged += not _descend(G, c, penalty, tol, max_iter, beta)[1]
-            pred = float(np.mean(y_tr - Xs_tr @ beta)) + Xs_val @ beta
-            err = y_val - pred
-            row[a_i] = float(err @ err) / y_val.shape[0]
-        rows.append(row)
+            unconverged += not descend(PenaltyConfig(alpha=float(alpha), l1_ratio=l1))[1]
+            path[a_i] = beta
+        err = y_val[:, None] - ((y_mean - path @ col_means) + Xs_val @ path.T)
+        rows.append((err * err).sum(axis=0) / y_val.shape[0])
     return rows, unconverged
 
 
@@ -461,17 +546,19 @@ def cross_validate(
     Rows are shuffled by a seeded permutation and split into k near-equal
     folds. Alpha paths are computed once per l1_ratio on the full
     standardized data, which is dropped once the grids exist. Each fold is
-    scored by _score_fold: its training rows are re-standardized from
-    themselves so no information leaks from held-out counties, and its G
+    scored by _score_fold: its training rows (every row outside the fold,
+    in sorted order) are re-standardized from themselves so no information leaks from held-out counties, and its G
     and c serve every l1_ratio's warm-started path. A fold's arrays live
     only while it is scored, and its MSE rows are assembled in fold order.
     Path points that hit `max_iter` are counted and reported in one
     ConvergenceWarning. The settings follow CvSettings' range rule, so an
     out-of-range or repeated value is a ConfigError.
 
-    Pass `alphas` to use one explicit grid for every l1_ratio. `threads` is
-    accepted and ignored: CV runs on one thread. The compiled sweep releases
-    the GIL, but the Anderson steps and predictions between sweeps hold it.
+    Pass `alphas` to use one explicit grid for every l1_ratio: a non-empty
+    1-D array of finite values above 0, or a ConfigError. `threads` is
+    accepted and ignored: CV runs on one thread. The compiled descent of a
+    path point releases the GIL, Anderson steps included; only the Python
+    between path points (and each path's predictions) holds it.
     """
     CvSettings(tuple(l1_grid), n_alphas, eps, k, seed, tol, max_iter)
     X = np.asarray(X, dtype=np.float64)
@@ -485,7 +572,10 @@ def cross_validate(
     folds = np.array_split(perm, k)
 
     if alphas is not None:
-        grids = {l1: np.asarray(alphas, dtype=np.float64) for l1 in l1_grid}
+        alphas = np.asarray(alphas, dtype=np.float64)
+        if alphas.ndim != 1 or alphas.size == 0 or not np.all((alphas > 0) & (alphas < math.inf)):
+            raise ConfigError(f"alphas must be a non-empty list of finite values above 0, got {alphas}")
+        grids = {l1: alphas for l1 in l1_grid}
     else:
         Xs_full, _ = standardize(X, names)
         grids = {l1: alpha_path(Xs_full, y, l1, n_alphas, eps) for l1 in l1_grid}
@@ -494,8 +584,10 @@ def cross_validate(
     mse = {l1: np.empty((k, grids[l1].shape[0])) for l1 in l1_grid}
     unconverged = 0
     for fold_i, val_idx in enumerate(folds):
+        # every row not in this fold, sorted: perm is a permutation
+        train_idx = np.sort(np.concatenate(folds[:fold_i] + folds[fold_i + 1:]))
         rows, fold_unconverged = _score_fold(
-            X, y, np.setdiff1d(perm, val_idx), val_idx, names, grids, tol, max_iter
+            X, y, train_idx, val_idx, names, grids, tol, max_iter
         )
         for l1, row in zip(l1_grid, rows):
             mse[l1][fold_i] = row

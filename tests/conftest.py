@@ -93,11 +93,11 @@ def replayed_objectives(Xs, y, penalty, sweeps, tol=1e-5):
     `sweeps` sweeps (extrapolation included), and the extrapolations it
     accepted over them.
 
-    _descend is deterministic, so rerunning it from the same start with
+    The descent is deterministic, so rerunning it from the same start with
     max_iter = k replays the production trajectory up to sweep k. The replay
     stops early at the sweep where the solver converges.
     """
-    from tamperscan.elastic_net import _descend, _gram, objective
+    from tamperscan.elastic_net import _bind_descent, _gram, objective
 
     def loss(beta):
         return objective(Xs, y, beta, float(np.mean(y - Xs @ beta)), penalty)
@@ -105,8 +105,8 @@ def replayed_objectives(Xs, y, penalty, sweeps, tol=1e-5):
     G, c = _gram(Xs, y)
     losses, extrapolations = [loss(np.zeros(Xs.shape[1]))], 0
     for k in range(1, sweeps + 1):
-        beta = np.zeros(Xs.shape[1])
-        _, converged, extrapolations = _descend(G, c, penalty, tol, k, beta)
+        beta, q = np.zeros(Xs.shape[1]), np.zeros(Xs.shape[1])
+        _, converged, extrapolations = _bind_descent(G, c, beta, q, tol, k)(penalty)
         losses.append(loss(beta))
         if converged:
             break

@@ -41,6 +41,7 @@ from tamperscan import (
     two_sided_p,
     unconstrained_counties,
 )
+from tamperscan import elastic_net
 from tamperscan.cli import main as cli_main
 from tamperscan.scenarios import score_eval_set
 
@@ -182,6 +183,48 @@ def test_solver_oracles():
         "solver oracles",
         f"worst OLS gap {worst_rel:.2e} rel, 1-D brute force within 1e-6, "
         f"objective monotone ({elapsed:.1f} s)",
+    )
+
+
+def test_q_stays_g_beta_through_every_descent(monkeypatch):
+    """The kernel keeps q = G.beta by updates: each move adds d G[j], and an
+    accepted Anderson step takes the same combination of its iterates' q
+    (or remakes q from beta, where the weights are large). Rounding may
+    drift q from G.beta; at the end of every descent of a CV, the drift
+    stays at rounding level."""
+    t0 = time.perf_counter()
+    bind = elastic_net._bind_descent
+    seen = []
+
+    def traced_bind(G, c, beta, q, tol, max_iter):
+        run = bind(G, c, beta, q, tol, max_iter)
+
+        def traced(penalty):
+            out = run(penalty)
+            drift = float(np.max(np.abs(q - G @ beta), initial=0.0))
+            seen.append((drift, float(np.max(np.abs(G)) * np.abs(beta).sum()), out[2]))
+            return out
+
+        return traced
+
+    monkeypatch.setattr(elastic_net, "_bind_descent", traced_bind)
+    ds, _ = generate_synthetic(SyntheticSpec(n_counties=500, n_features=50, n_active=5, seed=7))
+    rng = np.random.default_rng(11)
+    factors = rng.normal(size=(600, 3))
+    X_collinear = factors @ rng.normal(size=(3, 120)) + 0.05 * rng.normal(size=(600, 120))
+    y_collinear = 0.5 + factors @ rng.normal(size=3) + 0.1 * rng.normal(size=600)
+    for X, y in ((ds.X, ds.shares()), (X_collinear, y_collinear)):
+        cross_validate(X, y, l1_grid=(0.1, 0.5, 1.0), n_alphas=30)
+    drifts, scales, accepted = (np.array(v) for v in zip(*seen))
+    assert np.all(drifts <= 1e-10 * scales + 1e-300)
+    assert np.count_nonzero(accepted) > 0
+    worst = int(np.argmax(drifts / np.maximum(scales, 1e-300)))
+    _pass(
+        "q drift",
+        f"{len(drifts)} descents, {np.count_nonzero(accepted)} with accepted "
+        f"extrapolations: largest |q - G.beta| {drifts.max():.2e}, "
+        f"{drifts[worst] / scales[worst]:.2e} of max|G| |beta|_1 at worst "
+        f"({time.perf_counter() - t0:.1f} s)",
     )
 
 

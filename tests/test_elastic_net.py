@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -10,6 +12,7 @@ import pytest
 from tamperscan import (
     ConfigError,
     ConvergenceWarning,
+    DataError,
     PenaltyConfig,
     alpha_path,
     cross_validate,
@@ -21,7 +24,7 @@ from tamperscan import (
 from tamperscan import _kernels, elastic_net
 from tamperscan.data_model import substream
 from tamperscan.elastic_net import (
-    _extrapolate,
+    _extrapolate_py,
     cv_result_from_dict,
     cv_result_to_dict,
     model_from_dict,
@@ -251,6 +254,32 @@ class TestAlphaPath:
             alpha_path(Xs, y, l1_ratio=0.0)
 
 
+class TestNonFiniteInputsFailLoudly:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_penalty_needs_a_finite_alpha_at_least_0(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be a finite number at least 0"):
+            PenaltyConfig(alpha=alpha, l1_ratio=0.5)
+
+    @pytest.mark.parametrize(
+        "warm", [[float("nan")] * 6, [0.0] * 5 + [float("inf")], [0.0] * 5, [[0.0] * 6]],
+        ids=["nan", "inf", "short", "2-D"],
+    )
+    def test_warm_start_must_be_p_finite_values(self, warm):
+        X, y = _random_problem(19)
+        Xs, params = _standardized(X)
+        with pytest.raises(DataError, match="warm_start must be 6 finite values"):
+            fit(Xs, y, PenaltyConfig(alpha=0.03, l1_ratio=0.9), params, warm_start=warm)
+
+    @pytest.mark.parametrize(
+        "alphas", [[], [float("nan")], [0.1, float("inf")], [0.1, 0.0], [-0.1], [[0.1, 0.01]]],
+        ids=["empty", "nan", "inf", "zero", "negative", "2-D"],
+    )
+    def test_explicit_alphas_must_be_finite_and_above_0(self, alphas):
+        X, y = _random_problem(19)
+        with pytest.raises(ConfigError, match="alphas must be a non-empty list"):
+            cross_validate(X, y, l1_grid=(1.0,), alphas=np.array(alphas))
+
+
 class TestWarmStart:
     def test_same_solution_as_cold_start(self):
         X, y = _random_problem(19)
@@ -304,74 +333,94 @@ class TestKernelMatchesResidualForm:
             assert model.intercept == pytest.approx(float(np.mean(y - Xs @ ref)), abs=1e-12)
 
 
-@pytest.fixture
-def compiled():
-    sweep = elastic_net._compiled_sweep()
-    if sweep is None:
-        pytest.skip("the compiled sweep did not build here")
-    return sweep
+def _traced_descents(monkeypatch, G, c, paths, tol=1e-9, max_iter=100_000):
+    """beta, q and the counts after every path point of `paths` (lists of
+    penalties, each path started cold), plus the Python reference's window
+    outcomes when it is the one that runs: (skipped, tried) extrapolations
+    and the q remade after an accepted one."""
+    extrapolate = elastic_net._extrapolate_py
+    windows = []
+    set_q = counting(monkeypatch, elastic_net, "_set_q")
+
+    def traced(*args):
+        step = extrapolate(*args)
+        windows.append(step is None)
+        return step
+
+    monkeypatch.setattr(elastic_net, "_extrapolate_py", traced)
+    p = c.shape[0]
+    trace = []
+    for path in paths:
+        beta, q = np.zeros(p), np.zeros(p)
+        descend = elastic_net._bind_descent(G, c, beta, q, tol, max_iter)
+        for penalty in path:
+            trace.append((descend(penalty), beta.tobytes(), q.tobytes()))
+    remade = len(set_q) - sum(map(len, paths)) if set_q else 0
+    return trace, (sum(windows), len(windows), remade)
 
 
-class TestCompiledSweep:
-    """The C sweep against its Python reference, its build cache and its
+class TestCompiledDescent:
+    """The C descent against its Python reference, its build cache and its
     fallback."""
 
     @pytest.mark.parametrize("l1_ratio", [1.0, 0.5, 0.1])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_bit_identical_to_python_after_every_sweep(self, compiled, monkeypatch, l1_ratio, warm):
+    def test_bit_identical_to_python_after_every_path_point(self, kernels, monkeypatch, l1_ratio, warm):
         X, y = _collinear_problem(0)
         Xs, _ = _standardized(X)
         G, c = elastic_net._gram(Xs, y)
-        bind = elastic_net._bind_sweep
-        runs = {}
-        for name, sweep in (("compiled", compiled), ("python", None)):
-            trace, extrapolations = [], 0
+        penalties = [PenaltyConfig(alpha=float(a), l1_ratio=l1_ratio) for a in np.geomspace(0.05, 0.0005, 4)]
+        paths = [penalties] if warm else [[penalty] for penalty in penalties]
+        compiled, _ = _traced_descents(monkeypatch, G, c, paths)
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+        python, (skipped, tried, remade) = _traced_descents(monkeypatch, G, c, paths)
+        assert compiled == python
+        accepted = sum(counts[2] for counts, _, _ in python)
+        assert all(counts[1] for counts, _, _ in python)
+        # windows accepted, and rejected for not lowering the objective
+        assert 0 < accepted < tried - skipped
+        # accepted steps that keep the combined q, and ones that remake it
+        assert 0 < remade < accepted
 
-            def traced_bind(G, c, diag, denom, beta, q, trace=trace):
-                bound = bind(G, c, diag, denom, beta, q)
-
-                def traced(gamma):
-                    max_delta = bound(gamma)
-                    trace.append((beta.tobytes(), q.tobytes(), max_delta))
-                    return max_delta
-
-                return traced
-
-            monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda sweep=sweep: sweep)
-            monkeypatch.setattr(elastic_net, "_bind_sweep", traced_bind)
-            beta = np.zeros(Xs.shape[1])
-            for alpha in np.geomspace(0.05, 0.0005, 4):
-                if not warm:
-                    beta = np.zeros(Xs.shape[1])
-                penalty = PenaltyConfig(alpha=float(alpha), l1_ratio=l1_ratio)
-                _, converged, accepted = elastic_net._descend(G, c, penalty, 1e-9, 100_000, beta)
-                assert converged
-                extrapolations += accepted
-            runs[name] = (trace, beta.tobytes(), extrapolations)
-        assert runs["compiled"] == runs["python"]
-        assert runs["python"][2] > 0
+    def test_singular_window_is_skipped_alike(self, kernels, monkeypatch):
+        # two coordinates with G_01 = 1/2 and dyadic data: every iterate is
+        # exact, each sweep shrinks the last step by 4 exactly, so U U' has
+        # rank one in floating point too, and the elimination meets a zero pivot
+        G = np.array([[1.0, 0.5], [0.5, 1.0]])
+        c = np.array([1.0, 0.0])
+        paths = [[PenaltyConfig(alpha=0.0, l1_ratio=1.0)]]
+        compiled, _ = _traced_descents(monkeypatch, G, c, paths)
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+        python, (skipped, tried, _) = _traced_descents(monkeypatch, G, c, paths)
+        assert compiled == python
+        [((sweeps, converged, accepted), beta, _)] = python
+        assert converged and sweeps > elastic_net._ANDERSON_K
+        assert skipped == tried > 0 and accepted == 0
+        assert np.allclose(np.frombuffer(beta), [4.0 / 3.0, -2.0 / 3.0], atol=1e-9)
 
     @pytest.mark.parametrize("bad", ["short_vector", "strided_G", "float32", "read_only_beta"])
     def test_bind_checks_every_array_before_any_call(self, monkeypatch, bad):
         calls = []
-        monkeypatch.setattr(elastic_net, "_compiled_sweep", lambda: lambda *args: calls.append(args))
+
+        class Fake:
+            descend_work = staticmethod(lambda p, window: 1)
+            descend = staticmethod(lambda *args: calls.append(args) or 1)
+
+        monkeypatch.setattr(_kernels, "library", lambda: Fake)
         p = 4
-        arrays = {
-            "G": np.eye(p), "c": np.ones(p), "diag": np.ones(p), "denom": np.ones(p),
-            "beta": np.zeros(p), "q": np.zeros(p),
-        }
-        elastic_net._bind_sweep(**arrays)(0.5)
+        arrays = {"G": np.eye(p), "c": np.ones(p), "beta": np.zeros(p), "q": np.zeros(p)}
+        elastic_net._bind_descent(**arrays, tol=1e-5, max_iter=10)(PenaltyConfig(0.5, 1.0))
         assert len(calls) == 1  # the unaltered arrays bind and call through
         if bad == "short_vector":
-            arrays["denom"] = np.ones(p - 1)
+            arrays["q"] = np.ones(p - 1)
         elif bad == "strided_G":
             arrays["G"] = np.eye(2 * p)[::2, ::2]
         elif bad == "float32":
             arrays["c"] = arrays["c"].astype(np.float32)
         else:
             arrays["beta"].flags.writeable = False
-        with pytest.raises(ValueError, match="sweep: "):
-            elastic_net._bind_sweep(**arrays)
+        with pytest.raises(ValueError, match="descend: "):
+            elastic_net._bind_descent(**arrays, tol=1e-5, max_iter=10)
         assert len(calls) == 1
 
     def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_kernel_cache, monkeypatch):
@@ -453,7 +502,7 @@ class TestCompiledSweep:
         # a broken _kernels.c fails here instead of silently running Python
         if not have_compiler():
             pytest.skip("no C compiler on PATH")
-        assert elastic_net._compiled_sweep() is not None
+        assert _kernels.library() is not None
 
 
 class TestKernelCertifiedOracle:
@@ -503,21 +552,33 @@ class TestKernelCertifiedOracle:
 class TestExtrapolate:
     def test_beats_the_last_iterate_of_a_slow_linear_iteration(self):
         # x -> A x + b with three slow modes among fast ones, as coordinate
-        # descent sees a few collinear directions
+        # descent sees a few collinear directions; q = G x for a fixed G
         rng = np.random.default_rng(49)
         Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
         A = Q @ np.diag([0.9, 0.93, 0.95] + [0.05] * 17) @ Q.T
         b = rng.normal(size=20)
+        G = np.eye(20) + 0.1 * np.ones((20, 20))
         fixed = np.linalg.solve(np.eye(20) - A, b)
         iterates = [np.zeros(20)]
         for _ in range(5):
             iterates.append(A @ iterates[-1] + b)
-        candidate = _extrapolate(np.array(iterates))
+        iterates = np.array(iterates)
+        candidate, gx, _ = _extrapolate_py(iterates, iterates[1:] @ G.T)
         last_error = np.linalg.norm(iterates[-1] - fixed)
         assert np.linalg.norm(candidate - fixed) < 0.01 * last_error
+        assert np.allclose(gx, G @ candidate, rtol=0.0, atol=1e-10)
 
     def test_stalled_iterates_give_no_candidate(self):
-        assert _extrapolate(np.ones((6, 4))) is None
+        assert _extrapolate_py(np.ones((6, 4)), np.ones((5, 4))) is None
+
+    def test_solve_matches_lapack(self):
+        rng = np.random.default_rng(50)
+        U = rng.normal(size=(5, 30))
+        M = U @ U.T
+        z = elastic_net._solve_ones(M.tolist())
+        assert np.allclose(z, np.linalg.solve(M, np.ones(5)), rtol=1e-10)
+        assert elastic_net._solve_ones([[1.0, 2.0], [2.0, 4.0]]) is None
+        assert elastic_net._solve_ones([[float("nan"), 1.0], [1.0, 1.0]]) is None
 
 
 class TestRelativeGap:
@@ -700,6 +761,29 @@ class TestCrossValidate:
                     alpha_path(_standardized(X)[0], y, 1.0, n_alphas=5, eps=value)
 
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_training_rows_are_every_row_outside_the_fold_sorted(self, k, monkeypatch):
+        X, y = _random_problem(37, n=53, p=2)
+        seen = counting(monkeypatch, elastic_net, "_score_fold")
+        cross_validate(X, y, l1_grid=(1.0,), k=k, n_alphas=2)
+        perm = substream(2020, 0).permutation(len(y))
+        folds = np.array_split(perm, k)
+        assert len(seen) == k
+        for (_, _, train_idx, val_idx, *_), fold in zip(seen, folds):
+            assert np.array_equal(val_idx, fold)
+            assert np.array_equal(train_idx, np.setdiff1d(perm, fold))
+
+    def test_imports_no_numpy_ma(self):
+        # np.setdiff1d's unique imports numpy.ma, 10-30 ms per process
+        code = (
+            "import sys, numpy as np; from tamperscan import cross_validate; "
+            "rng = np.random.default_rng(0); X = rng.normal(size=(60, 4)); "
+            "cross_validate(X, X[:, 0] + rng.normal(size=60), l1_grid=(1.0,), n_alphas=5); "
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_rejects_repeated_l1_ratio(self):
         X, y = _random_problem(39, n=40, p=3)
         with pytest.raises(ConfigError, match="^l1_grid repeats 1.0$"):
@@ -737,7 +821,7 @@ class TestSerialization:
         assert np.array_equal(loaded.standardization.mean, model.standardization.mean)
         assert np.array_equal(predict(loaded, X, names), predict(model, X, names))
         assert model.training_meta["extrapolations"] > 0
-        built = elastic_net._compiled_sweep() is not None
+        built = _kernels.library() is not None
         assert model.training_meta["sweep"] == ("compiled" if built else "python")
         assert loaded.training_meta == model.training_meta
 
