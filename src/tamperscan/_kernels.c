@@ -10,9 +10,7 @@
  *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
  *                    (data_model.format_floats)
  *   read_csv         csv.reader on comma-separated text, then float() or
- *                    _to_float per number cell (ingest._parse_table_py,
- *                    ingest._parse_dataset_csv_py; a dataset's vote
- *                    counts are text cells, which ingest converts)
+ *                    _to_float per number cell (ingest._read_rows_py)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
  * and the Horner steps may round once instead of twice. Vectorizing, as -O2

@@ -76,12 +76,14 @@ class Run:
         """
         path = self.man.dataset_path
         digest = dataset_sha256(path)
+        _make_dir(self.dataset_cache, "the dataset cache directory")
         return load_dataset(path, cache_dir=self.dataset_cache, digest=digest), digest
 
     def save(self, dataset: Dataset) -> Path:
         """Write the dataset where `load` reads it: the manifest's dataset_path."""
         path = self.man.dataset_path
         _make_dir(path.parent, "the dataset's directory")
+        _make_dir(self.dataset_cache, "the dataset cache directory")
         save_dataset(dataset, path, manifest_hash=self.man.sha256, cache_dir=self.dataset_cache)
         return path
 
@@ -125,8 +127,9 @@ def _blind_context(run: Run, dataset, spec: BlindSpec, digest: str) -> BlindCont
 
     The stored model and CV grid are reused when both files carry this run's
     key and format version and rebuild without error; otherwise the fit is
-    redone exactly as `blind` does it and one line on stderr says why. The result is the same either
-    way, because the model and CV round-trips through JSON are exact.
+    redone exactly as `blind` does it and one line on stderr says why. The
+    result is the same either way, because the model and CV round-trips
+    through JSON are exact.
     """
     want = {**_blind_key(spec, digest), "version": MODEL_FORMAT_VERSION}
     docs = []

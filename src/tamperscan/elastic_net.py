@@ -547,9 +547,10 @@ def cross_validate(
     folds. Alpha paths are computed once per l1_ratio on the full
     standardized data, which is dropped once the grids exist. Each fold is
     scored by _score_fold: its training rows (every row outside the fold,
-    in sorted order) are re-standardized from themselves so no information leaks from held-out counties, and its G
-    and c serve every l1_ratio's warm-started path. A fold's arrays live
-    only while it is scored, and its MSE rows are assembled in fold order.
+    in sorted order) are re-standardized from themselves, so no information
+    leaks from held-out counties, and its G and c serve every l1_ratio's
+    warm-started path. A fold's arrays live only while it is scored, and
+    its MSE rows are assembled in fold order.
     Path points that hit `max_iter` are counted and reported in one
     ConvergenceWarning. The settings follow CvSettings' range rule, so an
     out-of-range or repeated value is a ConfigError.

@@ -1,14 +1,17 @@
-"""Parsing and cleaning of demographic profile tables and election returns.
+"""Parsing and cleaning of demographic profile tables and election returns,
+and the canonical dataset pair they become.
 
 The pipeline is: parse each comma-separated file, demographic table or
-election returns alike, with one reader that turns its cells into numbers as
-they are read (a vote count must then be a whole, non-negative number), drop
-margin-of-error and duplicate feature columns, drop columns that are missing
-or non-numeric for any county, inner-join everything on FIPS, exclude
+election returns alike, with one row reader that turns its cells into numbers
+as they are read (a vote count must then be a whole, non-negative number),
+drop margin-of-error and duplicate feature columns, drop columns that are
+missing or non-numeric for any county, inner-join everything on FIPS, exclude
 Alaska, and append prior-election vote shares as extra features. A
 demographic table's margin-of-error columns are recognized by their header
 and never read as numbers. Every drop is recorded in a CleaningReport with a
-machine-readable reason code; nothing is imputed.
+machine-readable reason code; nothing is imputed. The same row reader reads
+a saved dataset.csv back, so each of its cells becomes a number as an input
+table's cell does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import re
 import zipfile
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -135,29 +138,35 @@ def parse_table(path, source_id: str) -> RawTable:
     a county display-name column, when present, is captured separately and
     excluded from the feature columns. In a demographic table, a column
     whose header matches DEFAULT_MOE_PATTERN is listed in `moe_columns` and
-    its cells are skipped unread. Ragged rows, repeated fips and repeated
-    column headers (margin-of-error ones included) are hard errors, and so
-    is a file that is not UTF-8.
-
-    `read_csv` in `_kernels.c` reads the file through a read-only map where
-    it can; where it declines the file, or `_kernels.library()` is None,
-    `_parse_table_py`, its reference, reads it instead.
+    its cells are skipped unread. The rows are read by `_read_rows`, so a
+    ragged row or a file that is not UTF-8 is a hard error, and so are
+    repeated fips and repeated column headers (margin-of-error ones
+    included).
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    parts = _read_mapped(path, _table_mapped, path, source_id)
-    if parts is None:
-        parts = _parse_table_py(path, source_id)
-    columns, moe_columns, fips, values, names = parts
-    return RawTable(
+    header, values, texts = _read_rows(path, lambda header: _header(path, header, source_id).kinds)
+    head = _header(path, header, source_id)
+    fips = tuple(texts[head.fips])
+    names = {}
+    if head.name is not None:
+        names = {f: name for f, cell in zip(fips, texts[head.name]) if (name := cell.strip())}
+    table = RawTable(
         source_id=source_id,
-        columns=columns,
+        columns=head.columns,
         fips=fips,
         values=values,
         names=names,
-        moe_columns=moe_columns,
+        moe_columns=head.moe_columns,
     )
+    if len(table.row_of) < len(fips):
+        seen = set()
+        for f in fips:
+            if f in seen:
+                raise DataError(f"{path}: duplicate fips {f}")
+            seen.add(f)
+    return table
 
 
 @dataclass(frozen=True)
@@ -173,6 +182,17 @@ class _Header:
     features: list[int]
     columns: tuple[str, ...]
     moe_columns: tuple[str, ...]
+
+    @property
+    def kinds(self) -> bytes:
+        """The kind of each column, as `_read_rows` takes them."""
+        kinds = bytearray(b"-" * self.width)
+        for j in self.features:
+            kinds[j] = ord("n")
+        kinds[self.fips] = ord("f")
+        if self.name is not None:
+            kinds[self.name] = ord("t")
+        return bytes(kinds)
 
 
 def _header(path: Path, header: list[str], source_id: str) -> _Header:
@@ -201,45 +221,74 @@ def _header(path: Path, header: list[str], source_id: str) -> _Header:
     )
 
 
-def _parse_table_py(path: Path, source_id: str):
-    """parse_table's reference reader: csv.reader, then float64 a chunk of
-    rows at a time, so no string cell outlives its chunk. Returns columns,
-    moe_columns, fips, values and names."""
+def _read_rows(path: Path, kinds_of):
+    """The rows of the comma-separated UTF-8 file at `path`, as csv.reader
+    splits them, under a header row that `kinds_of(header)` maps to one
+    kind byte per column:
+
+      'n'  a number: the cell as float() reads it, or as _to_float reads it
+           (thousands separators dropped) when float() does not; NaN where
+           neither reads a number, such as "(X)" or "".
+      'f'  a county fips code, normalized by normalize_fips (at most one
+           such column).
+      't'  text, the cell as it stands.
+      '-'  skipped, its content unread.
+
+    Lines before the header that start with "#" are skipped, and so is a
+    byte-order mark. Returns the header's cells, the 'n' cells as a
+    float64 matrix (rows, number columns) and the 'f' and 't' cells as a
+    dict {column index: list of cells}. A ragged row, a file that is not
+    UTF-8 and an invalid fips are DataErrors; `kinds_of` raises for a
+    header it refuses.
+
+    `read_csv` in `_kernels.c` reads the file through a read-only map where
+    it can; where it declines the file, or `_kernels.library()` is None,
+    `_read_rows_py`, its reference, reads it instead.
+    """
+    read = _read_mapped(path, kinds_of)
+    return _read_rows_py(path, kinds_of) if read is None else read
+
+
+def _read_rows_py(path: Path, kinds_of):
+    """_read_rows's reference reader: csv.reader, then float64 a chunk of
+    rows at a time, so no string number cell outlives its chunk."""
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            head = _header(path, header, source_id)
-            pick_features = _cells_getter(head.features)
-            seen: dict[str, None] = {}
-            names: dict[str, str] = {}
+            comments = 0
+            for line in fh:
+                if not line.startswith("#"):
+                    break
+                comments += 1
+            else:
+                raise DataError(f"{path}: empty file")
+            reader = csv.reader(chain([line], fh))
+            header = next(reader)
+            kinds = kinds_of(header).decode()
+            pick_numbers = _cells_getter([j for j, kind in enumerate(kinds) if kind == "n"])
+            texts: dict[int, list[str]] = {j: [] for j, kind in enumerate(kinds) if kind in "ft"}
 
             def rows():
                 for row in reader:
-                    if len(row) != head.width:
+                    if len(row) != len(kinds):
                         raise DataError(
-                            f"{path}: line {reader.line_num} has {len(row)} cells, "
-                            f"header has {head.width}"
+                            f"{path}: line {comments + reader.line_num} has {len(row)} cells, "
+                            f"header has {len(kinds)}"
                         )
-                    fips = normalize_fips(row[head.fips])
-                    if fips in seen:
-                        raise DataError(f"{path}: duplicate fips {fips}")
-                    seen[fips] = None
-                    if head.name is not None and row[head.name].strip():
-                        names[fips] = row[head.name].strip()
-                    yield pick_features(row)
+                    for j, cells in texts.items():
+                        cells.append(row[j])
+                    yield pick_numbers(row)
 
             cells = rows()
-            blocks = [_to_floats([], len(head.columns))]
+            blocks = [_to_floats([], kinds.count("n"))]
             while chunk := list(islice(cells, _CHUNK_ROWS)):
-                blocks.append(_to_floats(chunk, len(head.columns)))
+                blocks.append(_to_floats(chunk, kinds.count("n")))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    return head.columns, head.moe_columns, tuple(seen), np.concatenate(blocks), names
+    if "f" in kinds:
+        j = kinds.index("f")
+        texts[j] = list(map(normalize_fips, texts[j]))
+    return header, np.concatenate(blocks), texts
 
 
 def _not_utf8(path: Path) -> DataError:
@@ -252,11 +301,11 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not UTF-8")
 
 
-def _read_mapped(path: Path, read, *args):
-    """`read(lib, mm, *args)`, with `lib` the compiled kernels and `mm` the
-    file at `path` mapped read-only; None where `_kernels.library()` is None
-    or the file is empty (which cannot be mapped). The map is closed before
-    this returns.
+def _read_mapped(path: Path, kinds_of):
+    """`_read_rows_py`'s result, read by `read_csv` through a read-only map
+    of the file; None where `_kernels.library()` is None, the file is empty
+    (which cannot be mapped), `read_csv` declines it or a cell would raise
+    an error, which the reference then raises.
 
     The file is mapped rather than read into memory: a bytes copy of each
     input would raise the peak memory of `ingest`.
@@ -273,57 +322,38 @@ def _read_mapped(path: Path, read, *args):
         except ValueError:
             return None
     with mm:
-        return read(lib, mm, *args)
-
-
-def _table_mapped(lib, mm, path: Path, source_id: str):
-    """`_parse_table_py`'s result, read by `read_csv` from the map `mm`; None
-    where `read_csv` declines or a row would raise an error, which the
-    reference then raises."""
-    header = _mapped_line(mm, 3 if mm[:3] == codecs.BOM_UTF8 else 0)
-    if header is None:
-        return None
-    try:
-        head = _header(path, header[0].split(","), source_id)
-    except SchemaError:
-        return None  # the reader may meet an undecodable byte first
-    kinds = [b"-"] * head.width
-    for j in head.features:
-        kinds[j] = b"n"
-    kinds[head.fips] = b"f"
-    if head.name is not None:
-        kinds[head.name] = b"t"
-    read = _read_csv(lib, mm, header[1], b"".join(kinds))
-    if read is None:
-        return None
-    values, fast_fips, spans, slow = read
-
-    flat = values.reshape(-1)
-    for i, a, b in slow.tolist():
-        cell = _unquote(mm[a:b])
+        line = _mapped_line(mm, 3 if mm[:3] == codecs.BOM_UTF8 else 0)
+        while line is not None and line[0].startswith("#"):
+            line = _mapped_line(mm, line[1])
+        if line is None:
+            return None
+        header = line[0].split(",")
         try:
-            flat[i] = float(cell)
-        except ValueError:
-            v = _to_float(cell)
-            flat[i] = np.nan if v is None else v
+            kinds = kinds_of(header)
+        except SchemaError:
+            return None  # the reference may meet an undecodable byte first
+        read = _read_csv(lib, mm, line[1], kinds)
+        if read is None:
+            return None
+        values, fast_fips, spans, slow = read
+        slow_cells = [_unquote(mm[a:b]) for a, b in slow[:, 1:].tolist()]
+        values.reshape(-1)[slow[:, 0]] = _numbers(slow_cells)
 
-    # spans hold the fips and name cells in column order
-    at_fips = int(head.name is not None and head.name < head.fips)
-    fips = fast_fips.astype("U5").tolist()
-    names: dict[str, str] = {}
-    try:
-        for i in np.flatnonzero(fast_fips == b"").tolist():
-            fips[i] = normalize_fips(_unquote(mm[slice(*spans[i, at_fips].tolist())]))
-        if len(set(fips)) < len(fips):
-            return None  # a repeated fips
-        if head.name is not None:
-            for f, span in zip(fips, spans[:, 1 - at_fips].tolist()):
-                name = _unquote(mm[slice(*span)]).strip()
-                if name:
-                    names[f] = name
-    except (DataError, UnicodeDecodeError):
-        return None
-    return head.columns, head.moe_columns, tuple(fips), values, names
+        # spans hold the 'f' and 't' cells in column order
+        texts = {}
+        try:
+            for k, j in enumerate(j for j, kind in enumerate(kinds) if kind in b"ft"):
+                if kinds[j] == ord("f"):
+                    # read_csv normalized the fips of 1-5 ASCII digits
+                    fips = fast_fips.astype("U5").tolist()
+                    for i in np.flatnonzero(fast_fips == b"").tolist():
+                        fips[i] = normalize_fips(_unquote(mm[slice(*spans[i, k].tolist())]))
+                    texts[j] = fips
+                else:
+                    texts[j] = [_unquote(mm[a:b]) for a, b in spans[:, k].tolist()]
+        except (DataError, UnicodeDecodeError):
+            return None
+    return header, values, texts
 
 
 def _mapped_line(mm, start: int):
@@ -404,20 +434,26 @@ def _to_float(cell: str) -> float | None:
         return None
 
 
-def _to_floats(rows, width: int) -> np.ndarray:
-    """Rows of `width` string cells as a float64 block, NaN where _to_float
-    reads no number.
+def _numbers(cells) -> np.ndarray:
+    """String cells as float64: each as float() reads it, or as _to_float
+    does, NaN where that reads no number.
 
     float() gives _to_float's value for every cell it accepts, surrounding
-    whitespace included, so each column goes through float() and only a
-    column with a cell float() rejects is read again by _to_float.
+    whitespace included, so only cells with one that float() rejects are
+    read again by _to_float.
     """
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return np.array(list(map(_to_float, cells)), dtype=np.float64)  # None is NaN
+
+
+def _to_floats(rows, width: int) -> np.ndarray:
+    """Rows of `width` string cells as a float64 block, read by _numbers a
+    column at a time."""
     values = np.empty((len(rows), width))
     for j, cells in enumerate(zip(*rows)):
-        try:
-            values[:, j] = list(map(float, cells))
-        except ValueError:
-            values[:, j] = np.array(list(map(_to_float, cells)), dtype=np.float64)  # None is NaN
+        values[:, j] = _numbers(cells)
     return values
 
 
@@ -767,100 +803,25 @@ def _build_dataset(csv_path: Path, meta: dict, parts) -> Dataset:
 
 
 def _parse_dataset_csv(csv_path: Path, meta: dict):
-    """The parts of a dataset CSV, as `_parse_dataset_csv_py` gives them:
-    read by `read_csv` in `_kernels.c` through a read-only map where it can,
-    and otherwise by that reference."""
-    parts = _read_mapped(csv_path, _dataset_mapped, meta)
-    return _parse_dataset_csv_py(csv_path, meta) if parts is None else parts
-
-
-def _parse_dataset_csv_py(csv_path: Path, meta: dict):
-    """The keys, features and (n, 2) vote counts of a dataset CSV: the keys
-    of each line split off in Python, the vote counts and the feature tails
-    in a pass each of numpy's C reader, as float64."""
-    try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-    except UnicodeDecodeError:
-        raise _not_utf8(csv_path) from None
-    header = next(csv.reader(lines[:1]), [])
-    if header != _csv_header(meta["target_year"], meta["feature_names"]):
-        raise SchemaError(f"{csv_path}: header does not match metadata")
-
-    width = len(header)
-    keys, tallies, tails = [], [], []
-    for line in lines[1:]:
-        # only a quoted name can hold a comma, so other lines are split and checked by count
-        if '"' in line or line.count(",") != width - 1:
-            row = next(csv.reader([line]), [])
-            if len(row) != width:
-                raise DataError(f"{csv_path}: ragged data row for fips {row[0] if row else '?'}")
-            cells = [*row[:5], ",".join(row[5:])]
-        else:
-            cells = line.split(",", 5)
-        keys.append(CountyKey(*cells[:3]))
-        tallies.append(f"{cells[3]},{cells[4]}")
-        tails.append(cells[5] if len(cells) > 5 else "")
-    try:
-        votes = _columns(tallies, 3, 2)
-        X = _columns(tails, 5, width - 5)
-    except ValueError as err:
-        raise DataError(f"{csv_path}: {err}") from None
-    return keys, X, votes
-
-
-# Cells that numpy's loadtxt and float() both read, to the same double
-_PLAIN_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
-def _dataset_mapped(lib, mm, meta: dict):
-    """`_parse_dataset_csv_py`'s result, read by `read_csv` from the map `mm`;
-    None where `read_csv` declines, a cell is one the reference might read
-    otherwise, or a key would raise an error, which the reference then
-    raises. The vote counts are text cells, converted here, so that the
-    features fill a matrix of their own."""
-    header = _mapped_line(mm, 0)
-    while header is not None and header[0].startswith("#"):
-        header = _mapped_line(mm, header[1])
+    """The keys, features and (n, 2) vote counts of a dataset CSV, read by
+    `_read_rows`. The key and vote cells are read as text, so that the
+    features fill a matrix of their own; a vote cell then becomes a number
+    by the same rule as a feature cell. A feature that is not a finite
+    number is an error naming its county."""
     expected = _csv_header(meta["target_year"], meta["feature_names"])
-    if header is None or header[0].split(",") != expected:
-        return None
-    read = _read_csv(lib, mm, header[1], b"ttttt" + b"n" * (len(expected) - 5))
-    if read is None:
-        return None
-    X, _, spans, slow = read
 
-    flat = X.reshape(-1)
-    for i, a, b in slow.tolist():
-        cell = _unquote(mm[a:b])
-        if not _PLAIN_FLOAT.fullmatch(cell):
-            return None
-        flat[i] = float(cell)
+    def kinds_of(header):
+        if header != expected:
+            raise SchemaError(f"{csv_path}: header does not match metadata")
+        return b"ttttt" + b"n" * (len(header) - 5)
 
-    keys, votes = [], []
-    try:
-        for row in spans.tolist():
-            fips, state, name, r, d = (_unquote(mm[a:b]) for a, b in row)
-            if not (_PLAIN_FLOAT.fullmatch(r) and _PLAIN_FLOAT.fullmatch(d)):
-                return None
-            keys.append(CountyKey(fips, state, name))
-            votes.append((float(r), float(d)))
-    except (DataError, UnicodeDecodeError):
-        return None
-    return keys, X, np.array(votes, dtype=np.float64).reshape(-1, 2)
-
-
-def _columns(lines: list[str], first: int, width: int) -> np.ndarray:
-    """Lines of `width` comma-separated cells, the data row's columns `first`
-    onwards, as a (len(lines), width) float64 array."""
-    if not lines or not width:
-        return np.empty((len(lines), width))
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as err:
-        # numpy counts columns from 1 within these lines; report the row's
-        message = re.sub(r"column (\d+)", lambda m: f"column {first + int(m[1])}", str(err))
-        raise ValueError(message) from None
+    _, X, texts = _read_rows(csv_path, kinds_of)
+    fips, state, name, rep, dem = texts.values()
+    keys = [CountyKey(*key) for key in zip(fips, state, name)]
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(f"county {fips[i]}: feature {expected[5 + j]} is not a finite number")
+    return keys, X, np.column_stack([_numbers(rep), _numbers(dem)])
 
 
 def _write_cache(path: Path, digest: str, dataset: Dataset) -> None:

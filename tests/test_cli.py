@@ -619,7 +619,8 @@ class TestExitCodes:
         path = out / "dataset.csv"
         path.write_text(path.read_text() + "13999,GA,Ragged County,1,2\n")
         assert main(["fit", "--manifest", man]) == 3
-        assert "ragged data row for fips 13999" in capsys.readouterr().err
+        line = path.read_bytes().count(b"\n")  # the appended row, the last line
+        assert f"dataset.csv: line {line} has 5 cells, header has" in capsys.readouterr().err
 
     def test_degenerate_features_is_4(self, tmp_path, capsys):
         from tamperscan.ingest import dataset_sha256, save_dataset
@@ -803,6 +804,24 @@ class TestExitCodes:
         assert err.startswith(
             f"config error: cannot create the dataset's directory {tmp_path / 'afile' / 'x'}: "
         )
+
+    def test_dataset_cache_that_cannot_be_made_is_2_for_fit(self, private_ws, capsys):
+        cache = private_ws / "out" / "dataset_cache"
+        cache.write_text("")
+        assert main(["fit", "--manifest", _man(private_ws)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create the dataset cache directory {cache}: ")
+        assert cache.read_text() == ""
+
+    def test_dataset_cache_that_cannot_be_made_is_2_for_ingest(self, tmp_path, capsys):
+        manifest = TestIngest._inputs(tmp_path)
+        cache = tmp_path / "out" / "dataset_cache"
+        cache.parent.mkdir()
+        cache.write_text("")
+        assert main(["ingest", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create the dataset cache directory {cache}: ")
+        assert sorted(p.name for p in cache.parent.iterdir()) == ["dataset_cache"]
 
     @pytest.mark.parametrize(
         "tally, message",

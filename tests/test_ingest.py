@@ -125,6 +125,17 @@ class TestParseTable:
         assert not np.isnan(t.values).any()
         assert t.columns[0] == "pct_bachelor"
 
+    def test_leading_comment_lines_skipped(self, tmp_path):
+        text = "# exported 2021-01-05\n# note, with a comma\n" + DP02
+        commented = _table_outcome(_write(tmp_path, "c.csv", text))
+        assert commented == _table_outcome(_write(tmp_path, "a.csv", DP02))
+        assert commented[0] == ("pct_bachelor", "pct_veteran")
+
+    def test_comment_line_after_the_header_is_a_ragged_row(self, tmp_path):
+        p = _write(tmp_path, "c.csv", "# note\nfips,x,y\n01001,1,2\n# late note\n")
+        with pytest.raises(DataError, match="c.csv: line 4 has 1 cells, header has 3$"):
+            parse_table(p, "DP02")
+
     def test_missing_fips_column(self, tmp_path):
         p = _write(tmp_path, "bad.csv", "a,b\n1,2\n")
         with pytest.raises(SchemaError, match="fips"):
@@ -420,20 +431,34 @@ def _table_outcome(path, source_id="DP02"):
 
 
 def _reference(monkeypatch, read, *args):
-    """read(*args) with `_kernels.library()` None, so the reference readers run."""
+    """read(*args) with `_kernels.library()` None, so the reference reader runs."""
     with monkeypatch.context() as m:
         m.setattr(_kernels, "library", lambda: None)
         return read(*args)
 
 
+def _table_kinds(path, source_id="DP02"):
+    """parse_table's map from a header to the kinds of its columns."""
+    return lambda header: ingest._header(path, header, source_id).kinds
+
+
+def _rows_outcome(path, kinds_of):
+    """Everything _read_rows gives for a file, or the type and message of
+    its error."""
+    try:
+        header, values, texts = ingest._read_rows(path, kinds_of)
+    except (ConfigError, DataError) as err:
+        return type(err), str(err)
+    return header, values.shape, values.tobytes(), texts
+
+
 class TestCompiledReader:
-    """read_csv in _kernels.c reads what its references read, bit for bit,
-    and declines every file where it might not."""
+    """read_csv in _kernels.c reads what _read_rows's reference reads, bit
+    for bit, and declines every file where it might not."""
 
     @staticmethod
     def _compiled_reads(path, source_id="DP02"):
-        read = ingest._read_mapped(path, ingest._table_mapped, path, source_id)
-        return read is not None
+        return ingest._read_mapped(path, _table_kinds(path, source_id)) is not None
 
     @pytest.mark.parametrize(
         "text",
@@ -447,9 +472,10 @@ class TestCompiledReader:
             b"fips,x\n01001,1.5\n13121,2.5",
             "fips,x\n١٣١٢١,1\n".encode("utf-8"),
             b"x,NAME,fips,x moe\n+3,Do\xc3\xb1a,\"13121\",1\n-.5,\"\",   7,2\n",
+            BOM + b"# source: a note\n#\nfips,x\n01001,1.5\n",
         ],
         ids=["quoted", "missing-and-padded", "float-syntax", "exactness", "bom-crlf",
-             "no-final-newline", "non-ascii-fips-digits", "key-columns"],
+             "no-final-newline", "non-ascii-fips-digits", "key-columns", "leading-comments"],
     )
     def test_reads_as_the_reference(self, tmp_path, monkeypatch, kernels, text):
         path = tmp_path / "t.csv"
@@ -458,6 +484,8 @@ class TestCompiledReader:
         compiled = _table_outcome(path)
         assert compiled == _reference(monkeypatch, _table_outcome, path)
         assert isinstance(compiled[0], tuple)
+        rows = _rows_outcome(path, _table_kinds(path))
+        assert rows == _reference(monkeypatch, _rows_outcome, path, _table_kinds(path))
 
     @pytest.mark.parametrize(
         "text",
@@ -473,7 +501,6 @@ class TestCompiledReader:
             b"fips,x,y\n01001,1\n",
             b'fips,x\n01001,1"2\n',
             b'fips,x\n01001,"1"2\n',
-            b"fips,x\n01001,1\n1001,2\n",
             b"fips,x\n01001,1\n123456,2\n",
             b"fips,name,x\n01001,Synth \xff County,1\n",
             b'"fips",x\n01001,1\n',
@@ -482,7 +509,7 @@ class TestCompiledReader:
         ],
         ids=["lone-cr", "blank-last-line", "blank-line", "unterminated-quote", "quoted-newline",
              "nul", "non-ascii-number", "long-row", "short-row", "inner-quote",
-             "text-after-quote", "duplicate-fips", "bad-fips", "not-utf8", "quoted-header",
+             "text-after-quote", "bad-fips", "not-utf8", "quoted-header",
              "no-fips-and-not-utf8", "slow-cells-overflow"],
     )
     def test_declines_what_the_reference_must_read(self, tmp_path, monkeypatch, kernels, text):
@@ -490,6 +517,15 @@ class TestCompiledReader:
         path.write_bytes(text)
         assert not self._compiled_reads(path)
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path)
+
+    def test_duplicate_fips_is_the_same_error_after_either_reader(
+        self, tmp_path, monkeypatch, kernels
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"fips,x\n01001,1\n13121,2\n1001,3\n13121,4\n")
+        assert self._compiled_reads(path)
+        error = (DataError, f"{path}: duplicate fips 01001")
+        assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
 
     def test_bit_identical_on_a_million_cells(self, tmp_path, monkeypatch, kernels):
         rng = np.random.default_rng(28)
@@ -543,9 +579,9 @@ class TestCompiledReader:
         ds = make_dataset(rows, feature_names=(*(f"f{j}" for j in range(20)), "share_2016"))
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path, manifest_hash="abc")
-        meta = ingest._read_meta(path)
-        assert ingest._read_mapped(path, ingest._dataset_mapped, meta) is not None
+        references = counting(monkeypatch, ingest, "_read_rows_py")
         _assert_same_dataset(load_dataset(path), ds)
+        assert references == []
         _assert_same_dataset(_reference(monkeypatch, load_dataset, path), ds)
 
     @pytest.mark.parametrize(
@@ -810,17 +846,43 @@ class TestDatasetRoundTrip:
         save_dataset(ds, path)
         with open(path, "a", newline="", encoding="utf-8") as fh:
             fh.write(row)
-        with pytest.raises(DataError, match="ragged data row for fips 35099"):
+        cells = len(next(csv.reader([row])))
+        with pytest.raises(DataError, match=f"dataset.csv: line 3 has {cells} cells, header has 7$"):
             load_dataset(path)
 
-    def test_unparseable_cell_is_data_error(self, tmp_path):
+    def test_ragged_row_line_counts_the_comment_line(self, tmp_path):
+        ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], (5, 6)),
+                           ("35001", "NM", "B", [0.3, 0.4], (7, 8))])
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path, manifest_hash="deadbeef")
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"# manifest_sha256=deadbeef"
+        lines[3] = b"35001,NM,B,7,8,0.3\r"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match="dataset.csv: line 4 has 6 cells, header has 7$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["zero", "(X)", "", "inf", "-inf", "nan"])
+    def test_unreadable_or_non_finite_feature_names_county_and_column(self, tmp_path, cell):
         ds = make_dataset([("35013", "NM", "A", [0.1, 0.2], (5, 6))])
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path)
+        meta = path.with_name("dataset_meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "n_counties": 2}))
         with open(path, "a", newline="", encoding="utf-8") as fh:
-            fh.write("35099,NM,B,1,2,0.5,zero\r\n")
-        with pytest.raises(DataError, match="could not convert"):
+            fh.write(f"35099,NM,B,1,2,0.5,{cell}\r\n")
+        with pytest.raises(DataError, match="^county 35099: feature f_b is not a finite number$"):
             load_dataset(path)
+
+    def test_full_precision_dataset_loads_bit_exact(self, tmp_path, kernel_path, monkeypatch):
+        # mostly 17-digit reprs, far more cells than read_csv leaves to
+        # float() in a file it reads, so the reference reads it either way
+        ds, _ = generate_synthetic(SyntheticSpec(n_counties=100, n_features=20, seed=3))
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path, manifest_hash="abc")
+        references = counting(monkeypatch, ingest, "_read_rows_py")
+        _assert_same_dataset(load_dataset(path), ds)
+        assert len(references) == 1
 
     def test_missing_meta_is_schema_error(self, tmp_path):
         ds, _ = generate_synthetic(SyntheticSpec(n_counties=20, n_features=3, n_active=1, seed=8))
