@@ -7,6 +7,17 @@ every county (the look-elsewhere effect). Includes vote-flip injection
 for sensitivity analysis and a manifest-driven CLI for reproducible runs.
 """
 
+import os as _os
+
+# numpy's OpenBLAS starts a worker thread per extra CPU as numpy loads, and
+# reads these variables only then. On a 2-CPU host that idle worker at times
+# slowed a fresh `import tamperscan.cli` (0.23 s against 0.15 s), stalled most
+# blinded-fold Gram products (median 23 ms against 3 ms), added 1.8 MB to
+# `fit`'s peak RSS, and made the output bytes depend on the CPU count. So
+# every BLAS product runs on the calling thread, unless the caller set a count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .anomaly import (
     AnomalyScore,
     McConfig,

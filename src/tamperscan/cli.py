@@ -476,7 +476,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int, default=1,
             help="ignored, but must be at least 1: every command runs on one "
-            "thread, and no output depends on this value",
+            "thread, numpy's BLAS too unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS "
+            "or MKL_NUM_THREADS is set, and no output depends on this value",
         )
         p.set_defaults(func=func)
     return parser

@@ -172,7 +172,13 @@ def objective(Xs, y, beta, intercept, penalty: PenaltyConfig) -> float:
 
 
 def _gram(Xs, y):
-    """Covariance-form statistics G = Xs'Xs/n and c = Xs'(y - mean(y))/n."""
+    """Covariance-form statistics G = Xs'Xs/n and c = Xs'(y - mean(y))/n.
+
+    Both are BLAS products on the calling thread, so their bits depend on
+    the BLAS kernel for the CPU type but not on the CPU count, unless the
+    caller set a BLAS thread count of their own or imported numpy before
+    tamperscan.
+    """
     n = y.shape[0]
     return Xs.T @ Xs / n, Xs.T @ (y - y.mean()) / n
 
@@ -557,9 +563,11 @@ def cross_validate(
 
     Pass `alphas` to use one explicit grid for every l1_ratio: a non-empty
     1-D array of finite values above 0, or a ConfigError. `threads` is
-    accepted and ignored: CV runs on one thread. The compiled descent of a
-    path point releases the GIL, Anderson steps included; only the Python
-    between path points (and each path's predictions) holds it.
+    accepted and ignored: CV runs on one thread, and so do its BLAS
+    products wherever `import tamperscan` set numpy's BLAS thread count
+    (see the package's __init__). The compiled descent of a path point
+    releases the GIL, Anderson steps included; only the Python between
+    path points (and each path's predictions) holds it.
     """
     CvSettings(tuple(l1_grid), n_alphas, eps, k, seed, tol, max_iter)
     X = np.asarray(X, dtype=np.float64)

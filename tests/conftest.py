@@ -1,9 +1,10 @@
 import shutil
 
+# tamperscan before numpy, so the suite's BLAS runs the one thread the CLI's does
+from tamperscan import CountyKey, Dataset, _kernels
+
 import numpy as np
 import pytest
-
-from tamperscan import CountyKey, Dataset, _kernels
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -940,6 +940,47 @@ def test_cli_import_builds_no_kernel_and_loads_no_statistics():
     assert done.stdout == "0 False\n"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# prints the variables named in argv as they stand when numpy is first imported
+ENV_AT_NUMPY_IMPORT = """\
+import importlib.abc, json, os, sys
+
+seen = {}
+
+class Recorder(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((var, os.environ.get(var)) for var in sys.argv[1:])
+        return None
+
+sys.meta_path.insert(0, Recorder())
+import tamperscan
+print(json.dumps(seen))
+"""
+
+
+def _blas_env_at_numpy_import(**set_vars):
+    env = {k: v for k, v in _subprocess_env().items() if k not in BLAS_THREAD_VARS}
+    done = subprocess.run(
+        [sys.executable, "-c", ENV_AT_NUMPY_IMPORT, *BLAS_THREAD_VARS],
+        env={**env, **set_vars}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_blas_runs_one_thread_from_numpys_first_import():
+    """numpy's BLAS reads its thread count as numpy loads, so `import
+    tamperscan` sets it to 1 before then."""
+    assert _blas_env_at_numpy_import() == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+
+def test_blas_thread_count_the_caller_set_is_kept():
+    seen = _blas_env_at_numpy_import(OPENBLAS_NUM_THREADS="3")
+    assert seen == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+
+
 def test_fit_prints_non_ascii_names_under_an_ascii_locale(tmp_path):
     ds, _ = generate_synthetic(SyntheticSpec(n_counties=60, n_features=4, n_active=2, seed=3))
     renamed = dataclasses.replace(
