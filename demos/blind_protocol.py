@@ -10,8 +10,7 @@ injection surfacing in the blind ranking.
 Run:  python3 demos/blind_protocol.py
 """
 
-import numpy as np
-
+# tamperscan before numpy: its import pins numpy's BLAS to one thread, as the CLI runs it
 from tamperscan import (
     BlindSpec,
     CvSettings,
@@ -25,6 +24,8 @@ from tamperscan import (
     state_summary,
 )
 from tamperscan.scenarios import score_eval_set
+
+import numpy as np
 
 SPEC = BlindSpec(
     train_states=frozenset({"AL", "AZ", "CA", "CO", "MT", "TX", "WY"}),

@@ -10,8 +10,7 @@ rankings.
 Run:  python3 demos/synthetic_walkthrough.py
 """
 
-import numpy as np
-
+# tamperscan before numpy: its import pins numpy's BLAS to one thread, as the CLI runs it
 from tamperscan import (
     CvSettings,
     Direction,
@@ -25,6 +24,8 @@ from tamperscan import (
     residuals,
     score_counties,
 )
+
+import numpy as np
 
 SPEC = SyntheticSpec(n_counties=500, n_features=50, n_active=5, noise_sd=0.01, seed=7)
 

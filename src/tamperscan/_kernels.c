@@ -9,8 +9,9 @@
  *   erfc_array       math.erfc (anomaly._erfc_py)
  *   format_values    (layout * reps) % tuple(x), with %r, %.2f and %d
  *                    (data_model.format_floats)
- *   read_csv         csv.reader on comma-separated text, then float() or
- *                    _to_float per number cell (ingest._read_rows_py)
+ *   read_csv         csv.reader on comma-separated text, each cell a number
+ *                    (float() or _to_float), text or skipped; it knows no
+ *                    column's meaning (ingest._read_rows_py)
  *
  * Build without FMA contraction (-ffp-contract=off), or `q[k] + d * G[j,k]`
  * and the Horner steps may round once instead of twice. Vectorizing, as -O2
@@ -716,11 +717,8 @@ count_lines(const char *s, ptrdiff_t len)
  *        row-major) where decimal() reads the whole cell. Any other cell
  *        is slow: its index in values and its byte span, quotes included,
  *        go to slow (cap rows of three) for the caller to convert.
- *   'f'  a fips code: 1-5 ASCII digits are written to fips (rows x 5
- *        bytes) zero-padded; five NULs mark any other cell. Its span goes
- *        to spans, as a 't' cell's does.
  *   't'  text: its byte span, quotes included, goes to spans (rows x the
- *        number of 'f' and 't' columns, start and end).
+ *        number of 't' columns, start and end).
  *   '-'  skipped, its content unread.
  *
  * A quoted cell is one whose first byte is '"'; it ends at the next '"'
@@ -728,14 +726,13 @@ count_lines(const char *s, ptrdiff_t len)
  * file strays from what csv.reader reads the same way or where the caller
  * would need more than spans: a quote anywhere but around a whole cell, a
  * quoted line end, a lone "\r", a blank line, a row with another number of
- * cells, a NUL byte, a byte >= 0x80 outside an 'f' or 't' cell, a cell
+ * cells, a NUL byte, a byte >= 0x80 outside a 't' cell, a cell
  * longer than max_cell bytes (csv.reader's field_size_limit), or more than
  * cap slow cells.
  */
 ptrdiff_t
 read_csv(const char *text, ptrdiff_t len, const char *kinds, ptrdiff_t width, ptrdiff_t rows,
-         ptrdiff_t max_cell, double *values, char *fips, ptrdiff_t *spans, ptrdiff_t *slow,
-         ptrdiff_t cap)
+         ptrdiff_t max_cell, double *values, ptrdiff_t *spans, ptrdiff_t *slow, ptrdiff_t cap)
 {
     const unsigned char *s = (const unsigned char *)text, *p = s, *end = s + len;
     ptrdiff_t nvalue = 0, nslow = 0;
@@ -791,7 +788,7 @@ read_csv(const char *text, ptrdiff_t len, const char *kinds, ptrdiff_t width, pt
                     return -1;  /* too many cells, a lone CR, or text after a quote */
             }
 
-            if (high && kind != 'f' && kind != 't')
+            if (high && kind != 't')
                 return -1;
             if (kind == 'n') {
                 if (num == b) {
@@ -805,18 +802,9 @@ read_csv(const char *text, ptrdiff_t len, const char *kinds, ptrdiff_t width, pt
                     nslow++;
                 }
                 nvalue++;
-            } else if (kind == 'f' || kind == 't') {
+            } else if (kind == 't') {
                 *spans++ = cell - s;
                 *spans++ = b - s + quoted;
-            }
-            if (kind == 'f') {
-                ptrdiff_t n = b - a, digits = n >= 1 && n <= 5;
-                for (ptrdiff_t i = 0; digits && i < n; i++)
-                    digits = a[i] >= '0' && a[i] <= '9';
-                char *out = fips + 5 * r;
-                memset(out, digits ? '0' : 0, 5);
-                if (digits)
-                    memcpy(out + 5 - n, a, (size_t)n);
             }
         }
     }

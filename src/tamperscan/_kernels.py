@@ -38,7 +38,8 @@ def library():
 
     The shared library lives in $XDG_CACHE_HOME/tamperscan (when that is an
     absolute path; otherwise ~/.cache/tamperscan), so later processes load
-    it without compiling. `_kernels.c` is plain C, so the build needs no
+    it without compiling; with no home directory either, there is no cache
+    and the result is None. `_kernels.c` is plain C, so the build needs no
     Python headers and one library serves every Python version. Its name
     holds the sha256 of the source and the compiler flags, then the sha256
     of its own bytes: it is written under a temporary name and moved into
@@ -50,7 +51,10 @@ def library():
         key = hashlib.sha256(SOURCE.read_bytes())
         key.update("\0".join(FLAGS).encode())
         xdg = os.environ.get("XDG_CACHE_HOME", "")  # relative: not valid, so ignored
-        cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "tamperscan"
+        try:
+            cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "tamperscan"
+        except RuntimeError:  # no $HOME, and the uid has no passwd entry
+            return None
         stem = f"_kernels-{key.hexdigest()[:16]}"
         for path in cache.glob(f"{stem}-*.so"):
             if path.name == f"{stem}-{_digest(path)}.so":
@@ -126,7 +130,7 @@ def _load(path):
     lib.count_lines.restype = ctypes.c_ssize_t
     lib.read_csv.argtypes = (
         ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_char_p, *(ctypes.c_ssize_t,) * 3,
-        *(ctypes.c_void_p,) * 4, ctypes.c_ssize_t,
+        *(ctypes.c_void_p,) * 3, ctypes.c_ssize_t,
     )
     lib.read_csv.restype = ctypes.c_ssize_t
     return lib

@@ -134,7 +134,8 @@ class CleaningReport:
 def parse_table(path, source_id: str) -> RawTable:
     """Parse one header-rowed comma-separated file into a RawTable of numbers.
 
-    The fips column (matched case-insensitively) is normalized to 5 digits;
+    The fips column (matched case-insensitively) is read as text, then
+    normalized to 5 digits by normalize_fips, which refuses an invalid code;
     a county display-name column, when present, is captured separately and
     excluded from the feature columns. In a demographic table, a column
     whose header matches DEFAULT_MOE_PATTERN is listed in `moe_columns` and
@@ -146,9 +147,15 @@ def parse_table(path, source_id: str) -> RawTable:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    header, values, texts = _read_rows(path, lambda header: _header(path, header, source_id).kinds)
-    head = _header(path, header, source_id)
-    fips = tuple(texts[head.fips])
+    head = None
+
+    def kinds_of(header):
+        nonlocal head
+        head = _header(path, header, source_id)
+        return head.kinds
+
+    _, values, texts = _read_rows(path, kinds_of)
+    fips = tuple(map(normalize_fips, texts[head.fips]))
     names = {}
     if head.name is not None:
         names = {f: name for f, cell in zip(fips, texts[head.name]) if (name := cell.strip())}
@@ -189,7 +196,7 @@ class _Header:
         kinds = bytearray(b"-" * self.width)
         for j in self.features:
             kinds[j] = ord("n")
-        kinds[self.fips] = ord("f")
+        kinds[self.fips] = ord("t")
         if self.name is not None:
             kinds[self.name] = ord("t")
         return bytes(kinds)
@@ -229,17 +236,16 @@ def _read_rows(path: Path, kinds_of):
       'n'  a number: the cell as float() reads it, or as _to_float reads it
            (thousands separators dropped) when float() does not; NaN where
            neither reads a number, such as "(X)" or "".
-      'f'  a county fips code, normalized by normalize_fips (at most one
-           such column).
       't'  text, the cell as it stands.
       '-'  skipped, its content unread.
 
     Lines before the header that start with "#" are skipped, and so is a
     byte-order mark. Returns the header's cells, the 'n' cells as a
-    float64 matrix (rows, number columns) and the 'f' and 't' cells as a
-    dict {column index: list of cells}. A ragged row, a file that is not
-    UTF-8 and an invalid fips are DataErrors; `kinds_of` raises for a
-    header it refuses.
+    float64 matrix (rows, number columns) and the 't' cells as a dict
+    {column index: list of cells}. A ragged row and a file that is not
+    UTF-8 are DataErrors; `kinds_of` raises for a header it refuses. The
+    reader knows no column's meaning: what a cell must hold is the
+    caller's to check.
 
     `read_csv` in `_kernels.c` reads the file through a read-only map where
     it can; where it declines the file, or `_kernels.library()` is None,
@@ -266,7 +272,7 @@ def _read_rows_py(path: Path, kinds_of):
             header = next(reader)
             kinds = kinds_of(header).decode()
             pick_numbers = _cells_getter([j for j, kind in enumerate(kinds) if kind == "n"])
-            texts: dict[int, list[str]] = {j: [] for j, kind in enumerate(kinds) if kind in "ft"}
+            texts: dict[int, list[str]] = {j: [] for j, kind in enumerate(kinds) if kind == "t"}
 
             def rows():
                 for row in reader:
@@ -285,9 +291,6 @@ def _read_rows_py(path: Path, kinds_of):
                 blocks.append(_to_floats(chunk, kinds.count("n")))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if "f" in kinds:
-        j = kinds.index("f")
-        texts[j] = list(map(normalize_fips, texts[j]))
     return header, np.concatenate(blocks), texts
 
 
@@ -304,8 +307,8 @@ def _not_utf8(path: Path) -> DataError:
 def _read_mapped(path: Path, kinds_of):
     """`_read_rows_py`'s result, read by `read_csv` through a read-only map
     of the file; None where `_kernels.library()` is None, the file is empty
-    (which cannot be mapped), `read_csv` declines it or a cell would raise
-    an error, which the reference then raises.
+    (which cannot be mapped), `read_csv` declines it or a text cell is not
+    UTF-8, which the reference then reports.
 
     The file is mapped rather than read into memory: a bytes copy of each
     input would raise the peak memory of `ingest`.
@@ -335,23 +338,17 @@ def _read_mapped(path: Path, kinds_of):
         read = _read_csv(lib, mm, line[1], kinds)
         if read is None:
             return None
-        values, fast_fips, spans, slow = read
+        values, spans, slow = read
         slow_cells = [_unquote(mm[a:b]) for a, b in slow[:, 1:].tolist()]
         values.reshape(-1)[slow[:, 0]] = _numbers(slow_cells)
-
-        # spans hold the 'f' and 't' cells in column order
-        texts = {}
+        # spans hold the 't' cells in column order
+        columns = [j for j, kind in enumerate(kinds) if kind == ord("t")]
         try:
-            for k, j in enumerate(j for j, kind in enumerate(kinds) if kind in b"ft"):
-                if kinds[j] == ord("f"):
-                    # read_csv normalized the fips of 1-5 ASCII digits
-                    fips = fast_fips.astype("U5").tolist()
-                    for i in np.flatnonzero(fast_fips == b"").tolist():
-                        fips[i] = normalize_fips(_unquote(mm[slice(*spans[i, k].tolist())]))
-                    texts[j] = fips
-                else:
-                    texts[j] = [_unquote(mm[a:b]) for a, b in spans[:, k].tolist()]
-        except (DataError, UnicodeDecodeError):
+            texts = {
+                j: [_unquote(mm[a:b]) for a, b in spans[:, k].tolist()]
+                for k, j in enumerate(columns)
+            }
+        except UnicodeDecodeError:
             return None
     return header, values, texts
 
@@ -373,25 +370,23 @@ def _mapped_line(mm, start: int):
 
 def _read_csv(lib, mm, start: int, kinds: bytes):
     """Run `read_csv` over the rows at mm[start:], one column per byte of
-    `kinds` ('n', 'f', 't' or '-'). Returns its outputs, with every span
-    an offset into `mm`: the number cells as a float64 matrix, the fips
-    codes it wrote (as S5 strings, b"" where it wrote none), the spans of
-    the 'f' and 't' cells ((rows, columns, 2)) and the slow cells (index
-    into the matrix, start, end); None where `read_csv` declines.
+    `kinds` ('n', 't' or '-'). Returns its outputs, with every span an
+    offset into `mm`: the number cells as a float64 matrix, the spans of
+    the 't' cells ((rows, columns, 2)) and the slow cells (index into the
+    matrix, start, end); None where `read_csv` declines.
     """
     data = np.frombuffer(mm, dtype=np.uint8)
     try:
         addr, size = data.ctypes.data + start, len(mm) - start
         rows = lib.count_lines(addr, size)
         values = np.empty((rows, kinds.count(b"n")))
-        fips = np.zeros(rows, dtype="S5")
-        spans = np.empty((rows, kinds.count(b"f") + kinds.count(b"t"), 2), dtype=np.intp)
+        spans = np.empty((rows, kinds.count(b"t"), 2), dtype=np.intp)
         # room for one slow cell in 64, at 3/8 of a byte per cell
         cap = values.size // 64 + 256
         slow = np.empty((cap, 3), dtype=np.intp)
         n = lib.read_csv(
             addr, size, kinds, len(kinds), rows, csv.field_size_limit(), values.ctypes.data,
-            fips.ctypes.data, spans.ctypes.data, slow.ctypes.data, cap,
+            spans.ctypes.data, slow.ctypes.data, cap,
         )
     finally:
         del data  # the map cannot close while an array views it
@@ -399,7 +394,7 @@ def _read_csv(lib, mm, start: int, kinds: bytes):
         return None
     slow = slow[:n]
     slow[:, 1:] += start
-    return values, fips, spans + start, slow
+    return values, spans + start, slow
 
 
 def _unquote(raw: bytes) -> str:

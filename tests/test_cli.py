@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -979,6 +980,24 @@ def test_blas_runs_one_thread_from_numpys_first_import():
 def test_blas_thread_count_the_caller_set_is_kept():
     seen = _blas_env_at_numpy_import(OPENBLAS_NUM_THREADS="3")
     assert seen == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demos_import_tamperscan_before_numpy(demo):
+    """A demo that imported numpy first would run numpy's BLAS on one thread
+    per CPU, not on the CLI's one."""
+    tree = ast.parse(demo.read_text())
+    nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    roots = [
+        (a.name if isinstance(n, ast.Import) else n.module or "").split(".")[0]
+        for n in sorted(nodes, key=lambda n: n.lineno)
+        for a in n.names
+    ]
+    assert "tamperscan" in roots
+    assert "numpy" not in roots[: roots.index("tamperscan")]
 
 
 def test_fit_prints_non_ascii_names_under_an_ascii_locale(tmp_path):

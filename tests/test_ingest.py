@@ -501,7 +501,6 @@ class TestCompiledReader:
             b"fips,x,y\n01001,1\n",
             b'fips,x\n01001,1"2\n',
             b'fips,x\n01001,"1"2\n',
-            b"fips,x\n01001,1\n123456,2\n",
             b"fips,name,x\n01001,Synth \xff County,1\n",
             b'"fips",x\n01001,1\n',
             b"a,b\n1,\xff\n",
@@ -509,7 +508,7 @@ class TestCompiledReader:
         ],
         ids=["lone-cr", "blank-last-line", "blank-line", "unterminated-quote", "quoted-newline",
              "nul", "non-ascii-number", "long-row", "short-row", "inner-quote",
-             "text-after-quote", "bad-fips", "not-utf8", "quoted-header",
+             "text-after-quote", "not-utf8", "quoted-header",
              "no-fips-and-not-utf8", "slow-cells-overflow"],
     )
     def test_declines_what_the_reference_must_read(self, tmp_path, monkeypatch, kernels, text):
@@ -525,6 +524,21 @@ class TestCompiledReader:
         path.write_bytes(b"fips,x\n01001,1\n13121,2\n1001,3\n13121,4\n")
         assert self._compiled_reads(path)
         error = (DataError, f"{path}: duplicate fips 01001")
+        assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [(b"fips,x\n01001,1\n123456,2\n", "'123456'"), (b"fips,x\n01001,1\n1a001,2\n", "'1a001'"),
+         (b'fips,x\n"",1\n01001,2\n', "''")],
+        ids=["six-digits", "not-digits", "empty"],
+    )
+    def test_invalid_fips_is_the_same_error_after_either_reader(
+        self, tmp_path, monkeypatch, kernels, text, code
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        assert self._compiled_reads(path)
+        error = (DataError, f"invalid FIPS code {code}")
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
 
     def test_bit_identical_on_a_million_cells(self, tmp_path, monkeypatch, kernels):
