@@ -8,16 +8,27 @@ directory: `inject` and `sweep` load the blinded fit `blind` stored, and
 every command reads the binary dataset copy in dataset_cache/ when it is
 current. Each process draws its own MC null tables. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numerical failure.
+
+`run` is the process entry, of the `tamperscan` script and of `python -m
+tamperscan.cli`: once `main` has returned, it runs the exit handlers,
+flushes stdout and stderr and ends the process with `os._exit`, skipping
+the interpreter's teardown (module clearing and the final garbage
+collections), which writes nothing. Every file a command writes is closed
+inside `main`, and no command leaves a thread running. `main` itself
+returns its code, so calling it in process is unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__, anomaly, charts
 from .anomaly import McNull, Scoring, residuals, score_model, size_correlation
@@ -514,5 +525,25 @@ def main(argv=None) -> int:
         return 4
 
 
+def run(argv=None) -> NoReturn:
+    """Run `main` and end the process with its code, without teardown.
+
+    A SystemExit (argparse's usage errors, --help) or an uncaught exception
+    from `main` leaves through the normal exit, and so does a flush that
+    fails or a Python without CPython's `atexit._run_exitfuncs`.
+    """
+    code = main(argv)
+    if not hasattr(atexit, "_run_exitfuncs"):
+        sys.exit(code)
+    atexit._run_exitfuncs()  # runs the handlers and unregisters them
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

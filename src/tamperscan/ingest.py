@@ -135,14 +135,14 @@ def parse_table(path, source_id: str) -> RawTable:
     """Parse one header-rowed comma-separated file into a RawTable of numbers.
 
     The fips column (matched case-insensitively) is read as text, then
-    normalized to 5 digits by normalize_fips, which refuses an invalid code;
-    a county display-name column, when present, is captured separately and
-    excluded from the feature columns. In a demographic table, a column
-    whose header matches DEFAULT_MOE_PATTERN is listed in `moe_columns` and
-    its cells are skipped unread. The rows are read by `_read_rows`, so a
-    ragged row or a file that is not UTF-8 is a hard error, and so are
-    repeated fips and repeated column headers (margin-of-error ones
-    included).
+    normalized to 5 digits by normalize_fips; an invalid code is an error
+    naming `path`. A county display-name column, when present, is captured
+    separately and excluded from the feature columns. In a demographic
+    table, a column whose header matches DEFAULT_MOE_PATTERN is listed in
+    `moe_columns` and its cells are skipped unread. The rows are read by
+    `_read_rows`, so a ragged row or a file that is not UTF-8 is a hard
+    error, and so are repeated fips and repeated column headers
+    (margin-of-error ones included).
     """
     path = Path(path)
     if not path.is_file():
@@ -155,7 +155,10 @@ def parse_table(path, source_id: str) -> RawTable:
         return head.kinds
 
     _, values, texts = _read_rows(path, kinds_of)
-    fips = tuple(map(normalize_fips, texts[head.fips]))
+    try:
+        fips = tuple(map(normalize_fips, texts[head.fips]))
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
     names = {}
     if head.name is not None:
         names = {f: name for f, cell in zip(fips, texts[head.name]) if (name := cell.strip())}

@@ -1,12 +1,15 @@
 import ast
+import atexit
 import csv
 import dataclasses
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from tamperscan import (
     load_manifest,
     manifest_hash,
 )
-from tamperscan.cli import main
+from tamperscan.cli import main, run
 from tamperscan.ingest import dataset_sha256, save_dataset
 from tamperscan.scenarios import Direction, InjectionSpec, inject_flips
 
@@ -1035,3 +1038,184 @@ def test_commands_run_without_scipy(workspace, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == str([0] * len(commands)), done.stderr
+
+
+def _cli_process(argv, cwd, **kwargs):
+    """`python -m tamperscan.cli *argv` in `cwd`, as a user runs a command.
+
+    PYTHONUNBUFFERED is dropped, so stdout redirected to a file is
+    block-buffered and only `run`'s flush writes it out.
+    """
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "tamperscan.cli", *argv],
+        cwd=cwd, env=env, timeout=120, **kwargs,
+    )
+
+
+class TestProcessEntry:
+    """`run`, the process entry, ends the process without interpreter
+    teardown; what a command prints, writes and exits with is `main`'s."""
+
+    @pytest.mark.parametrize("case, expected", [("synth", 0), ("missing-manifest", 2),
+                                                ("dataset-is-a-directory", 3)])
+    def test_exit_code_and_output_are_mains(self, tmp_path, capsys, case, expected):
+        manifest = tmp_path / "run.ini"
+        argv = ["fit", "--manifest", str(manifest)]
+        if case == "synth":
+            manifest.write_text(
+                "[run]\nout_dir = out\n\n[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n"
+            )
+            argv[0] = "synth"
+        elif case == "dataset-is-a-directory":
+            (tmp_path / "dataset.csv").mkdir()
+            manifest.write_text("[data]\ndataset = dataset.csv\n")
+        done = _cli_process(argv, tmp_path, capture_output=True, text=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert done.returncode == code == expected
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
+
+    def test_fit_stdout_in_a_file_is_mains(self, tmp_path, monkeypatch, capsys):
+        """Redirected to a file, stdout is block-buffered: `run` flushes it
+        before the process ends."""
+        (tmp_path / "run.ini").write_text(
+            "[run]\nout_dir = out\n\n[synth]\nn_counties = 300\nn_features = 10\nn_active = 3\n\n"
+            "[cv]\nl1_grid = 1.0\nn_alphas = 5\n\n[mc]\ntrials = 1000\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--manifest", "run.ini"]) == 0
+        with open("stdout.txt", "wb") as fh:
+            assert _cli_process(["fit", "--manifest", "run.ini"], tmp_path, stdout=fh).returncode == 0
+        capsys.readouterr()
+        _new_process()
+        assert main(["fit", "--manifest", "run.ini"]) == 0
+        in_process = capsys.readouterr().out
+        assert in_process.startswith("counties: 300\n")
+        assert (tmp_path / "stdout.txt").read_bytes() == in_process.encode()
+
+    @pytest.mark.parametrize("argv", [["fit", "--manifest", "missing.ini"], ["fit"]],
+                             ids=["command-error", "usage-error"])
+    def test_exit_handlers_registered_before_run_still_run(self, tmp_path, argv):
+        code = (
+            "import atexit, sys\n"
+            "from tamperscan.cli import run\n"
+            "atexit.register(print, 'exit handler ran')\n"
+            "run(sys.argv[1:])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "exit handler ran\n"
+
+    def test_module_entry_skips_interpreter_teardown(self, tmp_path):
+        """`python -m tamperscan.cli` goes through `run`: a finalizer that
+        only the interpreter's teardown would call is never called."""
+        code = (
+            "import runpy, sys\n"
+            "class Finalized:\n"
+            "    def __del__(self):\n"
+            "        print('teardown ran')\n"
+            "alive = Finalized()\n"
+            "sys.argv = ['tamperscan', 'fit', '--manifest', 'missing.ini']\n"
+            "runpy.run_module('tamperscan.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+
+    def test_no_command_leaves_a_thread_running(self, workspace, tmp_path):
+        """`os._exit` would end a live thread unseen, so no command may leave one."""
+        shutil.copyfile(workspace / "run.ini", tmp_path / "run.ini")
+        (tmp_path / "raw").mkdir()
+        chain = [("ingest", TestIngest._inputs(tmp_path / "raw"))] + [
+            (cmd, tmp_path / "run.ini")
+            for cmd in ("synth", "fit", "blind", "inject", "sweep", "calibrate")
+        ]
+        for cmd, manifest in chain:
+            before = threading.active_count()
+            assert main([cmd, "--manifest", str(manifest)]) == 0, cmd
+            assert threading.active_count() == before, (cmd, threading.enumerate())
+
+
+class _Stream(io.StringIO):
+    """A text stream whose flush is recorded in `calls`, and raises `error`."""
+
+    def __init__(self, calls, name, error=None):
+        super().__init__()
+        self.calls, self.name, self.error = calls, name, error
+
+    def flush(self):
+        self.calls.append(("flush", self.name))
+        if self.error is not None:
+            raise self.error
+
+
+class _Exited(Exception):
+    pass
+
+
+class TestRunSequence:
+    """`run`'s steps, in process, with `main`, the exit handlers, the
+    streams and `os._exit` stood in for."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("tamperscan.cli.main", lambda argv=None: calls.append(("main", argv)) or 3)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append(("exit handlers",)))
+
+        def _exit(code):
+            calls.append(("_exit", code))
+            raise _Exited
+
+        monkeypatch.setattr(os, "_exit", _exit)
+        return calls
+
+    @staticmethod
+    def _streams(monkeypatch, calls, stdout_error=None):
+        """Stand in for stdout and stderr; set in the test, since pytest's
+        own capture replaces them after fixture set-up."""
+        monkeypatch.setattr(sys, "stdout", _Stream(calls, "stdout", stdout_error))
+        monkeypatch.setattr(sys, "stderr", _Stream(calls, "stderr"))
+
+    def test_main_then_exit_handlers_then_flushes_then_exit(self, calls, monkeypatch):
+        self._streams(monkeypatch, calls)
+        with pytest.raises(_Exited):
+            run(["fit"])
+        assert calls == [
+            ("main", ["fit"]), ("exit handlers",), ("flush", "stdout"), ("flush", "stderr"),
+            ("_exit", 3),
+        ]
+
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                       ValueError("I/O operation on closed file.")])
+    def test_a_failed_flush_leaves_through_the_normal_exit(self, calls, monkeypatch, error):
+        self._streams(monkeypatch, calls, error)
+        with pytest.raises(SystemExit) as exited:
+            run(["fit"])
+        assert exited.value.code == 3
+        assert calls == [("main", ["fit"]), ("exit handlers",), ("flush", "stdout")]
+
+    def test_without_cpythons_exit_hook_leaves_through_the_normal_exit(self, calls, monkeypatch):
+        monkeypatch.delattr(atexit, "_run_exitfuncs")
+        with pytest.raises(SystemExit) as exited:
+            run(["fit"])
+        assert exited.value.code == 3
+        assert calls == [("main", ["fit"])]
+
+    @pytest.mark.parametrize("raised", [SystemExit(2), RuntimeError("bug")])
+    def test_what_main_raises_leaves_through_the_normal_exit(self, calls, monkeypatch, raised):
+        def main(argv=None):
+            raise raised
+
+        monkeypatch.setattr("tamperscan.cli.main", main)
+        with pytest.raises(type(raised)):
+            run(["fit"])
+        assert calls == []

@@ -153,6 +153,13 @@ class TestParseTable:
             read(p, "DP02" if read is parse_table else 2020)
 
     @pytest.mark.parametrize("read", [parse_table, parse_election], ids=["table", "election"])
+    def test_invalid_fips_in_any_input_names_the_file(self, tmp_path, read):
+        p = _write(tmp_path, "bad.csv", "fips,rep_votes,dem_votes\n01001,1,2\n123456,3,4\n")
+        with pytest.raises(DataError) as err:
+            read(p, "DP02" if read is parse_table else 2020)
+        assert str(err.value) == f"{p}: invalid FIPS code '123456'"
+
+    @pytest.mark.parametrize("read", [parse_table, parse_election], ids=["table", "election"])
     def test_ragged_row_in_any_input_reports_line_number(self, tmp_path, read):
         p = _write(tmp_path, "bad.csv", "fips,rep_votes,dem_votes\n01001,1,2\n13121,3\n")
         with pytest.raises(DataError, match="line 3 has 2 cells"):
@@ -538,7 +545,7 @@ class TestCompiledReader:
         path = tmp_path / "t.csv"
         path.write_bytes(text)
         assert self._compiled_reads(path)
-        error = (DataError, f"invalid FIPS code {code}")
+        error = (DataError, f"{path}: invalid FIPS code {code}")
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
 
     def test_bit_identical_on_a_million_cells(self, tmp_path, monkeypatch, kernels):
