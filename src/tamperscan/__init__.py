@@ -75,7 +75,7 @@ from .ingest import (
     parse_table,
     save_dataset,
 )
-from .manifest import RunManifest, load_manifest, manifest_hash
+from .manifest import RunManifest, load_manifest
 from .scenarios import (
     BlindSpec,
     Direction,

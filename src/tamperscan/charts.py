@@ -13,7 +13,7 @@ import numpy as np
 
 from .data_model import format_floats
 from .errors import ConfigError
-from .scenarios import Direction, SweepCurve
+from .scenarios import DETECTION_SIGMA, Direction, SweepCurve
 
 WIDTH = 720
 HEIGHT = 480
@@ -107,14 +107,14 @@ def sweep_chart_svg(curves: list[SweepCurve], state: str, comment: str = "") -> 
     )
 
     # guides: detection threshold and state margin
-    y4 = sy(4.0)
+    y4 = sy(DETECTION_SIGMA)
     parts.append(
         f'<line x1="{x0}" y1="{_fmt(y4)}" x2="{x0 + plot_w}" y2="{_fmt(y4)}" '
         f'stroke="{COLOR_GUIDE}" stroke-dasharray="6 4"/>'
     )
     parts.append(
         f'<text x="{x0 + plot_w - 4}" y="{_fmt(y4 - 5)}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="{COLOR_GUIDE}">4 sigma</text>'
+        f'font-family="sans-serif" font-size="11" fill="{COLOR_GUIDE}">{DETECTION_SIGMA:g} sigma</text>'
     )
     if margin <= k_max:
         xm = sx(margin)

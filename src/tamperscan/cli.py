@@ -56,6 +56,7 @@ from .ingest import (
 )
 from .manifest import RunManifest, load_manifest
 from .scenarios import (
+    DETECTION_SIGMA,
     BlindContext,
     BlindSpec,
     counterfactual_winner,
@@ -447,8 +448,8 @@ def cmd_calibrate(run: Run) -> int:
     cells = ([repr(v) if isinstance(v, float) else str(v) for v in r.values()] for r in rows)
     write_csv(run.out / "calibration.csv", list(rows[0]), cells, comment=run.comment)
 
-    p4 = anomaly.two_sided_p(4.0)
-    print(f"4 sigma global threshold: p = {p4:.3g} (about 1 in {round(1 / p4):,})")
+    p4 = anomaly.two_sided_p(DETECTION_SIGMA)
+    print(f"{DETECTION_SIGMA:g} sigma global threshold: p = {p4:.3g} (about 1 in {round(1 / p4):,})")
     print(f"{'z':>5} {'N':>6} {'analytic':>9} {'mc':>9} {'stderr':>9}  flag")
     for r in rows:
         mc_txt = "bounded" if r["bounded"] else f"{r['mc_sigma']:.3f}"
@@ -523,6 +524,12 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 4
+    except OSError as err:
+        if err.filename is None:  # a broken pipe, say: no path to name
+            raise
+        # a path from the manifest or --out that the OS refuses
+        print(f"config error: {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 def run(argv=None) -> NoReturn:

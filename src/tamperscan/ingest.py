@@ -250,51 +250,59 @@ def _read_rows(path: Path, kinds_of):
     reader knows no column's meaning: what a cell must hold is the
     caller's to check.
 
-    `read_csv` in `_kernels.c` reads the file through a read-only map where
-    it can; where it declines the file, or `_kernels.library()` is None,
-    `_read_rows_py`, its reference, reads it instead.
+    The file is opened once, and what comes before the rows (the "#" lines
+    and the header record, which csv.reader reads, so it may be quoted or
+    span lines) is read once for both row readers: `kinds_of` runs once.
+    `read_csv` in `_kernels.c` then reads the rows through a read-only map
+    where it can; where it declines them, or `_kernels.library()` is None,
+    `_read_rows_py`, its reference, reads them from the same open file.
     """
-    read = _read_mapped(path, kinds_of)
-    return _read_rows_py(path, kinds_of) if read is None else read
-
-
-def _read_rows_py(path: Path, kinds_of):
-    """_read_rows's reference reader: csv.reader, then float64 a chunk of
-    rows at a time, so no string number cell outlives its chunk."""
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            comments = 0
-            for line in fh:
+            head = []  # the lines before the rows
+            lines = (head.append(line) or line for line in fh)
+            for line in lines:
                 if not line.startswith("#"):
                     break
-                comments += 1
             else:
                 raise DataError(f"{path}: empty file")
-            reader = csv.reader(chain([line], fh))
-            header = next(reader)
-            kinds = kinds_of(header).decode()
-            pick_numbers = _cells_getter([j for j, kind in enumerate(kinds) if kind == "n"])
-            texts: dict[int, list[str]] = {j: [] for j, kind in enumerate(kinds) if kind == "t"}
-
-            def rows():
-                for row in reader:
-                    if len(row) != len(kinds):
-                        raise DataError(
-                            f"{path}: line {comments + reader.line_num} has {len(row)} cells, "
-                            f"header has {len(kinds)}"
-                        )
-                    for j, cells in texts.items():
-                        cells.append(row[j])
-                    yield pick_numbers(row)
-
-            cells = rows()
-            blocks = [_to_floats([], kinds.count("n"))]
-            while chunk := list(islice(cells, _CHUNK_ROWS)):
-                blocks.append(_to_floats(chunk, kinds.count("n")))
+            header = next(csv.reader(chain([line], lines)))
+            kinds = kinds_of(header)
+            read = _read_mapped(fh, len("".join(head).encode()), kinds)
+            if read is None:
+                read = _read_rows_py(path, fh, len(head), kinds)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    return header, np.concatenate(blocks), texts
+    return (header, *read)
+
+
+def _read_rows_py(path: Path, fh, lines: int, kinds: bytes):
+    """_read_rows's reference reader: csv.reader on `fh`, open after the
+    header at line `lines` of `path`, then float64 a chunk of rows at a
+    time, so no string number cell outlives its chunk. Returns the number
+    matrix and the text cells."""
+    kinds = kinds.decode()
+    reader = csv.reader(fh)
+    pick_numbers = _cells_getter([j for j, kind in enumerate(kinds) if kind == "n"])
+    texts: dict[int, list[str]] = {j: [] for j, kind in enumerate(kinds) if kind == "t"}
+
+    def rows():
+        for row in reader:
+            if len(row) != len(kinds):
+                raise DataError(
+                    f"{path}: line {lines + reader.line_num} has {len(row)} cells, "
+                    f"header has {len(kinds)}"
+                )
+            for j, cells in texts.items():
+                cells.append(row[j])
+            yield pick_numbers(row)
+
+    cells = rows()
+    blocks = [_to_floats([], kinds.count("n"))]
+    while chunk := list(islice(cells, _CHUNK_ROWS)):
+        blocks.append(_to_floats(chunk, kinds.count("n")))
+    return np.concatenate(blocks), texts
 
 
 def _not_utf8(path: Path) -> DataError:
@@ -307,11 +315,12 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not UTF-8")
 
 
-def _read_mapped(path: Path, kinds_of):
-    """`_read_rows_py`'s result, read by `read_csv` through a read-only map
-    of the file; None where `_kernels.library()` is None, the file is empty
-    (which cannot be mapped), `read_csv` declines it or a text cell is not
-    UTF-8, which the reference then reports.
+def _read_mapped(fh, offset: int, kinds: bytes):
+    """`_read_rows_py`'s result for the open file `fh`, whose rows start
+    `offset` bytes after its byte-order mark, read by `read_csv` through a
+    read-only map of the file; None where `_kernels.library()` is None or
+    `read_csv` declines the rows. A text cell that is not UTF-8 raises
+    UnicodeDecodeError, as the reference does.
 
     The file is mapped rather than read into memory: a bytes copy of each
     input would raise the peak memory of `ingest`.
@@ -322,23 +331,9 @@ def _read_mapped(path: Path, kinds_of):
     lib = _kernels.library()
     if lib is None:
         return None
-    with open(path, "rb") as fh:
-        try:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError:
-            return None
-    with mm:
-        line = _mapped_line(mm, 3 if mm[:3] == codecs.BOM_UTF8 else 0)
-        while line is not None and line[0].startswith("#"):
-            line = _mapped_line(mm, line[1])
-        if line is None:
-            return None
-        header = line[0].split(",")
-        try:
-            kinds = kinds_of(header)
-        except SchemaError:
-            return None  # the reference may meet an undecodable byte first
-        read = _read_csv(lib, mm, line[1], kinds)
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        start = offset + (3 if mm[:3] == codecs.BOM_UTF8 else 0)
+        read = _read_csv(lib, mm, start, kinds)
         if read is None:
             return None
         values, spans, slow = read
@@ -346,29 +341,11 @@ def _read_mapped(path: Path, kinds_of):
         values.reshape(-1)[slow[:, 0]] = _numbers(slow_cells)
         # spans hold the 't' cells in column order
         columns = [j for j, kind in enumerate(kinds) if kind == ord("t")]
-        try:
-            texts = {
-                j: [_unquote(mm[a:b]) for a, b in spans[:, k].tolist()]
-                for k, j in enumerate(columns)
-            }
-        except UnicodeDecodeError:
-            return None
-    return header, values, texts
-
-
-def _mapped_line(mm, start: int):
-    """The text of the line at mm[start:] and the offset of the line after
-    it, or None unless the line is non-empty UTF-8 with no quote, CR or NUL:
-    csv.reader then splits it at each comma and nowhere else, and a
-    reader of lines sees one line."""
-    end = mm.find(b"\n", start)
-    line = mm[start : len(mm) if end < 0 else end].removesuffix(b"\r")
-    if not line or b'"' in line or b"\r" in line or b"\0" in line:
-        return None
-    try:
-        return line.decode(), len(mm) if end < 0 else end + 1
-    except UnicodeDecodeError:
-        return None
+        texts = {
+            j: [_unquote(mm[a:b]) for a, b in spans[:, k].tolist()]
+            for k, j in enumerate(columns)
+        }
+    return values, texts
 
 
 def _read_csv(lib, mm, start: int, kinds: bytes):

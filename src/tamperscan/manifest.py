@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .anomaly import DEFAULT_MC_TRIALS, McConfig
+from .anomaly import McConfig, McNull
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
 from .errors import ConfigError, DataError
-from .fips import normalize_fips
+from .fips import FIPS_PREFIX_BY_STATE, normalize_fips
 from .scenarios import BlindSpec, Direction, InjectionSpec
 
-DEFAULT_MC_SEED = 0
 DEFAULT_CALIBRATE_Z = (3.0, 4.0, 5.1, 5.3, 5.5)
 DEFAULT_CALIBRATE_N = (100, 381, 3112)
 
@@ -128,14 +127,9 @@ def _get_grid(cp, section, key, kind, default):
 def _get_states(cp, section, key) -> tuple[str, ...]:
     states = tuple(s.upper() for s in _split(_get(cp, section, key, "")))
     for s in states:
-        if len(s) != 2 or not s.isalpha():
+        if s not in FIPS_PREFIX_BY_STATE:
             raise ConfigError(f"[{section}] {key}: {s!r} is not a state abbreviation")
     return _no_repeats(section, key, states)
-
-
-def manifest_hash(path: Path) -> str:
-    """sha256 of the manifest's bytes, as `sha256sum` prints it."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_manifest(path, out=None) -> RunManifest:
@@ -211,8 +205,8 @@ def load_manifest(path, out=None) -> RunManifest:
         )
         synth = _in_section("synth", lambda: SyntheticSpec(**synth_values))
 
-    mc_trials = _get_int(cp, "mc", "trials", DEFAULT_MC_TRIALS)
-    mc_seed = _get_int(cp, "mc", "seed", DEFAULT_MC_SEED)
+    mc_trials = _get_int(cp, "mc", "trials", McNull.trials)
+    mc_seed = _get_int(cp, "mc", "seed", McNull.seed)
     _in_section("mc", lambda: McConfig(1, trials=mc_trials, seed=mc_seed))  # any N checks trials
 
     train_states = _get_states(cp, "blind", "train_states")

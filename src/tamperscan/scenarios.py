@@ -147,8 +147,11 @@ def prepare_blind_context(dataset: Dataset, spec: BlindSpec) -> BlindContext:
     Because evaluation states never enter this function's data, the returned
     model is provably independent of anything done to their rows.
     """
+    # fail before the CV on a train or eval state without a county
+    empty = (spec.train_states | spec.eval_states) - {key.state for key in dataset.keys}
+    if empty:
+        raise ConfigError(f"no counties in states {sorted(empty)}")
     train = dataset.subset_states(spec.train_states)
-    dataset.subset_states(spec.eval_states)  # fail fast if eval is empty
     cv, model = fit_cv(train.X, train.shares(), train.feature_names, spec.cv)
     model = replace(
         model,

@@ -2,6 +2,7 @@ import ast
 import atexit
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,6 @@ from tamperscan import (
     ingest,
     load_dataset,
     load_manifest,
-    manifest_hash,
 )
 from tamperscan.cli import main, run
 from tamperscan.ingest import dataset_sha256, save_dataset
@@ -86,7 +86,12 @@ def _man(ws):
 
 
 def _hash_of(ws):
-    return manifest_hash(ws / "run.ini")
+    return _sha256(ws / "run.ini")
+
+
+def _sha256(path):
+    """What `sha256sum` prints for the file: the stamp on every output."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _outputs(out):
@@ -441,7 +446,7 @@ class TestIngest:
         assert ds.n == 3
         assert "share_2016" in ds.feature_names
         report = json.loads((tmp_path / "out" / "cleaning_report.json").read_text())
-        assert report["manifest_sha256"] == manifest_hash(manifest)
+        assert report["manifest_sha256"] == _sha256(manifest)
         assert any(
             d["column"] == "pct_x MOE" for d in report["dropped_moe_columns"]
         )
@@ -697,10 +702,20 @@ class TestExitCodes:
              "config error: [blind] train and eval state sets must both be non-empty\n"),
             ("sweep", (r"\nstates = GA\n", "\nstates = GA, TX\n"), 2,
              "config error: [sweep] state TX is not in [blind] eval_states\n"),
+            ("blind", (r"\neval_states = ", "\neval_states = ZZ, "), 2,
+             "config error: [blind] eval_states: 'ZZ' is not a state abbreviation\n"),
+            ("blind", (r"\ntrain_states = ", "\ntrain_states = XX, "), 2,
+             "config error: [blind] train_states: 'XX' is not a state abbreviation\n"),
+            # valid states, but the synthetic dataset has no county in them
+            ("blind", (r"\ntrain_states = ", "\ntrain_states = NV, "), 2,
+             "config error: no counties in states ['NV']\n"),
+            ("blind", (r"\neval_states = ", "\neval_states = VT, "), 2,
+             "config error: no counties in states ['VT']\n"),
         ],
         ids=["trials", "k_step", "k", "l1_above_1", "l1_zero", "one_fold", "no_alphas",
              "direction", "negative_k", "fips", "blind_overlap", "blind_one_sided",
-             "sweep_state"],
+             "sweep_state", "eval_not_a_state", "train_not_a_state", "train_state_without_county",
+             "eval_state_without_county"],
     )
     def test_bad_request_fails_before_any_work(
         self, private_ws, monkeypatch, capsys, cmd, edit, code, message
@@ -716,8 +731,9 @@ class TestExitCodes:
         draws = counting(monkeypatch, anomaly, "_draw_table")
         assert main([cmd, "--manifest", str(manifest)]) == code
         assert cv_calls == [] and draws == []
-        if code == 2:
-            assert hashes == []  # rejected when the manifest loads
+        assert not list((private_ws / "out").glob("blind_*"))
+        if message.startswith("config error: ["):
+            assert hashes == []  # a setting named: rejected when the manifest loads
         assert capsys.readouterr().err.startswith(message)
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):
@@ -808,6 +824,26 @@ class TestExitCodes:
         assert err.startswith(
             f"config error: cannot create the dataset's directory {tmp_path / 'afile' / 'x'}: "
         )
+
+    # a path the OS refuses for want of permission cannot be made as root, so
+    # these tests use a directory where a command writes a file
+    def test_output_file_that_is_a_directory_is_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text("[run]\nout_dir = out\n\n[mc]\ntrials = 1000\n")
+        (tmp_path / "out" / "calibration.csv").mkdir(parents=True)
+        assert main(["calibrate", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {tmp_path / 'out' / 'calibration.csv'}: Is a directory\n"
+
+    def test_dataset_that_is_a_directory_is_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(
+            "[run]\nout_dir = out\n\n[data]\ndataset = data\n\n"
+            "[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n"
+        )
+        (tmp_path / "data").mkdir()
+        assert main(["synth", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'data'}: Is a directory\n"
 
     def test_dataset_cache_that_cannot_be_made_is_2_for_fit(self, private_ws, capsys):
         cache = private_ws / "out" / "dataset_cache"

@@ -464,8 +464,12 @@ class TestCompiledReader:
     for bit, and declines every file where it might not."""
 
     @staticmethod
-    def _compiled_reads(path, source_id="DP02"):
-        return ingest._read_mapped(path, _table_kinds(path, source_id)) is not None
+    def _compiled_reads(path, monkeypatch, source_id="DP02"):
+        """Whether _read_rows reads `path` whole with read_csv, its reference unused."""
+        with monkeypatch.context() as m:
+            references = counting(m, ingest, "_read_rows_py")
+            outcome = _rows_outcome(path, _table_kinds(path, source_id))
+        return references == [] and isinstance(outcome[0], list)
 
     @pytest.mark.parametrize(
         "text",
@@ -480,14 +484,18 @@ class TestCompiledReader:
             "fips,x\n١٣١٢١,1\n".encode("utf-8"),
             b"x,NAME,fips,x moe\n+3,Do\xc3\xb1a,\"13121\",1\n-.5,\"\",   7,2\n",
             BOM + b"# source: a note\n#\nfips,x\n01001,1.5\n",
+            b'# exported\n"fips","x"\n01001,1\n',
+            b'fips,"a, b",c\n01001,1,2\n',
+            BOM + b'# note\r\nfips,"a\r\nb",c\r\n01001,1,2\r\n',
         ],
         ids=["quoted", "missing-and-padded", "float-syntax", "exactness", "bom-crlf",
-             "no-final-newline", "non-ascii-fips-digits", "key-columns", "leading-comments"],
+             "no-final-newline", "non-ascii-fips-digits", "key-columns", "leading-comments",
+             "quoted-header", "quoted-comma-header", "quoted-newline-header"],
     )
     def test_reads_as_the_reference(self, tmp_path, monkeypatch, kernels, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text)
-        assert self._compiled_reads(path)
+        assert self._compiled_reads(path, monkeypatch)
         compiled = _table_outcome(path)
         assert compiled == _reference(monkeypatch, _table_outcome, path)
         assert isinstance(compiled[0], tuple)
@@ -508,28 +516,75 @@ class TestCompiledReader:
             b"fips,x,y\n01001,1\n",
             b'fips,x\n01001,1"2\n',
             b'fips,x\n01001,"1"2\n',
-            b"fips,name,x\n01001,Synth \xff County,1\n",
-            b'"fips",x\n01001,1\n',
-            b"a,b\n1,\xff\n",
             b"fips,x\n" + b"".join(b"%d,(X)\n" % (1001 + i) for i in range(400)),
         ],
         ids=["lone-cr", "blank-last-line", "blank-line", "unterminated-quote", "quoted-newline",
              "nul", "non-ascii-number", "long-row", "short-row", "inner-quote",
-             "text-after-quote", "not-utf8", "quoted-header",
-             "no-fips-and-not-utf8", "slow-cells-overflow"],
+             "text-after-quote", "slow-cells-overflow"],
     )
     def test_declines_what_the_reference_must_read(self, tmp_path, monkeypatch, kernels, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text)
-        assert not self._compiled_reads(path)
+        assert not self._compiled_reads(path, monkeypatch)
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [(b"fips,name,x\n01001,Synth \xff County,1\n", "not UTF-8 at byte 24"),
+         (b"a,b\n1,\xff\n", "not UTF-8 at byte 6")],
+        ids=["not-utf8", "no-fips-and-not-utf8"],
+    )
+    def test_header_read_error_is_the_same_on_both_paths(
+        self, tmp_path, monkeypatch, kernels, text, error
+    ):
+        # the first block of text is decoded when the header is read, before
+        # kinds_of runs and before either row reader starts
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        mapped = counting(monkeypatch, ingest, "_read_mapped")
+        expected = (DataError, f"{path}: {error}")
+        assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == expected
+        assert mapped == []
+
+    @pytest.mark.parametrize(
+        "text, references",
+        [(b"fips,x\n01001,1\r13121,2\n", 1), (b"fips,x\n01001,1\n13121,2\n", 0)],
+        ids=["declined", "read"],
+    )
+    def test_one_open_and_one_kinds_of_per_file(
+        self, tmp_path, monkeypatch, kernels, text, references
+    ):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        headers, opens = [], []
+        monkeypatch.setattr(
+            ingest, "open", lambda *args, **kw: opens.append(args) or open(*args, **kw),
+            raising=False,
+        )
+
+        def kinds_of(header):
+            headers.append(header)
+            return b"tn"
+
+        calls = counting(monkeypatch, ingest, "_read_rows_py")
+        _, values, texts = ingest._read_rows(path, kinds_of)
+        assert headers == [["fips", "x"]] and len(opens) == 1
+        assert len(calls) == references
+        assert values.tolist() == [[1.0], [2.0]] and texts == {0: ["01001", "13121"]}
+
+    def test_ragged_row_line_after_a_long_head(self, tmp_path, monkeypatch, kernels):
+        # lines 1-2 are comments, 3-4 the header and 5 a row: line 6 is ragged
+        path = tmp_path / "t.csv"
+        path.write_bytes(BOM + b'# a\n# b\n"fips","x\ny"\n01001,1\n13121,2,3\n')
+        expected = (DataError, f"{path}: line 6 has 3 cells, header has 2")
+        assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == expected
 
     def test_duplicate_fips_is_the_same_error_after_either_reader(
         self, tmp_path, monkeypatch, kernels
     ):
         path = tmp_path / "t.csv"
         path.write_bytes(b"fips,x\n01001,1\n13121,2\n1001,3\n13121,4\n")
-        assert self._compiled_reads(path)
+        assert self._compiled_reads(path, monkeypatch)
         error = (DataError, f"{path}: duplicate fips 01001")
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
 
@@ -544,7 +599,7 @@ class TestCompiledReader:
     ):
         path = tmp_path / "t.csv"
         path.write_bytes(text)
-        assert self._compiled_reads(path)
+        assert self._compiled_reads(path, monkeypatch)
         error = (DataError, f"{path}: invalid FIPS code {code}")
         assert _table_outcome(path) == _reference(monkeypatch, _table_outcome, path) == error
 
@@ -566,7 +621,7 @@ class TestCompiledReader:
         path = tmp_path / "big.csv"
         path.write_bytes("\n".join(lines).encode("ascii") + b"\n")
         assert n * p >= 10**6
-        assert self._compiled_reads(path)
+        assert self._compiled_reads(path, monkeypatch)
         compiled = _table_outcome(path)
         assert compiled == _reference(monkeypatch, _table_outcome, path)
         assert 0 < np.isnan(np.frombuffer(compiled[4])).sum() < n * p // 200  # (X) and ""

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tamperscan import ConfigError, Direction, InjectionSpec, load_manifest, manifest_hash
+from tamperscan import ConfigError, Direction, InjectionSpec, load_manifest
 from tamperscan.cli import main
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "run2020.ini"
@@ -185,18 +185,22 @@ class TestLoadManifest:
 
 
 class TestManifestHash:
+    @staticmethod
+    def _sha256(path):
+        """What `sha256sum` prints for the file."""
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_stable(self, full_manifest):
-        assert manifest_hash(full_manifest) == manifest_hash(full_manifest)
-        assert manifest_hash(full_manifest) == load_manifest(full_manifest).sha256
+        digest = self._sha256(full_manifest)
+        assert load_manifest(full_manifest).sha256 == load_manifest(full_manifest).sha256 == digest
 
     def test_content_changes_hash(self, full_manifest, tmp_path):
         other = tmp_path / "other.ini"
         other.write_text(FULL.replace("trials = 5000", "trials = 6000"))
-        assert manifest_hash(other) != manifest_hash(full_manifest)
+        assert load_manifest(other).sha256 != load_manifest(full_manifest).sha256
 
     def test_cosmetic_overrides_do_not(self, full_manifest):
         # the stamp is what `sha256sum` prints for the file, wherever outputs go
-        digest = hashlib.sha256(full_manifest.read_bytes()).hexdigest()
-        assert manifest_hash(full_manifest) == digest
+        digest = self._sha256(full_manifest)
         for out in (None, "/somewhere/else", "relative"):
             assert load_manifest(full_manifest, out).sha256 == digest
