@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .data_model import CountyKey, Dataset, format_floats, substream, write_csv
 from .elastic_net import FitModel, predict
-from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError
+from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError, check_count
 
 # Residuals farther than this many widths out are clipped when fitting.
 CLIP_SIGMA = 3.0
@@ -107,6 +107,8 @@ class McConfig:
             )
         if self.n_counties < 1:
             raise ConfigError(f"n_counties must be positive, got {self.n_counties}")
+        check_count("trials", self.trials)
+        check_count("n_counties", self.n_counties)
 
 
 @dataclass(frozen=True)

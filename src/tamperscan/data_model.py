@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DataError, NumericalError, SchemaError
-from .fips import FIPS_PREFIX_BY_STATE, state_for_fips
+from .errors import ConfigError, DataError, NumericalError, SchemaError, check_count
+from .fips import FIPS_PREFIX_BY_STATE, normalize_fips, state_for_fips
 
 # Relative floor below which a feature column counts as zero-variance.
 ZERO_VARIANCE_RTOL = 1e-12
@@ -48,7 +48,7 @@ class CountyKey:
     name: str
 
     def __post_init__(self):
-        if len(self.fips) != 5 or not self.fips.isdigit():
+        if len(self.fips) != 5 or normalize_fips(self.fips) != self.fips:
             raise DataError(f"county FIPS must be 5 digits, got {self.fips!r}")
         expected = state_for_fips(self.fips)
         if expected is not None and expected != self.state:
@@ -266,6 +266,7 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
         if self.n_counties < 1 or self.n_features < 1:
             raise ConfigError("n_counties and n_features must be positive")
+        check_count("n_features", self.n_features)
         if self.n_counties > _MAX_SYNTHETIC_COUNTIES:
             raise ConfigError(
                 f"n_counties must be at most {_MAX_SYNTHETIC_COUNTIES:,} "

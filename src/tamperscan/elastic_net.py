@@ -44,7 +44,9 @@ import numpy as np
 
 from . import _kernels
 from .data_model import StandardizationParams, apply_standardization, standardize, substream
-from .errors import ConfigError, ConvergenceWarning, DataError, NumericalError, SchemaError
+from .errors import (
+    ConfigError, ConvergenceWarning, DataError, NumericalError, SchemaError, check_count,
+)
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 10_000
@@ -97,6 +99,8 @@ class CvSettings:
             raise ConfigError(f"tol must be a finite number above 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("n_alphas", "folds", "max_iter"):
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

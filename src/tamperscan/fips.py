@@ -23,9 +23,14 @@ FIPS_PREFIX_BY_STATE = {v: k for k, v in STATE_BY_FIPS_PREFIX.items()}
 
 
 def normalize_fips(raw: str) -> str:
-    """Zero-pad a county FIPS code to its canonical 5-character form."""
+    """Zero-pad a county FIPS code to its canonical 5-character form.
+
+    The one rule for a code: 1 to 5 ASCII digits once the surrounding blanks
+    are stripped. str.isdigit() alone would also pass full-width digits and
+    superscripts such as '²'.
+    """
     code = raw.strip()
-    if not code.isdigit() or len(code) > 5 or len(code) == 0:
+    if not (code.isascii() and code.isdigit()) or len(code) > 5:
         raise DataError(f"invalid FIPS code {raw!r}")
     return code.zfill(5)
 

@@ -5,7 +5,10 @@ sha256 of the manifest's bytes is embedded in each file a command writes,
 so any report can be traced back to the exact configuration that produced
 it. Every setting a command reads is resolved and checked when the manifest
 loads, each rule once, in the type that holds it, so a bad value exits with
-its section named before any input is read.
+its section named before any input is read. The keys of [cv], [mc], [synth]
+and [injection] are the fields of CvSettings, McNull, SyntheticSpec and
+InjectionSpec. An unknown section or key (ingest checks [inputs]) or any
+[DEFAULT] key is an error too, not a silent default. Values are literal text.
 
 Paths inside a manifest are resolved relative to the manifest file itself.
 """
@@ -16,15 +19,15 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .anomaly import McConfig, McNull
+from .anomaly import McNull
 from .data_model import SyntheticSpec
 from .elastic_net import CvSettings
-from .errors import ConfigError, DataError
-from .fips import FIPS_PREFIX_BY_STATE, normalize_fips
-from .scenarios import BlindSpec, Direction, InjectionSpec
+from .errors import ConfigError, DataError, check_count
+from .fips import FIPS_PREFIX_BY_STATE
+from .scenarios import BlindSpec, InjectionSpec
 
 DEFAULT_CALIBRATE_Z = (3.0, 4.0, 5.1, 5.3, 5.5)
 DEFAULT_CALIBRATE_N = (100, 381, 3112)
@@ -59,9 +62,18 @@ class RunManifest:
 
 
 def _get(cp, section, key, default=None):
+    cp.asked.add((section, key))
     if cp.has_option(section, key):
         return cp.get(section, key).strip()
     return default
+
+
+# each annotation's parser and what a bad value must be; other fields get the text, for their type
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "tuple[float, ...]": (lambda raw: tuple(map(float, _split(raw))), "a list of numbers"),
+}
 
 
 def _get_parsed(cp, section, key, parse, what: str, default):
@@ -70,17 +82,9 @@ def _get_parsed(cp, section, key, parse, what: str, default):
     if raw is None:
         return default
     try:
-        return parse(raw)
+        return _in_section(section, lambda: parse(raw))
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be {what}, got {raw!r}") from None
-
-
-def _get_int(cp, section, key, default=None):
-    return _get_parsed(cp, section, key, int, "an integer", default)
-
-
-def _get_float(cp, section, key, default=None):
-    return _get_parsed(cp, section, key, float, "a number", default)
 
 
 def _split(raw: str) -> list[str]:
@@ -104,10 +108,6 @@ def _no_repeats(section, key, values: tuple) -> tuple:
     return values
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(map(float, _split(raw)))
-
-
 def _get_grid(cp, section, key, kind, default):
     """A non-empty comma-separated list of distinct values, finite numbers
     when `kind` is float and positive integers when it is int, or `default`
@@ -118,6 +118,8 @@ def _get_grid(cp, section, key, kind, default):
         values = tuple(kind(v) for v in _split(raw))
         if not values or not all(map(valid, values)):
             raise ValueError("empty grid or invalid value")
+        for n in values if kind is int else ():
+            check_count(key, n)
         return values
 
     what = "a non-empty list of " + ("finite numbers" if kind is float else "positive integers")
@@ -130,6 +132,29 @@ def _get_states(cp, section, key) -> tuple[str, ...]:
         if s not in FIPS_PREFIX_BY_STATE:
             raise ConfigError(f"[{section}] {key}: {s!r} is not a state abbreviation")
     return _no_repeats(section, key, states)
+
+
+def _build(cp, section, cls):
+    """A `cls` built from [section]: a key per field, parsed by its annotation, or its default."""
+    values = {
+        f.name: _get_parsed(cp, section, f.name, *_PARSERS.get(f.type, (str, "")), f.default)
+        for f in fields(cls)
+    }
+    if MISSING in values.values():
+        *rest, last = [f.name for f in fields(cls) if f.default is MISSING]
+        raise ConfigError(f"[{section}] needs {', '.join([*rest, 'and ' + last]) if rest else last}")
+    return _in_section(section, lambda: cls(**values))
+
+
+def _check_all_asked(cp) -> None:
+    """ConfigError naming the first section or key, bar [inputs]'s, that no read asked for."""
+    for section in cp.sections():
+        asked = sorted(key for s, key in cp.asked if s == section)
+        if not asked and section != "inputs":
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section] if asked else ():
+            if key not in asked:
+                raise ConfigError(f"[{section}] unknown key {key!r} (keys: {', '.join(asked)})")
 
 
 def load_manifest(path, out=None) -> RunManifest:
@@ -151,7 +176,8 @@ def load_manifest(path, out=None) -> RunManifest:
         raise ConfigError(f"manifest file not found: {path}") from None
     except OSError as err:
         raise ConfigError(f"cannot read manifest {path}: {err.strerror or err}") from None
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.asked = set()  # every (section, key) a read asks for, present or not
     try:
         # as open() reads text: a byte-order mark dropped, any line ending read as \n
         text = io.StringIO(data.decode().removeprefix("\ufeff"), newline=None)
@@ -160,6 +186,8 @@ def load_manifest(path, out=None) -> RunManifest:
         raise ConfigError(f"manifest {path} is not UTF-8 at byte {err.start}") from None
     except configparser.Error as err:
         raise ConfigError(f"cannot parse manifest {path}: {err}") from None
+    if cp.defaults():  # a [DEFAULT] key would be read in every section
+        raise ConfigError(f"[DEFAULT] {next(iter(cp.defaults()))}: set each key in its own section")
 
     base = path.resolve().parent
 
@@ -167,47 +195,15 @@ def load_manifest(path, out=None) -> RunManifest:
         q = Path(p)
         return q if q.is_absolute() else base / q
 
-    cv_values = dict(
-        l1_grid=_get_parsed(cp, "cv", "l1_grid", _floats, "a list of numbers", CvSettings.l1_grid),
-        n_alphas=_get_int(cp, "cv", "n_alphas", CvSettings.n_alphas),
-        eps=_get_float(cp, "cv", "eps", CvSettings.eps),
-        folds=_get_int(cp, "cv", "folds", CvSettings.folds),
-        seed=_get_int(cp, "cv", "seed", CvSettings.seed),
-        tol=_get_float(cp, "cv", "tol", CvSettings.tol),
-        max_iter=_get_int(cp, "cv", "max_iter", CvSettings.max_iter),
-    )
-    cv = _in_section("cv", lambda: CvSettings(**cv_values))
-
+    cv = _build(cp, "cv", CvSettings)
     inputs = {
         key: resolve(value.strip())
         for key, value in (cp.items("inputs") if cp.has_section("inputs") else ())
     }
-
-    injection = None
-    if cp.has_section("injection"):
-        fips = _get(cp, "injection", "fips")
-        k = _get_int(cp, "injection", "k")
-        direction = _get(cp, "injection", "direction")
-        if fips is None or k is None or direction is None:
-            raise ConfigError("[injection] needs fips, k, and direction")
-        injection = _in_section(
-            "injection", lambda: InjectionSpec(normalize_fips(fips), k, Direction.parse(direction))
-        )
-
-    synth = None
-    if cp.has_section("synth"):
-        synth_values = dict(
-            n_counties=_get_int(cp, "synth", "n_counties", SyntheticSpec.n_counties),
-            n_features=_get_int(cp, "synth", "n_features", SyntheticSpec.n_features),
-            n_active=_get_int(cp, "synth", "n_active", SyntheticSpec.n_active),
-            noise_sd=_get_float(cp, "synth", "noise_sd", SyntheticSpec.noise_sd),
-            seed=_get_int(cp, "synth", "seed", SyntheticSpec.seed),
-        )
-        synth = _in_section("synth", lambda: SyntheticSpec(**synth_values))
-
-    mc_trials = _get_int(cp, "mc", "trials", McNull.trials)
-    mc_seed = _get_int(cp, "mc", "seed", McNull.seed)
-    _in_section("mc", lambda: McConfig(1, trials=mc_trials, seed=mc_seed))  # any N checks trials
+    injection = _build(cp, "injection", InjectionSpec) if cp.has_section("injection") else None
+    synth = _build(cp, "synth", SyntheticSpec) if cp.has_section("synth") else None
+    mc = _build(cp, "mc", McNull)
+    _in_section("mc", lambda: mc.config(1))  # any N checks trials
 
     train_states = _get_states(cp, "blind", "train_states")
     eval_states = _get_states(cp, "blind", "eval_states")
@@ -218,21 +214,22 @@ def load_manifest(path, out=None) -> RunManifest:
     for state in sweep_states:
         if state not in eval_states:
             raise ConfigError(f"[sweep] state {state} is not in [blind] eval_states")
-    sweep_k_step = _get_int(cp, "sweep", "k_step")
+    sweep_k_step = _get_parsed(cp, "sweep", "k_step", *_PARSERS["int"], None)
     if sweep_k_step is not None and sweep_k_step < 1:
         raise ConfigError(f"[sweep] k_step must be at least 1, got {sweep_k_step}")
-    out_dir = resolve(_get(cp, "run", "out_dir", "out")) if out is None else Path(out).absolute()
+    out_dir = resolve(_get(cp, "run", "out_dir", "out"))  # asked for even when `out` replaces it
+    out_dir = out_dir if out is None else Path(out).absolute()
 
-    return RunManifest(
+    manifest = RunManifest(
         path=path,
         sha256=hashlib.sha256(data).hexdigest(),
         out_dir=out_dir,
-        target_year=_get_int(cp, "run", "target_year", 2020),
+        target_year=_get_parsed(cp, "run", "target_year", *_PARSERS["int"], 2020),
         inputs=inputs,
         dataset_path=resolve(_get(cp, "data", "dataset") or out_dir / "dataset.csv"),
         cv=cv,
-        mc_trials=mc_trials,
-        mc_seed=mc_seed,
+        mc_trials=mc.trials,
+        mc_seed=mc.seed,
         train_states=train_states,
         eval_states=eval_states,
         blind=blind,
@@ -243,3 +240,5 @@ def load_manifest(path, out=None) -> RunManifest:
         calibrate_z=_get_grid(cp, "calibrate", "z_grid", float, DEFAULT_CALIBRATE_Z),
         calibrate_n=_get_grid(cp, "calibrate", "n_grid", int, DEFAULT_CALIBRATE_N),
     )
+    _check_all_asked(cp)
+    return manifest

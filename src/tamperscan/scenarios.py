@@ -19,6 +19,7 @@ from .anomaly import McNull, Scoring, analytic_sigma_curve, fit_width, residuals
 from .data_model import Dataset, _readonly, csv_prefix, format_floats, open_csv
 from .elastic_net import CvResult, CvSettings, FitModel, fit_cv, predict
 from .errors import ConfigError, DataError
+from .fips import normalize_fips
 
 DETECTION_SIGMA = 4.0
 
@@ -60,13 +61,19 @@ class BlindSpec:
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Flip k ballots in one county from the source party to the other."""
+    """Flip k ballots in one county from the source party to the other.
+
+    The county's FIPS code is normalized and a direction given as text is
+    parsed, so a manifest's text builds the same spec as the typed values.
+    """
 
     fips: str
     k: int
     direction: Direction
 
     def __post_init__(self):
+        object.__setattr__(self, "fips", normalize_fips(self.fips))
+        object.__setattr__(self, "direction", Direction.parse(self.direction))
         if self.k < 0:
             raise ConfigError(f"flip count k must be non-negative, got {self.k}")
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 # tamperscan before numpy, so the suite's BLAS runs the one thread the CLI's does
@@ -7,12 +8,29 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "kernel_loader: tests of _kernels.library() itself (its build, its cache, no compiler), "
+        "which a library forced by TAMPERSCAN_TEST_KERNEL would defeat",
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _kernel_cache(tmp_path_factory):
     """Build the compiled kernels under the session's temporary directory, not
-    the user's cache; CLI subprocesses inherit the same directory."""
+    the user's cache; CLI subprocesses inherit the same directory.
+
+    With TAMPERSCAN_TEST_KERNEL naming a shared library built from
+    `_kernels.c` (with sanitizers, say), every in-process call loads that
+    one, through `_kernels._load`, in place of `library()`. Run with
+    `-m "not kernel_loader"` then: those tests need the real loader."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        forced = os.environ.get("TAMPERSCAN_TEST_KERNEL")
+        if forced:
+            lib = _kernels._load(forced)
+            mp.setattr(_kernels, "library", lambda: lib)
         yield
 
 

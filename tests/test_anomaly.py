@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import warnings
 from statistics import NormalDist
 
@@ -208,6 +209,14 @@ class TestAnalyticGlobal:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("name", ["trials", "n_counties"])
+    def test_counts_stop_at_sys_maxsize(self, name):
+        counts = {"n_counties": 50, "trials": 2000}
+        assert getattr(McConfig(**{**counts, name: sys.maxsize}), name) == sys.maxsize
+        with pytest.raises(ConfigError) as err:
+            McConfig(**{**counts, name: 10**20})
+        assert str(err.value) == f"{name} must be at most {sys.maxsize}, got {10**20}"
+
     def test_zero_z_has_global_p_one(self):
         cfg = McConfig(n_counties=50, trials=2000, seed=0)
         est = global_significance_mc(0.0, cfg)
@@ -339,6 +348,7 @@ class TestSpecialFunctions:
             anomaly._normal_quantile(np.array([0.25, bad]))
         assert calls == []
 
+    @pytest.mark.kernel_loader
     def test_curves_and_mc_null_bit_equal_without_a_compiler(self, empty_kernel_cache, monkeypatch):
         z = np.concatenate([np.linspace(-9.0, 9.0, 3601), [0.0, 1e-300, 37.5, 38.5, 41.0]])
 

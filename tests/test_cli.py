@@ -507,6 +507,19 @@ def test_without_data_section_synth_writes_the_dataset_fit_reads(tmp_path):
     assert (tmp_path / "out" / "ranking.csv").exists()
 
 
+def test_percent_in_a_value_is_literal(tmp_path):
+    """A value is its text: `%` is no interpolation syntax."""
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(
+        "[data]\ndataset = out/50%.csv\n\n[synth]\nn_counties = 60\nn_features = 4\nn_active = 2\n\n"
+        "[cv]\nl1_grid = 1.0\nn_alphas = 5\n\n[mc]\ntrials = 1000\n"
+    )
+    assert main(["synth", "--manifest", str(manifest)]) == 0
+    assert (tmp_path / "out" / "50%.csv").exists()
+    assert main(["fit", "--manifest", str(manifest)]) == 0
+    assert (tmp_path / "out" / "ranking.csv").exists()
+
+
 def test_relative_out_is_taken_from_the_working_directory(tmp_path, monkeypatch):
     """--out, as any command-line path, is relative to the working directory;
     paths inside the manifest stay relative to the manifest."""
@@ -603,6 +616,17 @@ class TestExitCodes:
         )
         assert main(["ingest", "--manifest", str(manifest)]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_ascii_fips_digits_in_an_input_are_3(self, tmp_path, capsys):
+        # full-width digits pass str.isdigit(), but are no FIPS code
+        manifest = TestIngest._inputs(tmp_path)
+        with open(tmp_path / "dp02.csv", "a", encoding="utf-8") as fh:
+            fh.write("１３００１,Appling,30.0,1.0\n")
+        assert main(["ingest", "--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'dp02.csv'}: invalid FIPS code '１３００１'\n"
+        )
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
     def test_non_utf8_input_is_3(self, tmp_path, capsys):
         manifest = TestIngest._inputs(tmp_path)
@@ -711,11 +735,34 @@ class TestExitCodes:
              "config error: no counties in states ['NV']\n"),
             ("blind", (r"\neval_states = ", "\neval_states = VT, "), 2,
              "config error: no counties in states ['VT']\n"),
+            # a misspelt key, section or a [DEFAULT] key would leave a default in force
+            ("blind", (r"\nn_alphas = 20\n", "\nn_alpha = 5\n"), 2,
+             "config error: [cv] unknown key 'n_alpha' (keys: eps, folds, l1_grid, "
+             "max_iter, n_alphas, seed, tol)\n"),
+            ("blind", (r"\n\[sweep\]\n", "\n[sweeep]\n"), 2,
+             "config error: unknown section [sweeep]\n"),
+            ("blind", (r"^\[run\]\n", "[DEFAULT]\nseed = 5\n\n[run]\n"), 2,
+             "config error: [DEFAULT] seed: set each key in its own section\n"),
+            # a count above sys.maxsize would wrap in ctypes or overflow numpy
+            ("blind", (r"\nn_alphas = 20\n", "\nn_alphas = 20\nmax_iter = 18446744073709551617\n"), 2,
+             f"config error: [cv] max_iter must be at most {sys.maxsize}, got 18446744073709551617\n"),
+            ("blind", (r"\nn_alphas = 20\n", f"\nn_alphas = {10**20}\n"), 2,
+             f"config error: [cv] n_alphas must be at most {sys.maxsize}, got {10**20}\n"),
+            ("blind", (r"\nn_alphas = 20\n", f"\nn_alphas = 20\nfolds = {10**20}\n"), 2,
+             f"config error: [cv] folds must be at most {sys.maxsize}, got {10**20}\n"),
+            ("blind", (r"\ntrials = 20000\n", f"\ntrials = {10**20}\n"), 2,
+             f"config error: [mc] trials must be at most {sys.maxsize}, got {10**20}\n"),
+            ("blind", (r"\nn_features = 30\n", f"\nn_features = {10**20}\n"), 2,
+             f"config error: [synth] n_features must be at most {sys.maxsize}, got {10**20}\n"),
+            ("blind", (r"\n\[sweep\]\n", f"\n[calibrate]\nn_grid = 100, {10**400}\n\n[sweep]\n"), 2,
+             f"config error: [calibrate] n_grid must be at most {sys.maxsize}, got {10**400}\n"),
         ],
         ids=["trials", "k_step", "k", "l1_above_1", "l1_zero", "one_fold", "no_alphas",
              "direction", "negative_k", "fips", "blind_overlap", "blind_one_sided",
              "sweep_state", "eval_not_a_state", "train_not_a_state", "train_state_without_county",
-             "eval_state_without_county"],
+             "eval_state_without_county", "unknown_key", "unknown_section", "default_key",
+             "max_iter_above_maxsize", "n_alphas_above_maxsize", "folds_above_maxsize",
+             "trials_above_maxsize", "n_features_above_maxsize", "n_grid_above_maxsize"],
     )
     def test_bad_request_fails_before_any_work(
         self, private_ws, monkeypatch, capsys, cmd, edit, code, message
@@ -729,11 +776,13 @@ class TestExitCodes:
         hashes = counting(monkeypatch, cli, "dataset_sha256")
         cv_calls = counting(monkeypatch, elastic_net, "cross_validate")
         draws = counting(monkeypatch, anomaly, "_draw_table")
+        before = _outputs(private_ws / "out")
         assert main([cmd, "--manifest", str(manifest)]) == code
         assert cv_calls == [] and draws == []
         assert not list((private_ws / "out").glob("blind_*"))
-        if message.startswith("config error: ["):
+        if message.startswith(("config error: [", "config error: unknown section")):
             assert hashes == []  # a setting named: rejected when the manifest loads
+            assert _outputs(private_ws / "out") == before
         assert capsys.readouterr().err.startswith(message)
 
     def test_threads_below_one_is_2(self, workspace, tmp_path, capsys):

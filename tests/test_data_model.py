@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from tamperscan import (
     standardize,
 )
 from tamperscan.data_model import _format_compiled, format_floats, logistic, substream
+from tamperscan.fips import normalize_fips
 
 from conftest import make_dataset
 
@@ -35,6 +37,23 @@ class TestCountyKey:
     def test_state_must_match_fips_prefix(self):
         with pytest.raises(DataError, match="encodes state GA"):
             CountyKey(fips="13121", state="PA", name="Fulton")
+
+    @pytest.mark.parametrize("fips", ["0000²", "１３００１", "13 21", " 1312"])
+    def test_fips_must_be_ascii_digits(self, fips):
+        with pytest.raises(DataError):
+            CountyKey(fips=fips, state="GA", name="x")
+
+
+class TestNormalizeFips:
+    @pytest.mark.parametrize("raw, code", [("13121", "13121"), ("1001", "01001"), (" 7 ", "00007")])
+    def test_pads_ascii_digits(self, raw, code):
+        assert normalize_fips(raw) == code
+
+    @pytest.mark.parametrize("raw", ["１３００１", "²", "١٣١٢١", "123456", "1a001", "", "  "])
+    def test_anything_but_one_to_five_ascii_digits_is_invalid(self, raw):
+        with pytest.raises(DataError) as err:
+            normalize_fips(raw)
+        assert str(err.value) == f"invalid FIPS code {raw!r}"
 
 
 def _share(rep, dem):
@@ -291,6 +310,12 @@ class TestSynthetic:
             SyntheticSpec(noise_sd=-0.1)
         with pytest.raises(ConfigError):
             SyntheticSpec(n_counties=0)
+
+    def test_n_features_stops_at_sys_maxsize(self):
+        assert SyntheticSpec(n_features=sys.maxsize).n_features == sys.maxsize
+        with pytest.raises(ConfigError) as err:
+            SyntheticSpec(n_features=sys.maxsize + 1)
+        assert str(err.value) == f"n_features must be at most {sys.maxsize}, got {sys.maxsize + 1}"
 
 
 def _fast_range(rng, n):

@@ -423,6 +423,7 @@ class TestCompiledDescent:
             elastic_net._bind_descent(**arrays, tol=1e-5, max_iter=10)
         assert len(calls) == 1
 
+    @pytest.mark.kernel_loader
     def test_fit_and_cv_bit_equal_without_a_compiler(self, empty_kernel_cache, monkeypatch):
         X, y = _collinear_problem(1)
         Xs, params = _standardized(X)
@@ -447,6 +448,7 @@ class TestCompiledDescent:
         assert {**model.training_meta, "sweep": "python"} == py_model.training_meta
         assert cv == py_cv
 
+    @pytest.mark.kernel_loader
     def test_cache_is_reused_and_a_truncated_file_rebuilt(self, empty_kernel_cache, monkeypatch):
         if not have_compiler():
             pytest.skip("no C compiler on PATH")
@@ -469,6 +471,7 @@ class TestCompiledDescent:
         assert len(builds) == 2
         assert truncated.read_bytes() == built.read_bytes()
 
+    @pytest.mark.kernel_loader
     def test_a_build_prunes_month_old_libraries_and_a_load_nothing(self, empty_kernel_cache):
         if not have_compiler():
             pytest.skip("no C compiler on PATH")
@@ -790,6 +793,14 @@ class TestCrossValidate:
             cross_validate(X, y, l1_grid=(0.5, 1.0, 1.0), n_alphas=5)
         with pytest.raises(ConfigError, match="^l1_grid repeats 1.0$"):
             elastic_net.CvSettings(l1_grid=(1.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["n_alphas", "folds", "max_iter"])
+    def test_counts_stop_at_sys_maxsize(self, name):
+        # above it, numpy cannot size an array and ctypes would wrap max_iter
+        assert getattr(elastic_net.CvSettings(**{name: sys.maxsize}), name) == sys.maxsize
+        with pytest.raises(ConfigError) as err:
+            elastic_net.CvSettings(**{name: 2**64 + 1})
+        assert str(err.value) == f"{name} must be at most {sys.maxsize}, got {2**64 + 1}"
 
     def test_peak_memory_is_a_few_design_copies(self):
         # a fold's arrays die before the next fold is built, and the full

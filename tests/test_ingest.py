@@ -481,7 +481,6 @@ class TestCompiledReader:
             b"1e22,1e23,0.30000000000000004,-1.7976931348623157e+308,2.5e-22\n",
             BOM + b"fips,county,x\r\n01001,Autauga,1.5\r\n13121,Fulton,2.5",
             b"fips,x\n01001,1.5\n13121,2.5",
-            "fips,x\n١٣١٢١,1\n".encode("utf-8"),
             b"x,NAME,fips,x moe\n+3,Do\xc3\xb1a,\"13121\",1\n-.5,\"\",   7,2\n",
             BOM + b"# source: a note\n#\nfips,x\n01001,1.5\n",
             b'# exported\n"fips","x"\n01001,1\n',
@@ -489,7 +488,7 @@ class TestCompiledReader:
             BOM + b'# note\r\nfips,"a\r\nb",c\r\n01001,1,2\r\n',
         ],
         ids=["quoted", "missing-and-padded", "float-syntax", "exactness", "bom-crlf",
-             "no-final-newline", "non-ascii-fips-digits", "key-columns", "leading-comments",
+             "no-final-newline", "key-columns", "leading-comments",
              "quoted-header", "quoted-comma-header", "quoted-newline-header"],
     )
     def test_reads_as_the_reference(self, tmp_path, monkeypatch, kernels, text):
@@ -591,8 +590,9 @@ class TestCompiledReader:
     @pytest.mark.parametrize(
         "text, code",
         [(b"fips,x\n01001,1\n123456,2\n", "'123456'"), (b"fips,x\n01001,1\n1a001,2\n", "'1a001'"),
-         (b'fips,x\n"",1\n01001,2\n', "''")],
-        ids=["six-digits", "not-digits", "empty"],
+         (b'fips,x\n"",1\n01001,2\n', "''"),
+         ("fips,x\n01001,1\n١٣١٢١,2\n".encode(), "'١٣١٢١'")],
+        ids=["six-digits", "not-digits", "empty", "non-ascii-digits"],
     )
     def test_invalid_fips_is_the_same_error_after_either_reader(
         self, tmp_path, monkeypatch, kernels, text, code

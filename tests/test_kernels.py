@@ -5,6 +5,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from tamperscan import _kernels
 from tamperscan.cli import main
 
@@ -43,6 +45,7 @@ def test_the_ctypes_declarations_match_the_c_definitions(kernels):
                 assert argtype is C_TYPES[param], name
 
 
+@pytest.mark.kernel_loader
 def test_commands_run_the_python_references_without_a_home_directory(tmp_path, monkeypatch):
     """Without an absolute $XDG_CACHE_HOME there is no cache unless a home
     directory is found, which Path.home() cannot do with no $HOME and no

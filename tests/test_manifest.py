@@ -1,12 +1,26 @@
+import ast
+import dataclasses
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from tamperscan import ConfigError, Direction, InjectionSpec, load_manifest
+from tamperscan import (
+    ConfigError,
+    CvSettings,
+    DataError,
+    Direction,
+    InjectionSpec,
+    McNull,
+    SyntheticSpec,
+    load_manifest,
+)
 from tamperscan.cli import main
 
-DEMO = Path(__file__).resolve().parents[1] / "demos" / "run2020.ini"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "demos" / "run2020.ini"
 
 FULL = """\
 [run]
@@ -204,3 +218,121 @@ class TestManifestHash:
         digest = self._sha256(full_manifest)
         for out in (None, "/somewhere/else", "relative"):
             assert load_manifest(full_manifest, out).sha256 == digest
+
+
+class TestStrictKeys:
+    """Every key is one a read asks for, so a misspelt one cannot leave a
+    default silently in force."""
+
+    @pytest.mark.parametrize(
+        "section, cls, text",
+        [
+            ("cv", CvSettings, ""),
+            ("mc", McNull, ""),
+            ("synth", SyntheticSpec, ""),
+            ("injection", InjectionSpec, "fips = 13121\nk = 10\ndirection = R_to_D\n"),
+        ],
+    )
+    def test_typed_section_keys_are_the_fields_of_its_type(self, tmp_path, section, cls, text):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{text}bogus = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_manifest(path)
+        keys = ", ".join(sorted(f.name for f in dataclasses.fields(cls)))
+        assert str(err.value) == f"[{section}] unknown key 'bogus' (keys: {keys})"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cv]\nn_alpha = 5\n", "[cv] unknown key 'n_alpha'"),
+            ("[run]\nout_dir = out\noutdir = o\n", "[run] unknown key 'outdir' (keys: out_dir, target_year)"),
+            ("[sweeep]\nstates = GA\n", "unknown section [sweeep]"),
+            ("[Cv]\n", "unknown section [Cv]"),
+            ("[DEFAULT]\nseed = 5\n\n[cv]\n", "[DEFAULT] seed: set each key in its own section"),
+        ],
+    )
+    def test_unknown_key_section_or_default_key_is_an_error(self, tmp_path, text, message):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(message)
+
+    def test_run_out_dir_stays_a_key_under_the_out_override(self, tmp_path):
+        # [run] out_dir is asked for even when --out replaces it
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nout_dir = out\n")
+        assert load_manifest(path, str(tmp_path / "elsewhere")).out_dir == tmp_path / "elsewhere"
+
+    def test_input_keys_are_left_to_ingest(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[inputs]\nmystery = x.csv\n")
+        assert load_manifest(path).inputs == {"mystery": tmp_path / "x.csv"}
+
+    def test_percent_is_literal(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nout_dir = 100%\n\n[data]\ndataset = out/50%.csv\n\n[inputs]\ndp02 = %(x)s.csv\n")
+        man = load_manifest(path)
+        assert man.out_dir == tmp_path / "100%"
+        assert man.dataset_path == tmp_path / "out" / "50%.csv"
+        assert man.inputs["dp02"] == tmp_path / "%(x)s.csv"
+
+    def test_counts_up_to_sys_maxsize_load(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            f"[cv]\nmax_iter = {sys.maxsize}\n\n[mc]\ntrials = {sys.maxsize}\n\n"
+            f"[calibrate]\nn_grid = {sys.maxsize}\n"
+        )
+        man = load_manifest(path)
+        assert man.cv.max_iter == man.mc_trials == sys.maxsize
+        assert man.calibrate_n == (sys.maxsize,)
+
+
+class TestInjectionSpec:
+    def test_normalizes_its_fips_code_and_direction(self):
+        assert InjectionSpec(" 1001", 5, "r_to_d") == InjectionSpec("01001", 5, Direction.R_TO_D)
+        assert InjectionSpec("01001", 5, "D_to_R").direction is Direction.D_TO_R
+
+    def test_rejects_an_invalid_fips_code(self):
+        with pytest.raises(DataError, match="invalid FIPS code '１３１２１'"):
+            InjectionSpec("１３１２１", 5, Direction.R_TO_D)
+
+
+def _perfbench_manifests(tmp_path, monkeypatch):
+    """The text of each perfbench workload's manifest, rendered as its run.py
+    renders it: gen.manifest_text with the workload's CV settings and k_step.
+    gen.py is loaded as a file and run.py only read, so nothing under
+    perfbench/ runs beyond the rendering."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    workloads = next(
+        node.value for node in run.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WORKLOADS" for t in node.targets)
+    )
+    names = ("dp02", "dp03", "dp05", "election_2016", "election_2020")
+    inputs = gen.Inputs(tmp_path / "inputs", {k: tmp_path / "inputs" / f"{k}.csv" for k in names},
+                        "13121", 1000, "R_to_D")
+    texts = {}
+    for name, call in zip(workloads.keys, workloads.values):
+        settings = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+        texts[ast.literal_eval(name)] = gen.manifest_text(
+            inputs, tmp_path / "rep", settings["cv"], 100_000, settings["k_step"]
+        )
+    return texts
+
+
+def test_perfbench_manifests_load(tmp_path, monkeypatch):
+    texts = _perfbench_manifests(tmp_path, monkeypatch)
+    assert sorted(texts) == ["blind-chain", "ingest-scan"]
+    for name, text in texts.items():
+        path = tmp_path / "rep" / f"{name}.ini"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        man = load_manifest(path)
+        assert set(man.inputs) == {"dp02", "dp03", "dp05", "election_2016", "election_2020"}
+        assert man.injection == InjectionSpec("13121", 1000, Direction.R_TO_D)
+        assert man.mc_trials == 100_000 and man.blind is not None
+    assert load_manifest(tmp_path / "rep" / "ingest-scan.ini").sweep_k_step == 10
